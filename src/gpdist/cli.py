@@ -1,21 +1,35 @@
-"""Scenario runner: parse a YAML run configuration, dispatch to the model
-layer, and emit distribution atoms, moments, spreads, and sweep tables as
-CSV (or JSON) for external plotting.
+"""Scenario runner: load a YAML scenario into typed points, run each point
+through its model, and write the tables as CSV (or JSON) for plotting.
 
 Config schema (version 1)::
 
     schema: 1
     model: spontaneous_emission | phase_damping | custom_joint | custom_lindblad
-    params: {...}            # per-model parameters
-    grid: {n_steps: 4096}    # optional, time grid resolution over one period
-    sweep:                   # optional parameter sweep
-      parameter: theta
-      values: [0.1, 0.2, ...]
-    outputs: [moments, atoms, decomposition_check]
+    params: {...}             # per-model parameters, defaults below
+    grid: {n_steps: 4096}     # optional; an integer >= 1
+    sweep: {parameter: theta, values: [0.1, 0.2]}  # optional; sorted values
+    outputs: [moments]        # a list of moments, atoms, decomposition_check
 
-Angles are always emitted in radians; every GP column carries its measure
-(Z or H) and branch (principal or unwrapped) in the header.  Exit codes:
-0 success, 2 config error, 3 numerical failure.
+Parameters and defaults (``-`` marks a required one)::
+
+    spontaneous_emission  omega 1.0, gamma0 0.0, n_thermal 0.0, theta pi/2
+    phase_damping         omega 1.0, alpha 0.0, theta pi/2
+    custom_joint          omega 1.0, theta pi/2, reservoir_energies -,
+                          reservoir_probs -, couplings - (list of {g: 1.0, r, s})
+    custom_lindblad       omega 1.0, theta pi/2, jump_ops - (list of 2x2)
+
+Numbers are finite, omega > 0, theta in [0, pi], the other scalars >= 0.
+``run`` writes ``moments.csv``; ``atoms`` adds ``atoms.csv`` and
+``decomposition_check`` (custom_joint only) adds redecomposition shifts.
+``custom_lindblad`` writes ``evolution.csv``, takes no sweep and needs
+``outputs: []``.  ``compare`` writes ``comparison.csv``.
+
+Config errors are found before any numerics run and name their field:
+``schema``, ``model``, ``params`` or ``params.<name>`` (down to
+``params.couplings[0].r``), ``grid`` or ``grid.n_steps``, ``sweep``,
+``sweep.parameter``, ``sweep.values[i]``, ``outputs`` or ``outputs[i]``, or
+the unknown field.  Angles are in radians.  Exit codes: 0 success, 2 config
+error, 3 numerical failure (naming the failing sweep point).
 """
 
 from __future__ import annotations
@@ -23,39 +37,53 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .channels import SystemEnsemble, conditional_trajectories, integrate_lindblad
-from .distribution import build_distribution, moments as dist_moments, redecompose
-from .errors import ConfigError, GpdistError
-from .hilbert import Schedule, TimeGrid, time_ordered_propagator
+from .channels import (LindbladModel, ReservoirSpec, SystemEnsemble,
+                       conditional_trajectories, integrate_lindblad)
+from .distribution import (block_first_moment, build_distribution,
+                           moments as dist_moments, redecompose)
+from .errors import ConfigError, GpdistError, InvalidOperand, InvalidState
+from .hilbert import Schedule, TimeGrid, partial_inner, time_ordered_propagator
 from .models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
     closed_system_gp,
     hs_schedule,
+    pd_first_order_references,
     pd_moments,
+    pd_trajectories,
     psi_initial,
     se_distributions,
-    se_perturbative_gp,
     se_mean_gp_zero_temperature,
+    se_perturbative_gp,
 )
-from .channels import LindbladModel, ReservoirSpec
 from .phase import angle_to_positive_branch
 from .weakcoupling import WeakCouplingModel, build_AB, delta_z, perturbative_moments
 
 SCHEMA_VERSION = 1
-MODELS = ("spontaneous_emission", "phase_damping", "custom_joint",
-          "custom_lindblad")
-OUTPUT_KINDS = ("moments", "atoms", "spread", "sweep_table", "comparison",
-                "decomposition_check")
+OUTPUT_KINDS = ("moments", "atoms", "decomposition_check")
+DECOMPOSITION_SEEDS = 10
+REQUIRED = object()
+TOP_LEVEL = {"schema": REQUIRED, "model": REQUIRED, "params": {}, "grid": {},
+             "sweep": None, "outputs": ["moments"]}
+
+# Scalar parameters: domain, its wording, and the run-table column.
+SCALARS = {
+    "omega": (lambda x: x > 0.0, "> 0", "omega_rad_per_time"),
+    "gamma0": (lambda x: x >= 0.0, ">= 0", "gamma0_rad_per_time"),
+    "n_thermal": (lambda x: x >= 0.0, ">= 0", "n_thermal_dimensionless"),
+    "alpha": (lambda x: x >= 0.0, ">= 0", "alpha_rad_per_time"),
+    "theta": (lambda x: 0.0 <= x <= math.pi, "in [0, pi]", "theta_rad"),
+}
 
 
 def _fmt(x) -> str:
@@ -68,374 +96,405 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_matrix(obj, where: str) -> np.ndarray:
-    """Nested-list matrix; entries are numbers or [re, im] pairs."""
+def _fields(obj, where: str, spec: dict) -> dict:
+    """``obj`` as a mapping over the keys of ``spec``: unknown and missing
+    required keys are errors, absent optional keys take their defaults."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'top level'}: expected a mapping, "
+                          f"got {obj!r}")
+    prefix = f"{where}." if where else ""
+    for key in obj:
+        if key not in spec:
+            raise ConfigError(f"{prefix}{key}: unknown field, expected one "
+                              f"of {tuple(spec)}")
+    out = {**spec, **obj}
+    for key, value in out.items():
+        if value is REQUIRED:
+            raise ConfigError(f"{prefix}{key}: required field is missing")
+    return out
+
+
+def _number(value, where: str) -> float:
+    """A finite float; numeric strings count, as YAML 1.1 reads 1e-3 as text."""
     try:
-        rows = []
-        for row in obj:
-            out_row = []
-            for cell in row:
-                if isinstance(cell, (list, tuple)):
-                    out_row.append(complex(cell[0], cell[1]))
-                else:
-                    out_row.append(complex(cell))
-            rows.append(out_row)
-        m = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{where}: cannot parse matrix: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"{where}: matrix must be square, got {m.shape}")
-    return m
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
+def _scalar(name: str, value, where: str) -> float:
+    x = _number(value, where)
+    in_domain, wording, _ = SCALARS[name]
+    if not in_domain(x):
+        raise ConfigError(f"{where}: {name} must be {wording}, got {x!r}")
+    return x
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str, length: int | None = None) -> list[float]:
+    xs = [_number(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
+    if not xs or len(xs) != (length or len(xs)):
+        raise ConfigError(f"{where}: expected {length or 'a non-empty list of'}"
+                          f" numbers, got {len(xs)}")
+    return xs
+
+
+def _matrix(obj, where: str, dim: int) -> np.ndarray:
+    """dim x dim nested list; entries are numbers or [re, im] pairs."""
+    if not (isinstance(obj, list) and len(obj) == dim and all(
+            isinstance(row, list) and len(row) == dim for row in obj)):
+        raise ConfigError(f"{where}: expected a {dim}x{dim} matrix, "
+                          f"got {obj!r}")
+
+    def entry(cell, at):
+        if isinstance(cell, list):
+            return complex(*_numbers(cell, at, 2))
+        return complex(_number(cell, at))
+
+    return np.array([[entry(c, f"{where}[{i}][{j}]") for j, c in enumerate(row)]
+                     for i, row in enumerate(obj)])
+
+
+@dataclass(frozen=True)
+class CustomPoint:
+    """A point of a model given by its operators rather than closed forms."""
+
+    omega: float
+    theta: float
+    model: WeakCouplingModel | LindbladModel
+
+
+def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
+                 couplings) -> CustomPoint:
+    energies = np.array(_numbers(reservoir_energies,
+                                 "params.reservoir_energies"))
+    dim_r = len(energies)
+    probs = _numbers(reservoir_probs, "params.reservoir_probs", dim_r)
+    terms = []
+    for i, c in enumerate(_list(couplings, "params.couplings")):
+        at = f"params.couplings[{i}]"
+        c = _fields(c, at, {"g": 1.0, "r": REQUIRED, "s": REQUIRED})
+        terms.append((_number(c["g"], f"{at}.g")
+                      * _matrix(c["r"], f"{at}.r", dim_r),
+                      _matrix(c["s"], f"{at}.s", 2)))
+    try:
+        res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
+                            energies=energies)
+        return CustomPoint(omega, theta, WeakCouplingModel(
+            hs=hs_schedule(omega), hr=np.diag(energies).astype(complex),
+            couplings=terms, res=res, psi_s=psi_initial(theta)))
+    except InvalidState as exc:
+        raise ConfigError(f"params.reservoir_probs: {exc}") from exc
+    except InvalidOperand as exc:   # a non-Hermitian coupling
+        raise ConfigError(f"params.couplings: {exc}") from exc
+
+
+def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
+    jumps = [_matrix(j, f"params.jump_ops[{i}]", 2)
+             for i, j in enumerate(_list(jump_ops, "params.jump_ops"))]
+    return CustomPoint(omega, theta,
+                       LindbladModel(hs=hs_schedule(omega), jump_ops=jumps))
+
+
+def _joint_schedule(model: WeakCouplingModel) -> Schedule:
+    """Joint H = H_S x 1 + 1 x H_R + H_I; H_S is constant for every CLI model."""
+    return Schedule.constant(np.kron(model.hs(0.0), np.eye(model.dim_r))
+                             + np.kron(np.eye(model.dim_s), model.hr)
+                             + model.h_interaction())
+
+
+def _joint_distribution(p: CustomPoint, grid: TimeGrid):
+    us = time_ordered_propagator(_joint_schedule(p.model), grid)
+    trajs = conditional_trajectories(us, p.model.res,
+                                     SystemEnsemble.pure(p.model.psi_s), grid)
+    return build_distribution(trajs, kind="z"), us[-1]
+
+
+def _se_references(p: TwoLevelAtomParams) -> dict:
+    refs = {"perturbative_gp_rad": se_perturbative_gp(p)}
+    if p.n_thermal == 0.0:
+        refs["zero_temperature_gp_rad"] = se_mean_gp_zero_temperature(p)
+    return refs
+
+
+def _pd_references(p: PhaseDampingParams) -> dict:
+    ref_z, ref_h, ref_w = pd_first_order_references(p)
+    return {"ref_spread_w_dimensionless": ref_w,
+            "ref_mean_gp_z_principal_rad": float(np.angle(ref_z)),
+            "ref_mean_gp_h_principal_rad": float(np.angle(ref_h))}
+
+
+def _se_compare(p: TwoLevelAtomParams, grid: TimeGrid) -> dict:
+    rep = dist_moments(se_distributions(p)[0], n_max=1)
+    pert = se_perturbative_gp(p)
+    rate = p.gamma0 / p.omega
+    exact_z = angle_to_positive_branch(float(np.angle(rep.z_moments[0])))
+    exact_h = angle_to_positive_branch(float(np.angle(rep.mean_gp_h)))
+    expected = 100.0 * rate**2
+    return {
+        "gamma0_over_omega_dimensionless": rate,
+        "n_thermal_dimensionless": p.n_thermal,
+        "theta_rad": p.theta,
+        "exact_mean_gp_z_unwrapped_rad": exact_z,
+        "exact_mean_gp_h_unwrapped_rad": exact_h,
+        "perturbative_gp_unwrapped_rad": pert,
+        "abs_diff_z_rad": abs(exact_z - pert),
+        "abs_diff_h_rad": abs(exact_h - pert),
+        "expected_order_rad": expected,
+        "order_violation": bool(abs(exact_z - pert) > expected),
+    }
+
+
+def _pd_compare(p: PhaseDampingParams, grid: TimeGrid) -> dict:
+    rep = pd_moments(p, n_steps=grid.n_steps)
+    expected = 100.0 * (p.alpha / p.omega)**2
+    dz = abs(rep.mean_gp_z - rep.ref_mean_gp_z)
+    return {
+        "alpha_over_omega_dimensionless": p.alpha / p.omega,
+        "theta_rad": p.theta,
+        "exact_mean_gp_z_principal_rad": float(np.angle(rep.mean_gp_z)),
+        "exact_mean_gp_h_principal_rad": float(np.angle(rep.mean_gp_h)),
+        "abs_diff_z_firstorder_dimensionless": dz,
+        "abs_diff_h_firstorder_dimensionless": abs(rep.mean_gp_h
+                                                   - rep.ref_mean_gp_h),
+        "measure_difference_dimensionless": abs(rep.mean_gp_z
+                                                - rep.mean_gp_h),
+        "exact_spread_w_dimensionless": rep.spread_w,
+        "ref_spread_w_dimensionless": rep.ref_spread_w,
+        "expected_order_dimensionless": expected,
+        "order_violation": bool(dz > expected),
+    }
+
+
+def _joint_compare(p: CustomPoint, grid: TimeGrid) -> dict:
+    """Exact conditional-trajectory moments against delta_z."""
+    rep = dist_moments(_joint_distribution(p, grid)[0], n_max=1)
+    dz = delta_z(build_AB(p.model, grid), p.model, grid)
+    pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
+    exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
+    return {
+        "theta_rad": p.theta,
+        "exact_mean_gp_z_principal_rad": float(np.angle(exact_z)),
+        "exact_mean_gp_h_principal_rad": float(np.angle(rep.mean_gp_h)),
+        "perturbative_gp_principal_rad": float(np.angle(pert)),
+        "abs_diff_z_dimensionless": abs(exact_z - pert / abs(pert)),
+        "abs_diff_h_dimensionless": abs(rep.mean_gp_h - pert),
+        "im_delta_z_dimensionless": float(np.imag(dz)),
+    }
+
+
+@dataclass(frozen=True)
+class Model:
+    """A model's parameters (REQUIRED: no default), typed ``point``, output
+    kinds, ``distribution(p, grid)`` -> (P_Z at one period, final joint
+    propagator or None), extra run columns ``references(p)`` and
+    ``compare(p, grid)`` row.  Without a distribution it only integrates
+    the master equation."""
+
+    defaults: dict
+    point: Callable
+    outputs: tuple = ()
+    distribution: Callable | None = None
+    references: Callable = lambda p: {}
+    compare: Callable | None = None
+
+
+MODELS = {
+    "spontaneous_emission": Model(
+        defaults={"omega": 1.0, "gamma0": 0.0, "n_thermal": 0.0,
+                  "theta": np.pi / 2.0},
+        point=TwoLevelAtomParams, outputs=("moments", "atoms"),
+        distribution=lambda p, grid: (se_distributions(p)[0], None),
+        references=_se_references, compare=_se_compare),
+    "phase_damping": Model(
+        defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
+        point=PhaseDampingParams, outputs=("moments", "atoms"),
+        distribution=lambda p, grid: (
+            build_distribution(pd_trajectories(p, grid), kind="z"), None),
+        references=_pd_references, compare=_pd_compare),
+    "custom_joint": Model(
+        defaults={"omega": 1.0, "theta": np.pi / 2.0,
+                  "reservoir_energies": REQUIRED, "reservoir_probs": REQUIRED,
+                  "couplings": REQUIRED},
+        point=_joint_point, outputs=OUTPUT_KINDS,
+        distribution=_joint_distribution, compare=_joint_compare),
+    "custom_lindblad": Model(
+        defaults={"omega": 1.0, "theta": np.pi / 2.0, "jump_ops": REQUIRED},
+        point=_lindblad_point),
+}
 
 
 @dataclass(frozen=True)
 class Scenario:
     model: str
-    params: dict
+    points: tuple          # typed points, one per sweep value
     n_steps: int
     sweep_parameter: str | None
-    sweep_values: tuple
     outputs: tuple
 
 
 def load_scenario(path: str) -> Scenario:
+    """Parse and check a scenario file into typed points; every problem is
+    a ConfigError naming its field."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    if raw.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: field 'schema' must be {SCHEMA_VERSION}, "
-            f"got {raw.get('schema')!r}"
-        )
-    model = raw.get("model")
-    if model not in MODELS:
-        raise ConfigError(f"{path}: field 'model' must be one of {MODELS}")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}: field 'params' must be a mapping")
-    grid = raw.get("grid", {})
-    n_steps = int(grid.get("n_steps", 4096)) if isinstance(grid, dict) else 0
-    if n_steps < 1:
-        raise ConfigError(f"{path}: grid.n_steps must be a positive integer")
+    raw = _fields(raw, "", TOP_LEVEL)
+    if type(raw["schema"]) is not int or raw["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"schema: must be {SCHEMA_VERSION}, "
+                          f"got {raw['schema']!r}")
+    name = raw["model"]
+    if not isinstance(name, str) or name not in MODELS:
+        raise ConfigError(f"model: must be one of {tuple(MODELS)}, got {name!r}")
+    model = MODELS[name]
+    n_steps = _fields(raw["grid"], "grid", {"n_steps": 4096})["n_steps"]
+    if type(n_steps) is not int or n_steps < 1:
+        raise ConfigError(f"grid.n_steps: expected a positive integer, "
+                          f"got {n_steps!r}")
+    outputs = tuple(_list(raw["outputs"], "outputs"))
+    for i, kind in enumerate(outputs):
+        if kind not in OUTPUT_KINDS:
+            raise ConfigError(f"outputs[{i}]: unknown output kind {kind!r}, "
+                              f"expected one of {OUTPUT_KINDS}")
+        if kind not in model.outputs:
+            allowed = model.outputs or "only evolution.csv (set outputs: [])"
+            raise ConfigError(f"outputs[{i}]: {name} cannot write {kind!r}; "
+                              f"it writes {allowed}")
 
-    sweep = raw.get("sweep")
-    sweep_parameter, sweep_values = None, ()
-    if sweep is not None:
-        if not isinstance(sweep, dict) or "parameter" not in sweep \
-                or "values" not in sweep:
-            raise ConfigError(
-                f"{path}: field 'sweep' needs 'parameter' and 'values'")
-        sweep_parameter = str(sweep["parameter"])
+    params = _fields(raw["params"], "params", model.defaults)
+    for key in params:
+        if key in SCALARS:
+            params[key] = _scalar(key, params[key], f"params.{key}")
+    parameter, overrides = None, [{}]
+    if raw["sweep"] is not None:
+        if model.distribution is None:
+            raise ConfigError(f"sweep: {name} integrates a single point and "
+                              "takes no sweep")
+        sweep = _fields(raw["sweep"], "sweep",
+                        {"parameter": REQUIRED, "values": REQUIRED})
+        parameter = sweep["parameter"]
+        numeric = tuple(k for k in model.defaults if k in SCALARS)
+        if not isinstance(parameter, str) or parameter not in numeric:
+            raise ConfigError(f"sweep.parameter: must be one of {numeric}, "
+                              f"got {parameter!r}")
+        values = _numbers(sweep["values"], "sweep.values")
+        if values != sorted(values):
+            raise ConfigError("sweep.values: must be sorted")
+        overrides = [{parameter: _scalar(parameter, v, f"sweep.values[{i}]")}
+                     for i, v in enumerate(values)]
+    return Scenario(model=name, n_steps=n_steps, sweep_parameter=parameter,
+                    points=tuple(model.point(**{**params, **o})
+                                 for o in overrides),
+                    outputs=outputs)
+
+
+def _each_point(scn: Scenario, work) -> list:
+    """``work`` on every point in order; a numerical failure names its point.
+
+    The library also raises ValueError and ArithmeticError on computed data
+    (say, weights that overflow), so those count as numerical failures."""
+    results = []
+    for p in scn.points:
         try:
-            sweep_values = tuple(float(v) for v in sweep["values"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: sweep.values must be numbers") from exc
-        if not all(np.isfinite(sweep_values)):
-            raise ConfigError(f"{path}: sweep.values must be finite")
-        if list(sweep_values) != sorted(sweep_values):
-            raise ConfigError(f"{path}: sweep.values must be sorted")
-
-    outputs = tuple(raw.get("outputs", ["moments"]))
-    for o in outputs:
-        if o not in OUTPUT_KINDS:
-            raise ConfigError(
-                f"{path}: unknown output kind {o!r}, expected one of "
-                f"{OUTPUT_KINDS}")
-    if model == "custom_lindblad" and ("atoms" in outputs or "moments" in outputs):
-        raise ConfigError(
-            f"{path}: custom_lindblad integrates the master equation only; "
-            "GP atoms/moments are not available for it")
-    return Scenario(model=model, params=dict(params), n_steps=n_steps,
-                    sweep_parameter=sweep_parameter,
-                    sweep_values=sweep_values, outputs=outputs)
+            results.append(work(p))
+        except (GpdistError, ValueError, ArithmeticError) as exc:
+            key = scn.sweep_parameter
+            where = (f"sweep point {key} = {getattr(p, key)!r}" if key
+                     else "the single configured point")
+            raise GpdistError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    return results
 
 
-def _sweep_points(scn: Scenario) -> list[dict]:
-    if scn.sweep_parameter is None:
-        return [dict(scn.params)]
-    points = []
-    for v in scn.sweep_values:
-        p = dict(scn.params)
-        p[scn.sweep_parameter] = v
-        points.append(p)
-    return points
+def _finite(row: dict) -> dict:
+    """The row, unless a cell is NaN or infinite."""
+    for key, value in row.items():
+        if not np.isfinite(value):
+            raise InvalidOperand(f"{key} is {value}")
+    return row
 
 
-def _angles(first_moment: complex, reference: float) -> tuple[float, float]:
-    """(principal, unwrapped) angle of a first moment; the unwrapped branch
-    is the representative in [0, 2*pi), matching the closed-system value."""
-    principal = float(np.angle(first_moment))
-    return principal, angle_to_positive_branch(principal)
+def _grid(p, n_steps: int) -> TimeGrid:
+    return TimeGrid(0.0, 2.0 * np.pi / p.omega, n_steps)
 
 
-def _se_params(params: dict) -> TwoLevelAtomParams:
-    try:
-        return TwoLevelAtomParams(
-            omega=float(params.get("omega", 1.0)),
-            gamma0=float(params.get("gamma0", 0.0)),
-            n_thermal=float(params.get("n_thermal", 0.0)),
-            theta=float(params.get("theta", np.pi / 2.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-
-def _pd_params(params: dict) -> PhaseDampingParams:
-    try:
-        return PhaseDampingParams(
-            omega=float(params.get("omega", 1.0)),
-            alpha=float(params.get("alpha", 0.0)),
-            theta=float(params.get("theta", np.pi / 2.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-
-def _run_se_point(params: dict, scn: Scenario) -> tuple[dict, list[dict]]:
-    p = _se_params(params)
-    pz, _ = se_distributions(p)
-    rep = dist_moments(pz, n_max=2)
-    beta0 = closed_system_gp(p.theta)
-    z_pr, z_un = _angles(rep.z_moments[0], beta0)
-    h_pr, h_un = _angles(rep.mean_gp_h, beta0)
-    row = {
-        "omega_rad_per_time": p.omega,
-        "gamma0_rad_per_time": p.gamma0,
-        "n_thermal_dimensionless": p.n_thermal,
-        "theta_rad": p.theta,
-        "mean_gp_z_principal_rad": z_pr,
-        "mean_gp_z_unwrapped_rad": z_un,
-        "mean_gp_h_principal_rad": h_pr,
-        "mean_gp_h_unwrapped_rad": h_un,
-        "spread_w_dimensionless": rep.spread_w,
-        "closed_system_gp_rad": beta0,
-        "perturbative_gp_rad": se_perturbative_gp(p),
-    }
-    if p.n_thermal == 0.0:
-        row["zero_temperature_gp_rad"] = se_mean_gp_zero_temperature(p)
-    atoms = [
-        {"weight_probability": float(w), "z_re_dimensionless": v.real,
-         "z_im_dimensionless": v.imag,
-         "phase_rad": float(np.angle(v))}
-        for w, v in zip(pz.weights, pz.values)
-    ]
-    return row, atoms
-
-
-def _run_pd_point(params: dict, scn: Scenario) -> tuple[dict, list[dict]]:
-    p = _pd_params(params)
-    rep = pd_moments(p, n_steps=scn.n_steps)
-    beta0 = closed_system_gp(p.theta)
-    z_pr, z_un = _angles(rep.mean_gp_z, beta0)
-    h_pr, h_un = _angles(rep.mean_gp_h, beta0)
-    grid = TimeGrid(0.0, p.period, scn.n_steps)
-    from .models import pd_trajectories
-    dist = build_distribution(pd_trajectories(p, grid), kind="z")
-    row = {
-        "omega_rad_per_time": p.omega,
-        "alpha_rad_per_time": p.alpha,
-        "theta_rad": p.theta,
-        "mean_gp_z_principal_rad": z_pr,
-        "mean_gp_z_unwrapped_rad": z_un,
-        "mean_gp_h_principal_rad": h_pr,
-        "mean_gp_h_unwrapped_rad": h_un,
-        "spread_w_dimensionless": rep.spread_w,
-        "closed_system_gp_rad": beta0,
-        "ref_spread_w_dimensionless": rep.ref_spread_w,
-        "ref_mean_gp_z_principal_rad": float(np.angle(rep.ref_mean_gp_z)),
-        "ref_mean_gp_h_principal_rad": float(np.angle(rep.ref_mean_gp_h)),
-    }
-    atoms = [
-        {"weight_probability": float(w), "z_re_dimensionless": v.real,
-         "z_im_dimensionless": v.imag,
-         "phase_rad": float(np.angle(v))}
-        for w, v in zip(dist.weights, dist.values)
-    ]
-    return row, atoms
-
-
-def _custom_joint_model(params: dict) -> tuple[WeakCouplingModel, TimeGrid]:
-    try:
-        omega = float(params.get("omega", 1.0))
-        theta = float(params.get("theta", np.pi / 2.0))
-        energies = np.array([float(e) for e in params["reservoir_energies"]])
-        probs = np.array([float(p) for p in params["reservoir_probs"]])
-        couplings_cfg = params["couplings"]
-    except KeyError as exc:
-        raise ConfigError(
-            f"params: custom_joint requires field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    dim_r = len(energies)
-    couplings = []
-    for i, c in enumerate(couplings_cfg):
-        r_op = _parse_matrix(c["r"], f"params.couplings[{i}].r")
-        s_op = _parse_matrix(c["s"], f"params.couplings[{i}].s")
-        g = float(c.get("g", 1.0))
-        couplings.append((g * r_op, s_op))
-    try:
-        res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
-                            energies=energies)
-        model = WeakCouplingModel(
-            hs=hs_schedule(omega), hr=np.diag(energies).astype(complex),
-            couplings=couplings, res=res, psi_s=psi_initial(theta),
-        )
-    except GpdistError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    grid_t = 2.0 * np.pi / omega
-    return model, grid_t
-
-
-def _joint_schedule(model: WeakCouplingModel) -> Schedule:
-    dim = model.dim_s * model.dim_r
-    h_i = model.h_interaction()
-    hr_joint = np.kron(np.eye(model.dim_s), model.hr)
-
-    def h(t):
-        return np.kron(model.hs(t), np.eye(model.dim_r)) + hr_joint + h_i
-
-    return Schedule(evaluator=h, dim=dim)
-
-
-def _run_custom_joint_point(
-    params: dict, scn: Scenario, seed: int = 0
-) -> tuple[dict, list[dict]]:
-    model, t_end = _custom_joint_model(params)
-    grid = TimeGrid(0.0, t_end, scn.n_steps)
-    us = time_ordered_propagator(_joint_schedule(model), grid)
-    sys = SystemEnsemble.pure(model.psi_s)
-    trajs = conditional_trajectories(us, model.res, sys, grid)
-    dist = build_distribution(trajs, kind="z")
-    rep = dist_moments(dist, n_max=2)
-    theta = float(params.get("theta", np.pi / 2.0))
-    beta0 = closed_system_gp(theta)
-    z_pr, z_un = _angles(rep.z_moments[0], beta0)
-    h_pr, h_un = _angles(rep.mean_gp_h, beta0)
-    row = {
-        "omega_rad_per_time": float(params.get("omega", 1.0)),
-        "theta_rad": theta,
-        "mean_gp_z_principal_rad": z_pr,
-        "mean_gp_z_unwrapped_rad": z_un,
-        "mean_gp_h_principal_rad": h_pr,
-        "mean_gp_h_unwrapped_rad": h_un,
-        "spread_w_dimensionless": rep.spread_w,
-        "closed_system_gp_rad": beta0,
-    }
-    if "decomposition_check" in scn.outputs:
-        row.update(_decomposition_check(model, us, grid, seed))
-    atoms = [
-        {"weight_probability": float(w), "z_re_dimensionless": v.real,
-         "z_im_dimensionless": v.imag,
-         "phase_rad": float(np.angle(v))}
-        for w, v in zip(dist.weights, dist.values)
-    ]
-    return row, atoms
-
-
-def _decomposition_check(
-    model: WeakCouplingModel, us: np.ndarray, grid: TimeGrid, seed: int,
-    n_seeds: int = 10,
-) -> dict:
+def _decomposition_check(model: WeakCouplingModel, u_fin: np.ndarray,
+                         seed: int) -> dict:
     """Redecompose degenerate blocks with seeded random unitaries and report
     the worst shift of each first moment (common-D(E) convention)."""
-    from .distribution import block_first_moment
-
     rng = np.random.default_rng(seed)
-    res = model.res
-    psi = model.psi_s
-    u_fin = us[-1]
-    blocks = res.blocks()
+    res, psi = model.res, model.psi_s
 
     def first_moments(spec):
-        z = sum(
-            block_first_moment(u_fin, spec, psi, blk) for blk in spec.blocks()
-        )
-        vals = []
-        for p_r, r in zip(spec.probs, spec.states):
-            from .hilbert import partial_inner
-            k = partial_inner(r, u_fin, r, model.dim_s, model.dim_r)
-            vals.append((p_r, np.vdot(psi, k @ psi)))
-        h = sum(p * v / abs(v) for p, v in vals)
-        return z, h
+        z = sum(block_first_moment(u_fin, spec, psi, blk)
+                for blk in spec.blocks())
+        vs = [np.vdot(psi, partial_inner(r, u_fin, r, model.dim_s,
+                                         model.dim_r) @ psi)
+              for r in spec.states]
+        return z, sum(p * v / abs(v) for p, v in zip(spec.probs, vs))
 
     z0, h0 = first_moments(res)
     worst_z, worst_h = 0.0, 0.0
-    for _ in range(n_seeds):
+    blocks = [(bi, len(blk)) for bi, blk in enumerate(res.blocks())
+              if len(blk) > 1]
+    for _ in range(DECOMPOSITION_SEEDS if blocks else 0):
         unitaries = {}
-        for bi, blk in enumerate(blocks):
-            k = len(blk)
-            if k > 1:
-                g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-                q, _ = np.linalg.qr(g)
-                unitaries[bi] = q
-        if not unitaries:
-            break
-        alt = redecompose(res, unitaries)
-        z1, h1 = first_moments(alt)
+        for bi, k in blocks:
+            g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            unitaries[bi] = np.linalg.qr(g)[0]
+        z1, h1 = first_moments(redecompose(res, unitaries))
         worst_z = max(worst_z, abs(z1 - z0))
         worst_h = max(worst_h, abs(h1 - h0))
-    return {
-        "decomposition_shift_mean_z_dimensionless": worst_z,
-        "decomposition_shift_mean_h_dimensionless": worst_h,
-    }
+    return {"decomposition_shift_mean_z_dimensionless": worst_z,
+            "decomposition_shift_mean_h_dimensionless": worst_h}
 
 
-def _run_custom_lindblad(params: dict, scn: Scenario) -> list[dict]:
-    try:
-        omega = float(params.get("omega", 1.0))
-        theta = float(params.get("theta", np.pi / 2.0))
-        jump_cfg = params["jump_ops"]
-    except KeyError as exc:
-        raise ConfigError(
-            f"params: custom_lindblad requires field {exc.args[0]!r}") from exc
-    jumps = [_parse_matrix(j, f"params.jump_ops[{i}]")
-             for i, j in enumerate(jump_cfg)]
-    model = LindbladModel(hs=hs_schedule(omega), jump_ops=jumps)
-    psi = psi_initial(theta)
-    rho0 = np.outer(psi, psi.conj())
-    grid = TimeGrid(0.0, 2.0 * np.pi / omega, scn.n_steps)
-    rhos = integrate_lindblad(model, rho0, grid)
-    stride = max(1, scn.n_steps // 256)
-    rows = []
-    for k in range(0, scn.n_steps + 1, stride):
-        rho = rhos[k]
-        rows.append({
-            "time_inverse_omega": grid.times[k],
-            "trace_dimensionless": float(np.trace(rho).real),
-            "purity_dimensionless": float(np.trace(rho @ rho).real),
-            "population_g_dimensionless": float(rho[0, 0].real),
-            "population_e_dimensionless": float(rho[1, 1].real),
-            "coherence_abs_dimensionless": float(abs(rho[0, 1])),
-        })
-    return rows
+def _run_row(model: Model, p, scn: Scenario, seed: int):
+    """Param columns, shared GP columns, closed-system GP, model references;
+    and the point's atoms."""
+    dist, u_fin = model.distribution(p, _grid(p, scn.n_steps))
+    rep = dist_moments(dist, n_max=1)
+    row = {SCALARS[k][2]: getattr(p, k) for k in model.defaults if k in SCALARS}
+    for measure, first in (("z", rep.z_moments[0]), ("h", rep.mean_gp_h)):
+        principal = float(np.angle(first))
+        row[f"mean_gp_{measure}_principal_rad"] = principal
+        row[f"mean_gp_{measure}_unwrapped_rad"] = angle_to_positive_branch(
+            principal)
+    row["spread_w_dimensionless"] = rep.spread_w
+    row["closed_system_gp_rad"] = closed_system_gp(p.theta)
+    row.update(model.references(p))
+    if "decomposition_check" in scn.outputs:
+        row.update(_decomposition_check(p.model, u_fin, seed))
+    atoms = [{"weight_probability": float(w), "z_re_dimensionless": v.real,
+              "z_im_dimensionless": v.imag, "phase_rad": float(np.angle(v))}
+             for w, v in zip(dist.weights, dist.values)]
+    return _finite(row), atoms
 
 
-class _PointFailure(GpdistError):
-    """Numerical failure annotated with the sweep point that caused it."""
-
-    def __init__(self, label: str, cause: GpdistError):
-        super().__init__(f"{label}: {type(cause).__name__}: {cause}")
-        self.cause = cause
-
-
-def _with_point_labels(work, scn: Scenario):
-    def wrapped(arg):
-        index, params = arg
-        try:
-            return work(params)
-        except ConfigError:
-            raise
-        except GpdistError as exc:
-            raise _PointFailure(_point_label(scn, index), exc) from exc
-    return wrapped
+def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
+    psi = psi_initial(p.theta)
+    grid = _grid(p, n_steps)
+    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
+    stride = max(1, n_steps // 256)
+    return [_finite({
+        "time_inverse_omega": t,
+        "trace_dimensionless": float(np.trace(rho).real),
+        "purity_dimensionless": float(np.trace(rho @ rho).real),
+        "population_g_dimensionless": float(rho[0, 0].real),
+        "population_e_dimensionless": float(rho[1, 1].real),
+        "coherence_abs_dimensionless": float(abs(rho[0, 1])),
+    }) for t, rho in zip(grid.times[::stride], rhos[::stride])]
 
 
 def _write_rows(rows: list[dict], path: Path, fmt: str):
@@ -446,11 +505,7 @@ def _write_rows(rows: list[dict], path: Path, fmt: str):
         return
     if not rows:
         return
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    header = list(dict.fromkeys(key for row in rows for key in row))
     with open(path.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -458,135 +513,33 @@ def _write_rows(rows: list[dict], path: Path, fmt: str):
             writer.writerow([_fmt(row.get(k, "")) for k in header])
 
 
-def run_scenario(scn: Scenario, out_dir: Path, fmt: str, threads: int,
+def run_scenario(scn: Scenario, out_dir: Path, fmt: str,
                  seed: int) -> list[dict]:
-    points = _sweep_points(scn)
-
-    if scn.model == "custom_lindblad":
-        rows = _run_custom_lindblad(points[0], scn)
+    model = MODELS[scn.model]
+    if model.distribution is None:
+        (rows,) = _each_point(scn, lambda p: _evolution_rows(p, scn.n_steps))
         _write_rows(rows, out_dir / "evolution", fmt)
         return rows
-
-    def work(params):
-        if scn.model == "spontaneous_emission":
-            return _run_se_point(params, scn)
-        if scn.model == "phase_damping":
-            return _run_pd_point(params, scn)
-        return _run_custom_joint_point(params, scn, seed=seed)
-
-    labeled = _with_point_labels(work, scn)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(labeled, enumerate(points)))
-    else:
-        results = [labeled(arg) for arg in enumerate(points)]
-
+    results = _each_point(scn, lambda p: _run_row(model, p, scn, seed))
     rows = [row for row, _ in results]
     _write_rows(rows, out_dir / "moments", fmt)
     if "atoms" in scn.outputs:
-        atom_rows = []
-        for (row, atoms), params in zip(results, points):
-            for a in atoms:
-                rec = {}
-                if scn.sweep_parameter:
-                    rec[scn.sweep_parameter] = params[scn.sweep_parameter]
-                rec.update(a)
-                atom_rows.append(rec)
-        _write_rows(atom_rows, out_dir / "atoms", fmt)
+        key = scn.sweep_parameter
+        _write_rows([({key: getattr(p, key)} if key else {}) | a
+                     for p, (_, atoms) in zip(scn.points, results)
+                     for a in atoms], out_dir / "atoms", fmt)
     return rows
 
 
-def compare_scenario(scn: Scenario, out_dir: Path, fmt: str, threads: int,
-                     seed: int) -> list[dict]:
+def compare_scenario(scn: Scenario, out_dir: Path, fmt: str) -> list[dict]:
     """Exact-vs-perturbative comparison table with expected error orders."""
-    if scn.model == "custom_lindblad":
-        raise ConfigError("compare: custom_lindblad has no perturbative path")
-    points = _sweep_points(scn)
-
-    def work(params):
-        if scn.model == "spontaneous_emission":
-            p = _se_params(params)
-            pz, _ = se_distributions(p)
-            rep = dist_moments(pz, n_max=1)
-            beta0 = closed_system_gp(p.theta)
-            pert = se_perturbative_gp(p)
-            rate = p.gamma0 / p.omega
-            exact_z = angle_to_positive_branch(float(np.angle(rep.z_moments[0])))
-            exact_h = angle_to_positive_branch(float(np.angle(rep.mean_gp_h)))
-            expected = 100.0 * rate**2
-            row = {
-                "gamma0_over_omega_dimensionless": rate,
-                "n_thermal_dimensionless": p.n_thermal,
-                "theta_rad": p.theta,
-                "exact_mean_gp_z_unwrapped_rad": exact_z,
-                "exact_mean_gp_h_unwrapped_rad": exact_h,
-                "perturbative_gp_unwrapped_rad": pert,
-                "abs_diff_z_rad": abs(exact_z - pert),
-                "abs_diff_h_rad": abs(exact_h - pert),
-                "expected_order_rad": expected,
-                "order_violation": bool(abs(exact_z - pert) > expected),
-            }
-            return row
-        if scn.model == "phase_damping":
-            p = _pd_params(params)
-            rep = pd_moments(p, n_steps=scn.n_steps)
-            rate = p.alpha / p.omega
-            expected = 100.0 * rate**2
-            dz = abs(rep.mean_gp_z - rep.ref_mean_gp_z)
-            dh = abs(rep.mean_gp_h - rep.ref_mean_gp_h)
-            return {
-                "alpha_over_omega_dimensionless": rate,
-                "theta_rad": p.theta,
-                "exact_mean_gp_z_principal_rad": float(np.angle(rep.mean_gp_z)),
-                "exact_mean_gp_h_principal_rad": float(np.angle(rep.mean_gp_h)),
-                "abs_diff_z_firstorder_dimensionless": dz,
-                "abs_diff_h_firstorder_dimensionless": dh,
-                "measure_difference_dimensionless": abs(rep.mean_gp_z
-                                                        - rep.mean_gp_h),
-                "exact_spread_w_dimensionless": rep.spread_w,
-                "ref_spread_w_dimensionless": rep.ref_spread_w,
-                "expected_order_dimensionless": expected,
-                "order_violation": bool(dz > expected),
-            }
-        # custom_joint: exact conditional-trajectory moments vs delta_z
-        model, t_end = _custom_joint_model(params)
-        grid = TimeGrid(0.0, t_end, scn.n_steps)
-        us = time_ordered_propagator(_joint_schedule(model), grid)
-        sys = SystemEnsemble.pure(model.psi_s)
-        dist = build_distribution(
-            conditional_trajectories(us, model.res, sys, grid), kind="z")
-        rep = dist_moments(dist, n_max=1)
-        ops = build_AB(model, grid)
-        dz = delta_z(ops, model, grid)
-        theta = float(params.get("theta", np.pi / 2.0))
-        beta0 = closed_system_gp(theta)
-        pert = perturbative_moments(dz, beta0, n=1)
-        exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
-        return {
-            "theta_rad": theta,
-            "exact_mean_gp_z_principal_rad": float(np.angle(exact_z)),
-            "exact_mean_gp_h_principal_rad": float(np.angle(rep.mean_gp_h)),
-            "perturbative_gp_principal_rad": float(np.angle(pert)),
-            "abs_diff_z_dimensionless": abs(exact_z - pert / abs(pert)),
-            "abs_diff_h_dimensionless": abs(rep.mean_gp_h - pert),
-            "im_delta_z_dimensionless": float(np.imag(dz)),
-        }
-
-    labeled = _with_point_labels(work, scn)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(labeled, enumerate(points)))
-    else:
-        rows = [labeled(arg) for arg in enumerate(points)]
+    model = MODELS[scn.model]
+    if model.compare is None:
+        raise ConfigError(f"model: {scn.model} has no perturbative path")
+    rows = _each_point(
+        scn, lambda p: _finite(model.compare(p, _grid(p, scn.n_steps))))
     _write_rows(rows, out_dir / "comparison", fmt)
     return rows
-
-
-def _point_label(scn: Scenario, index: int) -> str:
-    if scn.sweep_parameter is None:
-        return "the single configured point"
-    return (f"sweep point {scn.sweep_parameter} = "
-            f"{scn.sweep_values[index]!r}")
 
 
 def main(argv=None) -> int:
@@ -603,29 +556,21 @@ def main(argv=None) -> int:
         sp.add_argument("config", help="YAML scenario file")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    out_dir = Path(args.out)
     try:
         scn = load_scenario(args.config)
+        if args.command == "run":
+            rows = run_scenario(scn, out_dir, args.format, args.seed)
+        else:
+            rows = compare_scenario(scn, out_dir, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    out_dir = Path(args.out)
-    fn = run_scenario if args.command == "run" else compare_scenario
-    try:
-        rows = fn(scn, out_dir, args.format, args.threads, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _PointFailure as exc:
-        print(f"numerical failure at {exc}", file=sys.stderr)
-        return 3
     except GpdistError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"numerical failure at {exc}", file=sys.stderr)
         return 3
     print(f"{args.command}: wrote {len(rows)} rows to {out_dir}")
     return 0

@@ -201,13 +201,8 @@ def se_perturbative_gp(p: TwoLevelAtomParams) -> float:
 
 def se_no_jump_trajectory(p: TwoLevelAtomParams, grid: TimeGrid) -> Trajectory:
     """Non-unitary trajectory K0(t)|psi_S> under the effective no-jump decay."""
-    w, gn = p.omega, p.gamma_n
+    k0 = se_kraus_channel(p).elements[0][1]
     psi = psi_initial(p.theta)
-
-    def k0(t):
-        return np.diag([np.exp(-0.5j * w * t),
-                        np.exp(0.5j * w * t - gn * t)])
-
     states = np.array([k0(t) @ psi for t in grid.times])
     return Trajectory(grid=grid, states=states)
 
