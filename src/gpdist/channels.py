@@ -1,5 +1,6 @@
 """Open-system dynamics: Lindblad integration, Kraus channels, conditional
-trajectories from a joint unitary, and the reservoir-adapted basis.
+trajectories from a joint unitary (or straight from the eigenvectors of a
+constant joint Hamiltonian), and the reservoir-adapted basis.
 
 The Lindblad normalization follows the convention in which the dissipator
 reads ``-(L^dag L rho + rho L^dag L - 2 L rho L^dag)`` with NO factor 1/2;
@@ -20,7 +21,7 @@ from .errors import (
     InvalidOperand,
     InvalidState,
 )
-from .hilbert import Schedule, TimeGrid, is_hermitian, partial_inner
+from .hilbert import Schedule, TimeGrid, eigenphases, is_hermitian
 from .phase import Trajectory
 
 ENERGY_DEGENERACY_TOL = 1e-9
@@ -218,6 +219,15 @@ def adapted_basis(r, dim: int) -> np.ndarray:
     return np.array(basis)
 
 
+def _joint_blocks(us: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
+    """A stack of joint operators as (n, s, r, s', r') blocks."""
+    if us.ndim != 3 or us.shape[1:] != (dim_s * dim_r,) * 2:
+        raise DimensionError("joint propagator dimension != dim_s * dim_r")
+    if not np.all(np.isfinite(us)):
+        raise InvalidOperand("joint propagator has non-finite entries")
+    return us.reshape(len(us), dim_s, dim_r, dim_s, dim_r)
+
+
 def conditional_trajectories(
     us: np.ndarray,
     res: ReservoirSpec,
@@ -231,17 +241,45 @@ def conditional_trajectories(
     and carry no phase information.  Use ``conditional_kraus_elements`` to
     recover the discarded elements for resummation checks.
     """
-    dim_r = res.dim
-    dim_s = sys.states.shape[1]
-    if us.shape[1] != dim_s * dim_r:
-        raise DimensionError("joint propagator dimension != dim_s * dim_r")
+    u5 = _joint_blocks(us, sys.states.shape[1], res.dim)
     out = []
     for p_r, r in zip(res.probs, res.states):
-        kraus_seq = np.array([partial_inner(r, u, r, dim_s, dim_r) for u in us])
+        kraus_seq = np.einsum("i,kaibj,j->kab", r.conj(), u5, r)
         for q_s, psi in zip(sys.probs, sys.states):
             states = np.einsum("kab,b->ka", kraus_seq, psi)
             out.append((p_r * q_s, Trajectory(grid=grid, states=states)))
     return out
+
+
+def spectral_conditional_trajectories(
+    h: np.ndarray,
+    res: ReservoirSpec,
+    sys: SystemEnsemble,
+    grid: TimeGrid,
+) -> tuple[list[tuple[float, Trajectory]], np.ndarray]:
+    """``conditional_trajectories`` of a constant joint Hamiltonian ``h``,
+    and the final propagator ``U(t_N)``, without the (n, d, d) stack of U.
+
+    With ``h = V diag(lambda) V^dag`` each conditional state is
+
+        psi_r(t_k)_a = sum_n <a, r|V>_n e^{-i lambda_n (t_k - t_0)}
+                       (V^dag (psi_s x r))_n,
+
+    one eigendecomposition per call and O(n * d) work per trajectory.
+    """
+    dim_s, dim_r = sys.states.shape[1], res.dim
+    v, phases = eigenphases(h, grid)
+    if len(v) != dim_s * dim_r:
+        raise DimensionError("joint Hamiltonian dimension != dim_s * dim_r")
+    v3 = v.reshape(dim_s, dim_r, len(v))
+    out = []
+    for p_r, r in zip(res.probs, res.states):
+        left = np.einsum("i,ain->an", r.conj(), v3)
+        for q_s, psi in zip(sys.probs, sys.states):
+            coeffs = np.einsum("ain,a,i->n", v3.conj(), psi, r)
+            states = (phases * coeffs) @ left.T
+            out.append((p_r * q_s, Trajectory(grid=grid, states=states)))
+    return out, (v * phases[-1]) @ v.conj().T
 
 
 def conditional_kraus_elements(
@@ -253,15 +291,12 @@ def conditional_kraus_elements(
     where each ``seq`` has shape (n_nodes, dim_s, dim_s) and b0 is the kept
     diagonal element.
     """
-    dim_r = res.dim
+    u5 = _joint_blocks(us, dim_s, res.dim)
     out = []
     for p_r, r in zip(res.probs, res.states):
-        basis = adapted_basis(r, dim_r)
-        seqs = [
-            np.array([partial_inner(b, u, r, dim_s, dim_r) for u in us])
-            for b in basis
-        ]
-        out.append((p_r, seqs))
+        basis = adapted_basis(r, res.dim)
+        seqs = np.einsum("bi,kaicj,j->bkac", basis.conj(), u5, r)
+        out.append((p_r, list(seqs)))
     return out
 
 

@@ -48,11 +48,11 @@ import yaml
 
 from . import __version__
 from .channels import (LindbladModel, ReservoirSpec, SystemEnsemble,
-                       conditional_trajectories, integrate_lindblad)
+                       integrate_lindblad, spectral_conditional_trajectories)
 from .distribution import (block_first_moment, build_distribution,
                            moments as dist_moments, redecompose)
 from .errors import ConfigError, GpdistError, InvalidOperand, InvalidState
-from .hilbert import Schedule, TimeGrid, partial_inner, time_ordered_propagator
+from .hilbert import TimeGrid, partial_inner
 from .models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
@@ -204,18 +204,14 @@ def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
                        LindbladModel(hs=hs_schedule(omega), jump_ops=jumps))
 
 
-def _joint_schedule(model: WeakCouplingModel) -> Schedule:
-    """Joint H = H_S x 1 + 1 x H_R + H_I; H_S is constant for every CLI model."""
-    return Schedule.constant(np.kron(model.hs(0.0), np.eye(model.dim_r))
-                             + np.kron(np.eye(model.dim_s), model.hr)
-                             + model.h_interaction())
-
-
 def _joint_distribution(p: CustomPoint, grid: TimeGrid):
-    us = time_ordered_propagator(_joint_schedule(p.model), grid)
-    trajs = conditional_trajectories(us, p.model.res,
-                                     SystemEnsemble.pure(p.model.psi_s), grid)
-    return build_distribution(trajs, kind="z"), us[-1]
+    """Joint H = H_S x 1 + 1 x H_R + H_I; H_S is constant for every CLI model."""
+    m = p.model
+    h = (np.kron(m.hs.matrix, np.eye(m.dim_r))
+         + np.kron(np.eye(m.dim_s), m.hr) + m.h_interaction())
+    trajs, u_fin = spectral_conditional_trajectories(
+        h, m.res, SystemEnsemble.pure(m.psi_s), grid)
+    return build_distribution(trajs, kind="z"), u_fin
 
 
 def _se_references(p: TwoLevelAtomParams) -> dict:

@@ -3,6 +3,14 @@
 Matrix exponentials, time-ordered propagation of time-dependent Hamiltonians
 on a uniform grid, and partial inner products on bipartite spaces.
 
+Constant and time-dependent generators take different paths.  A constant
+Hermitian ``H`` (``Schedule.constant``) is diagonalized once,
+``H = V diag(lambda) V^dag``, and every node follows from the phases
+``e^{-i lambda_n (t_k - t_0)}`` (``eigenphases``); the propagator is
+``U(t_k) = V e^{-i lambda (t_k - t_0)} V^dag`` with no per-step rounding.  A
+time-dependent schedule keeps the midpoint product of step exponentials,
+which is second order in ``dt``.
+
 Tensor-product index convention: the SYSTEM index is the slow (outer) index,
 i.e. a joint operator is ``np.kron(op_system, op_reservoir)`` and a joint
 state index decomposes as ``i = s * dim_r + r``.  All partial traces and
@@ -74,12 +82,15 @@ class TimeGrid:
 class Schedule:
     """Time-dependent Hermitian operator ``H(t)``.
 
-    Wraps an evaluator ``t -> matrix``; samples on a grid are cached.
+    Wraps an evaluator ``t -> matrix``; samples on a grid are cached.  A
+    schedule made by ``constant`` also keeps its ``matrix``, which selects
+    the spectral path of ``time_ordered_propagator``.
     """
 
     evaluator: Callable[[float], np.ndarray]
     dim: int
     _cache: dict = field(default_factory=dict, repr=False)
+    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, t: float) -> np.ndarray:
         m = _as_square(self.evaluator(t))
@@ -92,7 +103,7 @@ class Schedule:
     @classmethod
     def constant(cls, m) -> "Schedule":
         m = _as_square(m)
-        return cls(evaluator=lambda t, _m=m: _m, dim=m.shape[0])
+        return cls(evaluator=lambda t, _m=m: _m, dim=m.shape[0], matrix=m)
 
     def sample(self, grid: TimeGrid, at: str = "nodes") -> np.ndarray:
         """Sampled values on grid nodes or interval midpoints, cached."""
@@ -127,13 +138,29 @@ def matexp(m) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
+def eigenphases(h, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors ``V`` of a constant Hermitian ``h`` and the phases
+    ``e^{-i lambda_n (t_k - t_0)}`` of its eigenvalues on the grid, shape
+    (n_steps + 1, dim), so that ``U(t_k) = V diag(phases[k]) V^dag``.
+    """
+    h = _as_square(h)
+    if not is_hermitian(h):
+        raise InvalidOperand("spectral propagation needs a Hermitian matrix")
+    w, v = np.linalg.eigh(h)
+    return v, np.exp(-1j * np.outer(grid.times - grid.t_start, w))
+
+
 def time_ordered_propagator(h: Schedule, grid: TimeGrid) -> np.ndarray:
     """Propagators ``U(t_k)`` for all grid nodes, ``U(t_0) = 1``.
 
-    Uses the midpoint-rule product of step exponentials
-    ``exp(-i H(t_{k+1/2}) dt)``, which is second order in ``dt`` and exactly
-    unitary for Hermitian schedules.
+    A constant Hermitian schedule is propagated exactly from one
+    eigendecomposition.  Otherwise this uses the midpoint-rule product of
+    step exponentials ``exp(-i H(t_{k+1/2}) dt)``, which is second order in
+    ``dt`` and exactly unitary for Hermitian schedules.
     """
+    if h.matrix is not None and is_hermitian(h.matrix):
+        v, phases = eigenphases(h.matrix, grid)
+        return (v * phases[:, None, :]) @ v.conj().T
     h_mid = h.sample(grid, at="midpoints")
     dt = grid.dt
     us = np.empty((grid.n_steps + 1, h.dim, h.dim), dtype=complex)

@@ -13,10 +13,18 @@ the operator B alone, through the functional ``delta_z`` below.  The
 perturbative moments of both phase distributions then coincide:
 
     <e^{ins}>_H = <z^n>_Z / |<z>_Z|^n = e^{in beta0} (1 + i n Im<DeltaZ>).
+
+On the grid, ``U_S`` is exact for a constant H_S (one eigendecomposition)
+and the midpoint product for a time-dependent one; ``U_R = e^{-i H_R t}``
+comes from one eigendecomposition ``H_R = Q diag(E) Q^dag``.  In the H_R
+eigenbasis ``<i|H_I~(t)|j> = e^{i(E_i - E_j) t} U_S^dag <i|H_I|j> U_S`` is
+one broadcast over the grid, and ``delta_z`` builds each block ``<r|B|r>``
+from the rows ``<r|H_I~|.>`` in O(n * d * d_S) memory.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +38,8 @@ from .errors import (
     RCondViolated,
     UndefinedGP,
 )
-from .hilbert import Schedule, TimeGrid, is_hermitian, matexp, time_ordered_propagator
+from .hilbert import (Schedule, TimeGrid, eigenphases, is_hermitian,
+                      time_ordered_propagator)
 
 RCOND_TOL = 1e-10
 IM_DZ_WARN = 0.1
@@ -60,6 +69,8 @@ class WeakCouplingModel:
         ]
         if self.hr.shape[0] != self.res.dim:
             raise DimensionError("H_R dimension != reservoir dimension")
+        if not is_hermitian(self.hr):
+            raise InvalidOperand("H_R is not Hermitian")
         if not is_hermitian(self.h_interaction()):
             raise InvalidOperand("H_I is not Hermitian")
 
@@ -98,15 +109,54 @@ class WeakCouplingModel:
 
 @dataclass
 class PerturbationOperators:
-    """Grid-sampled A, B (joint space) and the system-picture operators the
-    phase correction needs."""
+    """The interaction picture on the grid in the H_R eigenbasis, factored
+    so that ``delta_z`` needs only the rows ``<r|H_I~|.>``.  The joint A
+    and B are formed on first read, as (n+1, d, d) arrays in the original
+    reservoir basis.
+    """
 
     grid: TimeGrid
-    a: np.ndarray          # (n+1, d, d) joint, anti-Hermitian
-    b: np.ndarray          # (n+1, d, d) joint
     us: np.ndarray         # (n+1, ds, ds) system propagator
-    h_int_tilde: np.ndarray  # (n+1, d, d) interaction-picture H_I
     dhs_tilde: np.ndarray  # (n+1, ds, ds) traceless-in-psi_S part of H_S~
+    res_basis: np.ndarray  # (dr, dr) eigenvectors Q of H_R, as columns
+    res_phases: np.ndarray  # (n+1, dr) e^{-i E_j t_k}
+    g_blocks: np.ndarray   # (dr, dr, ds, ds) <i|H_I|j> in the H_R eigenbasis
+
+    def h_tilde_rows(self, r) -> np.ndarray:
+        """``<r|H_I~(t_k)|.>`` as (n+1, ds, dr * ds) samples.  The joint
+        column index runs over the reservoir eigenbasis, reservoir index
+        slow: it only ever contracts against the adjoint rows."""
+        f = self.res_phases.conj() * (self.res_basis.conj().T @ r).conj()
+        n, dim_r = f.shape
+        dim_s = self.us.shape[1]
+        m = (f @ self.g_blocks.reshape(dim_r, -1)).reshape(n, -1, dim_s)
+        m = (m @ self.us).reshape(n, dim_r, dim_s, dim_s).transpose(0, 2, 1, 3)
+        m = self.us.conj().transpose(0, 2, 1) @ m.reshape(n, dim_s, -1)
+        m = m.reshape(n, dim_s, dim_r, dim_s) * self.res_phases[:, None, :, None]
+        return m.reshape(n, dim_s, -1)
+
+    def h_tilde(self) -> np.ndarray:
+        """(n+1, d, d) interaction-picture H_I in the original basis."""
+        dim_r, _, dim_s, _ = self.g_blocks.shape
+        u_dag = self.us.conj().transpose(0, 2, 1)[:, None, None]
+        m = u_dag @ self.g_blocks @ self.us[:, None, None]
+        m *= (self.res_phases.conj()[:, :, None]
+              * self.res_phases[:, None, :])[..., None, None]
+        m = m.transpose(0, 3, 1, 4, 2).reshape(len(m), dim_s * dim_r, -1)
+        q = np.kron(np.eye(dim_s), self.res_basis)
+        return q @ m @ q.conj().T
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """(n+1, d, d) joint A, anti-Hermitian."""
+        return -1j * _cumtrapz(self.h_tilde(), self.grid.dt)
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        """(n+1, d, d) joint B."""
+        h_tilde = self.h_tilde()
+        inner = _cumtrapz(h_tilde, self.grid.dt)   # integral up to t'
+        return -_cumtrapz(h_tilde @ inner, self.grid.dt)
 
 
 def _cumtrapz(samples: np.ndarray, dt: float) -> np.ndarray:
@@ -117,44 +167,43 @@ def _cumtrapz(samples: np.ndarray, dt: float) -> np.ndarray:
 
 
 def build_AB(model: WeakCouplingModel, grid: TimeGrid) -> PerturbationOperators:
-    """A via trapezoidal accumulation; B via the nested (inner cumulative,
-    outer re-integrated) trapezoid, both second order in dt."""
+    """Interaction picture of ``model`` on ``grid``; A by trapezoidal
+    accumulation and B by the nested (inner cumulative, outer re-integrated)
+    trapezoid, both second order in dt."""
     dim_s, dim_r = model.dim_s, model.dim_r
     us = time_ordered_propagator(model.hs, grid)
-    h_i = model.h_interaction()
-    ts = grid.times
-    h_tilde = np.empty((len(ts), dim_s * dim_r, dim_s * dim_r), dtype=complex)
-    for k, t in enumerate(ts):
-        ur = matexp(-1j * t * model.hr)
-        w = np.kron(us[k], ur)
-        h_tilde[k] = w.conj().T @ h_i @ w
-
-    a = -1j * _cumtrapz(h_tilde, grid.dt)
-    inner = _cumtrapz(h_tilde, grid.dt)          # integral of H~ up to t'
-    b = -_cumtrapz(h_tilde @ inner, grid.dt)
+    q, res_phases = eigenphases(model.hr, grid)
+    qq = np.kron(np.eye(dim_s), q)
+    g = (qq.conj().T @ model.h_interaction() @ qq).reshape(
+        dim_s, dim_r, dim_s, dim_r).transpose(1, 3, 0, 2)
 
     psi = model.psi_s
-    hs_samples = model.hs.sample(grid)
-    dhs = np.empty((len(ts), dim_s, dim_s), dtype=complex)
-    for k in range(len(ts)):
-        hst = us[k].conj().T @ hs_samples[k] @ us[k]
-        dhs[k] = hst - np.vdot(psi, hst @ psi) * np.eye(dim_s)
-    return PerturbationOperators(grid=grid, a=a, b=b, us=us,
-                                 h_int_tilde=h_tilde, dhs_tilde=dhs)
+    hs = model.hs.matrix if model.hs.matrix is not None \
+        else model.hs.sample(grid)
+    hst = us.conj().transpose(0, 2, 1) @ hs @ us
+    shift = np.einsum("a,kab,b->k", psi.conj(), hst, psi)
+    dhs = hst - shift[:, None, None] * np.eye(dim_s)
+    return PerturbationOperators(grid=grid, us=us, dhs_tilde=dhs, res_basis=q,
+                                 res_phases=res_phases, g_blocks=g)
 
 
 def reservoir_blocks_of_b(
     ops: PerturbationOperators, res: ReservoirSpec, dim_s: int
 ) -> list[tuple[float, np.ndarray]]:
-    """Diagonal reservoir blocks ``<r|B(t)|r>`` as system-operator samples."""
-    n = ops.b.shape[0]
-    dim_r = res.dim
+    """Diagonal reservoir blocks ``<r|B(t)|r>`` as system-operator samples.
+
+    ``<r|H~(t') H~(t'')|r>`` sums ``<r|H~(t')|.>`` against ``<.|H~(t'')|r>``,
+    the adjoint of the same rows, so each block is the nested trapezoid of
+    B on (n+1, ds, d) rows, never on the joint (n+1, d, d) arrays.
+    """
+    if ops.us.shape[1] != dim_s or len(ops.res_basis) != res.dim:
+        raise DimensionError("reservoir blocks: dimension mismatch")
+    dt = ops.grid.dt
     out = []
     for p_r, r in zip(res.probs, res.states):
-        blk = np.empty((n, dim_s, dim_s), dtype=complex)
-        b4 = ops.b.reshape(n, dim_s, dim_r, dim_s, dim_r)
-        blk = np.einsum("i,kaibj,j->kab", r.conj(), b4, r)
-        out.append((float(p_r), blk))
+        rows = ops.h_tilde_rows(r)
+        inner = _cumtrapz(rows, dt).conj().transpose(0, 2, 1)
+        out.append((float(p_r), -_cumtrapz(rows @ inner, dt)))
     return out
 
 

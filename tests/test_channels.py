@@ -16,6 +16,7 @@ from gpdist.channels import (
     integrate_lindblad,
     lindblad_rhs,
     reduced_density_from_elements,
+    spectral_conditional_trajectories,
 )
 from gpdist.errors import (
     DimensionError,
@@ -258,6 +259,33 @@ class TestConditionalTrajectories:
         beta0 = 2.0 * np.pi * np.sin(np.pi / 6.0) ** 2
         exact_corr = rep.mean_gp_z - beta0
         assert exact_corr == pytest.approx(np.imag(dz), abs=20.0 * g**4)
+
+
+    def test_spectral_route_matches_propagator_stack(self):
+        # one eigendecomposition of the constant joint H against the
+        # midpoint product of an evaluator schedule, which is exact for a
+        # constant H up to the rounding of its 4096 steps
+        rng = np.random.default_rng(11)
+        dim_r = 3
+        hr = np.diag([0.0, 0.7, 1.9]).astype(complex)
+        w = rng.normal(size=(dim_r, dim_r)) + 1j * rng.normal(size=(dim_r, dim_r))
+        h = (np.kron(-0.5 * SIGMA_Z, np.eye(dim_r)) + np.kron(np.eye(2), hr)
+             - 0.2 * np.kron(SIGMA_X, w + w.conj().T))
+        res = ReservoirSpec(probs=[0.5, 0.3, 0.2],
+                            states=random_unitary(dim_r, rng),
+                            energies=[0.0, 0.7, 1.9], orthonormal=True)
+        sys = SystemEnsemble(probs=[0.8, 0.2],
+                             states=[psi_initial(1.1), psi_initial(0.4)])
+        grid = TimeGrid(0.0, 2.0 * np.pi, 4096)
+        us = time_ordered_propagator(Schedule(evaluator=lambda t: h, dim=6),
+                                     grid)
+        ref = conditional_trajectories(us, res, sys, grid)
+        got, u_fin = spectral_conditional_trajectories(h, res, sys, grid)
+        assert [w for w, _ in got] == [w for w, _ in ref]
+        worst = max(np.abs(a.states - b.states).max()
+                    for (_, a), (_, b) in zip(got, ref))
+        assert worst <= 1e-10
+        assert np.linalg.norm(u_fin - us[-1]) <= 1e-10
 
 
 class TestResummation:

@@ -147,6 +147,18 @@ class TestPropagator:
         assert 3.0 < ratio < 5.0  # halving dt cuts the error ~4x
 
 
+    @pytest.mark.parametrize("h", [random_hermitian(8, np.random.default_rng(8)),
+                                   np.zeros((8, 8))])
+    def test_constant_matches_expm_at_every_node(self, h):
+        import scipy.linalg
+
+        grid = TimeGrid(0.5, 3.0, 64)
+        us = time_ordered_propagator(Schedule.constant(h), grid)
+        worst = max(np.linalg.norm(u - scipy.linalg.expm(-1j * h * (t - 0.5)))
+                    for t, u in zip(grid.times, us))
+        assert worst <= 1e-12
+
+
 class TestPartialInner:
     def test_uncoupled(self):
         u_s = random_unitary(2)

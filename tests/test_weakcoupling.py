@@ -278,6 +278,59 @@ class TestDeltaZ:
         assert abs(alt - base) < 1e-9
 
 
+def _full_b_delta_z(ops, res, psi, grid):
+    """delta_z from blocks of the full joint B, the reference route."""
+    dim_s = ops.us.shape[1]
+    b5 = ops.b.reshape(len(ops.b), dim_s, res.dim, dim_s, res.dim)
+    blocks = [(p, np.einsum("i,kaibj,j->kab", r.conj(), b5, r))
+              for p, r in zip(res.probs, res.states)]
+    return delta_z_from_blocks(blocks, ops.us, ops.dhs_tilde, psi, grid)
+
+
+class TestBlockRoute:
+    def test_degenerate_redecomposed_reservoir(self):
+        # non-diagonal H_R with a degenerate pair, states redecomposed
+        # inside that pair: the row route sees neither basis
+        from gpdist.distribution import redecompose
+
+        rng = np.random.default_rng(21)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4))
+                            + 1j * rng.normal(size=(4, 4)))
+        energies = [0.0, 0.8, 0.8, 1.7]
+        hr = q @ np.diag(energies) @ q.conj().T
+        res = ReservoirSpec(probs=[0.4, 0.3, 0.2, 0.1], states=q.T,
+                            energies=energies)
+        w = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        r_op = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(4))) @ q.conj().T
+        model = WeakCouplingModel(hs=hs_schedule(1.0), hr=hr,
+                                  couplings=[(0.2 * r_op, SIGMA_X)], res=res,
+                                  psi_s=psi_initial(1.1))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2)))
+        alt = redecompose(res, {1: v})
+        grid = TimeGrid(0.0, 2.0 * np.pi, 512)
+        ops = build_AB(model, grid)
+        for spec in (res, alt):
+            got = delta_z_from_blocks(reservoir_blocks_of_b(ops, spec, 2),
+                                      ops.us, ops.dhs_tilde, model.psi_s,
+                                      grid)
+            ref = _full_b_delta_z(ops, spec, model.psi_s, grid)
+            assert abs(got - ref) <= 1e-14
+
+    def test_time_dependent_system_hamiltonian(self):
+        hs = Schedule(evaluator=lambda t: -0.5 * SIGMA_Z
+                      + 0.3 * np.sin(t) * SIGMA_X, dim=2)
+        res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
+                            energies=[0.0, 2.0])
+        model = WeakCouplingModel(hs=hs, hr=np.diag([0.0, 2.0]),
+                                  couplings=[(0.2 * SIGMA_X, SIGMA_X)],
+                                  res=res, psi_s=psi_initial(np.pi / 3))
+        grid = TimeGrid(0.0, 2.0 * np.pi, 512)
+        ops = build_AB(model, grid)
+        ref = _full_b_delta_z(ops, res, model.psi_s, grid)
+        assert abs(delta_z(ops, model, grid) - ref) <= 1e-14
+
+
 class TestPerturbativeMoments:
     def test_zero_correction(self):
         beta0 = 1.2
