@@ -55,6 +55,7 @@ from .channels import (
     conditional_trajectories,
     integrate_lindblad,
     lindblad_rhs,
+    liouvillian,
     spectral_conditional_trajectories,
 )
 from .distribution import (

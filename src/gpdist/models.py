@@ -79,9 +79,10 @@ class PhaseDampingParams:
     def period(self) -> float:
         return 2.0 * np.pi / self.omega
 
-    def r_factor(self, t: float) -> float:
-        """(1 + sqrt(1 - e^{-2 alpha t}))^{1/2}, in [1, sqrt(2)]."""
-        return float(np.sqrt(1.0 + np.sqrt(1.0 - np.exp(-2.0 * self.alpha * t))))
+    def r_factor(self, t):
+        """(1 + sqrt(1 - e^{-2 alpha t}))^{1/2}, in [1, sqrt(2)]; t may be an
+        array."""
+        return np.sqrt(1.0 + np.sqrt(1.0 - np.exp(-2.0 * self.alpha * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +94,29 @@ def se_weights(p: TwoLevelAtomParams) -> np.ndarray:
     return np.array([(n + 1), (n + 1), n, n]) / (2.0 * n + 1.0)
 
 
+def _diagonals(*pairs) -> np.ndarray:
+    """Stack (g, e) diagonal entries, scalars or arrays over t, into shape
+    (len(pairs), *shape(t), 2)."""
+    return np.stack([np.stack(pair, axis=-1) for pair in pairs])
+
+
+def _se_no_jump_diagonals(p: TwoLevelAtomParams, t) -> np.ndarray:
+    """Diagonals of the no-jump operators K0 and K2 at time(s) ``t``."""
+    w, gn = p.omega, p.gamma_n
+    return _diagonals((np.exp(-0.5j * w * t), np.exp(0.5j * w * t - gn * t)),
+                      (np.exp(-0.5j * w * t - gn * t), np.exp(0.5j * w * t)))
+
+
 def se_kraus_channel(p: TwoLevelAtomParams) -> KrausChannel:
     """The four thermal spontaneous-emission Kraus operators.
 
     K0/K2 are the no-jump branches (decay on |e> resp. |g>), K1/K3 the
     photon-emission and -absorption jumps; completeness holds analytically.
     """
-    w, gn = p.omega, p.gamma_n
+    gn = p.gamma_n
 
     def k0(t):
-        return np.diag([np.exp(-0.5j * w * t),
-                        np.exp(0.5j * w * t - gn * t)]).astype(complex)
+        return np.diag(_se_no_jump_diagonals(p, t)[0])
 
     def k1(t):
         amp = np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * gn * t)))
@@ -112,8 +125,7 @@ def se_kraus_channel(p: TwoLevelAtomParams) -> KrausChannel:
         return out
 
     def k2(t):
-        return np.diag([np.exp(-0.5j * w * t - gn * t),
-                        np.exp(0.5j * w * t)]).astype(complex)
+        return np.diag(_se_no_jump_diagonals(p, t)[1])
 
     def k3(t):
         amp = np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * gn * t)))
@@ -201,10 +213,8 @@ def se_perturbative_gp(p: TwoLevelAtomParams) -> float:
 
 def se_no_jump_trajectory(p: TwoLevelAtomParams, grid: TimeGrid) -> Trajectory:
     """Non-unitary trajectory K0(t)|psi_S> under the effective no-jump decay."""
-    k0 = se_kraus_channel(p).elements[0][1]
-    psi = psi_initial(p.theta)
-    states = np.array([k0(t) @ psi for t in grid.times])
-    return Trajectory(grid=grid, states=states)
+    k0 = _se_no_jump_diagonals(p, grid.times)[0]
+    return Trajectory(grid=grid, states=k0 * psi_initial(p.theta))
 
 
 def se_effective_b_blocks(p: TwoLevelAtomParams, grid: TimeGrid) -> np.ndarray:
@@ -214,7 +224,7 @@ def se_effective_b_blocks(p: TwoLevelAtomParams, grid: TimeGrid) -> np.ndarray:
     fluctuations cancel in the mean GP.
     """
     b0 = -p.gamma0 * (PROJ_E + p.n_thermal * np.eye(2))
-    return np.array([b0 * t for t in grid.times])
+    return grid.times[:, None, None] * b0
 
 
 def se_weak_coupling_model(
@@ -246,23 +256,26 @@ def se_weak_coupling_model(
 # Phase damping
 # ---------------------------------------------------------------------------
 
+def _pd_diagonals(p: PhaseDampingParams, t) -> np.ndarray:
+    """Diagonals of the phase-damping operators K0 and K1 at time(s) ``t``."""
+    w, al = p.omega, p.alpha
+    r = p.r_factor(t)
+    return _diagonals(
+        (np.exp(-0.5j * w * t - al * t) / r, r * np.exp(0.5j * w * t)),
+        (r * np.exp(-0.5j * w * t), np.exp(0.5j * w * t - al * t) / r))
+
+
 def pd_kraus_channel(p: PhaseDampingParams) -> KrausChannel:
     """Two-element phase-damping channel with weights 1/2, 1/2.
 
     Both operators reduce to phase-free unitaries at t = 0, so both branches
     contribute GP atoms.
     """
-    w, al = p.omega, p.alpha
-
     def k0(t):
-        r = p.r_factor(t)
-        return np.diag([np.exp(-0.5j * w * t - al * t) / r,
-                        r * np.exp(0.5j * w * t)]).astype(complex)
+        return np.diag(_pd_diagonals(p, t)[0])
 
     def k1(t):
-        r = p.r_factor(t)
-        return np.diag([r * np.exp(-0.5j * w * t),
-                        np.exp(0.5j * w * t - al * t) / r]).astype(complex)
+        return np.diag(_pd_diagonals(p, t)[1])
 
     return KrausChannel(elements=[(0.5, k0), (0.5, k1)], dim=2)
 
@@ -283,12 +296,10 @@ def pd_trajectories(
 ) -> list[tuple[float, Trajectory]]:
     """The two equally weighted conditional trajectories K_i(t)|psi_S>."""
     psi = psi_initial(p.theta)
-    channel = pd_kraus_channel(p)
-    out = []
-    for weight, k in channel.elements:
-        states = np.array([k(t) @ psi for t in grid.times])
-        out.append((weight, Trajectory(grid=grid, states=states)))
-    return out
+    weights = [w for w, _ in pd_kraus_channel(p).elements]
+    diags = _pd_diagonals(p, grid.times)
+    return [(w, Trajectory(grid=grid, states=d * psi))
+            for w, d in zip(weights, diags)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Open-system dynamics: Lindblad integration, Kraus maps, conditional
 trajectories, and the reservoir-adapted basis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gpdist.channels import (
     conditional_trajectories,
     integrate_lindblad,
     lindblad_rhs,
+    liouvillian,
     reduced_density_from_elements,
     spectral_conditional_trajectories,
 )
@@ -22,6 +25,7 @@ from gpdist.errors import (
     DimensionError,
     IntegrationDiverged,
     InvalidChannel,
+    InvalidOperand,
     InvalidState,
 )
 from gpdist.hilbert import (
@@ -48,6 +52,27 @@ def random_unitary(dim, rng=RNG):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim))
                         + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_complex(dim, rng=RNG):
+    return (rng.normal(size=(dim, dim))
+            + 1j * rng.normal(size=(dim, dim))) / (2.0 * dim)
+
+
+def rk4_oracle(model, rho0, grid):
+    """Step-by-step classical RK4 over ``lindblad_rhs``, symmetrized after
+    every step."""
+    rho, dt = np.asarray(rho0, dtype=complex), grid.dt
+    out = [rho]
+    for t in grid.times[:-1]:
+        k1 = lindblad_rhs(rho, model, t)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, model, t + 0.5 * dt)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, model, t + 0.5 * dt)
+        k4 = lindblad_rhs(rho + dt * k3, model, t + dt)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        out.append(rho)
+    return np.array(out)
 
 
 class TestReservoirSpec:
@@ -105,6 +130,40 @@ class TestLindbladRhs:
         assert np.linalg.norm(rhs - rhs.conj().T) < 1e-14
 
 
+class TestLindbladModel:
+    def test_jump_operator_wrong_shape(self):
+        with pytest.raises(DimensionError):
+            LindbladModel(hs=hs_schedule(1.0), jump_ops=[np.eye(3)])
+
+    def test_jump_operator_non_finite(self):
+        bad = np.array([[0.0, np.inf], [0.0, 0.0]])
+        with pytest.raises(InvalidOperand):
+            LindbladModel(hs=hs_schedule(1.0), jump_ops=[bad])
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_rhs_and_commutator_form(self, dim):
+        rng = np.random.default_rng(11 + dim)
+        h = random_complex(dim, rng)
+        h = h + h.conj().T
+        dh = random_complex(dim, rng)
+        jumps = [random_complex(dim, rng) for _ in range(2)]
+        model = LindbladModel(hs=Schedule.constant(h), jump_ops=jumps,
+                              delta_h=dh + dh.conj().T)
+        rho = random_complex(dim, rng)
+        lhs = liouvillian(model, h) @ rho.reshape(-1)
+        assert np.max(np.abs(lhs - lindblad_rhs(rho, model, 0.3).reshape(-1))
+                      ) < 1e-14
+        # the master equation written out as commutator plus dissipators
+        hh = h + model.delta_h
+        ref = -1j * (hh @ rho - rho @ hh)
+        for l in jumps:
+            ldl = l.conj().T @ l
+            ref -= ldl @ rho + rho @ ldl - 2.0 * l @ rho @ l.conj().T
+        assert np.max(np.abs(lhs - ref.reshape(-1))) < 1e-14
+
+
 class TestIntegrateLindblad:
     def test_closed_system_matches_propagator(self):
         h = Schedule.constant(-0.5 * SIGMA_Z)
@@ -155,6 +214,40 @@ class TestIntegrateLindblad:
         with pytest.raises(IntegrationDiverged):
             integrate_lindblad(stiff, np.diag([0.0, 1.0]).astype(complex),
                                TimeGrid(0.0, 2.0 * np.pi, 16))
+
+    def test_overflow_is_divergence_without_warnings(self):
+        # the step map overflows to inf/nan; the trace check must catch a
+        # NaN trace instead of returning NaN rows
+        huge = LindbladModel(
+            hs=hs_schedule(1.0),
+            jump_ops=[1e80 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDiverged):
+                integrate_lindblad(huge, np.diag([0.0, 1.0]).astype(complex),
+                                   TimeGrid(0.0, 2.0 * np.pi, 4096))
+
+    def test_thermal_se_matches_stepwise_rk4(self):
+        model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05,
+                                                     n_thermal=0.4))
+        psi = psi_initial(1.1)
+        rho0 = np.outer(psi, psi.conj())
+        grid = TimeGrid(0.0, 2.0 * np.pi, 4096)
+        rhos = integrate_lindblad(model, rho0, grid)
+        assert np.max(np.abs(rhos - rk4_oracle(model, rho0, grid))) < 1e-12
+
+    def test_time_dependent_schedule_matches_stepwise_rk4(self):
+        hs = Schedule(evaluator=lambda t: (-0.5 * (1.0 + 0.3 * np.sin(t))
+                                           * SIGMA_Z + 0.2 * SIGMA_X), dim=2)
+        model = LindbladModel(
+            hs=hs, jump_ops=[0.2 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                             0.1 * SIGMA_Z])
+        psi = psi_initial(0.7)
+        rho0 = np.outer(psi, psi.conj())
+        grid = TimeGrid(0.0, 2.0 * np.pi, 512)
+        rhos = integrate_lindblad(model, rho0, grid)
+        assert np.max(np.abs(rhos - rk4_oracle(model, rho0, grid))) < 1e-12
 
 
 class TestApplyKraus:

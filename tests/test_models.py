@@ -8,6 +8,7 @@ from gpdist.distribution import moments
 from gpdist.errors import RCondViolated
 from gpdist.hilbert import TimeGrid
 from gpdist.models import (
+    PROJ_E,
     PhaseDampingParams,
     TwoLevelAtomParams,
     closed_system_gp,
@@ -19,6 +20,7 @@ from gpdist.models import (
     pd_weak_coupling_model,
     psi_initial,
     se_distributions,
+    se_effective_b_blocks,
     se_exact_z_values,
     se_kraus_channel,
     se_lindblad_model,
@@ -275,3 +277,43 @@ class TestMicroscopicCouplings:
                                                           gamma0=1e-3))
         model.require_rcond()  # must not raise
         assert model.rcond_defect() < 1e-14
+
+
+def assert_bit_identical(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestGridBroadcastBuilders:
+    """The builders that evaluate closed forms on the whole time array give
+    the same bits as the per-node operator formulas."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.3])
+    def test_pd_trajectories_match_per_node_kraus(self, alpha):
+        p = PhaseDampingParams(omega=1.01, alpha=alpha, theta=1.1)
+        grid = TimeGrid(0.0, p.period, 1024)
+        psi = psi_initial(p.theta)
+        trajs = pd_trajectories(p, grid)
+        for (w, traj), (w_ref, k) in zip(trajs, pd_kraus_channel(p).elements):
+            assert w == w_ref
+            assert_bit_identical(traj.states,
+                                 np.array([k(t) @ psi for t in grid.times]))
+
+    @pytest.mark.parametrize("gamma0, n_thermal", [(0.0, 0.0), (0.05, 0.0),
+                                                   (0.1, 0.7)])
+    def test_se_no_jump_trajectory_matches_per_node_k0(self, gamma0, n_thermal):
+        p = TwoLevelAtomParams(omega=0.97, gamma0=gamma0, n_thermal=n_thermal,
+                               theta=1.1)
+        grid = TimeGrid(0.0, p.period, 1024)
+        k0 = se_kraus_channel(p).elements[0][1]
+        psi = psi_initial(p.theta)
+        assert_bit_identical(se_no_jump_trajectory(p, grid).states,
+                             np.array([k0(t) @ psi for t in grid.times]))
+
+    def test_se_effective_b_blocks_match_per_node_product(self):
+        p = TwoLevelAtomParams(omega=0.97, gamma0=0.05, n_thermal=0.7)
+        grid = TimeGrid(0.0, p.period, 1024)
+        b0 = -p.gamma0 * (PROJ_E + p.n_thermal * np.eye(2))
+        assert_bit_identical(se_effective_b_blocks(p, grid),
+                             np.array([b0 * t for t in grid.times]))
