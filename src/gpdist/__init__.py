@@ -7,7 +7,7 @@ their moments and Holevo-style spread, including the second-order
 weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ConfigError,
@@ -40,7 +40,6 @@ from .phase import (
     Trajectory,
     dynamic_phase,
     gauge_transform,
-    trajectory_from_operator,
     unwrap_sweep,
     z_functional,
 )

@@ -65,7 +65,7 @@ class ReservoirSpec:
             raise DimensionError("need one state vector per probability")
         if len(energies) != len(probs):
             raise DimensionError("need one energy per state")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise InvalidState("probabilities must be nonnegative and sum to 1")
         if self.orthonormal:
             gram = states.conj() @ states.T
@@ -76,13 +76,13 @@ class ReservoirSpec:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def blocks(self, tol: float = ENERGY_DEGENERACY_TOL) -> list[list[int]]:
+    def blocks(self) -> list[list[int]]:
         """Partition of state indices into degenerate-energy blocks."""
         blocks: list[list[int]] = []
         for i, e in enumerate(self.energies):
             for blk in blocks:
                 e0 = self.energies[blk[0]]
-                if abs(e - e0) < tol * max(1.0, abs(e0)):
+                if abs(e - e0) < ENERGY_DEGENERACY_TOL * max(1.0, abs(e0)):
                     blk.append(i)
                     break
             else:
@@ -111,7 +111,7 @@ class SystemEnsemble:
         states = np.asarray(self.states, dtype=complex)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise InvalidState("probabilities must be nonnegative and sum to 1")
 
     @classmethod

@@ -49,8 +49,7 @@ import yaml
 from . import __version__
 from .channels import (LindbladModel, ReservoirSpec, SystemEnsemble,
                        integrate_lindblad, spectral_conditional_trajectories)
-from .distribution import (block_first_moment, build_distribution,
-                           moments as dist_moments, redecompose)
+from .distribution import build_distribution, moments as dist_moments, redecompose
 from .errors import ConfigError, GpdistError, InvalidOperand, InvalidState
 from .hilbert import TimeGrid, partial_inner
 from .models import (
@@ -433,12 +432,12 @@ def _decomposition_check(model: WeakCouplingModel, u_fin: np.ndarray,
     res, psi = model.res, model.psi_s
 
     def first_moments(spec):
-        z = sum(block_first_moment(u_fin, spec, psi, blk)
-                for blk in spec.blocks())
-        vs = [np.vdot(psi, partial_inner(r, u_fin, r, model.dim_s,
-                                         model.dim_r) @ psi)
-              for r in spec.states]
-        return z, sum(p * v / abs(v) for p, v in zip(spec.probs, vs))
+        # v_r = <psi|<r|U|r>|psi>; the blocks partition the states, so the
+        # block moments sum to Z = sum p_r v_r, and H = sum p_r v_r / |v_r|
+        v = np.array([np.vdot(psi, partial_inner(r, u_fin, r, model.dim_s,
+                                                 model.dim_r) @ psi)
+                      for r in spec.states])
+        return spec.probs @ v, spec.probs @ (v / abs(v))
 
     z0, h0 = first_moments(res)
     worst_z, worst_h = 0.0, 0.0

@@ -23,6 +23,8 @@ from .hilbert import partial_inner
 from .phase import Trajectory, z_functional
 
 WEIGHT_TOL = 1e-10
+FIRST_MOMENT_EPS = 1e-12  # |<z>_Z| below this leaves the mean GP undefined
+MERGE_TOL = 1e-12         # atoms closer than this merge in ``merge_atoms``
 # |<e^{is}>|^2 is <= 1 up to rounding; spreads below this floor are reported
 # as exactly zero so that sharp distributions come out sharp.
 SPREAD_NOISE_FLOOR = 1e-14
@@ -45,9 +47,9 @@ class PhaseDistribution:
             raise ValueError("kind must be 'z' or 'h'")
         if len(weights) == 0 or len(weights) != len(values):
             raise ValueError("need one weight per atom, at least one atom")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > WEIGHT_TOL:
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= WEIGHT_TOL):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if self.kind == "h" and np.any(np.abs(np.abs(values) - 1.0) > 1e-12):
+        if self.kind == "h" and not np.all(np.abs(np.abs(values) - 1.0) <= 1e-12):
             raise ValueError("h-valued atoms must lie on the unit circle")
 
     def to_h(self) -> "PhaseDistribution":
@@ -77,7 +79,6 @@ class MomentReport:
 def build_distribution(
     weighted_trajs: list[tuple[float, Trajectory]],
     kind: str = "z",
-    eps_z: float | None = None,
 ) -> PhaseDistribution:
     """One atom per trajectory, valued Z[psi] ("z") or Z/|Z| ("h").
 
@@ -85,10 +86,9 @@ def build_distribution(
     Z-valued build but aborts an H-valued build, which needs every phase.
     """
     weights, values = [], []
-    kwargs = {} if eps_z is None else {"eps_z": eps_z}
     for w, traj in weighted_trajs:
         try:
-            z = z_functional(traj, **kwargs).z
+            z = z_functional(traj).z
         except UndefinedGP:
             if kind == "h":
                 raise
@@ -100,12 +100,11 @@ def build_distribution(
     return dist.to_h() if kind == "h" else dist
 
 
-def moments(dist: PhaseDistribution, n_max: int = 2,
-            eps_z: float = 1e-12) -> MomentReport:
+def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:
     """First ``n_max`` moments of both measures plus mean GP and spread.
 
     For a Z-valued input the H-side quantities are computed from the
-    projected atoms; a Z-valued first moment below ``eps_z`` raises
+    projected atoms; a Z-valued first moment below ``FIRST_MOMENT_EPS`` raises
     UndefinedGP.
     """
     if n_max < 1:
@@ -116,7 +115,7 @@ def moments(dist: PhaseDistribution, n_max: int = 2,
     h_moms = np.array([np.sum(h.weights * h.values**n) for n in ns])
 
     first_z = z_moms[0]
-    if abs(first_z) < eps_z:
+    if abs(first_z) < FIRST_MOMENT_EPS:
         raise UndefinedGP("first Z-moment vanishes; mean GP undefined")
     first_h = h_moms[0]
     coherence = first_h.real**2 + first_h.imag**2
@@ -132,13 +131,13 @@ def moments(dist: PhaseDistribution, n_max: int = 2,
     )
 
 
-def merge_atoms(dist: PhaseDistribution, tol: float = 1e-12) -> PhaseDistribution:
-    """Merge atoms whose values coincide within ``tol`` (weights add)."""
+def merge_atoms(dist: PhaseDistribution) -> PhaseDistribution:
+    """Merge atoms whose values coincide within ``MERGE_TOL`` (weights add)."""
     vals: list[complex] = []
     wts: list[float] = []
     for w, v in zip(dist.weights, dist.values):
         for i, u in enumerate(vals):
-            if abs(v - u) <= tol:
+            if abs(v - u) <= MERGE_TOL:
                 wts[i] += w
                 break
         else:
@@ -153,34 +152,31 @@ def block_first_moment(
     res: ReservoirSpec,
     psi_s: np.ndarray,
     block: list[int],
-    d_e: complex = 1.0,
-    energy_tol: float = ENERGY_DEGENERACY_TOL,
 ) -> complex:
     """Contribution of one degenerate block to the first Z-moment.
 
-    Returns ``D(E) * sum_{r in block} p_r <psi_S|<r|U|r>|psi_S>``, which is a
-    trace over the block density matrix and therefore independent of how the
-    block is decomposed into pure states.  ``d_e`` is the common
-    dynamic-phase factor of the block (1 for parallel-transported states).
+    Returns ``sum_{r in block} p_r <psi_S|<r|U|r>|psi_S>``, which is a trace
+    over the block density matrix and therefore independent of how the block
+    is decomposed into pure states.  The block's common dynamic-phase factor
+    D(E) is 1 for parallel-transported states.
     """
     psi_s = np.asarray(psi_s, dtype=complex)
     dim_s = len(psi_s)
     dim_r = res.dim
     e0 = res.energies[block[0]]
     for i in block[1:]:
-        if abs(res.energies[i] - e0) >= energy_tol * max(1.0, abs(e0)):
+        if abs(res.energies[i] - e0) >= ENERGY_DEGENERACY_TOL * max(1.0, abs(e0)):
             raise InvalidBlock("block mixes distinct energies")
     acc = 0.0 + 0.0j
     for i in block:
         k = partial_inner(res.states[i], u_joint, res.states[i], dim_s, dim_r)
         acc += res.probs[i] * np.vdot(psi_s, k @ psi_s)
-    return complex(d_e * acc)
+    return complex(acc)
 
 
 def redecompose(
     res: ReservoirSpec,
     block_unitaries: dict[int, np.ndarray],
-    energy_tol: float = ENERGY_DEGENERACY_TOL,
 ) -> ReservoirSpec:
     """Alternative pure-state decomposition of the same reservoir density.
 
@@ -189,7 +185,7 @@ def redecompose(
     ``u_j = sum_i V[j, i] sqrt(p_i) |r_i>`` (square-root decomposition
     freedom), so every block density matrix is preserved exactly.
     """
-    blocks = res.blocks(energy_tol)
+    blocks = res.blocks()
     probs = res.probs.copy()
     states = res.states.copy()
     energies = res.energies.copy()

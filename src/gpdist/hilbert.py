@@ -45,9 +45,18 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
+    """``m = m^dag`` to ``HERMITICITY_TOL`` relative to ``max(1, ||m||)``;
+    False for non-finite entries.  Entries beyond 1 are tested on
+    ``m / max|m_ij|``, the same test, so that the norms cannot overflow."""
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        return False
+    big = np.abs(m).max(initial=0.0)
+    if big > 1.0:
+        m = m / big
     scale = max(1.0, np.linalg.norm(m))
-    return np.linalg.norm(m - m.conj().T) <= tol * scale
+    return bool(np.linalg.norm(m - m.conj().T) <= HERMITICITY_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)
+                and self.t_end > self.t_start):
+            raise ValueError("t_start and t_end must be finite, t_end > t_start")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -82,14 +92,13 @@ class TimeGrid:
 class Schedule:
     """Time-dependent Hermitian operator ``H(t)``.
 
-    Wraps an evaluator ``t -> matrix``; samples on a grid are cached.  A
-    schedule made by ``constant`` also keeps its ``matrix``, which selects
-    the spectral path of ``time_ordered_propagator``.
+    Wraps an evaluator ``t -> matrix``.  A schedule made by ``constant``
+    also keeps its ``matrix``, which selects the spectral path of
+    ``time_ordered_propagator``.
     """
 
     evaluator: Callable[[float], np.ndarray]
     dim: int
-    _cache: dict = field(default_factory=dict, repr=False)
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, t: float) -> np.ndarray:
@@ -106,16 +115,13 @@ class Schedule:
         return cls(evaluator=lambda t, _m=m: _m, dim=m.shape[0], matrix=m)
 
     def sample(self, grid: TimeGrid, at: str = "nodes") -> np.ndarray:
-        """Sampled values on grid nodes or interval midpoints, cached."""
-        key = (grid, at)
-        if key not in self._cache:
-            ts = grid.times if at == "nodes" else grid.midpoints
-            self._cache[key] = np.array([self(t) for t in ts])
-        return self._cache[key]
+        """Sampled values on grid nodes or interval midpoints."""
+        ts = grid.times if at == "nodes" else grid.midpoints
+        return np.array([self(t) for t in ts])
 
-    def check_hermitian(self, grid: TimeGrid, tol: float = HERMITICITY_TOL):
+    def check_hermitian(self, grid: TimeGrid):
         for h in self.sample(grid):
-            if not is_hermitian(h, tol):
+            if not is_hermitian(h):
                 raise InvalidOperand("schedule is not Hermitian on the grid")
 
 

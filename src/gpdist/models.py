@@ -49,8 +49,9 @@ class TwoLevelAtomParams:
     theta: float = np.pi / 2.0
 
     def __post_init__(self):
-        if self.omega <= 0 or self.gamma0 < 0 or self.n_thermal < 0:
-            raise ValueError("need omega > 0, gamma0 >= 0, n >= 0")
+        if not (np.all(np.isfinite([self.omega, self.gamma0, self.n_thermal]))
+                and self.omega > 0 and self.gamma0 >= 0 and self.n_thermal >= 0):
+            raise ValueError("need finite omega > 0, gamma0 >= 0, n >= 0")
         if not 0.0 <= self.theta <= np.pi:
             raise ValueError("theta must lie in [0, pi]")
 
@@ -70,8 +71,9 @@ class PhaseDampingParams:
     theta: float = np.pi / 2.0
 
     def __post_init__(self):
-        if self.omega <= 0 or self.alpha < 0:
-            raise ValueError("need omega > 0, alpha >= 0")
+        if not (np.all(np.isfinite([self.omega, self.alpha]))
+                and self.omega > 0 and self.alpha >= 0):
+            raise ValueError("need finite omega > 0, alpha >= 0")
         if not 0.0 <= self.theta <= np.pi:
             raise ValueError("theta must lie in [0, pi]")
 
@@ -229,25 +231,22 @@ def se_effective_b_blocks(p: TwoLevelAtomParams, grid: TimeGrid) -> np.ndarray:
 
 def se_weak_coupling_model(
     p: TwoLevelAtomParams, dim_bath: int = 4, g: float = 0.1,
-    bath_omega: float | None = None,
 ) -> WeakCouplingModel:
     """Microscopic energy-transferring coupling used for the rcond check.
 
-    One bath oscillator truncated to ``dim_bath`` levels, vacuum state,
-    coupling R = a + a^dag (off-diagonal, so <r|R|r> = 0 for every Fock
-    state) against S = |g><e| + |e><g|.
+    One resonant bath oscillator (frequency omega) truncated to ``dim_bath``
+    levels, vacuum state, coupling R = a + a^dag (off-diagonal, so
+    <r|R|r> = 0 for every Fock state) against S = |g><e| + |e><g|.
     """
-    if bath_omega is None:
-        bath_omega = p.omega
     a_op = np.diag(np.sqrt(np.arange(1, dim_bath)), k=1).astype(complex)
     r_op = a_op + a_op.conj().T
     s_op = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     probs = np.zeros(dim_bath)
     probs[0] = 1.0
     res = ReservoirSpec(probs=probs, states=np.eye(dim_bath, dtype=complex),
-                        energies=bath_omega * np.arange(dim_bath))
+                        energies=p.omega * np.arange(dim_bath))
     return WeakCouplingModel(
-        hs=hs_schedule(p.omega), hr=np.diag(bath_omega * np.arange(dim_bath)),
+        hs=hs_schedule(p.omega), hr=np.diag(p.omega * np.arange(dim_bath)),
         couplings=[(g * r_op, s_op)], res=res, psi_s=psi_initial(p.theta),
     )
 
@@ -345,19 +344,16 @@ def pd_moments(p: PhaseDampingParams, n_steps: int = 4096) -> PhaseDampingMoment
     )
 
 
-def pd_weak_coupling_model(
-    p: PhaseDampingParams, dim_bath: int = 4, g: float = 0.1,
-    n_thermal: float = 0.5, bath_omega: float = 3.0,
-) -> WeakCouplingModel:
+def pd_weak_coupling_model(p: PhaseDampingParams) -> WeakCouplingModel:
     """Thermal oscillator-bath dephasing coupling R = g a^dag a, S = sigma_z.
 
     In thermal equilibrium <r|R|r> = g n_r != 0 for excited Fock states, so
     the coupling condition fails and the perturbative GP formula must refuse
     to run (RCondViolated).
     """
+    dim_bath, g, n_thermal, bath_omega = 4, 0.1, 0.5, 3.0
     ns = np.arange(dim_bath)
-    boltz = np.exp(-ns * np.log(1.0 + 1.0 / n_thermal)) if n_thermal > 0 else \
-        np.where(ns == 0, 1.0, 0.0)
+    boltz = np.exp(-ns * np.log(1.0 + 1.0 / n_thermal))
     probs = boltz / boltz.sum()
     res = ReservoirSpec(probs=probs, states=np.eye(dim_bath, dtype=complex),
                         energies=bath_omega * ns)

@@ -17,11 +17,11 @@ overall to match the propagator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateTrajectory, UndefinedGP
+from .errors import DegenerateTrajectory, InvalidOperand, UndefinedGP
 from .hilbert import TimeGrid
 
 NORM_FLOOR = 1e-12
@@ -43,6 +43,8 @@ class Trajectory:
                 f"need {self.grid.n_steps + 1} sampled states, got {states.shape}"
             )
         norms2 = np.einsum("ki,ki->k", states.conj(), states).real
+        if not np.all(np.isfinite(norms2)):
+            raise InvalidOperand("trajectory has non-finite states")
         if np.any(norms2 <= NORM_FLOOR**2):
             raise DegenerateTrajectory("trajectory norm fell below threshold")
 
@@ -76,16 +78,16 @@ def dynamic_phase(traj: Trajectory) -> float:
     return float(np.trapezoid(num / den, dx=dt))
 
 
-def z_functional(traj: Trajectory, eps_z: float = Z_RELATIVE_EPS) -> PhaseResult:
+def z_functional(traj: Trajectory) -> PhaseResult:
     """Dynamic-phase-removed overlap Z[psi] and geometric phase beta = arg Z.
 
-    Raises UndefinedGP when |Z| < eps_z * ||psi(0)|| * ||psi(t)||.
+    Raises UndefinedGP when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.
     """
     phi = dynamic_phase(traj)
     overlap = complex(np.vdot(traj.states[0], traj.states[-1]))
     z = np.exp(-1j * phi) * overlap
     norms = traj.norms()
-    if abs(z) < eps_z * norms[0] * norms[-1]:
+    if abs(z) < Z_RELATIVE_EPS * norms[0] * norms[-1]:
         raise UndefinedGP(f"|Z| = {abs(z):.3e} below tolerance; GP undefined")
     return PhaseResult(z=z, beta=float(np.angle(z)), dynamic_phase=phi,
                        overlap=overlap)
@@ -131,12 +133,3 @@ def principal_angle(a: float) -> float:
 def angle_to_positive_branch(a: float) -> float:
     """Map an angle to [0, 2*pi), the branch used for unwrapped GP values."""
     return float(np.mod(a, 2.0 * np.pi))
-
-
-def trajectory_from_operator(
-    op_of_t: Callable[[float], np.ndarray], psi0, grid: TimeGrid
-) -> Trajectory:
-    """Trajectory ``op(t_k) @ psi0`` for a (possibly non-unitary) evolution."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    states = np.array([op_of_t(t) @ psi0 for t in grid.times])
-    return Trajectory(grid=grid, states=states)

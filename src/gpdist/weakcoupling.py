@@ -43,6 +43,8 @@ from .hilbert import (Schedule, TimeGrid, eigenphases, is_hermitian,
 
 RCOND_TOL = 1e-10
 IM_DZ_WARN = 0.1
+US_AVG_EPS = 1e-9  # |<U_S>_S| below this leaves the perturbative GP undefined
+PSD_TOL = 1e-9     # most negative eigenvalue allowed in sum L^dag L
 
 
 @dataclass
@@ -98,9 +100,9 @@ class WeakCouplingModel:
                 worst = max(worst, abs(np.vdot(r, r_op @ r)))
         return worst
 
-    def require_rcond(self, tol: float = RCOND_TOL):
+    def require_rcond(self):
         defect = self.rcond_defect()
-        if defect > tol:
+        if defect > RCOND_TOL:
             raise RCondViolated(
                 f"<r|R|r> reaches {defect:.3e}; the perturbative GP formula "
                 "is spurious for this coupling"
@@ -213,7 +215,6 @@ def delta_z_from_blocks(
     dhs_tilde: np.ndarray,
     psi_s: np.ndarray,
     grid: TimeGrid,
-    eps_z: float = 1e-9,
 ) -> complex:
     """Reservoir-averaged phase correction <DeltaZ> from the blocks of B.
 
@@ -228,7 +229,7 @@ def delta_z_from_blocks(
     psi = np.asarray(psi_s, dtype=complex)
     u_fin = us[-1]
     u_avg = complex(np.vdot(psi, u_fin @ psi))
-    if abs(u_avg) < eps_z:
+    if abs(u_avg) < US_AVG_EPS:
         raise UndefinedGP("<U_S>_S vanishes; perturbative GP undefined")
     acc = 0.0 + 0.0j
     for p_r, blk in b_blocks:
@@ -251,35 +252,28 @@ def delta_z(
     ops: PerturbationOperators,
     model: WeakCouplingModel,
     grid: TimeGrid,
-    eps_z: float = 1e-9,
 ) -> complex:
     """<DeltaZ> over rho_SR(0); requires the coupling condition to hold."""
     model.require_rcond()
     blocks = reservoir_blocks_of_b(ops, model.res, model.dim_s)
-    return delta_z_from_blocks(blocks, ops.us, ops.dhs_tilde, model.psi_s, grid,
-                               eps_z=eps_z)
+    return delta_z_from_blocks(blocks, ops.us, ops.dhs_tilde, model.psi_s, grid)
 
 
 def lindblad_identification(
-    b_avg: np.ndarray,
-    us: np.ndarray,
-    grid: TimeGrid,
-    node: int | None = None,
-    psd_tol: float = 1e-9,
+    b_avg: np.ndarray, us: np.ndarray, grid: TimeGrid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``U_S <dB/dt>_R U_S^dag = -i dH - sum L^dag L`` at a grid node.
+    """Split ``U_S <dB/dt>_R U_S^dag = -i dH - sum L^dag L`` mid-grid.
 
     ``b_avg`` holds the reservoir average <B(t)>_R as system-operator samples.
     Returns ``(delta_h, sum_ldag_l)``; a dissipative part that fails to be
-    positive semidefinite (beyond ``psd_tol``) raises InconsistentModel.
+    positive semidefinite (beyond ``PSD_TOL``) raises InconsistentModel.
     """
-    if node is None:
-        node = b_avg.shape[0] // 2
+    node = b_avg.shape[0] // 2
     b_dot = np.gradient(b_avg, grid.dt, axis=0, edge_order=2)
     m = us[node] @ b_dot[node] @ us[node].conj().T
     sum_ldag_l = -0.5 * (m + m.conj().T)
     delta_h = 0.5j * (m - m.conj().T)
-    if np.linalg.eigvalsh(sum_ldag_l).min() < -psd_tol:
+    if np.linalg.eigvalsh(sum_ldag_l).min() < -PSD_TOL:
         raise InconsistentModel(
             "dissipative part of the identification is not positive"
         )

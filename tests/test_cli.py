@@ -319,6 +319,8 @@ MALFORMED = {
         "params.couplings[0].r"),
     "r_wrong_size": (joint_config(np.eye(3).tolist()),
                      "params.couplings[0].r"),
+    "r_huge_non_hermitian": (joint_config([[0.0, 1.0e200], [0.0, 0.0]]),
+                             "params.couplings"),
     "lindblad_sweep": (
         lindblad_config(sweep={"parameter": "theta", "values": [0.1, 0.2]}),
         "sweep"),

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpdist.errors import DegenerateTrajectory, UndefinedGP
+from gpdist.channels import ReservoirSpec, SystemEnsemble
+from gpdist.distribution import PhaseDistribution
+from gpdist.errors import (DegenerateTrajectory, InvalidOperand, InvalidState,
+                           UndefinedGP)
 from gpdist.hilbert import SIGMA_Z, Schedule, TimeGrid, time_ordered_propagator
+from gpdist.models import PhaseDampingParams, TwoLevelAtomParams
 from gpdist.phase import (
     Trajectory,
     angle_to_positive_branch,
     dynamic_phase,
     gauge_transform,
     principal_angle,
-    trajectory_from_operator,
     unwrap_sweep,
     z_functional,
 )
@@ -49,6 +52,32 @@ class TestTrajectory:
     def test_norms(self):
         traj = precession_trajectory(np.pi / 3, n_steps=8)
         assert np.allclose(traj.norms(), 1.0)
+
+
+NAN = float("nan")
+
+
+# Each check must reject a non-finite value, which passes both x < 0 and
+# x > tol; the phase of a NaN path would otherwise come out as nan+nanj.
+@pytest.mark.parametrize("build, error", [
+    (lambda: Trajectory(grid=TimeGrid(0.0, 1.0, 2),
+                        states=[[NAN, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+     InvalidOperand),
+    (lambda: ReservoirSpec(probs=[NAN], states=[[1.0]], energies=[0.0]),
+     InvalidState),
+    (lambda: SystemEnsemble(probs=[NAN], states=[[1.0, 0.0]]), InvalidState),
+    (lambda: PhaseDistribution(kind="z", weights=[NAN], values=[1.0]),
+     ValueError),
+    (lambda: TimeGrid(0.0, NAN, 4), ValueError),
+    (lambda: TwoLevelAtomParams(omega=NAN, gamma0=0.0), ValueError),
+    (lambda: TwoLevelAtomParams(omega=1.0, gamma0=float("inf")), ValueError),
+    (lambda: PhaseDampingParams(omega=float("inf"), alpha=0.0), ValueError),
+    (lambda: PhaseDampingParams(omega=1.0, alpha=NAN), ValueError),
+], ids=["trajectory", "reservoir", "ensemble", "distribution", "grid",
+        "atom_omega", "atom_gamma0", "damping_omega", "damping_alpha"])
+def test_non_finite_input_rejected(build, error):
+    with pytest.raises(error):
+        build()
 
 
 class TestDynamicPhase:
@@ -197,11 +226,3 @@ class TestAngles:
         assert angle_to_positive_branch(-0.5) == pytest.approx(
             2.0 * np.pi - 0.5)
         assert angle_to_positive_branch(1.0) == pytest.approx(1.0)
-
-
-def test_trajectory_from_operator():
-    grid = TimeGrid(0.0, 1.0, 16)
-    traj = trajectory_from_operator(
-        lambda t: np.diag([np.exp(-t), 1.0]), np.array([1.0, 1.0]), grid)
-    assert traj.states.shape == (17, 2)
-    assert traj.states[-1][0] == pytest.approx(np.exp(-1.0))
