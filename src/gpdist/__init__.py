@@ -7,7 +7,7 @@ their moments and Holevo-style spread, including the second-order
 weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ConfigError,
@@ -71,7 +71,7 @@ from .weakcoupling import (
     WeakCouplingModel,
     build_AB,
     delta_z,
-    delta_z_from_blocks,
+    delta_z_from_b,
     lindblad_identification,
     perturbative_moments,
 )

@@ -65,6 +65,8 @@ class ReservoirSpec:
             raise DimensionError("need one state vector per probability")
         if len(energies) != len(probs):
             raise DimensionError("need one energy per state")
+        if not np.all(np.isfinite(energies)):
+            raise InvalidState("reservoir energies must be finite")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise InvalidState("probabilities must be nonnegative and sum to 1")
         if self.orthonormal:
@@ -253,7 +255,7 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray
 def apply_kraus(channel: KrausChannel, rho0, t: float) -> np.ndarray:
     """Evolved density matrix ``sum_i p_i K_i(t) rho0 K_i(t)^dag``."""
     defect = channel.completeness_defect(t)
-    if defect > COMPLETENESS_TOL:
+    if not defect <= COMPLETENESS_TOL:  # a NaN defect fails too
         raise InvalidChannel(f"completeness defect {defect:.3e} at t={t:.6g}")
     rho0 = np.asarray(rho0, dtype=complex)
     out = np.zeros_like(rho0)

@@ -181,9 +181,9 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
     for i, c in enumerate(_list(couplings, "params.couplings")):
         at = f"params.couplings[{i}]"
         c = _fields(c, at, {"g": 1.0, "r": REQUIRED, "s": REQUIRED})
-        terms.append((_number(c["g"], f"{at}.g")
-                      * _matrix(c["r"], f"{at}.r", dim_r),
-                      _matrix(c["s"], f"{at}.s", 2)))
+        g, r = _number(c["g"], f"{at}.g"), _matrix(c["r"], f"{at}.r", dim_r)
+        with np.errstate(over="ignore"):  # a non-finite g*r fails H_I's check
+            terms.append((g * r, _matrix(c["s"], f"{at}.s", 2)))
     try:
         res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
                             energies=energies)
@@ -192,7 +192,7 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
             couplings=terms, res=res, psi_s=psi_initial(theta)))
     except InvalidState as exc:
         raise ConfigError(f"params.reservoir_probs: {exc}") from exc
-    except InvalidOperand as exc:   # a non-Hermitian coupling
+    except InvalidOperand as exc:   # a non-Hermitian or non-finite coupling
         raise ConfigError(f"params.couplings: {exc}") from exc
 
 
@@ -272,7 +272,7 @@ def _pd_compare(p: PhaseDampingParams, grid: TimeGrid) -> dict:
 def _joint_compare(p: CustomPoint, grid: TimeGrid) -> dict:
     """Exact conditional-trajectory moments against delta_z."""
     rep = dist_moments(_joint_distribution(p, grid)[0], n_max=1)
-    dz = delta_z(build_AB(p.model, grid), p.model, grid)
+    dz = delta_z(build_AB(p.model, grid), p.model)
     pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     return {

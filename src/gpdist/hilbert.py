@@ -133,11 +133,10 @@ def matexp(m) -> np.ndarray:
     to machine precision); everything else falls back to scaling-and-squaring.
     """
     m = _as_square(m)
-    scale = max(1.0, np.linalg.norm(m))
-    if np.linalg.norm(m - m.conj().T) <= HERMITICITY_TOL * scale:
+    if is_hermitian(m):
         w, v = np.linalg.eigh(m)
         return (v * np.exp(w)) @ v.conj().T
-    if np.linalg.norm(m + m.conj().T) <= HERMITICITY_TOL * scale:
+    if is_hermitian(1j * m):
         # m = -i*h with h = i*m Hermitian
         w, v = np.linalg.eigh(1j * m)
         return (v * np.exp(-1j * w)) @ v.conj().T

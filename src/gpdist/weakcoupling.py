@@ -6,7 +6,8 @@ In the interaction picture the joint propagator factorizes as
     A(t) = -i * integral_0^t H_I~(t') dt'
     B(t) = -  integral_0^t dt' integral_0^t' dt'' H_I~(t') H_I~(t'')
 
-and ``H_I~ = U_R^dag U_S^dag H_I U_S U_R``.  Under the coupling condition
+and ``H_I~ = U_0^dag H_I U_0`` with ``U_0 = e^{-i H_0 t}``,
+``H_0 = H_S x 1 + 1 x H_R``.  Under the coupling condition
 ``<r|R_mu|r> = 0`` for every populated reservoir eigenstate, the first-order
 terms drop out of the phase functional and the correction to Z is governed by
 the operator B alone, through the functional ``delta_z`` below.  The
@@ -14,12 +15,13 @@ perturbative moments of both phase distributions then coincide:
 
     <e^{ins}>_H = <z^n>_Z / |<z>_Z|^n = e^{in beta0} (1 + i n Im<DeltaZ>).
 
-On the grid, ``U_S`` is exact for a constant H_S (one eigendecomposition)
-and the midpoint product for a time-dependent one; ``U_R = e^{-i H_R t}``
-comes from one eigendecomposition ``H_R = Q diag(E) Q^dag``.  In the H_R
-eigenbasis ``<i|H_I~(t)|j> = e^{i(E_i - E_j) t} U_S^dag <i|H_I|j> U_S`` is
-one broadcast over the grid, and ``delta_z`` builds each block ``<r|B|r>``
-from the rows ``<r|H_I~|.>`` in O(n * d * d_S) memory.
+H_S is constant, so H_0 is diagonal in ``kron(V_S, V_R)``, the product of
+the eigenbases of H_S and H_R, and there ``H_I~_mn(t) = e^{i(E_m - E_n) t}
+g_mn`` with ``g`` the coupling in that basis: one broadcast over the grid.
+The correction functional is real-linear in B and the reservoir weights are
+real, so it is applied once, to the average ``<B>_R = sum_r p_r <r|B|r>``.
+Each block ``<r|B|r>`` comes from the rows ``<r|H_I~|.>`` in O(n * d * d_S)
+memory.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .errors import (
     RCondViolated,
     UndefinedGP,
 )
-from .hilbert import (Schedule, TimeGrid, eigenphases, is_hermitian,
-                      time_ordered_propagator)
+from .hilbert import Schedule, TimeGrid, eigenphases, is_hermitian
 
 RCOND_TOL = 1e-10
 IM_DZ_WARN = 0.1
@@ -49,11 +50,12 @@ PSD_TOL = 1e-9     # most negative eigenvalue allowed in sum L^dag L
 
 @dataclass
 class WeakCouplingModel:
-    """System schedule, static reservoir, and coupling ``H_I = -sum R_mu S_mu``.
+    """Constant system Hamiltonian, static reservoir, and coupling
+    ``H_I = -sum R_mu S_mu``.
 
-    ``couplings`` is a list of ``(r_op, s_op)`` pairs acting on the reservoir
-    and system factors; the joint coupling is ``-sum kron(s_op, r_op)``
-    (system slow index).
+    ``hs`` must be a ``Schedule.constant``.  ``couplings`` is a list of
+    ``(r_op, s_op)`` pairs acting on the reservoir and system factors; the
+    joint coupling is ``-sum kron(s_op, r_op)`` (system slow index).
     """
 
     hs: Schedule
@@ -69,11 +71,16 @@ class WeakCouplingModel:
             (np.asarray(r, dtype=complex), np.asarray(s, dtype=complex))
             for r, s in self.couplings
         ]
+        if self.hs.matrix is None or not is_hermitian(self.hs.matrix):
+            raise InvalidOperand("H_S must be a constant Hermitian schedule")
         if self.hr.shape[0] != self.res.dim:
             raise DimensionError("H_R dimension != reservoir dimension")
         if not is_hermitian(self.hr):
             raise InvalidOperand("H_R is not Hermitian")
-        if not is_hermitian(self.h_interaction()):
+        h_int = self.h_interaction()
+        if not np.all(np.isfinite(h_int)):
+            raise InvalidOperand("H_I has non-finite entries")
+        if not is_hermitian(h_int):
             raise InvalidOperand("H_I is not Hermitian")
 
     @property
@@ -86,8 +93,9 @@ class WeakCouplingModel:
 
     def h_interaction(self) -> np.ndarray:
         out = np.zeros((self.dim_s * self.dim_r,) * 2, dtype=complex)
-        for r_op, s_op in self.couplings:
-            out -= np.kron(s_op, r_op)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked finite
+            for r_op, s_op in self.couplings:
+                out -= np.kron(s_op, r_op)
         return out
 
     def rcond_defect(self) -> float:
@@ -111,42 +119,30 @@ class WeakCouplingModel:
 
 @dataclass
 class PerturbationOperators:
-    """The interaction picture on the grid in the H_R eigenbasis, factored
+    """The interaction picture on the grid in the H_0 eigenbasis, factored
     so that ``delta_z`` needs only the rows ``<r|H_I~|.>``.  The joint A
     and B are formed on first read, as (n+1, d, d) arrays in the original
-    reservoir basis.
+    basis.
     """
 
     grid: TimeGrid
-    us: np.ndarray         # (n+1, ds, ds) system propagator
-    dhs_tilde: np.ndarray  # (n+1, ds, ds) traceless-in-psi_S part of H_S~
-    res_basis: np.ndarray  # (dr, dr) eigenvectors Q of H_R, as columns
-    res_phases: np.ndarray  # (n+1, dr) e^{-i E_j t_k}
-    g_blocks: np.ndarray   # (dr, dr, ds, ds) <i|H_I|j> in the H_R eigenbasis
+    u_fin: np.ndarray   # (ds, ds) system propagator at the last node
+    basis: np.ndarray   # (d, d) eigenvectors kron(V_S, V_R) of H_0, as columns
+    phases: np.ndarray  # (n+1, d) e^{-i E_m t_k}
+    g: np.ndarray       # (d, d) H_I in the H_0 eigenbasis
 
     def h_tilde_rows(self, r) -> np.ndarray:
-        """``<r|H_I~(t_k)|.>`` as (n+1, ds, dr * ds) samples.  The joint
-        column index runs over the reservoir eigenbasis, reservoir index
-        slow: it only ever contracts against the adjoint rows."""
-        f = self.res_phases.conj() * (self.res_basis.conj().T @ r).conj()
-        n, dim_r = f.shape
-        dim_s = self.us.shape[1]
-        m = (f @ self.g_blocks.reshape(dim_r, -1)).reshape(n, -1, dim_s)
-        m = (m @ self.us).reshape(n, dim_r, dim_s, dim_s).transpose(0, 2, 1, 3)
-        m = self.us.conj().transpose(0, 2, 1) @ m.reshape(n, dim_s, -1)
-        m = m.reshape(n, dim_s, dim_r, dim_s) * self.res_phases[:, None, :, None]
-        return m.reshape(n, dim_s, -1)
+        """``<r|H_I~(t_k)|.>`` as (n+1, ds, d) samples, the system index in
+        the original basis.  The joint column index runs over the H_0
+        eigenbasis: it only ever contracts against the adjoint rows."""
+        w = np.conj(r) @ self.basis.reshape(len(self.u_fin), -1, len(self.g))
+        return ((w * self.phases.conj()[:, None, :]) @ self.g
+                * self.phases[:, None, :])
 
     def h_tilde(self) -> np.ndarray:
         """(n+1, d, d) interaction-picture H_I in the original basis."""
-        dim_r, _, dim_s, _ = self.g_blocks.shape
-        u_dag = self.us.conj().transpose(0, 2, 1)[:, None, None]
-        m = u_dag @ self.g_blocks @ self.us[:, None, None]
-        m *= (self.res_phases.conj()[:, :, None]
-              * self.res_phases[:, None, :])[..., None, None]
-        m = m.transpose(0, 3, 1, 4, 2).reshape(len(m), dim_s * dim_r, -1)
-        q = np.kron(np.eye(dim_s), self.res_basis)
-        return q @ m @ q.conj().T
+        m = self.phases.conj()[:, :, None] * self.g * self.phases[:, None, :]
+        return self.basis @ m @ self.basis.conj().T
 
     @functools.cached_property
     def a(self) -> np.ndarray:
@@ -172,91 +168,69 @@ def build_AB(model: WeakCouplingModel, grid: TimeGrid) -> PerturbationOperators:
     """Interaction picture of ``model`` on ``grid``; A by trapezoidal
     accumulation and B by the nested (inner cumulative, outer re-integrated)
     trapezoid, both second order in dt."""
-    dim_s, dim_r = model.dim_s, model.dim_r
-    us = time_ordered_propagator(model.hs, grid)
-    q, res_phases = eigenphases(model.hr, grid)
-    qq = np.kron(np.eye(dim_s), q)
-    g = (qq.conj().T @ model.h_interaction() @ qq).reshape(
-        dim_s, dim_r, dim_s, dim_r).transpose(1, 3, 0, 2)
-
-    psi = model.psi_s
-    hs = model.hs.matrix if model.hs.matrix is not None \
-        else model.hs.sample(grid)
-    hst = us.conj().transpose(0, 2, 1) @ hs @ us
-    shift = np.einsum("a,kab,b->k", psi.conj(), hst, psi)
-    dhs = hst - shift[:, None, None] * np.eye(dim_s)
-    return PerturbationOperators(grid=grid, us=us, dhs_tilde=dhs, res_basis=q,
-                                 res_phases=res_phases, g_blocks=g)
+    v_s, phases_s = eigenphases(model.hs.matrix, grid)
+    v_r, phases_r = eigenphases(model.hr, grid)
+    basis = np.kron(v_s, v_r)
+    return PerturbationOperators(
+        grid=grid, u_fin=(v_s * phases_s[-1]) @ v_s.conj().T, basis=basis,
+        phases=(phases_s[:, :, None] * phases_r[:, None, :]).reshape(
+            len(phases_s), -1),
+        g=basis.conj().T @ model.h_interaction() @ basis)
 
 
-def reservoir_blocks_of_b(
-    ops: PerturbationOperators, res: ReservoirSpec, dim_s: int
-) -> list[tuple[float, np.ndarray]]:
-    """Diagonal reservoir blocks ``<r|B(t)|r>`` as system-operator samples.
+def reservoir_average_b(ops: PerturbationOperators,
+                        res: ReservoirSpec) -> np.ndarray:
+    """Reservoir average ``<B(t)>_R = sum_r p_r <r|B(t)|r>`` as (n+1, ds, ds)
+    system-operator samples.
 
     ``<r|H~(t') H~(t'')|r>`` sums ``<r|H~(t')|.>`` against ``<.|H~(t'')|r>``,
     the adjoint of the same rows, so each block is the nested trapezoid of
     B on (n+1, ds, d) rows, never on the joint (n+1, d, d) arrays.
     """
-    if ops.us.shape[1] != dim_s or len(ops.res_basis) != res.dim:
-        raise DimensionError("reservoir blocks: dimension mismatch")
+    dim_s = len(ops.u_fin)
+    if len(ops.basis) != dim_s * res.dim:
+        raise DimensionError("reservoir average: dimension mismatch")
     dt = ops.grid.dt
-    out = []
+    out = np.zeros((len(ops.phases), dim_s, dim_s), dtype=complex)
     for p_r, r in zip(res.probs, res.states):
         rows = ops.h_tilde_rows(r)
         inner = _cumtrapz(rows, dt).conj().transpose(0, 2, 1)
-        out.append((float(p_r), -_cumtrapz(rows @ inner, dt)))
+        out -= p_r * _cumtrapz(rows @ inner, dt)
     return out
 
 
-def delta_z_from_blocks(
-    b_blocks: list[tuple[float, np.ndarray]],
-    us: np.ndarray,
-    dhs_tilde: np.ndarray,
-    psi_s: np.ndarray,
-    grid: TimeGrid,
-) -> complex:
-    """Reservoir-averaged phase correction <DeltaZ> from the blocks of B.
+def delta_z_from_b(b_avg: np.ndarray, u_fin: np.ndarray, hs: np.ndarray,
+                   psi_s: np.ndarray, dt: float) -> complex:
+    """Reservoir-averaged phase correction <DeltaZ> from ``<B>_R``.
 
-    Per populated reservoir state the correction functional is
+    With ``dHs = H_S - <psi_S|H_S|psi_S>`` (U_S commutes with a constant
+    H_S) the correction functional is
 
         U_S B / <U_S>_S - (B - B^dag)/2
-        + i * integral_0^t dt' (B^dag(t') dHs~(t') + dHs~(t') B(t'))
+        + i * integral_0^t dt' (B^dag(t') dHs + dHs B(t'))
 
-    with B inside the integral evaluated at the running time; everything is
-    then taken in the system expectation over psi_S and weighted by p_r.
+    with B inside the integral evaluated at the running time, everything
+    taken in the system expectation over psi_S.  It is real-linear in B, so
+    its value on ``<B>_R`` is the reservoir average of the corrections.
     """
     psi = np.asarray(psi_s, dtype=complex)
-    u_fin = us[-1]
     u_avg = complex(np.vdot(psi, u_fin @ psi))
     if abs(u_avg) < US_AVG_EPS:
         raise UndefinedGP("<U_S>_S vanishes; perturbative GP undefined")
-    acc = 0.0 + 0.0j
-    for p_r, blk in b_blocks:
-        b_fin = blk[-1]
-        term1 = np.vdot(psi, u_fin @ b_fin @ psi) / u_avg
-        term2 = -0.5 * np.vdot(psi, (b_fin - b_fin.conj().T) @ psi)
-        integrand = np.einsum(
-            "i,kij,j->k",
-            psi.conj(),
-            np.conj(np.transpose(blk, (0, 2, 1))) @ dhs_tilde
-            + dhs_tilde @ blk,
-            psi,
-        )
-        term3 = 1j * np.trapezoid(integrand, dx=grid.dt)
-        acc += p_r * (term1 + term2 + term3)
-    return complex(acc)
+    b_fin = b_avg[-1]
+    dhs_psi = hs @ psi - np.vdot(psi, hs @ psi) * psi
+    # <psi|B^dag dHs + dHs B|psi> = 2 Re <dHs psi|B psi> for Hermitian H_S
+    integrand = 2.0 * np.real((b_avg @ psi) @ dhs_psi.conj())
+    return complex(np.vdot(psi, u_fin @ b_fin @ psi) / u_avg
+                   - 0.5 * np.vdot(psi, (b_fin - b_fin.conj().T) @ psi)
+                   + 1j * np.trapezoid(integrand, dx=dt))
 
 
-def delta_z(
-    ops: PerturbationOperators,
-    model: WeakCouplingModel,
-    grid: TimeGrid,
-) -> complex:
+def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
     """<DeltaZ> over rho_SR(0); requires the coupling condition to hold."""
     model.require_rcond()
-    blocks = reservoir_blocks_of_b(ops, model.res, model.dim_s)
-    return delta_z_from_blocks(blocks, ops.us, ops.dhs_tilde, model.psi_s, grid)
+    return delta_z_from_b(reservoir_average_b(ops, model.res), ops.u_fin,
+                          model.hs.matrix, model.psi_s, ops.grid.dt)
 
 
 def lindblad_identification(

@@ -263,6 +263,13 @@ class TestApplyKraus:
         with pytest.raises(InvalidChannel):
             apply_kraus(channel, 0.5 * np.eye(2, dtype=complex), 1.0)
 
+    def test_nan_element_rejected(self):
+        # a NaN defect passes "defect > tol"; the channel must still fail
+        nan = np.full((2, 2), np.nan)
+        channel = KrausChannel(elements=[(1.0, lambda t: nan)], dim=2)
+        with pytest.raises(InvalidChannel):
+            apply_kraus(channel, 0.5 * np.eye(2, dtype=complex), 1.0)
+
     def test_completeness_defect(self):
         channel = KrausChannel(elements=[(1.0, lambda t: np.eye(2))], dim=2)
         assert channel.completeness_defect(0.7) < 1e-15
@@ -348,7 +355,7 @@ class TestConditionalTrajectories:
             couplings=[(g * SIGMA_X, SIGMA_X)], res=res,
             psi_s=psi_initial(np.pi / 3))
         ops = build_AB(model, grid)
-        dz = delta_z(ops, model, grid)
+        dz = delta_z(ops, model)
         beta0 = 2.0 * np.pi * np.sin(np.pi / 6.0) ** 2
         exact_corr = rep.mean_gp_z - beta0
         assert exact_corr == pytest.approx(np.imag(dz), abs=20.0 * g**4)

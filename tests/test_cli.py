@@ -321,12 +321,18 @@ MALFORMED = {
                      "params.couplings[0].r"),
     "r_huge_non_hermitian": (joint_config([[0.0, 1.0e200], [0.0, 0.0]]),
                              "params.couplings"),
+    "g_r_overflow": (
+        with_params(joint_config(None), couplings=[
+            {"g": 1.0e200, "r": [[0.0, 1.0e200], [1.0e200, 0.0]],
+             "s": [[0, 1], [1, 0]]}]),
+        "params.couplings"),
     "lindblad_sweep": (
         lindblad_config(sweep={"parameter": "theta", "values": [0.1, 0.2]}),
         "sweep"),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cfg, field", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_scenario_names_field(tmp_path, capsys, cfg, field):
     path = write_config(tmp_path, cfg)
@@ -335,6 +341,15 @@ def test_malformed_scenario_names_field(tmp_path, capsys, cfg, field):
     assert err.startswith("config error: ")
     assert f"{field}:" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_coupling_is_non_finite(tmp_path, capsys):
+    # g*r is Hermitian but overflows: the error says so, not "not Hermitian"
+    cfg, _ = MALFORMED["g_r_overflow"]
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "not Hermitian" not in err
 
 
 PARAM_NAMES = {

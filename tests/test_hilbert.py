@@ -68,6 +68,16 @@ class TestMatexp:
         with pytest.raises(InvalidOperand):
             matexp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_huge_non_hermitian_matches_scipy(self):
+        # both Frobenius norms overflow; eigh would read one triangle only
+        import scipy.linalg
+
+        m = np.array([[0.0, 1e160], [0.0, 0.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = matexp(m)
+        assert np.array_equal(got, scipy.linalg.expm(m))
+
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
             matexp(np.zeros((2, 3)))

@@ -65,6 +65,9 @@ NAN = float("nan")
      InvalidOperand),
     (lambda: ReservoirSpec(probs=[NAN], states=[[1.0]], energies=[0.0]),
      InvalidState),
+    (lambda: ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2),
+                           energies=[0.0, NAN]),
+     InvalidState),
     (lambda: SystemEnsemble(probs=[NAN], states=[[1.0, 0.0]]), InvalidState),
     (lambda: PhaseDistribution(kind="z", weights=[NAN], values=[1.0]),
      ValueError),
@@ -73,8 +76,9 @@ NAN = float("nan")
     (lambda: TwoLevelAtomParams(omega=1.0, gamma0=float("inf")), ValueError),
     (lambda: PhaseDampingParams(omega=float("inf"), alpha=0.0), ValueError),
     (lambda: PhaseDampingParams(omega=1.0, alpha=NAN), ValueError),
-], ids=["trajectory", "reservoir", "ensemble", "distribution", "grid",
-        "atom_omega", "atom_gamma0", "damping_omega", "damping_alpha"])
+], ids=["trajectory", "reservoir", "reservoir_energy", "ensemble",
+        "distribution", "grid", "atom_omega", "atom_gamma0", "damping_omega",
+        "damping_alpha"])
 def test_non_finite_input_rejected(build, error):
     with pytest.raises(error):
         build()

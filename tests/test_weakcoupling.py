@@ -25,10 +25,10 @@ from gpdist.weakcoupling import (
     WeakCouplingModel,
     build_AB,
     delta_z,
-    delta_z_from_blocks,
+    delta_z_from_b,
     lindblad_identification,
     perturbative_moments,
-    reservoir_blocks_of_b,
+    reservoir_average_b,
 )
 
 PROJ_G = np.diag([1.0, 0.0]).astype(complex)
@@ -130,6 +130,32 @@ class TestBuildAB:
                                      int_sx * SIGMA_X - int_sy * SIGMA_Y)
         assert np.linalg.norm(ops.a[-1] - a_ref) < 1e-8
 
+    def test_h_tilde_matches_expm_interaction_picture(self):
+        # U_0^dag H_I U_0 with U_0 = expm(-i H_0 t), H_0 = H_S x 1 + 1 x H_R,
+        # for a non-diagonal H_S and an H_R with a degenerate pair
+        import scipy.linalg
+
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3))
+                            + 1j * rng.normal(size=(3, 3)))
+        energies = [0.4, 1.1, 1.1]
+        hr = q @ np.diag(energies) @ q.conj().T
+        res = ReservoirSpec(probs=[0.5, 0.3, 0.2], states=q.T,
+                            energies=energies)
+        w = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        model = WeakCouplingModel(
+            hs=Schedule.constant(0.6 * SIGMA_X + 0.3 * SIGMA_Z), hr=hr,
+            couplings=[(0.2 * (w + w.conj().T), SIGMA_X),
+                       (0.1 * hr, SIGMA_Y)],
+            res=res, psi_s=psi_initial(0.7))
+        grid = TimeGrid(0.0, 2.0, 16)
+        h_tilde = build_AB(model, grid).h_tilde()
+        h0 = np.kron(model.hs.matrix, np.eye(3)) + np.kron(np.eye(2), hr)
+        for k in (0, 5, 11, 16):
+            u0 = scipy.linalg.expm(-1j * h0 * grid.times[k])
+            ref = u0.conj().T @ model.h_interaction() @ u0
+            assert np.linalg.norm(h_tilde[k] - ref) <= 1e-12
+
     def test_b_refinement_convergence(self):
         om_r = 2.0
         res = vacuum_qubit_res()
@@ -182,7 +208,7 @@ class TestDeltaZ:
         model = zero_hamiltonian_model(0.0 * SIGMA_X, SIGMA_X)
         grid = TimeGrid(0.0, 1.0, 128)
         ops = build_AB(model, grid)
-        assert abs(delta_z(ops, model, grid)) < 1e-13
+        assert abs(delta_z(ops, model)) < 1e-13
 
     @pytest.mark.parametrize("n_thermal", [0.0, 1.0, 5.0])
     def test_spontaneous_emission_phase_correction(self, n_thermal):
@@ -191,15 +217,11 @@ class TestDeltaZ:
                                theta=np.pi / 3)
         grid = TimeGrid(0.0, p.period, 4096)
         blk = se_effective_b_blocks(p, grid)
-        us = np.array([np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-                       for t in grid.times])
+        t = grid.t_end
+        u_fin = np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
         psi = psi_initial(p.theta)
         hs = -0.5 * SIGMA_Z
-        dhs = np.array([
-            us[k].conj().T @ hs @ us[k]
-            - np.vdot(psi, us[k].conj().T @ hs @ us[k] @ psi) * np.eye(2)
-            for k in range(len(grid.times))])
-        dz = delta_z_from_blocks([(1.0, blk)], us, dhs, psi, grid)
+        dz = delta_z_from_b(blk, u_fin, hs, psi, grid.dt)
         ref = np.pi**2 * p.gamma0 * np.sin(p.theta) ** 2
         assert np.imag(dz) == pytest.approx(ref, abs=1e-8)
 
@@ -210,16 +232,12 @@ class TestDeltaZ:
                                    theta=np.pi / 3)
             grid = TimeGrid(0.0, p.period, 1024)
             blk = se_effective_b_blocks(p, grid)
-            us = np.array([np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-                           for t in grid.times])
+            t = grid.t_end
+            u_fin = np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
             psi = psi_initial(p.theta)
             hs = -0.5 * SIGMA_Z
-            dhs = np.array([
-                us[k].conj().T @ hs @ us[k]
-                - np.vdot(psi, us[k].conj().T @ hs @ us[k] @ psi) * np.eye(2)
-                for k in range(len(grid.times))])
-            vals.append(np.imag(delta_z_from_blocks([(1.0, blk)], us, dhs,
-                                                    psi, grid)))
+            vals.append(np.imag(delta_z_from_b(blk, u_fin, hs, psi,
+                                               grid.dt)))
         assert abs(vals[1] - vals[0]) < 1e-12
         assert abs(vals[2] - vals[0]) < 1e-12
 
@@ -228,21 +246,21 @@ class TestDeltaZ:
         grid = TimeGrid(0.0, 2.0 * np.pi, 64)
         ops = build_AB(pd, grid)
         with pytest.raises(RCondViolated):
-            delta_z(ops, pd, grid)
+            delta_z(ops, pd)
         se = se_weak_coupling_model(TwoLevelAtomParams(omega=1.0, gamma0=0.0),
                                     dim_bath=3, g=0.1)
         ops = build_AB(se, grid)
-        delta_z(ops, se, grid)  # must not raise
+        delta_z(ops, se)  # must not raise
 
     def test_vanishing_system_expectation(self):
         model = zero_hamiltonian_model(0.1 * SIGMA_X, SIGMA_X)
         grid = TimeGrid(0.0, 1.0, 32)
         ops = build_AB(model, grid)
-        # overwrite the system propagator so <psi|U_S|psi> = 0
-        us = np.tile(SIGMA_X, (33, 1, 1))
-        blocks = reservoir_blocks_of_b(ops, model.res, 2)
+        # replace the system propagator so <psi|U_S|psi> = 0
+        b_avg = reservoir_average_b(ops, model.res)
         with pytest.raises(UndefinedGP):
-            delta_z_from_blocks(blocks, us, ops.dhs_tilde, model.psi_s, grid)
+            delta_z_from_b(b_avg, SIGMA_X, model.hs.matrix, model.psi_s,
+                           grid.dt)
 
     def test_depends_only_on_b(self):
         # the correction never references A: mutating A leaves it unchanged
@@ -251,9 +269,9 @@ class TestDeltaZ:
                                     dim_bath=3, g=0.2)
         grid = TimeGrid(0.0, 2.0 * np.pi, 256)
         ops = build_AB(se, grid)
-        before = delta_z(ops, se, grid)
+        before = delta_z(ops, se)
         ops.a[:] = 0.0
-        assert delta_z(ops, se, grid) == before
+        assert delta_z(ops, se) == before
 
     def test_reservoir_redecomposition_invariance(self):
         # Tr(rho_R B) is basis independent inside degenerate blocks
@@ -267,24 +285,28 @@ class TestDeltaZ:
             psi_s=psi_initial(np.pi / 3))
         grid = TimeGrid(0.0, 2.0 * np.pi, 512)
         ops = build_AB(model, grid)
-        base = delta_z(ops, model, grid)
+        base = delta_z(ops, model)
         rng = np.random.default_rng(6)
         v, _ = np.linalg.qr(rng.normal(size=(2, 2))
                             + 1j * rng.normal(size=(2, 2)))
         alt_res = redecompose(res, {0: v})
-        blocks = reservoir_blocks_of_b(ops, alt_res, 2)
-        alt = delta_z_from_blocks(blocks, ops.us, ops.dhs_tilde, model.psi_s,
-                                  grid)
+        alt = delta_z_from_b(reservoir_average_b(ops, alt_res), ops.u_fin,
+                             model.hs.matrix, model.psi_s, grid.dt)
         assert abs(alt - base) < 1e-9
 
 
-def _full_b_delta_z(ops, res, psi, grid):
-    """delta_z from blocks of the full joint B, the reference route."""
-    dim_s = ops.us.shape[1]
+def _full_b_blocks(ops, res):
+    """Blocks <r|B|r> of the full joint B, the reference route."""
+    dim_s = len(ops.u_fin)
     b5 = ops.b.reshape(len(ops.b), dim_s, res.dim, dim_s, res.dim)
-    blocks = [(p, np.einsum("i,kaibj,j->kab", r.conj(), b5, r))
-              for p, r in zip(res.probs, res.states)]
-    return delta_z_from_blocks(blocks, ops.us, ops.dhs_tilde, psi, grid)
+    return [np.einsum("i,kaibj,j->kab", r.conj(), b5, r) for r in res.states]
+
+
+def _full_b_delta_z(ops, res, model):
+    """delta_z from the reservoir average of the full joint B."""
+    b_avg = sum(p * blk for p, blk in zip(res.probs, _full_b_blocks(ops, res)))
+    return delta_z_from_b(b_avg, ops.u_fin, model.hs.matrix, model.psi_s,
+                          ops.grid.dt)
 
 
 class TestBlockRoute:
@@ -311,24 +333,36 @@ class TestBlockRoute:
         grid = TimeGrid(0.0, 2.0 * np.pi, 512)
         ops = build_AB(model, grid)
         for spec in (res, alt):
-            got = delta_z_from_blocks(reservoir_blocks_of_b(ops, spec, 2),
-                                      ops.us, ops.dhs_tilde, model.psi_s,
-                                      grid)
-            ref = _full_b_delta_z(ops, spec, model.psi_s, grid)
+            got = delta_z_from_b(reservoir_average_b(ops, spec), ops.u_fin,
+                                 model.hs.matrix, model.psi_s, grid.dt)
+            ref = _full_b_delta_z(ops, spec, model)
             assert abs(got - ref) <= 1e-14
 
-    def test_time_dependent_system_hamiltonian(self):
-        hs = Schedule(evaluator=lambda t: -0.5 * SIGMA_Z
-                      + 0.3 * np.sin(t) * SIGMA_X, dim=2)
+    def test_correction_of_average_is_average_of_corrections(self):
+        # the functional is real-linear in B and the weights are real
         res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
                             energies=[0.0, 2.0])
-        model = WeakCouplingModel(hs=hs, hr=np.diag([0.0, 2.0]),
+        model = WeakCouplingModel(hs=hs_schedule(1.0), hr=np.diag([0.0, 2.0]),
                                   couplings=[(0.2 * SIGMA_X, SIGMA_X)],
                                   res=res, psi_s=psi_initial(np.pi / 3))
         grid = TimeGrid(0.0, 2.0 * np.pi, 512)
         ops = build_AB(model, grid)
-        ref = _full_b_delta_z(ops, res, model.psi_s, grid)
-        assert abs(delta_z(ops, model, grid) - ref) <= 1e-14
+        per_state = sum(
+            p * delta_z_from_b(blk, ops.u_fin, model.hs.matrix, model.psi_s,
+                               grid.dt)
+            for p, blk in zip(res.probs, _full_b_blocks(ops, res)))
+        assert abs(delta_z(ops, model) - per_state) <= 1e-14
+
+    def test_time_dependent_system_hamiltonian(self):
+        # rejected: the interaction picture is built from a constant H_S
+        hs = Schedule(evaluator=lambda t: -0.5 * SIGMA_Z
+                      + 0.3 * np.sin(t) * SIGMA_X, dim=2)
+        res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
+                            energies=[0.0, 2.0])
+        with pytest.raises(InvalidOperand):
+            WeakCouplingModel(hs=hs, hr=np.diag([0.0, 2.0]),
+                              couplings=[(0.2 * SIGMA_X, SIGMA_X)],
+                              res=res, psi_s=psi_initial(np.pi / 3))
 
 
 class TestPerturbativeMoments:
