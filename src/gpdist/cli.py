@@ -22,7 +22,9 @@ Numbers are finite, omega > 0, theta in [0, pi], the other scalars >= 0.
 ``run`` writes ``moments.csv``; ``atoms`` adds ``atoms.csv`` and
 ``decomposition_check`` (custom_joint only) adds redecomposition shifts.
 ``custom_lindblad`` writes ``evolution.csv``, takes no sweep and needs
-``outputs: []``.  ``compare`` writes ``comparison.csv``.
+``outputs: []``.  ``compare`` writes ``comparison.csv``; ``grid.n_steps``
+sets the grid of its exact side only, since the perturbative phase of
+``custom_joint`` has no grid.
 
 Config errors are found before any numerics run and name their field:
 ``schema``, ``model``, ``params`` or ``params.<name>`` (down to
@@ -238,9 +240,9 @@ def _se_compare(p: TwoLevelAtomParams, grid: TimeGrid) -> dict:
         "gamma0_over_omega_dimensionless": rate,
         "n_thermal_dimensionless": p.n_thermal,
         "theta_rad": p.theta,
-        "exact_mean_gp_z_unwrapped_rad": exact_z,
-        "exact_mean_gp_h_unwrapped_rad": exact_h,
-        "perturbative_gp_unwrapped_rad": pert,
+        "exact_mean_gp_z_positive_branch_rad": exact_z,
+        "exact_mean_gp_h_positive_branch_rad": exact_h,
+        "perturbative_gp_positive_branch_rad": pert,
         "abs_diff_z_rad": abs(exact_z - pert),
         "abs_diff_h_rad": abs(exact_h - pert),
         "expected_order_rad": expected,
@@ -272,7 +274,7 @@ def _pd_compare(p: PhaseDampingParams, grid: TimeGrid) -> dict:
 def _joint_compare(p: CustomPoint, grid: TimeGrid) -> dict:
     """Exact conditional-trajectory moments against delta_z."""
     rep = dist_moments(_joint_distribution(p, grid)[0], n_max=1)
-    dz = delta_z(build_AB(p.model, grid), p.model)
+    dz = delta_z(build_AB(p.model, grid.t_end), p.model)
     pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     return {
@@ -464,8 +466,8 @@ def _run_row(model: Model, p, scn: Scenario, seed: int):
     for measure, first in (("z", rep.z_moments[0]), ("h", rep.mean_gp_h)):
         principal = float(np.angle(first))
         row[f"mean_gp_{measure}_principal_rad"] = principal
-        row[f"mean_gp_{measure}_unwrapped_rad"] = angle_to_positive_branch(
-            principal)
+        row[f"mean_gp_{measure}_positive_branch_rad"] = (
+            angle_to_positive_branch(principal))
     row["spread_w_dimensionless"] = rep.spread_w
     row["closed_system_gp_rad"] = closed_system_gp(p.theta)
     row.update(model.references(p))

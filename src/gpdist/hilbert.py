@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InvalidOperand
 
@@ -131,6 +130,7 @@ def matexp(m) -> np.ndarray:
     Hermitian inputs go through an eigendecomposition, anti-Hermitian inputs
     through the eigendecomposition of ``i*M`` (which keeps the result unitary
     to machine precision); everything else falls back to scaling-and-squaring.
+    scipy is imported only there, which keeps it off the import path.
     """
     m = _as_square(m)
     if is_hermitian(m):
@@ -140,6 +140,8 @@ def matexp(m) -> np.ndarray:
         # m = -i*h with h = i*m Hermitian
         w, v = np.linalg.eigh(1j * m)
         return (v * np.exp(-1j * w)) @ v.conj().T
+    import scipy.linalg
+
     return scipy.linalg.expm(m)
 
 

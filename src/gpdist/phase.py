@@ -72,7 +72,8 @@ def dynamic_phase(traj: Trajectory) -> float:
     """
     psi = traj.states
     dt = traj.grid.dt
-    psi_dot = np.gradient(psi, dt, axis=0, edge_order=2)
+    psi_dot = np.gradient(psi, dt, axis=0,
+                          edge_order=min(2, traj.grid.n_steps))
     num = np.einsum("ki,ki->k", psi.conj(), psi_dot).imag
     den = np.einsum("ki,ki->k", psi.conj(), psi).real
     return float(np.trapezoid(num / den, dx=dt))
@@ -131,5 +132,6 @@ def principal_angle(a: float) -> float:
 
 
 def angle_to_positive_branch(a: float) -> float:
-    """Map an angle to [0, 2*pi), the branch used for unwrapped GP values."""
+    """Map an angle to [0, 2*pi), the branch of the ``*_positive_branch_rad``
+    columns."""
     return float(np.mod(a, 2.0 * np.pi))

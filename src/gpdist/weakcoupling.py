@@ -15,18 +15,23 @@ perturbative moments of both phase distributions then coincide:
 
     <e^{ins}>_H = <z^n>_Z / |<z>_Z|^n = e^{in beta0} (1 + i n Im<DeltaZ>).
 
-H_S is constant, so H_0 is diagonal in ``kron(V_S, V_R)``, the product of
-the eigenbases of H_S and H_R, and there ``H_I~_mn(t) = e^{i(E_m - E_n) t}
-g_mn`` with ``g`` the coupling in that basis: one broadcast over the grid.
-The correction functional is real-linear in B and the reservoir weights are
-real, so it is applied once, to the average ``<B>_R = sum_r p_r <r|B|r>``.
-Each block ``<r|B|r>`` comes from the rows ``<r|H_I~|.>`` in O(n * d * d_S)
-memory.
+H_0 and H_I are constant, so A(t), B(t) and integral_0^t B are iterated
+integrals of exponentials, and Van Loan's block-triangular exponential
+(C. F. Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)) gives them all
+from one ``expm``.  With ``X = -i H_0`` and ``Y = -i H_I``,
+
+    expm(t [[X, 1, 0, 0],     [[U_0, .,   .,       U_0 int_0^t B],
+            [0, X, Y, 0],  =   [0,   U_0, U_0 A,   U_0 B        ],
+            [0, 0, X, Y],      [0,   0,   U_0,     .            ],
+            [0, 0, 0, X]])     [0,   0,   0,       U_0          ]]
+
+so no time grid enters this layer.  The correction functional is
+real-linear in B and the reservoir weights are real, so it is applied once,
+to the averages ``<B>_R`` and ``<int B>_R`` over ``sum_r p_r <r|.|r>``.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +45,7 @@ from .errors import (
     RCondViolated,
     UndefinedGP,
 )
-from .hilbert import Schedule, TimeGrid, eigenphases, is_hermitian
+from .hilbert import Schedule, is_hermitian, matexp, partial_inner
 
 RCOND_TOL = 1e-10
 IM_DZ_WARN = 0.1
@@ -119,89 +124,35 @@ class WeakCouplingModel:
 
 @dataclass
 class PerturbationOperators:
-    """The interaction picture on the grid in the H_0 eigenbasis, factored
-    so that ``delta_z`` needs only the rows ``<r|H_I~|.>``.  The joint A
-    and B are formed on first read, as (n+1, d, d) arrays in the original
-    basis.
-    """
+    """The second-order operators at one time t, on the joint space."""
 
-    grid: TimeGrid
-    u_fin: np.ndarray   # (ds, ds) system propagator at the last node
-    basis: np.ndarray   # (d, d) eigenvectors kron(V_S, V_R) of H_0, as columns
-    phases: np.ndarray  # (n+1, d) e^{-i E_m t_k}
-    g: np.ndarray       # (d, d) H_I in the H_0 eigenbasis
-
-    def h_tilde_rows(self, r) -> np.ndarray:
-        """``<r|H_I~(t_k)|.>`` as (n+1, ds, d) samples, the system index in
-        the original basis.  The joint column index runs over the H_0
-        eigenbasis: it only ever contracts against the adjoint rows."""
-        w = np.conj(r) @ self.basis.reshape(len(self.u_fin), -1, len(self.g))
-        return ((w * self.phases.conj()[:, None, :]) @ self.g
-                * self.phases[:, None, :])
-
-    def h_tilde(self) -> np.ndarray:
-        """(n+1, d, d) interaction-picture H_I in the original basis."""
-        m = self.phases.conj()[:, :, None] * self.g * self.phases[:, None, :]
-        return self.basis @ m @ self.basis.conj().T
-
-    @functools.cached_property
-    def a(self) -> np.ndarray:
-        """(n+1, d, d) joint A, anti-Hermitian."""
-        return -1j * _cumtrapz(self.h_tilde(), self.grid.dt)
-
-    @functools.cached_property
-    def b(self) -> np.ndarray:
-        """(n+1, d, d) joint B."""
-        h_tilde = self.h_tilde()
-        inner = _cumtrapz(h_tilde, self.grid.dt)   # integral up to t'
-        return -_cumtrapz(h_tilde @ inner, self.grid.dt)
+    u_fin: np.ndarray  # (ds, ds) system propagator U_S(t)
+    a: np.ndarray      # (d, d) A(t), anti-Hermitian
+    b: np.ndarray      # (d, d) B(t)
+    b_int: np.ndarray  # (d, d) integral_0^t B(t') dt'
 
 
-def _cumtrapz(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along the leading axis (matrix-valued)."""
-    out = np.zeros_like(samples)
-    out[1:] = np.cumsum(0.5 * dt * (samples[:-1] + samples[1:]), axis=0)
-    return out
-
-
-def build_AB(model: WeakCouplingModel, grid: TimeGrid) -> PerturbationOperators:
-    """Interaction picture of ``model`` on ``grid``; A by trapezoidal
-    accumulation and B by the nested (inner cumulative, outer re-integrated)
-    trapezoid, both second order in dt."""
-    v_s, phases_s = eigenphases(model.hs.matrix, grid)
-    v_r, phases_r = eigenphases(model.hr, grid)
-    basis = np.kron(v_s, v_r)
+def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
+    """A, B and their time integral at ``t``, from one block exponential."""
+    d = model.dim_s * model.dim_r
+    x = -1j * (np.kron(model.hs.matrix, np.eye(model.dim_r))
+               + np.kron(np.eye(model.dim_s), model.hr))
+    m = np.zeros((4, d, 4, d), dtype=complex)
+    for k in range(4):
+        m[k, :, k] = x
+    m[0, :, 1] = np.eye(d)
+    m[1, :, 2] = m[2, :, 3] = -1j * model.h_interaction()
+    e = matexp(t * m.reshape(4 * d, 4 * d)).reshape(4, d, 4, d)
+    u0_dag = e[0, :, 0].conj().T
     return PerturbationOperators(
-        grid=grid, u_fin=(v_s * phases_s[-1]) @ v_s.conj().T, basis=basis,
-        phases=(phases_s[:, :, None] * phases_r[:, None, :]).reshape(
-            len(phases_s), -1),
-        g=basis.conj().T @ model.h_interaction() @ basis)
+        u_fin=matexp(-1j * t * model.hs.matrix), a=u0_dag @ e[1, :, 2],
+        b=u0_dag @ e[1, :, 3], b_int=u0_dag @ e[0, :, 3])
 
 
-def reservoir_average_b(ops: PerturbationOperators,
-                        res: ReservoirSpec) -> np.ndarray:
-    """Reservoir average ``<B(t)>_R = sum_r p_r <r|B(t)|r>`` as (n+1, ds, ds)
-    system-operator samples.
-
-    ``<r|H~(t') H~(t'')|r>`` sums ``<r|H~(t')|.>`` against ``<.|H~(t'')|r>``,
-    the adjoint of the same rows, so each block is the nested trapezoid of
-    B on (n+1, ds, d) rows, never on the joint (n+1, d, d) arrays.
-    """
-    dim_s = len(ops.u_fin)
-    if len(ops.basis) != dim_s * res.dim:
-        raise DimensionError("reservoir average: dimension mismatch")
-    dt = ops.grid.dt
-    out = np.zeros((len(ops.phases), dim_s, dim_s), dtype=complex)
-    for p_r, r in zip(res.probs, res.states):
-        rows = ops.h_tilde_rows(r)
-        inner = _cumtrapz(rows, dt).conj().transpose(0, 2, 1)
-        out -= p_r * _cumtrapz(rows @ inner, dt)
-    return out
-
-
-def delta_z_from_b(b_avg: np.ndarray, u_fin: np.ndarray, hs: np.ndarray,
-                   psi_s: np.ndarray, dt: float) -> complex:
-    """Reservoir-averaged phase correction <DeltaZ> from ``<B>_R``.
+def delta_z_from_b(b_fin: np.ndarray, b_int: np.ndarray, u_fin: np.ndarray,
+                   hs: np.ndarray, psi_s: np.ndarray) -> complex:
+    """Reservoir-averaged phase correction <DeltaZ> from ``<B(t)>_R`` and
+    ``<integral_0^t B>_R``.
 
     With ``dHs = H_S - <psi_S|H_S|psi_S>`` (U_S commutes with a constant
     H_S) the correction functional is
@@ -211,40 +162,40 @@ def delta_z_from_b(b_avg: np.ndarray, u_fin: np.ndarray, hs: np.ndarray,
 
     with B inside the integral evaluated at the running time, everything
     taken in the system expectation over psi_S.  It is real-linear in B, so
-    its value on ``<B>_R`` is the reservoir average of the corrections.
+    the integral is the same expression on ``b_int`` and its value on
+    ``<B>_R`` is the reservoir average of the corrections.
     """
     psi = np.asarray(psi_s, dtype=complex)
     u_avg = complex(np.vdot(psi, u_fin @ psi))
     if abs(u_avg) < US_AVG_EPS:
         raise UndefinedGP("<U_S>_S vanishes; perturbative GP undefined")
-    b_fin = b_avg[-1]
     dhs_psi = hs @ psi - np.vdot(psi, hs @ psi) * psi
     # <psi|B^dag dHs + dHs B|psi> = 2 Re <dHs psi|B psi> for Hermitian H_S
-    integrand = 2.0 * np.real((b_avg @ psi) @ dhs_psi.conj())
     return complex(np.vdot(psi, u_fin @ b_fin @ psi) / u_avg
                    - 0.5 * np.vdot(psi, (b_fin - b_fin.conj().T) @ psi)
-                   + 1j * np.trapezoid(integrand, dx=dt))
+                   + 2j * np.real(np.vdot(dhs_psi, b_int @ psi)))
 
 
 def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
     """<DeltaZ> over rho_SR(0); requires the coupling condition to hold."""
     model.require_rcond()
-    return delta_z_from_b(reservoir_average_b(ops, model.res), ops.u_fin,
-                          model.hs.matrix, model.psi_s, ops.grid.dt)
+    b_fin, b_int = (
+        sum(p * partial_inner(r, op, r, model.dim_s, model.dim_r)
+            for p, r in zip(model.res.probs, model.res.states))
+        for op in (ops.b, ops.b_int))
+    return delta_z_from_b(b_fin, b_int, ops.u_fin, model.hs.matrix,
+                          model.psi_s)
 
 
 def lindblad_identification(
-    b_avg: np.ndarray, us: np.ndarray, grid: TimeGrid,
+    b_dot: np.ndarray, u_s: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``U_S <dB/dt>_R U_S^dag = -i dH - sum L^dag L`` mid-grid.
+    """Split ``U_S d<B>_R/dt U_S^dag = -i dH - sum L^dag L`` at one time.
 
-    ``b_avg`` holds the reservoir average <B(t)>_R as system-operator samples.
     Returns ``(delta_h, sum_ldag_l)``; a dissipative part that fails to be
     positive semidefinite (beyond ``PSD_TOL``) raises InconsistentModel.
     """
-    node = b_avg.shape[0] // 2
-    b_dot = np.gradient(b_avg, grid.dt, axis=0, edge_order=2)
-    m = us[node] @ b_dot[node] @ us[node].conj().T
+    m = u_s @ b_dot @ u_s.conj().T
     sum_ldag_l = -0.5 * (m + m.conj().T)
     delta_h = 0.5j * (m - m.conj().T)
     if np.linalg.eigvalsh(sum_ldag_l).min() < -PSD_TOL:

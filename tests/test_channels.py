@@ -354,7 +354,7 @@ class TestConditionalTrajectories:
             hs=hs_schedule(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
             couplings=[(g * SIGMA_X, SIGMA_X)], res=res,
             psi_s=psi_initial(np.pi / 3))
-        ops = build_AB(model, grid)
+        ops = build_AB(model, grid.t_end)
         dz = delta_z(ops, model)
         beta0 = 2.0 * np.pi * np.sin(np.pi / 6.0) ** 2
         exact_corr = rep.mean_gp_z - beta0

@@ -126,7 +126,7 @@ class TestRunSpontaneousEmission:
             th = float(rec["theta_rad"])
             beta0 = 2.0 * np.pi * np.sin(th / 2.0) ** 2
             assert float(rec["closed_system_gp_rad"]) == pytest.approx(beta0)
-            got = float(rec["mean_gp_z_unwrapped_rad"])
+            got = float(rec["mean_gp_z_positive_branch_rad"])
             assert abs(got - beta0) < 0.1  # weak coupling, near closed value
 
     def test_deterministic_output(self, tmp_path):
@@ -196,7 +196,7 @@ class TestCompare:
         rows = compare_scenario(scn, tmp_path, "csv")
         table = read_csv(tmp_path / "comparison.csv")
         assert len(table) == 3
-        perts = {r["perturbative_gp_unwrapped_rad"] for r in table}
+        perts = {r["perturbative_gp_positive_branch_rad"] for r in table}
         assert len(perts) == 1  # first order is temperature independent
         for rec in table:
             assert rec["order_violation"] == "false"
@@ -233,6 +233,21 @@ class TestMain:
         path = write_config(tmp_path, se_config())
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert "wrote 1 rows" in capsys.readouterr().out
+        # one grid step is the smallest documented grid
+        pd = {"schema": SCHEMA_VERSION, "model": "phase_damping",
+              "params": {"omega": 1.0, "alpha": 1e-3, "theta": np.pi / 4}}
+        for name, cfg in (("pd", pd), ("joint", joint_config([[0, 1],
+                                                               [1, 0]]))):
+            cfg["grid"] = {"n_steps": 1}
+            path = write_config(tmp_path, cfg, f"{name}.yaml")
+            for command in ("run", "compare"):
+                out = tmp_path / f"{name}_{command}"
+                assert main([command, path, "--out", str(out)]) == 0
+                for table in out.glob("*.csv"):
+                    for rec in read_csv(table):
+                        cells = [v for v in rec.values()
+                                 if v not in ("true", "false")]
+                        assert np.all(np.isfinite(np.array(cells, float)))
 
     def test_exit_two_on_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, se_config(schema=7))
