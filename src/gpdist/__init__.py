@@ -21,6 +21,7 @@ from .errors import (
     InvalidDecomposition,
     InvalidOperand,
     InvalidState,
+    QuadratureNotConverged,
     RCondViolated,
     UndefinedGP,
 )
@@ -36,6 +37,7 @@ from .hilbert import (
     time_ordered_propagator,
 )
 from .phase import (
+    ClosedFormPath,
     PhaseResult,
     Trajectory,
     dynamic_phase,
@@ -62,6 +64,7 @@ from .distribution import (
     PhaseDistribution,
     block_first_moment,
     build_distribution,
+    decomposition_check,
     merge_atoms,
     moments,
     redecompose,

@@ -1,6 +1,7 @@
 """Open-system dynamics: Lindblad integration, Kraus channels, conditional
-trajectories from a joint unitary (or straight from the eigenvectors of a
-constant joint Hamiltonian), and the reservoir-adapted basis.
+trajectories from a joint unitary (or, as closed-form paths, straight from
+the eigenvectors of a constant joint Hamiltonian), and the reservoir-adapted
+basis.
 
 The Lindblad normalization follows the convention in which the dissipator
 reads ``-(L^dag L rho + rho L^dag L - 2 L rho L^dag)`` with NO factor 1/2;
@@ -30,8 +31,8 @@ from .errors import (
     InvalidOperand,
     InvalidState,
 )
-from .hilbert import Schedule, TimeGrid, eigenphases, is_hermitian
-from .phase import Trajectory
+from .hilbert import Schedule, TimeGrid, eigh_hermitian, is_hermitian
+from .phase import ClosedFormPath, Trajectory
 
 ENERGY_DEGENERACY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
@@ -324,31 +325,41 @@ def spectral_conditional_trajectories(
     h: np.ndarray,
     res: ReservoirSpec,
     sys: SystemEnsemble,
-    grid: TimeGrid,
-) -> tuple[list[tuple[float, Trajectory]], np.ndarray]:
-    """``conditional_trajectories`` of a constant joint Hamiltonian ``h``,
-    and the final propagator ``U(t_N)``, without the (n, d, d) stack of U.
+    t_end: float,
+) -> tuple[list[tuple[float, ClosedFormPath]], np.ndarray]:
+    """``conditional_trajectories`` of a constant joint Hamiltonian ``h`` as
+    closed-form paths on [0, t_end], and the final propagator ``U(t_end)``.
 
     With ``h = V diag(lambda) V^dag`` each conditional state is
 
-        psi_r(t_k)_a = sum_n <a, r|V>_n e^{-i lambda_n (t_k - t_0)}
-                       (V^dag (psi_s x r))_n,
+        psi_r(t)_a = sum_n <a, r|V>_n e^{-i lambda_n t} (V^dag (psi_s x r))_n,
 
-    one eigendecomposition per call and O(n * d) work per trajectory.
+    and its derivative multiplies each term by -i lambda_n: one
+    eigendecomposition per call and O(d) work per path and time.
     """
+    lam, v = eigh_hermitian(h)
     dim_s, dim_r = sys.states.shape[1], res.dim
-    v, phases = eigenphases(h, grid)
     if len(v) != dim_s * dim_r:
         raise DimensionError("joint Hamiltonian dimension != dim_s * dim_r")
     v3 = v.reshape(dim_s, dim_r, len(v))
+    rates = -1j * lam
+
+    def path(left, coeffs):
+        def psi(t):
+            return (np.exp(np.outer(t, rates)) * coeffs) @ left.T
+
+        def dpsi(t):
+            return (np.exp(np.outer(t, rates)) * (rates * coeffs)) @ left.T
+
+        return ClosedFormPath(psi=psi, dpsi=dpsi, t_end=t_end)
+
     out = []
     for p_r, r in zip(res.probs, res.states):
         left = np.einsum("i,ain->an", r.conj(), v3)
         for q_s, psi in zip(sys.probs, sys.states):
             coeffs = np.einsum("ain,a,i->n", v3.conj(), psi, r)
-            states = (phases * coeffs) @ left.T
-            out.append((p_r * q_s, Trajectory(grid=grid, states=states)))
-    return out, (v * phases[-1]) @ v.conj().T
+            out.append((p_r * q_s, path(left, coeffs)))
+    return out, (v * np.exp(-1j * (t_end * lam))) @ v.conj().T
 
 
 def conditional_kraus_elements(

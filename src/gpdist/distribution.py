@@ -20,7 +20,7 @@ import numpy as np
 from .channels import ENERGY_DEGENERACY_TOL, ReservoirSpec
 from .errors import InvalidBlock, InvalidDecomposition, UndefinedGP
 from .hilbert import partial_inner
-from .phase import Trajectory, z_functional
+from .phase import ClosedFormPath, Trajectory, z_functional
 
 WEIGHT_TOL = 1e-10
 FIRST_MOMENT_EPS = 1e-12  # |<z>_Z| below this leaves the mean GP undefined
@@ -28,6 +28,7 @@ MERGE_TOL = 1e-12         # atoms closer than this merge in ``merge_atoms``
 # |<e^{is}>|^2 is <= 1 up to rounding; spreads below this floor are reported
 # as exactly zero so that sharp distributions come out sharp.
 SPREAD_NOISE_FLOOR = 1e-14
+DECOMPOSITION_SEEDS = 10  # random redecompositions in ``decomposition_check``
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class PhaseDistribution:
     kind: str
     weights: np.ndarray
     values: np.ndarray
+    error_estimate: float | None = None  # largest atom error estimate, rad
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -51,6 +53,9 @@ class PhaseDistribution:
             raise ValueError("weights must be nonnegative and sum to 1")
         if self.kind == "h" and not np.all(np.abs(np.abs(values) - 1.0) <= 1e-12):
             raise ValueError("h-valued atoms must lie on the unit circle")
+        if self.error_estimate is not None and not (
+                np.isfinite(self.error_estimate) and self.error_estimate >= 0):
+            raise ValueError("error_estimate must be finite and >= 0")
 
     def to_h(self) -> "PhaseDistribution":
         """Project Z-valued atoms onto the unit circle."""
@@ -60,7 +65,9 @@ class PhaseDistribution:
         if np.any(mod < 1e-300):
             raise UndefinedGP("zero atom cannot be projected onto the circle")
         v = self.values / mod
-        return PhaseDistribution(kind="h", weights=self.weights, values=v / np.abs(v))
+        return PhaseDistribution(kind="h", weights=self.weights,
+                                 values=v / np.abs(v),
+                                 error_estimate=self.error_estimate)
 
 
 @dataclass(frozen=True)
@@ -77,26 +84,32 @@ class MomentReport:
 
 
 def build_distribution(
-    weighted_trajs: list[tuple[float, Trajectory]],
+    weighted_trajs: list[tuple[float, Trajectory | ClosedFormPath]],
     kind: str = "z",
 ) -> PhaseDistribution:
     """One atom per trajectory, valued Z[psi] ("z") or Z/|Z| ("h").
 
     A trajectory with undefined GP contributes a legal zero atom to a
     Z-valued build but aborts an H-valued build, which needs every phase.
+    The distribution's ``error_estimate`` is the largest over the defined
+    atoms, or None when one of them has none (a sampled trajectory).
     """
-    weights, values = [], []
+    weights, values, estimates = [], [], []
     for w, traj in weighted_trajs:
         try:
-            z = z_functional(traj).z
+            res = z_functional(traj)
+            z = res.z
+            estimates.append(res.error_estimate)
         except UndefinedGP:
             if kind == "h":
                 raise
             z = 0.0
         weights.append(w)
         values.append(z)
+    estimate = (None if None in estimates or not estimates
+                else max(estimates))
     dist = PhaseDistribution(kind="z", weights=np.array(weights),
-                             values=np.array(values))
+                             values=np.array(values), error_estimate=estimate)
     return dist.to_h() if kind == "h" else dist
 
 
@@ -144,7 +157,8 @@ def merge_atoms(dist: PhaseDistribution) -> PhaseDistribution:
             vals.append(complex(v))
             wts.append(float(w))
     return PhaseDistribution(kind=dist.kind, weights=np.array(wts),
-                             values=np.array(vals))
+                             values=np.array(vals),
+                             error_estimate=dist.error_estimate)
 
 
 def block_first_moment(
@@ -213,3 +227,34 @@ def redecompose(
                           - res.block_density(blocks[bi])) > 1e-12:
             raise InvalidDecomposition("block density matrix changed")
     return out
+
+
+def decomposition_check(res: ReservoirSpec, psi_s: np.ndarray,
+                        u_fin: np.ndarray, seed: int) -> tuple[float, float]:
+    """Redecompose degenerate blocks with seeded random unitaries and return
+    the worst shift of each first moment (Z, H) under the common-D(E)
+    convention."""
+    rng = np.random.default_rng(seed)
+    dim_s = len(psi_s)
+
+    def first_moments(spec):
+        # v_r = <psi|<r|U|r>|psi>; the blocks partition the states, so the
+        # block moments sum to Z = sum p_r v_r, and H = sum p_r v_r / |v_r|
+        v = np.array([np.vdot(psi_s, partial_inner(r, u_fin, r, dim_s,
+                                                   res.dim) @ psi_s)
+                      for r in spec.states])
+        return spec.probs @ v, spec.probs @ (v / abs(v))
+
+    z0, h0 = first_moments(res)
+    worst_z, worst_h = 0.0, 0.0
+    blocks = [(bi, len(blk)) for bi, blk in enumerate(res.blocks())
+              if len(blk) > 1]
+    for _ in range(DECOMPOSITION_SEEDS if blocks else 0):
+        unitaries = {}
+        for bi, k in blocks:
+            g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            unitaries[bi] = np.linalg.qr(g)[0]
+        z1, h1 = first_moments(redecompose(res, unitaries))
+        worst_z = max(worst_z, abs(z1 - z0))
+        worst_h = max(worst_h, abs(h1 - h0))
+    return worst_z, worst_h

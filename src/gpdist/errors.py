@@ -58,3 +58,8 @@ class RCondViolated(GpdistError):
 
 class ConfigError(GpdistError):
     """A scenario configuration file is malformed."""
+
+
+class QuadratureNotConverged(GpdistError):
+    """Gauss-Legendre values of a dynamic phase still disagree at the node
+    cap."""

@@ -5,8 +5,8 @@ on a uniform grid, and partial inner products on bipartite spaces.
 
 Constant and time-dependent generators take different paths.  A constant
 Hermitian ``H`` (``Schedule.constant``) is diagonalized once,
-``H = V diag(lambda) V^dag``, and every node follows from the phases
-``e^{-i lambda_n (t_k - t_0)}`` (``eigenphases``); the propagator is
+``H = V diag(lambda) V^dag`` (``eigh_hermitian``), and every node follows
+from the phases ``e^{-i lambda_n (t_k - t_0)}``; the propagator is
 ``U(t_k) = V e^{-i lambda (t_k - t_0)} V^dag`` with no per-step rounding.  A
 time-dependent schedule keeps the midpoint product of step exponentials,
 which is second order in ``dt``.
@@ -145,16 +145,13 @@ def matexp(m) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def eigenphases(h, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors ``V`` of a constant Hermitian ``h`` and the phases
-    ``e^{-i lambda_n (t_k - t_0)}`` of its eigenvalues on the grid, shape
-    (n_steps + 1, dim), so that ``U(t_k) = V diag(phases[k]) V^dag``.
-    """
+def eigh_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``lambda`` and eigenvectors ``V`` of a constant Hermitian
+    ``h = V diag(lambda) V^dag``."""
     h = _as_square(h)
     if not is_hermitian(h):
         raise InvalidOperand("spectral propagation needs a Hermitian matrix")
-    w, v = np.linalg.eigh(h)
-    return v, np.exp(-1j * np.outer(grid.times - grid.t_start, w))
+    return np.linalg.eigh(h)
 
 
 def time_ordered_propagator(h: Schedule, grid: TimeGrid) -> np.ndarray:
@@ -166,7 +163,8 @@ def time_ordered_propagator(h: Schedule, grid: TimeGrid) -> np.ndarray:
     ``dt`` and exactly unitary for Hermitian schedules.
     """
     if h.matrix is not None and is_hermitian(h.matrix):
-        v, phases = eigenphases(h.matrix, grid)
+        lam, v = eigh_hermitian(h.matrix)
+        phases = np.exp(-1j * np.outer(grid.times - grid.t_start, lam))
         return (v * phases[:, None, :]) @ v.conj().T
     h_mid = h.sample(grid, at="midpoints")
     dt = grid.dt

@@ -16,7 +16,7 @@ import numpy as np
 from .channels import KrausChannel, LindbladModel, ReservoirSpec
 from .distribution import PhaseDistribution
 from .hilbert import SIGMA_Z, Schedule, TimeGrid
-from .phase import Trajectory, angle_to_positive_branch
+from .phase import ClosedFormPath, Trajectory, angle_to_positive_branch
 from .weakcoupling import WeakCouplingModel
 
 PROJ_G = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -291,14 +291,24 @@ def pd_lindblad_model(p: PhaseDampingParams) -> LindbladModel:
 
 
 def pd_trajectories(
-    p: PhaseDampingParams, grid: TimeGrid
-) -> list[tuple[float, Trajectory]]:
-    """The two equally weighted conditional trajectories K_i(t)|psi_S>."""
-    psi = psi_initial(p.theta)
+    p: PhaseDampingParams,
+) -> list[tuple[float, ClosedFormPath]]:
+    """The two equally weighted conditional paths K_i(t)|psi_S> over one
+    period.  Im<psi|psi'> sees only the component phases -+ omega t / 2, so
+    ``dpsi`` leaves out the derivative of the real amplitudes, whose r(t)
+    goes like sqrt(t) at t = 0."""
+    psi0 = psi_initial(p.theta)
+    rates = np.array([-0.5j, 0.5j]) * p.omega
     weights = [w for w, _ in pd_kraus_channel(p).elements]
-    diags = _pd_diagonals(p, grid.times)
-    return [(w, Trajectory(grid=grid, states=d * psi))
-            for w, d in zip(weights, diags)]
+
+    def path(i):
+        def psi(t):
+            return _pd_diagonals(p, t)[i] * psi0
+
+        return ClosedFormPath(psi=psi, dpsi=lambda t: rates * psi(t),
+                              t_end=p.period, sqrt_singular_start=True)
+
+    return [(w, path(i)) for i, w in enumerate(weights)]
 
 
 @dataclass(frozen=True)
@@ -311,6 +321,7 @@ class PhaseDampingMoments:
     ref_mean_gp_z: complex    # e^{i b0} (1 + (2 i pi^2 a/3w) cos sin^2)
     ref_mean_gp_h: complex    # e^{i b0} (1 + (2 pi^2 a/w) sin^2 (i cos - 4/9 sin^2))
     ref_spread_w: float       # 16 pi^2 sin^4(theta) a / (9 w)
+    error_estimate: float     # largest |beta_n - beta_2n| of the atoms, rad
 
 
 def pd_first_order_references(p: PhaseDampingParams) -> tuple[complex, complex, float]:
@@ -325,12 +336,11 @@ def pd_first_order_references(p: PhaseDampingParams) -> tuple[complex, complex, 
     return complex(ref_z), complex(ref_h), float(ref_w)
 
 
-def pd_moments(p: PhaseDampingParams, n_steps: int = 4096) -> PhaseDampingMoments:
+def pd_moments(p: PhaseDampingParams) -> PhaseDampingMoments:
     """Exact two-atom moments at one period, next to the first-order forms."""
     from .distribution import build_distribution, moments as dist_moments
 
-    grid = TimeGrid(0.0, p.period, n_steps)
-    dist = build_distribution(pd_trajectories(p, grid), kind="z")
+    dist = build_distribution(pd_trajectories(p), kind="z")
     rep = dist_moments(dist, n_max=1)
     first_z = rep.z_moments[0]
     ref_z, ref_h, ref_w = pd_first_order_references(p)
@@ -341,6 +351,7 @@ def pd_moments(p: PhaseDampingParams, n_steps: int = 4096) -> PhaseDampingMoment
         ref_mean_gp_z=ref_z,
         ref_mean_gp_h=ref_h,
         ref_spread_w=ref_w,
+        error_estimate=dist.error_estimate,
     )
 
 

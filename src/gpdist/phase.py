@@ -9,23 +9,42 @@ removes the dynamic part, leaving Z[psi] = D[psi] <psi(0)|psi(t)> whose
 argument is the geometric phase beta.  Z = 0 means the phase is undefined
 and is reported as an error, never as NaN.
 
-Quadrature: trapezoid in time with centered finite differences for the state
-derivative (second-order one-sided stencils at the endpoints), second order
-overall to match the propagator.
+Two kinds of path are scored.  A sampled ``Trajectory`` uses the trapezoid
+rule in time with centered finite differences for the state derivative
+(second-order one-sided stencils at the endpoints), second order overall to
+match the propagator.  A ``ClosedFormPath`` gives psi(t) and dpsi/dt exactly
+at any time, so its integral is taken by Gauss-Legendre quadrature: the node
+count doubles from ``QUADRATURE_START_NODES`` until two successive values
+agree to ``QUADRATURE_TOL``, and that difference is reported as the
+estimated error of beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTrajectory, InvalidOperand, UndefinedGP
+from .errors import (DegenerateTrajectory, InvalidOperand,
+                     QuadratureNotConverged, UndefinedGP)
 from .hilbert import TimeGrid
 
 NORM_FLOOR = 1e-12
 Z_RELATIVE_EPS = 1e-9
+# |phi_n - phi_2n| relative to max(1, |phi_2n|) that ends the node doubling
+QUADRATURE_TOL = 1e-12
+QUADRATURE_START_NODES = 16
+QUADRATURE_MAX_NODES = 4096
+
+
+def _check_norms(norms2: np.ndarray):
+    """Squared norms of a path's states: finite and above the floor."""
+    if not np.all(np.isfinite(norms2)):
+        raise InvalidOperand("trajectory has non-finite states")
+    if np.any(norms2 <= NORM_FLOOR**2):
+        raise DegenerateTrajectory("trajectory norm fell below threshold")
 
 
 @dataclass(frozen=True)
@@ -42,11 +61,7 @@ class Trajectory:
             raise ValueError(
                 f"need {self.grid.n_steps + 1} sampled states, got {states.shape}"
             )
-        norms2 = np.einsum("ki,ki->k", states.conj(), states).real
-        if not np.all(np.isfinite(norms2)):
-            raise InvalidOperand("trajectory has non-finite states")
-        if np.any(norms2 <= NORM_FLOOR**2):
-            raise DegenerateTrajectory("trajectory norm fell below threshold")
+        _check_norms(np.einsum("ki,ki->k", states.conj(), states).real)
 
     @property
     def dim(self) -> int:
@@ -57,11 +72,34 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class ClosedFormPath:
+    """Pure-state path on [0, t_end] given by vectorised closed forms.
+
+    ``psi(t)`` and ``dpsi(t)`` map an array of k times to (k, dim) states.
+    ``dpsi`` may differ from d psi/dt by any vector delta with
+    Im<psi|delta> = 0, such as the derivative of a real amplitude that
+    multiplies each component.  ``sqrt_singular_start`` marks an integrand
+    that behaves like sqrt(t) at t = 0; the quadrature then runs in u with
+    t = t_end u^2, where it is smooth.
+    """
+
+    psi: Callable[[np.ndarray], np.ndarray]
+    dpsi: Callable[[np.ndarray], np.ndarray]
+    t_end: float
+    sqrt_singular_start: bool = False
+
+    def __post_init__(self):
+        if not (np.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError("t_end must be finite and > 0")
+
+
+@dataclass(frozen=True)
 class PhaseResult:
     z: complex           # Z[psi]
     beta: float          # arg Z, principal value in (-pi, pi]
     dynamic_phase: float # integral Im<psi|psi_dot>/<psi|psi>, radians
     overlap: complex     # <psi(0)|psi(t)>
+    error_estimate: float | None = None  # |beta_n - beta_2n| of a closed form
 
 
 def dynamic_phase(traj: Trajectory) -> float:
@@ -79,19 +117,91 @@ def dynamic_phase(traj: Trajectory) -> float:
     return float(np.trapezoid(num / den, dx=dt))
 
 
-def z_functional(traj: Trajectory) -> PhaseResult:
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) from the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on P_n, vectorised over the nodes, from the asymptotic
+    guesses cos(pi (k - 1/4) / (n + 1/2))."""
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
+def _gauss_legendre_phase(path: ClosedFormPath, n: int) -> float:
+    """n-node Gauss-Legendre value of the dynamic-phase integral, with the
+    state checks of ``Trajectory`` at every node."""
+    x, w = _gauss_legendre(n)
+    u = 0.5 * (x + 1.0)
+    if path.sqrt_singular_start:
+        t, dt = path.t_end * u * u, path.t_end * u * w  # dt = 2 T u du
+    else:
+        t, dt = path.t_end * u, 0.5 * path.t_end * w
+    psi = path.psi(t)
+    norms2 = np.einsum("ki,ki->k", psi.conj(), psi).real
+    _check_norms(norms2)
+    dpsi = path.dpsi(t)
+    if not np.all(np.isfinite(dpsi)):
+        raise InvalidOperand("trajectory has a non-finite derivative")
+    num = np.einsum("ki,ki->k", psi.conj(), dpsi).imag
+    return float(dt @ (num / norms2))
+
+
+def _closed_form_phase(path: ClosedFormPath) -> tuple[float, float]:
+    """Dynamic phase of a closed-form path and its error estimate
+    |phi_n - phi_2n|, doubling n until that falls below ``QUADRATURE_TOL``
+    (relative to max(1, |phi|)).
+
+    Raises QuadratureNotConverged past ``QUADRATURE_MAX_NODES`` nodes.
+    """
+    n = QUADRATURE_START_NODES
+    coarse = _gauss_legendre_phase(path, n)
+    while 2 * n <= QUADRATURE_MAX_NODES:
+        n *= 2
+        fine = _gauss_legendre_phase(path, n)
+        error = abs(fine - coarse)
+        if error <= QUADRATURE_TOL * max(1.0, abs(fine)):
+            return fine, error
+        coarse = fine
+    raise QuadratureNotConverged(
+        f"dynamic phase changed by {error:.3e} rad between {n // 2} and "
+        f"{n} Gauss-Legendre nodes")
+
+
+def z_functional(traj: Trajectory | ClosedFormPath) -> PhaseResult:
     """Dynamic-phase-removed overlap Z[psi] and geometric phase beta = arg Z.
 
     Raises UndefinedGP when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.
     """
-    phi = dynamic_phase(traj)
-    overlap = complex(np.vdot(traj.states[0], traj.states[-1]))
+    if isinstance(traj, ClosedFormPath):
+        phi, error = _closed_form_phase(traj)
+        ends = traj.psi(np.array([0.0, traj.t_end]))
+    else:
+        phi, error = dynamic_phase(traj), None
+        ends = traj.states[[0, -1]]
+    norms2 = np.einsum("ki,ki->k", ends.conj(), ends).real
+    _check_norms(norms2)
+    overlap = complex(np.vdot(ends[0], ends[1]))
     z = np.exp(-1j * phi) * overlap
-    norms = traj.norms()
-    if abs(z) < Z_RELATIVE_EPS * norms[0] * norms[-1]:
+    if abs(z) < Z_RELATIVE_EPS * np.sqrt(norms2[0] * norms2[1]):
         raise UndefinedGP(f"|Z| = {abs(z):.3e} below tolerance; GP undefined")
     return PhaseResult(z=z, beta=float(np.angle(z)), dynamic_phase=phi,
-                       overlap=overlap)
+                       overlap=overlap, error_estimate=error)
 
 
 def gauge_transform(traj: Trajectory, alpha) -> Trajectory:

@@ -176,7 +176,7 @@ def test_criterion_05_dephasing_first_order_references(capsys):
     details, ok = [], True
     for theta in (np.pi / 4, np.pi / 2):
         p = PhaseDampingParams(omega=OMEGA, alpha=al, theta=theta)
-        m = pd_moments(p, n_steps=4096)
+        m = pd_moments(p)
         b0 = np.exp(1j * closed_system_gp(theta))
         corr_exact = m.mean_gp_h - b0
         corr_ref = m.ref_mean_gp_h - b0
@@ -193,7 +193,7 @@ def test_criterion_05_dephasing_first_order_references(capsys):
 def test_criterion_06_measure_difference_order(capsys):
     al, theta = 1e-2, np.pi / 4
     p = PhaseDampingParams(omega=OMEGA, alpha=al, theta=theta)
-    m = pd_moments(p, n_steps=4096)
+    m = pd_moments(p)
     measured = abs(m.mean_gp_z - m.mean_gp_h) / al
     predicted = 8.0 * np.pi**2 / 9.0 * np.sin(theta) ** 4
     ratio = measured / predicted

@@ -380,12 +380,19 @@ class TestConditionalTrajectories:
         us = time_ordered_propagator(Schedule(evaluator=lambda t: h, dim=6),
                                      grid)
         ref = conditional_trajectories(us, res, sys, grid)
-        got, u_fin = spectral_conditional_trajectories(h, res, sys, grid)
+        got, u_fin = spectral_conditional_trajectories(h, res, sys,
+                                                       grid.t_end)
         assert [w for w, _ in got] == [w for w, _ in ref]
-        worst = max(np.abs(a.states - b.states).max()
+        worst = max(np.abs(a.psi(grid.times) - b.states).max()
                     for (_, a), (_, b) in zip(got, ref))
         assert worst <= 1e-10
         assert np.linalg.norm(u_fin - us[-1]) <= 1e-10
+        # dpsi is <r|(-i h) U(t)|psi_s r>, in the same order of (r, psi_s)
+        pairs = [(r, psi) for r in res.states for psi in sys.states]
+        for (_, path), (r, psi) in zip(got, pairs):
+            x = us @ np.kron(psi, r)
+            ref_d = (-1j * x @ h.T).reshape(-1, 2, dim_r) @ r.conj()
+            assert np.abs(path.dpsi(grid.times) - ref_d).max() <= 1e-10
 
 
 class TestResummation:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gpdist.cli import (
     MODELS,
     SCHEMA_VERSION,
+    YAML_LOADER,
     compare_scenario,
     load_scenario,
     main,
@@ -111,6 +112,56 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="n_steps"):
             load_scenario(write_config(tmp_path,
                                        se_config(grid={"n_steps": 0})))
+
+    def test_loader_keeps_yaml_11_numbers(self):
+        # libyaml must resolve exactly like the pure-Python loader: YAML 1.1
+        # reads 1e-3 (no dot) as text, which _number accepts
+        text = ("a: 1e-3\nb: 1.0e-3\nc: .inf\nd: 0x10\ne: 1_000\n"
+                "f: [-.inf, .NaN, 0o17, 1:30, 1e3, +2]\n")
+        got = yaml.load(text, Loader=YAML_LOADER)
+        assert repr(got) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+        assert got["a"] == "1e-3" and got["b"] == 1e-3
+        assert got["c"] == float("inf") and got["d"] == 16
+        assert got["e"] == 1000
+
+
+PD_CONFIG = {"schema": SCHEMA_VERSION, "model": "phase_damping",
+             "params": {"omega": 1.0, "alpha": 1e-2, "theta": np.pi / 4},
+             "outputs": ["moments", "atoms"]}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_gp_error_estimate_column(tmp_path, command):
+    # one estimate per point, for the models scored on closed-form paths
+    table = "moments.csv" if command == "run" else "comparison.csv"
+    joint = joint_config([[0, 1], [1, 0]],
+                         sweep={"parameter": "theta", "values": [0.5, 1.5]})
+    for name, cfg in (("pd", PD_CONFIG), ("joint", joint),
+                      ("se", se_config())):
+        out = tmp_path / name
+        assert main([command, write_config(tmp_path, cfg, f"{name}.yaml"),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / table)
+        if name == "se":
+            assert "gp_error_estimate_rad" not in rows[0]
+            continue
+        for rec in rows:
+            assert 0.0 <= float(rec["gp_error_estimate_rad"]) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_grid_does_not_enter_closed_form_models(tmp_path, command):
+    for name, cfg in (("pd", PD_CONFIG),
+                      ("joint", joint_config([[0, 1], [1, 0]]))):
+        tables = []
+        for n_steps in (1, 4096):
+            path = write_config(tmp_path,
+                                {**cfg, "grid": {"n_steps": n_steps}},
+                                f"{name}{n_steps}.yaml")
+            out = tmp_path / f"{name}{n_steps}"
+            assert main([command, path, "--out", str(out)]) == 0
+            tables.append({f.name: f.read_bytes() for f in out.glob("*.csv")})
+        assert tables[0] == tables[1]
 
 
 class TestRunSpontaneousEmission:

@@ -211,8 +211,7 @@ class TestPdKrausChannel:
 
 class TestPdMoments:
     def test_pole_trivial(self):
-        m = pd_moments(PhaseDampingParams(omega=1.0, alpha=0.01, theta=0.0),
-                       n_steps=4096)
+        m = pd_moments(PhaseDampingParams(omega=1.0, alpha=0.01, theta=0.0))
         assert m.mean_gp_z == pytest.approx(1.0, abs=1e-5)
         assert m.mean_gp_h == pytest.approx(1.0, abs=1e-5)
         assert m.spread_w < 1e-10
@@ -233,7 +232,7 @@ class TestPdMoments:
     def test_exact_values_frozen_oracle(self, key):
         frac, al = key
         p = PhaseDampingParams(omega=1.0, alpha=al, theta=frac * np.pi)
-        m = pd_moments(p, n_steps=4096)
+        m = pd_moments(p)
         z_ref, h_ref, w_ref = PD_EXACT_ORACLE[key]
         assert abs(m.mean_gp_z - z_ref) < 5e-6
         assert abs(m.mean_gp_h - h_ref) < 5e-6
@@ -252,16 +251,62 @@ class TestPdMoments:
         # the exact two-atom spread carries an extra factor ~pi over the
         # first-order reference; pin the true ratio so regressions surface
         p = PhaseDampingParams(omega=1.0, alpha=1e-4, theta=np.pi / 2)
-        m = pd_moments(p, n_steps=8192)
+        m = pd_moments(p)
         assert m.spread_w / m.ref_spread_w == pytest.approx(np.pi, rel=0.02)
+
+    @pytest.mark.parametrize("theta", [np.pi / 4, np.pi / 2])
+    def test_spread_matches_branch_phase_difference(self, theta):
+        # both branches share <psi(0)|psi(T)> = -(s^2 e^{-aT}/r_T + c^2 r_T),
+        # and with eps(t) = sqrt(1 - e^{-2at}) their phases differ by
+        # D = -w sin^2(theta) int_0^T eps / (1 - eps^2 cos^2 theta) dt,
+        # so W = tan^2(D / 2); quad runs in u with t = T u^2
+        from scipy.integrate import quad
+
+        p = PhaseDampingParams(omega=1.0, alpha=1e-2, theta=theta)
+        big_t, c2 = p.period, np.cos(theta) ** 2
+
+        def integrand(u):
+            eps = np.sqrt(-np.expm1(-2.0 * p.alpha * big_t * u * u))
+            return 2.0 * big_t * u * eps / (1.0 - eps * eps * c2)
+
+        d = -p.omega * np.sin(theta) ** 2 * quad(
+            integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
+        m = pd_moments(p)
+        assert m.spread_w == pytest.approx(np.tan(d / 2.0) ** 2,
+                                           rel=1e-12, abs=1e-14)
+        assert m.error_estimate <= 1e-13
+
+    @pytest.mark.parametrize("theta", [np.pi / 4, np.pi / 2])
+    def test_spread_ratio_tends_to_pi_linearly(self, theta):
+        # expanding D above in x = alpha / omega gives
+        # W / W_ref = pi + x [(6/5)(4 cos^2 - 1) pi^2 + (32/27) sin^4 pi^4]
+        # + O(x^2), about 40.7 at theta = pi/4: criterion 5's spread ratio
+        # is pi in the limit, and its remainder is linear
+        c2, s4 = np.cos(theta) ** 2, np.sin(theta) ** 4
+        slope = (1.2 * (4.0 * c2 - 1.0) * np.pi**2
+                 + 32.0 / 27.0 * s4 * np.pi**4)
+        for x in (1e-4, 1e-5):
+            m = pd_moments(PhaseDampingParams(omega=1.0, alpha=x, theta=theta))
+            measured = (m.spread_w / m.ref_spread_w - np.pi) / x
+            assert measured == pytest.approx(slope, abs=50.0 * slope * x)
 
     def test_two_trajectories(self):
         p = PhaseDampingParams(omega=1.0, alpha=0.02, theta=np.pi / 3)
-        trajs = pd_trajectories(p, TimeGrid(0.0, p.period, 256))
+        trajs = pd_trajectories(p)
         assert len(trajs) == 2
         assert sum(w for w, _ in trajs) == pytest.approx(1.0)
-        for _, traj in trajs:
-            assert np.allclose(traj.states[0], psi_initial(p.theta))
+        t = np.linspace(0.1, p.period - 0.1, 7)
+        h = 1e-5
+        for _, path in trajs:
+            assert path.t_end == p.period and path.sqrt_singular_start
+            assert np.allclose(path.psi(np.array([0.0]))[0],
+                               psi_initial(p.theta))
+            # dpsi keeps every part of psi' that Im<psi|psi'> sees
+            psi = path.psi(t)
+            fd = (path.psi(t + h) - path.psi(t - h)) / (2.0 * h)
+            exact = np.einsum("ki,ki->k", psi.conj(), path.dpsi(t)).imag
+            assert np.allclose(
+                exact, np.einsum("ki,ki->k", psi.conj(), fd).imag, atol=1e-9)
 
 
 class TestMicroscopicCouplings:
@@ -294,10 +339,10 @@ class TestGridBroadcastBuilders:
         p = PhaseDampingParams(omega=1.01, alpha=alpha, theta=1.1)
         grid = TimeGrid(0.0, p.period, 1024)
         psi = psi_initial(p.theta)
-        trajs = pd_trajectories(p, grid)
-        for (w, traj), (w_ref, k) in zip(trajs, pd_kraus_channel(p).elements):
+        trajs = pd_trajectories(p)
+        for (w, path), (w_ref, k) in zip(trajs, pd_kraus_channel(p).elements):
             assert w == w_ref
-            assert_bit_identical(traj.states,
+            assert_bit_identical(path.psi(grid.times),
                                  np.array([k(t) @ psi for t in grid.times]))
 
     @pytest.mark.parametrize("gamma0, n_thermal", [(0.0, 0.0), (0.05, 0.0),

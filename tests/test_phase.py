@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from gpdist.channels import ReservoirSpec, SystemEnsemble
 from gpdist.distribution import PhaseDistribution
 from gpdist.errors import (DegenerateTrajectory, InvalidOperand, InvalidState,
-                           UndefinedGP)
+                           QuadratureNotConverged, UndefinedGP)
 from gpdist.hilbert import SIGMA_Z, Schedule, TimeGrid, time_ordered_propagator
 from gpdist.models import PhaseDampingParams, TwoLevelAtomParams
 from gpdist.phase import (
+    QUADRATURE_TOL,
+    ClosedFormPath,
     Trajectory,
     angle_to_positive_branch,
     dynamic_phase,
@@ -72,12 +74,16 @@ NAN = float("nan")
     (lambda: PhaseDistribution(kind="z", weights=[NAN], values=[1.0]),
      ValueError),
     (lambda: TimeGrid(0.0, NAN, 4), ValueError),
+    (lambda: ClosedFormPath(psi=np.exp, dpsi=np.exp, t_end=NAN), ValueError),
+    (lambda: PhaseDistribution(kind="z", weights=[1.0], values=[1.0],
+                               error_estimate=NAN), ValueError),
     (lambda: TwoLevelAtomParams(omega=NAN, gamma0=0.0), ValueError),
     (lambda: TwoLevelAtomParams(omega=1.0, gamma0=float("inf")), ValueError),
     (lambda: PhaseDampingParams(omega=float("inf"), alpha=0.0), ValueError),
     (lambda: PhaseDampingParams(omega=1.0, alpha=NAN), ValueError),
 ], ids=["trajectory", "reservoir", "reservoir_energy", "ensemble",
-        "distribution", "grid", "atom_omega", "atom_gamma0", "damping_omega",
+        "distribution", "grid", "closed_form_path", "error_estimate",
+        "atom_omega", "atom_gamma0", "damping_omega",
         "damping_alpha"])
 def test_non_finite_input_rejected(build, error):
     with pytest.raises(error):
@@ -145,6 +151,81 @@ class TestZFunctional:
         res = z_functional(traj)
         ref = z_functional(precession_trajectory(theta))
         assert abs(res.z - ref.z) < 1e-8
+
+
+def precession_path(theta, t_end=2.0 * np.pi):
+    """``precession_states`` as a closed form, with its exact derivative."""
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    rates = np.array([-0.5j, 0.5j]) * OMEGA
+
+    def psi(t):
+        return np.array([s, c]) * np.exp(np.outer(t, rates))
+
+    return ClosedFormPath(psi=psi, dpsi=lambda t: rates * psi(t), t_end=t_end)
+
+
+def fourth_root_path(sqrt_singular_start):
+    """psi = (1, t^{1/4} e^{-iEt}): Im<psi|psi'>/<psi|psi> = -E sqrt(t) /
+    (1 + sqrt(t)), whose integral over [0, T] is
+    -E (T - 2 sqrt(T) + 2 ln(1 + sqrt(T)))."""
+    e = 1.3
+
+    def psi(t):
+        return np.stack([np.ones_like(t), t**0.25 * np.exp(-1j * e * t)],
+                        axis=-1)
+
+    path = ClosedFormPath(psi=psi, dpsi=lambda t: psi(t) * [0.0, -1j * e],
+                          t_end=2.0 * np.pi,
+                          sqrt_singular_start=sqrt_singular_start)
+    root = np.sqrt(path.t_end)
+    return path, -e * (path.t_end - 2.0 * root + 2.0 * np.log1p(root))
+
+
+class TestClosedFormPath:
+    @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 2, 3 * np.pi / 4])
+    def test_precession_to_rounding(self, theta):
+        res = z_functional(precession_path(theta))
+        assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
+                                                  abs=1e-14)
+        beta = angle_to_positive_branch(res.beta)
+        assert beta == pytest.approx(2.0 * np.pi * np.sin(theta / 2.0) ** 2,
+                                     abs=1e-13)
+        assert res.error_estimate <= QUADRATURE_TOL
+
+    def test_sampled_trajectory_converges_onto_it(self):
+        closed = z_functional(precession_path(np.pi / 3)).z
+        sampled = z_functional(precession_trajectory(np.pi / 3, 16384)).z
+        assert 0.0 < abs(sampled - closed) < 1e-7
+
+    def test_sqrt_start_in_u(self):
+        path, exact = fourth_root_path(True)
+        res = z_functional(path)
+        assert res.dynamic_phase == pytest.approx(exact, abs=1e-13)
+        assert res.error_estimate <= QUADRATURE_TOL * abs(exact)
+
+    def test_node_cap_raises(self):
+        # in t, the sqrt(t) integrand converges only algebraically and is
+        # still moving by 2e-10 rad at the cap
+        with pytest.raises(QuadratureNotConverged, match="4096"):
+            z_functional(fourth_root_path(False)[0])
+
+    @pytest.mark.parametrize("psi, dpsi, error", [
+        (lambda t: np.where(t[:, None] > 0.5, NAN, 1.0) * [1.0, 0.0],
+         lambda t: 0.0 * t[:, None] * [1.0, 0.0], InvalidOperand),
+        (lambda t: np.ones((len(t), 2)),
+         lambda t: np.where(t[:, None] > 0.5, NAN, 0.0) * [1.0, 1.0],
+         InvalidOperand),
+        (lambda t: np.exp(-1000.0 * t)[:, None] * [1.0, 0.0],
+         lambda t: -1000.0 * np.exp(-1000.0 * t)[:, None] * [1.0, 0.0],
+         DegenerateTrajectory),
+    ], ids=["state", "derivative", "norm"])
+    def test_every_node_is_checked(self, psi, dpsi, error):
+        with pytest.raises(error):
+            z_functional(ClosedFormPath(psi=psi, dpsi=dpsi, t_end=1.0))
+
+    def test_orthogonal_final_state_undefined(self):
+        with pytest.raises(UndefinedGP):
+            z_functional(precession_path(np.pi / 2, t_end=np.pi))
 
 
 class TestGauge:

@@ -14,13 +14,15 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.linalg dominates a cold start; only matexp's non-normal branch
-    # needs it, and imports it there
-    code = "import sys, gpdist.cli; print('scipy' in sys.modules)"
+    # needs it, and imports it there.  numpy.polynomial would add about 5 ms;
+    # phase builds its Gauss-Legendre nodes without it
+    code = ("import sys, gpdist.cli; "
+            "print('scipy' in sys.modules, 'numpy.polynomial' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(
                              Path(gpdist.__file__).parents[1])})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_traced_names_resolve():
