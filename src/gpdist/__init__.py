@@ -42,7 +42,6 @@ from .phase import (
     Trajectory,
     dynamic_phase,
     gauge_transform,
-    unwrap_sweep,
     z_functional,
 )
 from .channels import (
@@ -65,7 +64,6 @@ from .distribution import (
     block_first_moment,
     build_distribution,
     decomposition_check,
-    merge_atoms,
     moments,
     redecompose,
 )

@@ -335,7 +335,8 @@ def spectral_conditional_trajectories(
         psi_r(t)_a = sum_n <a, r|V>_n e^{-i lambda_n t} (V^dag (psi_s x r))_n,
 
     and its derivative multiplies each term by -i lambda_n: one
-    eigendecomposition per call and O(d) work per path and time.
+    eigendecomposition per call and O(d) work per path and time, with the
+    exponentials shared by psi and its derivative.
     """
     lam, v = eigh_hermitian(h)
     dim_s, dim_r = sys.states.shape[1], res.dim
@@ -345,13 +346,14 @@ def spectral_conditional_trajectories(
     rates = -1j * lam
 
     def path(left, coeffs):
-        def psi(t):
-            return (np.exp(np.outer(t, rates)) * coeffs) @ left.T
+        # e * (rates * coeffs), not (e * coeffs) * rates, which rounds apart
+        rate_coeffs = rates * coeffs
 
-        def dpsi(t):
-            return (np.exp(np.outer(t, rates)) * (rates * coeffs)) @ left.T
+        def states(t):
+            e = np.exp(np.outer(t, rates))
+            return (e * coeffs) @ left.T, (e * rate_coeffs) @ left.T
 
-        return ClosedFormPath(psi=psi, dpsi=dpsi, t_end=t_end)
+        return ClosedFormPath(states=states, t_end=t_end)
 
     out = []
     for p_r, r in zip(res.probs, res.states):

@@ -64,7 +64,6 @@ from .models import (
     closed_system_gp,
     hs_schedule,
     pd_first_order_references,
-    pd_moments,
     pd_trajectories,
     psi_initial,
     se_distributions,
@@ -178,6 +177,10 @@ class CustomPoint:
     theta: float
     model: WeakCouplingModel | LindbladModel
 
+    @property
+    def period(self) -> float:
+        return 2.0 * np.pi / self.omega
+
 
 def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
                  couplings) -> CustomPoint:
@@ -211,13 +214,12 @@ def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
                        LindbladModel(hs=hs_schedule(omega), jump_ops=jumps))
 
 
-def _joint_distribution(p: CustomPoint, grid: TimeGrid):
-    """Joint H = H_S x 1 + 1 x H_R + H_I; H_S is constant for every CLI model."""
+def _joint_distribution(p: CustomPoint):
+    """P_Z of the constant joint H = H_0 + H_I over one period, and U there."""
     m = p.model
-    h = (np.kron(m.hs.matrix, np.eye(m.dim_r))
-         + np.kron(np.eye(m.dim_s), m.hr) + m.h_interaction())
     trajs, u_fin = spectral_conditional_trajectories(
-        h, m.res, SystemEnsemble.pure(m.psi_s), grid.t_end)
+        m.h0() + m.h_interaction(), m.res, SystemEnsemble.pure(m.psi_s),
+        p.period)
     return build_distribution(trajs, kind="z"), u_fin
 
 
@@ -235,11 +237,10 @@ def _pd_references(p: PhaseDampingParams) -> dict:
             "ref_mean_gp_h_principal_rad": float(np.angle(ref_h))}
 
 
-def _se_compare(p: TwoLevelAtomParams, grid: TimeGrid) -> dict:
-    rep = dist_moments(se_distributions(p)[0], n_max=1)
+def _se_compare(p: TwoLevelAtomParams, dist, rep) -> dict:
     pert = se_perturbative_gp(p)
     rate = p.gamma0 / p.omega
-    exact_z = angle_to_positive_branch(float(np.angle(rep.z_moments[0])))
+    exact_z = angle_to_positive_branch(rep.mean_gp_z)
     exact_h = angle_to_positive_branch(float(np.angle(rep.mean_gp_h)))
     expected = 100.0 * rate**2
     return {
@@ -256,38 +257,35 @@ def _se_compare(p: TwoLevelAtomParams, grid: TimeGrid) -> dict:
     }
 
 
-def _pd_compare(p: PhaseDampingParams, grid: TimeGrid) -> dict:
-    rep = pd_moments(p)
+def _pd_compare(p: PhaseDampingParams, dist, rep) -> dict:
+    ref_z, ref_h, ref_w = pd_first_order_references(p)
+    exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     expected = 100.0 * (p.alpha / p.omega)**2
-    dz = abs(rep.mean_gp_z - rep.ref_mean_gp_z)
+    dz = abs(exact_z - ref_z)
     return {
         "alpha_over_omega_dimensionless": p.alpha / p.omega,
         "theta_rad": p.theta,
-        "exact_mean_gp_z_principal_rad": float(np.angle(rep.mean_gp_z)),
+        "exact_mean_gp_z_principal_rad": rep.mean_gp_z,
         "exact_mean_gp_h_principal_rad": float(np.angle(rep.mean_gp_h)),
-        "gp_error_estimate_rad": rep.error_estimate,
+        "gp_error_estimate_rad": dist.error_estimate,
         "abs_diff_z_firstorder_dimensionless": dz,
-        "abs_diff_h_firstorder_dimensionless": abs(rep.mean_gp_h
-                                                   - rep.ref_mean_gp_h),
-        "measure_difference_dimensionless": abs(rep.mean_gp_z
-                                                - rep.mean_gp_h),
+        "abs_diff_h_firstorder_dimensionless": abs(rep.mean_gp_h - ref_h),
+        "measure_difference_dimensionless": abs(exact_z - rep.mean_gp_h),
         "exact_spread_w_dimensionless": rep.spread_w,
-        "ref_spread_w_dimensionless": rep.ref_spread_w,
+        "ref_spread_w_dimensionless": ref_w,
         "expected_order_dimensionless": expected,
         "order_violation": bool(dz > expected),
     }
 
 
-def _joint_compare(p: CustomPoint, grid: TimeGrid) -> dict:
+def _joint_compare(p: CustomPoint, dist, rep) -> dict:
     """Exact conditional-trajectory moments against delta_z."""
-    dist = _joint_distribution(p, grid)[0]
-    rep = dist_moments(dist, n_max=1)
-    dz = delta_z(build_AB(p.model, grid.t_end), p.model)
+    dz = delta_z(build_AB(p.model, p.period), p.model)
     pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     return {
         "theta_rad": p.theta,
-        "exact_mean_gp_z_principal_rad": float(np.angle(exact_z)),
+        "exact_mean_gp_z_principal_rad": rep.mean_gp_z,
         "exact_mean_gp_h_principal_rad": float(np.angle(rep.mean_gp_h)),
         "gp_error_estimate_rad": dist.error_estimate,
         "perturbative_gp_principal_rad": float(np.angle(pert)),
@@ -300,10 +298,10 @@ def _joint_compare(p: CustomPoint, grid: TimeGrid) -> dict:
 @dataclass(frozen=True)
 class Model:
     """A model's parameters (REQUIRED: no default), typed ``point``, output
-    kinds, ``distribution(p, grid)`` -> (P_Z at one period, final joint
-    propagator or None), extra run columns ``references(p)`` and
-    ``compare(p, grid)`` row.  Without a distribution it only integrates
-    the master equation."""
+    kinds, ``distribution(p)`` -> (P_Z at one period, final joint propagator
+    or None), extra run columns ``references(p)`` and ``compare(p, dist,
+    moments(dist, n_max=1))`` row on run's evaluation of the point.
+    Without a distribution it only integrates the master equation."""
 
     defaults: dict
     point: Callable
@@ -318,12 +316,12 @@ MODELS = {
         defaults={"omega": 1.0, "gamma0": 0.0, "n_thermal": 0.0,
                   "theta": np.pi / 2.0},
         point=TwoLevelAtomParams, outputs=("moments", "atoms"),
-        distribution=lambda p, grid: (se_distributions(p)[0], None),
+        distribution=lambda p: (se_distributions(p)[0], None),
         references=_se_references, compare=_se_compare),
     "phase_damping": Model(
         defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
         point=PhaseDampingParams, outputs=("moments", "atoms"),
-        distribution=lambda p, grid: (
+        distribution=lambda p: (
             build_distribution(pd_trajectories(p), kind="z"), None),
         references=_pd_references, compare=_pd_compare),
     "custom_joint": Model(
@@ -431,14 +429,10 @@ def _finite(row: dict) -> dict:
     return row
 
 
-def _grid(p, n_steps: int) -> TimeGrid:
-    return TimeGrid(0.0, 2.0 * np.pi / p.omega, n_steps)
-
-
 def _run_row(model: Model, p, scn: Scenario, seed: int):
     """Param columns, shared GP columns, closed-system GP, model references;
     and the point's atoms."""
-    dist, u_fin = model.distribution(p, _grid(p, scn.n_steps))
+    dist, u_fin = model.distribution(p)
     rep = dist_moments(dist, n_max=1)
     row = {SCALARS[k][2]: getattr(p, k) for k in model.defaults if k in SCALARS}
     for measure, first in (("z", rep.z_moments[0]), ("h", rep.mean_gp_h)):
@@ -464,7 +458,7 @@ def _run_row(model: Model, p, scn: Scenario, seed: int):
 
 def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
     psi = psi_initial(p.theta)
-    grid = _grid(p, n_steps)
+    grid = TimeGrid(0.0, p.period, n_steps)
     rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
     stride = max(1, n_steps // 256)
     return [_finite({
@@ -516,8 +510,12 @@ def compare_scenario(scn: Scenario, out_dir: Path, fmt: str) -> list[dict]:
     model = MODELS[scn.model]
     if model.compare is None:
         raise ConfigError(f"model: {scn.model} has no perturbative path")
-    rows = _each_point(
-        scn, lambda p: _finite(model.compare(p, _grid(p, scn.n_steps))))
+
+    def row(p):
+        dist = model.distribution(p)[0]
+        return _finite(model.compare(p, dist, dist_moments(dist, n_max=1)))
+
+    rows = _each_point(scn, row)
     _write_rows(rows, out_dir / "comparison", fmt)
     return rows
 
@@ -538,6 +536,8 @@ def main(argv=None) -> int:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy seeds only non-negative integers
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
 
     out_dir = Path(args.out)
     try:

@@ -8,7 +8,7 @@ Two candidate distributions are supported:
   modulus of the first moment sets the spread W = |<e^{i beta}>|^{-2} - 1.
 
 Atoms are exact weighted delta functions (no binning); coincident atoms are
-not merged unless asked for.
+not merged.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .phase import ClosedFormPath, Trajectory, z_functional
 
 WEIGHT_TOL = 1e-10
 FIRST_MOMENT_EPS = 1e-12  # |<z>_Z| below this leaves the mean GP undefined
-MERGE_TOL = 1e-12         # atoms closer than this merge in ``merge_atoms``
 # |<e^{is}>|^2 is <= 1 up to rounding; spreads below this floor are reported
 # as exactly zero so that sharp distributions come out sharp.
 SPREAD_NOISE_FLOOR = 1e-14
@@ -51,6 +50,8 @@ class PhaseDistribution:
             raise ValueError("need one weight per atom, at least one atom")
         if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= WEIGHT_TOL):
             raise ValueError("weights must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("atom values must be finite")
         if self.kind == "h" and not np.all(np.abs(np.abs(values) - 1.0) <= 1e-12):
             raise ValueError("h-valued atoms must lie on the unit circle")
         if self.error_estimate is not None and not (
@@ -77,10 +78,6 @@ class MomentReport:
     spread_w: float           # |<e^{is}>|^{-2} - 1, dimensionless
     z_moments: np.ndarray     # <z^n> for n = 1..n_max
     h_moments: np.ndarray     # <e^{ins}> for n = 1..n_max
-
-    @property
-    def mean_gp_h_angle(self) -> float:
-        return float(np.angle(self.mean_gp_h))
 
 
 def build_distribution(
@@ -142,23 +139,6 @@ def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:
         z_moments=z_moms,
         h_moments=h_moms,
     )
-
-
-def merge_atoms(dist: PhaseDistribution) -> PhaseDistribution:
-    """Merge atoms whose values coincide within ``MERGE_TOL`` (weights add)."""
-    vals: list[complex] = []
-    wts: list[float] = []
-    for w, v in zip(dist.weights, dist.values):
-        for i, u in enumerate(vals):
-            if abs(v - u) <= MERGE_TOL:
-                wts[i] += w
-                break
-        else:
-            vals.append(complex(v))
-            wts.append(float(w))
-    return PhaseDistribution(kind=dist.kind, weights=np.array(wts),
-                             values=np.array(vals),
-                             error_estimate=dist.error_estimate)
 
 
 def block_first_moment(

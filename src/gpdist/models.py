@@ -16,7 +16,7 @@ import numpy as np
 from .channels import KrausChannel, LindbladModel, ReservoirSpec
 from .distribution import PhaseDistribution
 from .hilbert import SIGMA_Z, Schedule, TimeGrid
-from .phase import ClosedFormPath, Trajectory, angle_to_positive_branch
+from .phase import ClosedFormPath, Trajectory
 from .weakcoupling import WeakCouplingModel
 
 PROJ_G = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -149,11 +149,23 @@ def se_lindblad_model(p: TwoLevelAtomParams) -> LindbladModel:
     return LindbladModel(hs=hs_schedule(p.omega), jump_ops=[l1, l2])
 
 
-def _sz_expectation(theta: float, a: float) -> float:
-    """<psi_S| e^{a sigma_z} |psi_S> (real positive)."""
-    s2 = np.sin(theta / 2.0) ** 2
-    c2 = np.cos(theta / 2.0) ** 2
-    return s2 * np.exp(-a) + c2 * np.exp(a)
+def _no_jump_factors(theta: float, x: float):
+    """Overflow-free pieces of the (minus, plus) no-jump atoms.
+
+    With (a, b) = (s2, c2) for minus and (c2, s2) for plus, s2 =
+    sin^2(theta/2) and c2 = cos^2(theta/2), returns e^{-x} <e^{-/+ x sz}>_S
+    = a + b e^{-2x}, and v and the flag m with log <e^{-/+ 2x sz}>_S =
+    2x + v - 4x m: v = log(a e^{4x} + b) (m set) where a <= b, else
+    v = log1p(-b (1 - e^{-4x})), using a = 1 - b.  Each v is finite for
+    every x >= 0, and at theta = 0 and pi it is the small term, so the
+    near-zero phase there keeps its exact sign.
+    """
+    a = np.array([np.sin(theta / 2.0), np.cos(theta / 2.0)]) ** 2
+    b = a[::-1]
+    with np.errstate(divide="ignore"):  # log 0 = -inf is exact here
+        v = np.where(a <= b, np.logaddexp(np.log(a) + 4.0 * x, np.log(b)),
+                     np.log1p(b * np.expm1(-4.0 * x)))
+    return a + b * np.exp(-2.0 * x), v, a <= b
 
 
 def se_exact_z_values(p: TwoLevelAtomParams) -> tuple[complex, complex]:
@@ -166,19 +178,16 @@ def se_exact_z_values(p: TwoLevelAtomParams) -> tuple[complex, complex]:
                  <e^{-/+ 2 pi gn sz / w}>_S ^ {+/- i w / (2 gn)}
 
     The power has a real positive base, so the principal real logarithm
-    applies and no branch ambiguity arises.
+    applies and no branch ambiguity arises.  In the form of
+    ``_no_jump_factors`` the 2x term of each logarithm gives e^{+/- i pi} =
+    -1, which cancels the leading minus, and its 4x m term a whole turn.
     """
     if p.gamma0 == 0.0:
         z = -np.exp(-1j * np.pi * np.cos(p.theta))
         return z, z
-    gn, w, th = p.gamma_n, p.omega, p.theta
-    x = np.pi * gn / w
-    base_m = _sz_expectation(th, -2.0 * x)
-    base_p = _sz_expectation(th, 2.0 * x)
-    f_minus = (-np.exp(-x) * _sz_expectation(th, -x)
-               * np.exp(1j * (w / (2.0 * gn)) * np.log(base_m)))
-    f_plus = (-np.exp(-x) * _sz_expectation(th, x)
-              * np.exp(-1j * (w / (2.0 * gn)) * np.log(base_p)))
+    amp, v, _ = _no_jump_factors(p.theta, np.pi * p.gamma_n / p.omega)
+    f_minus, f_plus = amp * np.exp(
+        np.array([1j, -1j]) * (p.omega / (2.0 * p.gamma_n)) * v)
     return complex(f_minus), complex(f_plus)
 
 
@@ -199,12 +208,13 @@ def se_distributions(
 
 
 def se_mean_gp_zero_temperature(p: TwoLevelAtomParams) -> float:
-    """pi + (w / 2 gamma0) ln <e^{-2 pi gamma0 sigma_z / w}>_S, unwrapped."""
+    """pi + (w / 2 gamma0) ln <e^{-2 pi gamma0 sigma_z / w}>_S, unwrapped;
+    with ``_no_jump_factors`` that is 2 pi (1 - m) + (w / 2 gamma0) v."""
     if p.gamma0 == 0.0:
         return closed_system_gp(p.theta)
-    a = 2.0 * np.pi * p.gamma0 / p.omega
-    return float(np.pi + (p.omega / (2.0 * p.gamma0))
-                 * np.log(_sz_expectation(p.theta, -a)))
+    _, v, m = _no_jump_factors(p.theta, np.pi * p.gamma0 / p.omega)
+    return float(2.0 * np.pi * (1 - m[0])
+                 + (p.omega / (2.0 * p.gamma0)) * v[0])
 
 
 def se_perturbative_gp(p: TwoLevelAtomParams) -> float:
@@ -295,18 +305,19 @@ def pd_trajectories(
 ) -> list[tuple[float, ClosedFormPath]]:
     """The two equally weighted conditional paths K_i(t)|psi_S> over one
     period.  Im<psi|psi'> sees only the component phases -+ omega t / 2, so
-    ``dpsi`` leaves out the derivative of the real amplitudes, whose r(t)
-    goes like sqrt(t) at t = 0."""
+    the derivative leaves out that of the real amplitudes, whose r(t) goes
+    like sqrt(t) at t = 0."""
     psi0 = psi_initial(p.theta)
     rates = np.array([-0.5j, 0.5j]) * p.omega
     weights = [w for w, _ in pd_kraus_channel(p).elements]
 
     def path(i):
-        def psi(t):
-            return _pd_diagonals(p, t)[i] * psi0
+        def states(t):
+            psi = _pd_diagonals(p, t)[i] * psi0
+            return psi, rates * psi
 
-        return ClosedFormPath(psi=psi, dpsi=lambda t: rates * psi(t),
-                              t_end=p.period, sqrt_singular_start=True)
+        return ClosedFormPath(states=states, t_end=p.period,
+                              sqrt_singular_start=True)
 
     return [(w, path(i)) for i, w in enumerate(weights)]
 

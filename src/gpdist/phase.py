@@ -13,17 +13,17 @@ Two kinds of path are scored.  A sampled ``Trajectory`` uses the trapezoid
 rule in time with centered finite differences for the state derivative
 (second-order one-sided stencils at the endpoints), second order overall to
 match the propagator.  A ``ClosedFormPath`` gives psi(t) and dpsi/dt exactly
-at any time, so its integral is taken by Gauss-Legendre quadrature: the node
-count doubles from ``QUADRATURE_START_NODES`` until two successive values
-agree to ``QUADRATURE_TOL``, and that difference is reported as the
-estimated error of beta.
+at any time, both from one call, so its integral is taken by Gauss-Legendre
+quadrature: the node count doubles from ``QUADRATURE_START_NODES`` until two
+successive values agree to ``QUADRATURE_TOL``, and that difference is
+reported as the estimated error of beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -73,18 +73,18 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ClosedFormPath:
-    """Pure-state path on [0, t_end] given by vectorised closed forms.
+    """Pure-state path on [0, t_end] given by a vectorised closed form.
 
-    ``psi(t)`` and ``dpsi(t)`` map an array of k times to (k, dim) states.
-    ``dpsi`` may differ from d psi/dt by any vector delta with
-    Im<psi|delta> = 0, such as the derivative of a real amplitude that
-    multiplies each component.  ``sqrt_singular_start`` marks an integrand
-    that behaves like sqrt(t) at t = 0; the quadrature then runs in u with
-    t = t_end u^2, where it is smooth.
+    ``states(t)`` maps an array of k times to ``(psi, dpsi)``, two (k, dim)
+    arrays, so the two can share their exponentials.  ``dpsi`` may differ
+    from d psi/dt by any vector delta with Im<psi|delta> = 0, such as the
+    derivative of a real amplitude that multiplies each component.
+    ``sqrt_singular_start`` marks an integrand that behaves like sqrt(t) at
+    t = 0; the quadrature then runs in u with t = t_end u^2, where it is
+    smooth.
     """
 
-    psi: Callable[[np.ndarray], np.ndarray]
-    dpsi: Callable[[np.ndarray], np.ndarray]
+    states: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     t_end: float
     sqrt_singular_start: bool = False
 
@@ -152,10 +152,9 @@ def _gauss_legendre_phase(path: ClosedFormPath, n: int) -> float:
         t, dt = path.t_end * u * u, path.t_end * u * w  # dt = 2 T u du
     else:
         t, dt = path.t_end * u, 0.5 * path.t_end * w
-    psi = path.psi(t)
+    psi, dpsi = path.states(t)
     norms2 = np.einsum("ki,ki->k", psi.conj(), psi).real
     _check_norms(norms2)
-    dpsi = path.dpsi(t)
     if not np.all(np.isfinite(dpsi)):
         raise InvalidOperand("trajectory has a non-finite derivative")
     num = np.einsum("ki,ki->k", psi.conj(), dpsi).imag
@@ -190,7 +189,7 @@ def z_functional(traj: Trajectory | ClosedFormPath) -> PhaseResult:
     """
     if isinstance(traj, ClosedFormPath):
         phi, error = _closed_form_phase(traj)
-        ends = traj.psi(np.array([0.0, traj.t_end]))
+        ends = traj.states(np.array([0.0, traj.t_end]))[0]
     else:
         phi, error = dynamic_phase(traj), None
         ends = traj.states[[0, -1]]
@@ -218,27 +217,6 @@ def gauge_transform(traj: Trajectory, alpha) -> Trajectory:
         if a.shape != (traj.grid.n_steps + 1,):
             raise ValueError("alpha must supply one angle per grid node")
     return Trajectory(grid=traj.grid, states=np.exp(1j * a)[:, None] * traj.states)
-
-
-def unwrap_sweep(angles: Sequence[float], start: float | None = None) -> np.ndarray:
-    """Continuity-preserving unwrap of a sweep of principal-value angles.
-
-    Each angle is shifted by the multiple of 2*pi that brings it closest to
-    its predecessor (or to ``start`` for the first point).
-    """
-    angles = np.asarray(angles, dtype=float)
-    out = np.empty_like(angles)
-    prev = angles[0] if start is None else start
-    for k, a in enumerate(angles):
-        out[k] = a + 2.0 * np.pi * np.round((prev - a) / (2.0 * np.pi))
-        prev = out[k]
-    return out
-
-
-def principal_angle(a: float) -> float:
-    """Map an angle to the principal branch (-pi, pi]."""
-    a = float(np.angle(np.exp(1j * a)))
-    return a if a != -np.pi else np.pi
 
 
 def angle_to_positive_branch(a: float) -> float:

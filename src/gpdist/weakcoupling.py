@@ -96,6 +96,11 @@ class WeakCouplingModel:
     def dim_r(self) -> int:
         return self.hr.shape[0]
 
+    def h0(self) -> np.ndarray:
+        """H_S x 1 + 1 x H_R, built per call: a model keeps no d x d array."""
+        return (np.kron(self.hs.matrix, np.eye(self.dim_r))
+                + np.kron(np.eye(self.dim_s), self.hr))
+
     def h_interaction(self) -> np.ndarray:
         out = np.zeros((self.dim_s * self.dim_r,) * 2, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # checked finite
@@ -135,8 +140,7 @@ class PerturbationOperators:
 def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
     """A, B and their time integral at ``t``, from one block exponential."""
     d = model.dim_s * model.dim_r
-    x = -1j * (np.kron(model.hs.matrix, np.eye(model.dim_r))
-               + np.kron(np.eye(model.dim_s), model.hr))
+    x = -1j * model.h0()
     m = np.zeros((4, d, 4, d), dtype=complex)
     for k in range(4):
         m[k, :, k] = x

@@ -383,7 +383,7 @@ class TestConditionalTrajectories:
         got, u_fin = spectral_conditional_trajectories(h, res, sys,
                                                        grid.t_end)
         assert [w for w, _ in got] == [w for w, _ in ref]
-        worst = max(np.abs(a.psi(grid.times) - b.states).max()
+        worst = max(np.abs(a.states(grid.times)[0] - b.states).max()
                     for (_, a), (_, b) in zip(got, ref))
         assert worst <= 1e-10
         assert np.linalg.norm(u_fin - us[-1]) <= 1e-10
@@ -392,7 +392,7 @@ class TestConditionalTrajectories:
         for (_, path), (r, psi) in zip(got, pairs):
             x = us @ np.kron(psi, r)
             ref_d = (-1j * x @ h.T).reshape(-1, 2, dim_r) @ r.conj()
-            assert np.abs(path.dpsi(grid.times) - ref_d).max() <= 1e-10
+            assert np.abs(path.states(grid.times)[1] - ref_d).max() <= 1e-10
 
 
 class TestResummation:

@@ -3,6 +3,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,48 @@ def test_grid_does_not_enter_closed_form_models(tmp_path, command):
         assert tables[0] == tables[1]
 
 
+def test_run_and_compare_share_one_evaluation(tmp_path):
+    # compare's exact columns come from the evaluation that run writes, so
+    # the two tables agree digit for digit, not just to rounding
+    thetas = {"parameter": "theta",
+              "values": [float(x) for x in np.linspace(0.2, 2.9, 8)]}
+    cases = (("pd", {**PD_CONFIG, "sweep": thetas}, "principal"),
+             ("joint", joint_config([[0, 1], [1, 0]], sweep=thetas),
+              "principal"),
+             ("se", se_config(sweep=thetas), "positive_branch"))
+    for name, cfg, branch in cases:
+        path = write_config(tmp_path, cfg, f"{name}.yaml")
+        tables = []
+        for command, table in (("run", "moments.csv"),
+                               ("compare", "comparison.csv")):
+            out = tmp_path / f"{name}_{command}"
+            assert main([command, path, "--out", str(out)]) == 0
+            tables.append(read_csv(out / table))
+        assert len(tables[0]) == len(tables[1]) == 8
+        for run, cmp in zip(*tables):
+            for measure in "zh":
+                assert (run[f"mean_gp_{measure}_{branch}_rad"]
+                        == cmp[f"exact_mean_gp_{measure}_{branch}_rad"])
+            assert (run.get("gp_error_estimate_rad")
+                    == cmp.get("gp_error_estimate_rad"))
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_strong_emission_stays_finite(tmp_path, command):
+    # gamma_n / omega = 126, where the unreduced closed forms overflow
+    cfg = se_config(params={"omega": 1.0, "gamma0": 6, "n_thermal": 10,
+                            "theta": 1},
+                    outputs=["moments", "atoms"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    for table in (tmp_path / "out").glob("*.csv"):
+        for rec in read_csv(table):
+            cells = [v for v in rec.values() if v not in ("true", "false")]
+            assert np.all(np.isfinite(np.array(cells, float)))
+
+
 class TestRunSpontaneousEmission:
     def test_sweep_table(self, tmp_path):
         cfg = se_config(sweep={"parameter": "theta",
@@ -316,6 +359,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "theta" in err
+
+    def test_bad_seed_exits_two_before_numerics(self, tmp_path, capsys):
+        joint = joint_config([[0, 1], [1, 0]],
+                             outputs=["moments", "decomposition_check"])
+        for name, cfg in (("se", se_config()), ("joint", joint)):
+            path = write_config(tmp_path, cfg, f"{name}.yaml")
+            for seed in ("-1", "1.5"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["run", path, "--seed", seed,
+                          "--out", str(tmp_path / "out")])
+                assert exc.value.code == 2
+                assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

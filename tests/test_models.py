@@ -1,5 +1,7 @@
 """Closed-form two-level-atom models and their cross-checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,38 @@ class TestSeExactValues:
         f_minus, _ = se_exact_z_values(p)
         got = angle_to_positive_branch(np.angle(f_minus))
         assert abs(got - se_mean_gp_zero_temperature(p)) < 1e-10
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.1, 1.0, 6.0, 200.0])
+    def test_cancelled_forms_match_unreduced_formula(self, rate):
+        # the unreduced forms overflow once gamma_n / omega passes about 113;
+        # mpmath at 50 digits evaluates them as written
+        mp = pytest.importorskip("mpmath")
+        for n_thermal in (0.0, 0.5, 2.0, 10.0):
+            for theta in (0.0, 0.3, 1.0, np.pi / 2, 2.5, np.pi):
+                p = TwoLevelAtomParams(omega=1.0, gamma0=rate,
+                                       n_thermal=n_thermal, theta=theta)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    f_minus, f_plus = se_exact_z_values(p)
+                    mean = se_mean_gp_zero_temperature(p)
+                with mp.workdps(50):
+                    s2 = mp.sin(mp.mpf(theta) / 2) ** 2
+                    c2 = mp.cos(mp.mpf(theta) / 2) ** 2
+
+                    def sz(a):  # <e^{a sigma_z}>_S
+                        return s2 * mp.exp(-a) + c2 * mp.exp(a)
+
+                    gn = mp.mpf(p.gamma_n)
+                    x, k = mp.pi * gn, 1 / (2 * gn)
+                    ref_minus = (-mp.exp(-x) * sz(-x)
+                                 * mp.exp(1j * k * mp.log(sz(-2 * x))))
+                    ref_plus = (-mp.exp(-x) * sz(x)
+                                * mp.exp(-1j * k * mp.log(sz(2 * x))))
+                    x0 = mp.pi * mp.mpf(rate)
+                    ref_mean = mp.pi + mp.log(sz(-2 * x0)) / (2 * mp.mpf(rate))
+                assert abs(f_minus - complex(ref_minus)) <= 1e-12
+                assert abs(f_plus - complex(ref_plus)) <= 1e-12
+                assert abs(mean - float(ref_mean)) <= 1e-12
 
     def test_no_jump_trajectory_matches(self):
         p = TwoLevelAtomParams(omega=1.0, gamma0=0.05, theta=np.pi / 4)
@@ -299,12 +333,12 @@ class TestPdMoments:
         h = 1e-5
         for _, path in trajs:
             assert path.t_end == p.period and path.sqrt_singular_start
-            assert np.allclose(path.psi(np.array([0.0]))[0],
+            assert np.allclose(path.states(np.array([0.0]))[0][0],
                                psi_initial(p.theta))
             # dpsi keeps every part of psi' that Im<psi|psi'> sees
-            psi = path.psi(t)
-            fd = (path.psi(t + h) - path.psi(t - h)) / (2.0 * h)
-            exact = np.einsum("ki,ki->k", psi.conj(), path.dpsi(t)).imag
+            psi, dpsi = path.states(t)
+            fd = (path.states(t + h)[0] - path.states(t - h)[0]) / (2.0 * h)
+            exact = np.einsum("ki,ki->k", psi.conj(), dpsi).imag
             assert np.allclose(
                 exact, np.einsum("ki,ki->k", psi.conj(), fd).imag, atol=1e-9)
 
@@ -342,7 +376,7 @@ class TestGridBroadcastBuilders:
         trajs = pd_trajectories(p)
         for (w, path), (w_ref, k) in zip(trajs, pd_kraus_channel(p).elements):
             assert w == w_ref
-            assert_bit_identical(path.psi(grid.times),
+            assert_bit_identical(path.states(grid.times)[0],
                                  np.array([k(t) @ psi for t in grid.times]))
 
     @pytest.mark.parametrize("gamma0, n_thermal", [(0.0, 0.0), (0.05, 0.0),

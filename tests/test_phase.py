@@ -18,8 +18,6 @@ from gpdist.phase import (
     angle_to_positive_branch,
     dynamic_phase,
     gauge_transform,
-    principal_angle,
-    unwrap_sweep,
     z_functional,
 )
 
@@ -73,8 +71,13 @@ NAN = float("nan")
     (lambda: SystemEnsemble(probs=[NAN], states=[[1.0, 0.0]]), InvalidState),
     (lambda: PhaseDistribution(kind="z", weights=[NAN], values=[1.0]),
      ValueError),
+    (lambda: PhaseDistribution(kind="z", weights=[1.0], values=[NAN]),
+     ValueError),
+    (lambda: PhaseDistribution(kind="z", weights=[0.5, 0.5],
+                               values=[1.0, complex(0.0, float("inf"))]),
+     ValueError),
     (lambda: TimeGrid(0.0, NAN, 4), ValueError),
-    (lambda: ClosedFormPath(psi=np.exp, dpsi=np.exp, t_end=NAN), ValueError),
+    (lambda: ClosedFormPath(states=lambda t: (t, t), t_end=NAN), ValueError),
     (lambda: PhaseDistribution(kind="z", weights=[1.0], values=[1.0],
                                error_estimate=NAN), ValueError),
     (lambda: TwoLevelAtomParams(omega=NAN, gamma0=0.0), ValueError),
@@ -82,9 +85,9 @@ NAN = float("nan")
     (lambda: PhaseDampingParams(omega=float("inf"), alpha=0.0), ValueError),
     (lambda: PhaseDampingParams(omega=1.0, alpha=NAN), ValueError),
 ], ids=["trajectory", "reservoir", "reservoir_energy", "ensemble",
-        "distribution", "grid", "closed_form_path", "error_estimate",
-        "atom_omega", "atom_gamma0", "damping_omega",
-        "damping_alpha"])
+        "distribution", "atom_value", "atom_value_inf", "grid",
+        "closed_form_path", "error_estimate", "atom_omega", "atom_gamma0",
+        "damping_omega", "damping_alpha"])
 def test_non_finite_input_rejected(build, error):
     with pytest.raises(error):
         build()
@@ -158,10 +161,11 @@ def precession_path(theta, t_end=2.0 * np.pi):
     s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
     rates = np.array([-0.5j, 0.5j]) * OMEGA
 
-    def psi(t):
-        return np.array([s, c]) * np.exp(np.outer(t, rates))
+    def states(t):
+        psi = np.array([s, c]) * np.exp(np.outer(t, rates))
+        return psi, rates * psi
 
-    return ClosedFormPath(psi=psi, dpsi=lambda t: rates * psi(t), t_end=t_end)
+    return ClosedFormPath(states=states, t_end=t_end)
 
 
 def fourth_root_path(sqrt_singular_start):
@@ -170,12 +174,12 @@ def fourth_root_path(sqrt_singular_start):
     -E (T - 2 sqrt(T) + 2 ln(1 + sqrt(T)))."""
     e = 1.3
 
-    def psi(t):
-        return np.stack([np.ones_like(t), t**0.25 * np.exp(-1j * e * t)],
-                        axis=-1)
+    def states(t):
+        psi = np.stack([np.ones_like(t), t**0.25 * np.exp(-1j * e * t)],
+                       axis=-1)
+        return psi, psi * [0.0, -1j * e]
 
-    path = ClosedFormPath(psi=psi, dpsi=lambda t: psi(t) * [0.0, -1j * e],
-                          t_end=2.0 * np.pi,
+    path = ClosedFormPath(states=states, t_end=2.0 * np.pi,
                           sqrt_singular_start=sqrt_singular_start)
     root = np.sqrt(path.t_end)
     return path, -e * (path.t_end - 2.0 * root + 2.0 * np.log1p(root))
@@ -221,7 +225,8 @@ class TestClosedFormPath:
     ], ids=["state", "derivative", "norm"])
     def test_every_node_is_checked(self, psi, dpsi, error):
         with pytest.raises(error):
-            z_functional(ClosedFormPath(psi=psi, dpsi=dpsi, t_end=1.0))
+            z_functional(ClosedFormPath(states=lambda t: (psi(t), dpsi(t)),
+                                        t_end=1.0))
 
     def test_orthogonal_final_state_undefined(self):
         with pytest.raises(UndefinedGP):
@@ -293,20 +298,6 @@ class TestInvariances:
 
 
 class TestAngles:
-    def test_unwrap_sweep(self):
-        raw = [3.0, -3.1, -2.9, 3.1]
-        out = unwrap_sweep(raw)
-        assert np.all(np.abs(np.diff(out)) < np.pi)
-        assert np.allclose(np.mod(out - raw, 2.0 * np.pi), 0.0, atol=1e-12)
-
-    def test_unwrap_with_start(self):
-        out = unwrap_sweep([-3.0], start=2.0 * np.pi)
-        assert out[0] == pytest.approx(-3.0 + 2.0 * np.pi)
-
-    def test_principal_angle(self):
-        assert principal_angle(3.0 * np.pi) == pytest.approx(np.pi)
-        assert principal_angle(-0.5) == pytest.approx(-0.5)
-
     def test_positive_branch(self):
         assert angle_to_positive_branch(-0.5) == pytest.approx(
             2.0 * np.pi - 0.5)
