@@ -156,15 +156,21 @@ def _no_jump_factors(theta: float, x: float):
     sin^2(theta/2) and c2 = cos^2(theta/2), returns e^{-x} <e^{-/+ x sz}>_S
     = a + b e^{-2x}, and v and the flag m with log <e^{-/+ 2x sz}>_S =
     2x + v - 4x m: v = log(a e^{4x} + b) (m set) where a <= b, else
-    v = log1p(-b (1 - e^{-4x})), using a = 1 - b.  Each v is finite for
-    every x >= 0, and at theta = 0 and pi it is the small term, so the
-    near-zero phase there keeps its exact sign.
+    v = log1p(-b (1 - e^{-4x})), using a + b = 1.  Where a <= b, v is
+    log1p(a (e^{4x} - 1)) while that is finite, which keeps full relative
+    precision at weak emission, and the logaddexp form past that.  Each v is
+    finite for every x >= 0, and at theta = 0 and pi it is the small term,
+    so the near-zero phase there keeps its exact sign.
     """
     a = np.array([np.sin(theta / 2.0), np.cos(theta / 2.0)]) ** 2
     b = a[::-1]
-    with np.errstate(divide="ignore"):  # log 0 = -inf is exact here
-        v = np.where(a <= b, np.logaddexp(np.log(a) + 4.0 * x, np.log(b)),
-                     np.log1p(b * np.expm1(-4.0 * x)))
+    # log 0 = -inf is exact; expm1(4x) overflows, and 0 * inf gives NaN,
+    # only where the logaddexp form takes over
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        grow = np.log1p(a * np.expm1(4.0 * x))
+        grow = np.where(np.isfinite(grow), grow,
+                        np.logaddexp(np.log(a) + 4.0 * x, np.log(b)))
+        v = np.where(a <= b, grow, np.log1p(b * np.expm1(-4.0 * x)))
     return a + b * np.exp(-2.0 * x), v, a <= b
 
 

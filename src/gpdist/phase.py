@@ -161,25 +161,34 @@ def _gauss_legendre_phase(path: ClosedFormPath, n: int) -> float:
     return float(dt @ (num / norms2))
 
 
-def _closed_form_phase(path: ClosedFormPath) -> tuple[float, float]:
-    """Dynamic phase of a closed-form path and its error estimate
-    |phi_n - phi_2n|, doubling n until that falls below ``QUADRATURE_TOL``
-    (relative to max(1, |phi|)).
+def _largest(x: np.ndarray | float) -> float:
+    """max |x| of an array, or |x| of a number, which skips numpy's
+    reduction overhead on the many scalar phase integrals."""
+    return float(abs(x).max()) if isinstance(x, np.ndarray) else abs(x)
 
-    Raises QuadratureNotConverged past ``QUADRATURE_MAX_NODES`` nodes.
+
+def converged_gauss_legendre(
+    rule: Callable[[int], np.ndarray | float], quantity: str,
+) -> tuple[np.ndarray | float, float]:
+    """Value of an n-node Gauss-Legendre ``rule(n)`` and its error estimate
+    max |value_n - value_2n|, doubling n from ``QUADRATURE_START_NODES``
+    until that falls below ``QUADRATURE_TOL`` relative to max(1, max |value|).
+
+    Raises QuadratureNotConverged, naming ``quantity``, past
+    ``QUADRATURE_MAX_NODES`` nodes.
     """
     n = QUADRATURE_START_NODES
-    coarse = _gauss_legendre_phase(path, n)
+    coarse = rule(n)
     while 2 * n <= QUADRATURE_MAX_NODES:
         n *= 2
-        fine = _gauss_legendre_phase(path, n)
-        error = abs(fine - coarse)
-        if error <= QUADRATURE_TOL * max(1.0, abs(fine)):
+        fine = rule(n)
+        error = _largest(fine - coarse)
+        if error <= QUADRATURE_TOL * max(1.0, _largest(fine)):
             return fine, error
         coarse = fine
     raise QuadratureNotConverged(
-        f"dynamic phase changed by {error:.3e} rad between {n // 2} and "
-        f"{n} Gauss-Legendre nodes")
+        f"{quantity} changed by {error:.3e} between {n // 2} and {n} "
+        "Gauss-Legendre nodes")
 
 
 def z_functional(traj: Trajectory | ClosedFormPath) -> PhaseResult:
@@ -188,7 +197,8 @@ def z_functional(traj: Trajectory | ClosedFormPath) -> PhaseResult:
     Raises UndefinedGP when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.
     """
     if isinstance(traj, ClosedFormPath):
-        phi, error = _closed_form_phase(traj)
+        phi, error = converged_gauss_legendre(
+            lambda n: _gauss_legendre_phase(traj, n), "dynamic phase (rad)")
         ends = traj.states(np.array([0.0, traj.t_end]))[0]
     else:
         phi, error = dynamic_phase(traj), None

@@ -15,19 +15,29 @@ perturbative moments of both phase distributions then coincide:
 
     <e^{ins}>_H = <z^n>_Z / |<z>_Z|^n = e^{in beta0} (1 + i n Im<DeltaZ>).
 
-H_0 and H_I are constant, so A(t), B(t) and integral_0^t B are iterated
-integrals of exponentials, and Van Loan's block-triangular exponential
-(C. F. Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)) gives them all
-from one ``expm``.  With ``X = -i H_0`` and ``Y = -i H_I``,
+H_0 and H_I are constant, so all three operators are explicit in the
+eigenbasis of H_0 = W diag(E) W^dag, where W = kron(V_S, V_R) holds the
+eigenvectors of H_S and H_R and E_m = lambda_S + lambda_R.  With
+g = W^dag H_I W and omega_mn = E_m - E_n,
 
-    expm(t [[X, 1, 0, 0],     [[U_0, .,   .,       U_0 int_0^t B],
-            [0, X, Y, 0],  =   [0,   U_0, U_0 A,   U_0 B        ],
-            [0, 0, X, Y],      [0,   0,   U_0,     .            ],
-            [0, 0, 0, X]])     [0,   0,   0,       U_0          ]]
+    H_I~(s)_mn = e^{i omega_mn s} g_mn,
+    A~(s) = integral_0^s H_I~ = g o phi(omega, s),
+    phi(omega, s) = e^{i omega s / 2} 2 sin(omega s / 2) / omega   (= s at 0)
 
-so no time grid enters this layer.  The correction functional is
-real-linear in B and the reservoir weights are real, so it is applied once,
-to the averages ``<B>_R`` and ``<int B>_R`` over ``sum_r p_r <r|.|r>``.
+so A(t) = -i A~(t) in closed form, free of cancellation as omega -> 0 for
+degenerate and near-degenerate pairs.  Cauchy's formula for repeated
+integration turns B and its time integral into single integrals of one
+integrand,
+
+    B(t) = -integral_0^t H_I~(s) A~(s) ds,
+    integral_0^t B = -integral_0^t (t - s) H_I~(s) A~(s) ds,
+
+a trigonometric polynomial times s, which Gauss-Legendre quadrature
+integrates to ``QUADRATURE_TOL`` from a few dozen nodes
+(``phase.converged_gauss_legendre``).  No time grid and no matrix
+exponential enter this layer.  The correction functional is real-linear in
+B and the reservoir weights are real, so it is applied once, to the
+averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``.
 """
 
 from __future__ import annotations
@@ -45,7 +55,9 @@ from .errors import (
     RCondViolated,
     UndefinedGP,
 )
-from .hilbert import Schedule, is_hermitian, matexp, partial_inner
+from .hilbert import Schedule, eigh_hermitian, is_hermitian
+from .phase import (QUADRATURE_START_NODES, _gauss_legendre,
+                    converged_gauss_legendre)
 
 RCOND_TOL = 1e-10
 IM_DZ_WARN = 0.1
@@ -137,20 +149,64 @@ class PerturbationOperators:
     b_int: np.ndarray  # (d, d) integral_0^t B(t') dt'
 
 
+def _rotations(energies: np.ndarray, s: np.ndarray):
+    """e^{i omega s / 2} and the real 2 sin(omega s / 2) / omega, which is s
+    where omega is 0 or too small to invert, as (k, d, d) arrays for k
+    times s."""
+    half = np.exp(0.5j * np.outer(s, energies))
+    omega = energies[:, None] - energies[None, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 2.0 / omega
+    flat = ~np.isfinite(inv)
+    inv[flat] = 0.0
+    phi = np.multiply.outer(s, 0.5 * omega)
+    np.sin(phi, out=phi)
+    phi *= inv
+    phi[:, flat] = s[:, None]
+    return half[:, :, None] @ half.conj()[:, None, :], phi
+
+
+def _b_and_integral(g: np.ndarray, energies: np.ndarray, t: float,
+                    n: int) -> np.ndarray:
+    """n-node Gauss-Legendre values of B(t) and integral_0^t B in the H_0
+    eigenbasis, stacked; the nodes go in blocks of
+    ``QUADRATURE_START_NODES`` so the (k, d, d) temporaries stay small."""
+    x, w = _gauss_legendre(n)
+    s = 0.5 * t * (x + 1.0)
+    # B = -integral of the integrand; integral B weights it by (t - s)
+    weights = -0.5 * t * np.stack([w, w * (t - s)])
+    out = np.zeros((2, g.size), dtype=complex)
+    for k in range(0, n, QUADRATURE_START_NODES):
+        blk = slice(k, k + QUADRATURE_START_NODES)
+        rot, phi = _rotations(energies, s[blk])
+        a_tilde = g * rot
+        rot *= a_tilde     # H_I~(s) = g o rot^2
+        a_tilde *= phi     # A~(s) = g o rot o phi
+        out += weights[:, blk] @ (rot @ a_tilde).reshape(len(phi), -1)
+    return out.reshape((2,) + g.shape)
+
+
 def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
-    """A, B and their time integral at ``t``, from one block exponential."""
-    d = model.dim_s * model.dim_r
-    x = -1j * model.h0()
-    m = np.zeros((4, d, 4, d), dtype=complex)
-    for k in range(4):
-        m[k, :, k] = x
-    m[0, :, 1] = np.eye(d)
-    m[1, :, 2] = m[2, :, 3] = -1j * model.h_interaction()
-    e = matexp(t * m.reshape(4 * d, 4 * d)).reshape(4, d, 4, d)
-    u0_dag = e[0, :, 0].conj().T
+    """A, B and their time integral at ``t``, in closed form and by
+    Gauss-Legendre quadrature in the H_0 eigenbasis.
+
+    Raises QuadratureNotConverged when the quadrature does not settle by
+    ``QUADRATURE_MAX_NODES`` nodes.
+    """
+    lam_s, v_s = eigh_hermitian(model.hs.matrix)
+    lam_r, v_r = eigh_hermitian(model.hr)
+    w = np.kron(v_s, v_r)
+    energies = (lam_s[:, None] + lam_r[None, :]).ravel()
+    g = w.conj().T @ model.h_interaction() @ w
+    (b, b_int), _ = converged_gauss_legendre(
+        lambda n: _b_and_integral(g, energies, t, n),
+        "B and its time integral")
+    rot, phi = _rotations(energies, np.array([t]))
+    a = -1j * g * rot[0] * phi[0]
     return PerturbationOperators(
-        u_fin=matexp(-1j * t * model.hs.matrix), a=u0_dag @ e[1, :, 2],
-        b=u0_dag @ e[1, :, 3], b_int=u0_dag @ e[0, :, 3])
+        u_fin=(v_s * np.exp(-1j * t * lam_s)) @ v_s.conj().T,
+        a=w @ a @ w.conj().T, b=w @ b @ w.conj().T,
+        b_int=w @ b_int @ w.conj().T)
 
 
 def delta_z_from_b(b_fin: np.ndarray, b_int: np.ndarray, u_fin: np.ndarray,
@@ -181,12 +237,14 @@ def delta_z_from_b(b_fin: np.ndarray, b_int: np.ndarray, u_fin: np.ndarray,
 
 
 def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
-    """<DeltaZ> over rho_SR(0); requires the coupling condition to hold."""
+    """<DeltaZ> over rho_SR(0), from the reservoir averages
+    tr_R[(1 x rho_R) B] of B and of its integral; requires the coupling
+    condition to hold."""
     model.require_rcond()
-    b_fin, b_int = (
-        sum(p * partial_inner(r, op, r, model.dim_s, model.dim_r)
-            for p, r in zip(model.res.probs, model.res.states))
-        for op in (ops.b, ops.b_int))
+    res, ds, dr = model.res, model.dim_s, model.dim_r
+    rho_r = (res.states.T * res.probs) @ res.states.conj()
+    b_fin, b_int = (np.einsum("aibj,ji->ab", op.reshape(ds, dr, ds, dr), rho_r)
+                    for op in (ops.b, ops.b_int))
     return delta_z_from_b(b_fin, b_int, ops.u_fin, model.hs.matrix,
                           model.psi_s)
 

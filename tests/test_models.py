@@ -154,24 +154,25 @@ class TestSeExactValues:
                     warnings.simplefilter("error")
                     f_minus, f_plus = se_exact_z_values(p)
                     mean = se_mean_gp_zero_temperature(p)
-                with mp.workdps(50):
-                    s2 = mp.sin(mp.mpf(theta) / 2) ** 2
-                    c2 = mp.cos(mp.mpf(theta) / 2) ** 2
+                ref_minus, ref_plus, ref_mean = _unreduced_references(mp, p)
+                assert abs(f_minus - ref_minus) <= 1e-12
+                assert abs(f_plus - ref_plus) <= 1e-12
+                assert abs(mean - ref_mean) <= 1e-12
 
-                    def sz(a):  # <e^{a sigma_z}>_S
-                        return s2 * mp.exp(-a) + c2 * mp.exp(a)
-
-                    gn = mp.mpf(p.gamma_n)
-                    x, k = mp.pi * gn, 1 / (2 * gn)
-                    ref_minus = (-mp.exp(-x) * sz(-x)
-                                 * mp.exp(1j * k * mp.log(sz(-2 * x))))
-                    ref_plus = (-mp.exp(-x) * sz(x)
-                                * mp.exp(-1j * k * mp.log(sz(2 * x))))
-                    x0 = mp.pi * mp.mpf(rate)
-                    ref_mean = mp.pi + mp.log(sz(-2 * x0)) / (2 * mp.mpf(rate))
-                assert abs(f_minus - complex(ref_minus)) <= 1e-12
-                assert abs(f_plus - complex(ref_plus)) <= 1e-12
-                assert abs(mean - float(ref_mean)) <= 1e-12
+    @pytest.mark.parametrize("rate", [1e-4, 1e-6, 1e-8])
+    def test_weak_emission_keeps_full_precision(self, rate):
+        # log(a e^{4x} + b) at small x is log1p(a expm1(4x)); the logaddexp
+        # form cancels two O(a) logarithms and loses eps / x
+        mp = pytest.importorskip("mpmath")
+        for n_thermal in (0.0, 0.5, 2.0, 10.0):
+            for theta in (0.0, 0.3, 1.0, np.pi / 2, 2.5, np.pi):
+                p = TwoLevelAtomParams(omega=1.0, gamma0=rate,
+                                       n_thermal=n_thermal, theta=theta)
+                ref_minus, ref_plus, ref_mean = _unreduced_references(mp, p)
+                f_minus, f_plus = se_exact_z_values(p)
+                assert abs(f_minus - ref_minus) <= 1e-14
+                assert abs(f_plus - ref_plus) <= 1e-14
+                assert abs(se_mean_gp_zero_temperature(p) - ref_mean) <= 1e-14
 
     def test_no_jump_trajectory_matches(self):
         p = TwoLevelAtomParams(omega=1.0, gamma0=0.05, theta=np.pi / 4)
@@ -185,6 +186,25 @@ class TestSeExactValues:
         rep = moments(pz, n_max=1)
         exact = angle_to_positive_branch(rep.mean_gp_z)
         assert abs(exact - se_perturbative_gp(p)) < 100.0 * (1e-3) ** 2
+
+
+def _unreduced_references(mp, p):
+    """(f_minus, f_plus, zero-temperature mean GP) from the unreduced
+    formulas, evaluated by mpmath at 50 digits."""
+    with mp.workdps(50):
+        s2 = mp.sin(mp.mpf(p.theta) / 2) ** 2
+        c2 = mp.cos(mp.mpf(p.theta) / 2) ** 2
+
+        def sz(a):  # <e^{a sigma_z}>_S
+            return s2 * mp.exp(-a) + c2 * mp.exp(a)
+
+        gn = mp.mpf(p.gamma_n)
+        x, k = mp.pi * gn, 1 / (2 * gn)
+        ref_minus = -mp.exp(-x) * sz(-x) * mp.exp(1j * k * mp.log(sz(-2 * x)))
+        ref_plus = -mp.exp(-x) * sz(x) * mp.exp(-1j * k * mp.log(sz(2 * x)))
+        x0 = mp.pi * mp.mpf(p.gamma0)
+        ref_mean = mp.pi + mp.log(sz(-2 * x0)) / (2 * mp.mpf(p.gamma0))
+        return complex(ref_minus), complex(ref_plus), float(ref_mean)
 
 
 class TestSeDistributions:

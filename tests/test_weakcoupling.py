@@ -11,6 +11,7 @@ from gpdist.channels import ReservoirSpec
 from gpdist.errors import (
     InconsistentModel,
     InvalidOperand,
+    QuadratureNotConverged,
     RCondViolated,
     UndefinedGP,
 )
@@ -145,19 +146,62 @@ class TestBuildAB:
             for xk, wk in zip(x, w))
         assert np.linalg.norm(ops.b_int - b_int_ref) <= 1e-12
 
+    @pytest.mark.parametrize("t", [1.7, 2.0 * np.pi])
+    def test_matches_van_loan_block_exponential(self, t):
+        # a degenerate pair (omega from eigh ~ 1e-16) and a pair split by
+        # 1e-9 take phi's small-omega form: (e^{i omega t} - 1) / (i omega)
+        # would lose eps / omega there
+        model = _degenerate_reservoir_model([0.0, 0.8, 0.8, 1.7, 1.7 + 1e-9])
+        ops = build_AB(model, t)
+        for got, ref in zip((ops.a, ops.b, ops.b_int),
+                            _van_loan_blocks(model, t)):
+            assert np.linalg.norm(got - ref) <= 1e-13
 
-def _degenerate_reservoir_model():
+    def test_node_cap_raises(self):
+        # omega_max t ~ 6e4: Gauss-Legendre is still moving at 4096 nodes
+        res = ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2, dtype=complex),
+                            energies=[0.0, 1e4])
+        model = WeakCouplingModel(
+            hs=hs_schedule(1.0), hr=np.diag([0.0, 1e4]).astype(complex),
+            couplings=[(SIGMA_X, SIGMA_X)], res=res, psi_s=psi_initial(1.0))
+        with pytest.raises(QuadratureNotConverged, match="4096"):
+            build_AB(model, 2.0 * np.pi)
+
+
+def _van_loan_blocks(model, t):
+    """A, B and integral_0^t B from the exponential of the 4d x 4d
+    block-triangular matrix (C. F. Van Loan, IEEE Trans. Autom. Control 23,
+    395 (1978)).  With X = -i H_0 and Y = -i H_I,
+
+        expm(t [[X, 1, 0, 0],     [[U_0, .,   .,     U_0 int_0^t B],
+                [0, X, Y, 0],  =   [0,   U_0, U_0 A, U_0 B        ],
+                [0, 0, X, Y],      [0,   0,   U_0,   .            ],
+                [0, 0, 0, X]])     [0,   0,   0,     U_0          ]]
+    """
+    d = model.dim_s * model.dim_r
+    x = -1j * model.h0()
+    m = np.zeros((4, d, 4, d), dtype=complex)
+    for k in range(4):
+        m[k, :, k] = x
+    m[0, :, 1] = np.eye(d)
+    m[1, :, 2] = m[2, :, 3] = -1j * model.h_interaction()
+    e = scipy.linalg.expm(t * m.reshape(4 * d, 4 * d)).reshape(4, d, 4, d)
+    u0_dag = e[0, :, 0].conj().T
+    return u0_dag @ e[1, :, 2], u0_dag @ e[1, :, 3], u0_dag @ e[0, :, 3]
+
+
+def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
     """Non-diagonal H_S, and a non-diagonal H_R with a degenerate pair
     coupled through two terms, one with <r|R|r> = 0."""
+    n = len(energies)
     rng = np.random.default_rng(21)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4))
-                        + 1j * rng.normal(size=(4, 4)))
-    energies = [0.0, 0.8, 0.8, 1.7]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))
     hr = q @ np.diag(energies) @ q.conj().T
-    res = ReservoirSpec(probs=[0.4, 0.3, 0.2, 0.1], states=q.T,
-                        energies=energies)
-    w = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    r_op = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(4))) @ q.conj().T
+    res = ReservoirSpec(probs=[0.4, 0.3, 0.2, 0.1] + [0.0] * (n - 4),
+                        states=q.T, energies=energies)
+    w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    r_op = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(n))) @ q.conj().T
     return WeakCouplingModel(
         hs=Schedule.constant(0.6 * SIGMA_X + 0.3 * SIGMA_Z), hr=hr,
         couplings=[(0.2 * r_op, SIGMA_X), (0.1 * hr, SIGMA_Y)], res=res,
