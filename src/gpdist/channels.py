@@ -326,17 +326,19 @@ def spectral_conditional_trajectories(
     res: ReservoirSpec,
     sys: SystemEnsemble,
     t_end: float,
-) -> tuple[list[tuple[float, ClosedFormPath]], np.ndarray]:
+) -> tuple[tuple[np.ndarray, ClosedFormPath], np.ndarray]:
     """``conditional_trajectories`` of a constant joint Hamiltonian ``h`` as
-    closed-form paths on [0, t_end], and the final propagator ``U(t_end)``.
+    one closed-form family on [0, t_end] with the members' weights, and the
+    final propagator ``U(t_end)``.
 
     With ``h = V diag(lambda) V^dag`` each conditional state is
 
         psi_r(t)_a = sum_n <a, r|V>_n e^{-i lambda_n t} (V^dag (psi_s x r))_n,
 
     and its derivative multiplies each term by -i lambda_n: one
-    eigendecomposition per call and O(d) work per path and time, with the
-    exponentials shared by psi and its derivative.
+    eigendecomposition per call, the exponentials evaluated once per set of
+    times for every member and for psi and its derivative, and O(d) work
+    per member and time.  Members run over (r, psi_s) with psi_s fastest.
     """
     lam, v = eigh_hermitian(h)
     dim_s, dim_r = sys.states.shape[1], res.dim
@@ -344,24 +346,23 @@ def spectral_conditional_trajectories(
         raise DimensionError("joint Hamiltonian dimension != dim_s * dim_r")
     v3 = v.reshape(dim_s, dim_r, len(v))
     rates = -1j * lam
+    n_sys = len(sys.states)
+    left = np.repeat(np.einsum("ri,ain->ran", res.states.conj(), v3),
+                     n_sys, axis=0)
+    coeffs = np.einsum("ain,sa,ri->rsn", v3.conj(), sys.states,
+                       res.states).reshape(-1, len(v))
+    # e * (rates * coeffs), not (e * coeffs) * rates, which rounds apart
+    rate_coeffs = rates * coeffs
 
-    def path(left, coeffs):
-        # e * (rates * coeffs), not (e * coeffs) * rates, which rounds apart
-        rate_coeffs = rates * coeffs
+    def states(t, members):
+        e = np.exp(np.outer(t, rates))
+        left_t = left[members].transpose(0, 2, 1)
+        return ((e * coeffs[members, None]) @ left_t,
+                (e * rate_coeffs[members, None]) @ left_t)
 
-        def states(t):
-            e = np.exp(np.outer(t, rates))
-            return (e * coeffs) @ left.T, (e * rate_coeffs) @ left.T
-
-        return ClosedFormPath(states=states, t_end=t_end)
-
-    out = []
-    for p_r, r in zip(res.probs, res.states):
-        left = np.einsum("i,ain->an", r.conj(), v3)
-        for q_s, psi in zip(sys.probs, sys.states):
-            coeffs = np.einsum("ain,a,i->n", v3.conj(), psi, r)
-            out.append((p_r * q_s, path(left, coeffs)))
-    return out, (v * np.exp(-1j * (t_end * lam))) @ v.conj().T
+    weights = np.outer(res.probs, sys.probs).ravel()
+    return ((weights, ClosedFormPath(states=states, t_end=t_end)),
+            (v * np.exp(-1j * (t_end * lam))) @ v.conj().T)
 
 
 def conditional_kraus_elements(

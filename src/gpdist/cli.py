@@ -44,7 +44,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -95,8 +95,6 @@ SCALARS = {
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
@@ -171,11 +169,17 @@ def _matrix(obj, where: str, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CustomPoint:
-    """A point of a model given by its operators rather than closed forms."""
+    """Model point given by operators; H_S follows omega and psi_S theta."""
 
     omega: float
     theta: float
     model: WeakCouplingModel | LindbladModel
+
+    def __post_init__(self):
+        pointed = {"hs": hs_schedule(self.omega)}
+        if isinstance(self.model, WeakCouplingModel):
+            pointed["psi_s"] = psi_initial(self.theta)
+        object.__setattr__(self, "model", replace(self.model, **pointed))
 
     @property
     def period(self) -> float:
@@ -217,10 +221,10 @@ def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
 def _joint_distribution(p: CustomPoint):
     """P_Z of the constant joint H = H_0 + H_I over one period, and U there."""
     m = p.model
-    trajs, u_fin = spectral_conditional_trajectories(
+    family, u_fin = spectral_conditional_trajectories(
         m.h0() + m.h_interaction(), m.res, SystemEnsemble.pure(m.psi_s),
         p.period)
-    return build_distribution(trajs, kind="z"), u_fin
+    return build_distribution([family], kind="z"), u_fin
 
 
 def _se_references(p: TwoLevelAtomParams) -> dict:
@@ -322,7 +326,7 @@ MODELS = {
         defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
         point=PhaseDampingParams, outputs=("moments", "atoms"),
         distribution=lambda p: (
-            build_distribution(pd_trajectories(p), kind="z"), None),
+            build_distribution([pd_trajectories(p)], kind="z"), None),
         references=_pd_references, compare=_pd_compare),
     "custom_joint": Model(
         defaults={"omega": 1.0, "theta": np.pi / 2.0,
@@ -398,9 +402,9 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError("sweep.values: must be sorted")
         overrides = [{parameter: _scalar(parameter, v, f"sweep.values[{i}]")}
                      for i, v in enumerate(values)]
+    point = model.point(**params)  # a sweep point is a copy: one parse
     return Scenario(model=name, n_steps=n_steps, sweep_parameter=parameter,
-                    points=tuple(model.point(**{**params, **o})
-                                 for o in overrides),
+                    points=tuple(replace(point, **o) for o in overrides),
                     outputs=outputs)
 
 

@@ -81,10 +81,13 @@ class MomentReport:
 
 
 def build_distribution(
-    weighted_trajs: list[tuple[float, Trajectory | ClosedFormPath]],
+    weighted_trajs: list[tuple[float, Trajectory]
+                         | tuple[np.ndarray, ClosedFormPath]],
     kind: str = "z",
 ) -> PhaseDistribution:
-    """One atom per trajectory, valued Z[psi] ("z") or Z/|Z| ("h").
+    """One atom per sampled trajectory or family member, valued Z[psi]
+    ("z") or Z/|Z| ("h").  A family comes with one weight per member and is
+    scored in one ``z_functional`` call.
 
     A trajectory with undefined GP contributes a legal zero atom to a
     Z-valued build but aborts an H-valued build, which needs every phase.
@@ -93,16 +96,23 @@ def build_distribution(
     """
     weights, values, estimates = [], [], []
     for w, traj in weighted_trajs:
-        try:
-            res = z_functional(traj)
-            z = res.z
-            estimates.append(res.error_estimate)
-        except UndefinedGP:
-            if kind == "h":
-                raise
-            z = 0.0
-        weights.append(w)
-        values.append(z)
+        if isinstance(traj, ClosedFormPath):
+            scored = z_functional(traj)
+        else:
+            w = [w]
+            try:
+                scored = [z_functional(traj)]
+            except UndefinedGP as exc:
+                scored = [exc]
+        for res in scored:
+            if isinstance(res, UndefinedGP):
+                if kind == "h":
+                    raise res
+                values.append(0.0)
+            else:
+                values.append(res.z)
+                estimates.append(res.error_estimate)
+        weights.extend(w)
     estimate = (None if None in estimates or not estimates
                 else max(estimates))
     dist = PhaseDistribution(kind="z", weights=np.array(weights),
@@ -168,6 +178,32 @@ def block_first_moment(
     return complex(acc)
 
 
+def _mixed_members(probs: np.ndarray, states: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (s, k) and normalised states (s, k, d) of one block's members
+    ``u_j = sum_i V[j, i] sqrt(p_i) |r_i>`` for each unitary V of the stack
+    ``v`` (s, k, k), from the block's weights ``probs`` and states.
+
+    Raises InvalidDecomposition when a V is not unitary, gives a member of
+    zero weight or changes the block density matrix.
+    """
+    eye = np.eye(v.shape[-1])
+    if np.any(np.linalg.norm(v.conj().transpose(0, 2, 1) @ v - eye,
+                             axis=(1, 2)) > 1e-10):
+        raise InvalidDecomposition("block transformation is not unitary")
+    new = v @ (np.sqrt(probs)[:, None] * states)   # rows sqrt(p_i)|r_i>
+    new_p = np.einsum("sji,sji->sj", new.conj(), new).real
+    if np.any(new_p < 1e-300):
+        raise InvalidDecomposition("degenerate member with zero weight")
+    new /= np.sqrt(new_p)[..., None]
+    density = np.einsum("r,ri,rj->ij", probs, states, states.conj())
+    if np.any(np.linalg.norm(
+            np.einsum("sr,sri,srj->sij", new_p, new, new.conj()) - density,
+            axis=(1, 2)) > 1e-12):
+        raise InvalidDecomposition("block density matrix changed")
+    return new_p, new
+
+
 def redecompose(
     res: ReservoirSpec,
     block_unitaries: dict[int, np.ndarray],
@@ -182,7 +218,6 @@ def redecompose(
     blocks = res.blocks()
     probs = res.probs.copy()
     states = res.states.copy()
-    energies = res.energies.copy()
     for bi, v in block_unitaries.items():
         blk = blocks[bi]
         v = np.asarray(v, dtype=complex)
@@ -191,50 +226,52 @@ def redecompose(
             raise InvalidDecomposition(
                 f"block {bi} has size {k}, unitary has shape {v.shape}"
             )
-        if np.linalg.norm(v.conj().T @ v - np.eye(k)) > 1e-10:
-            raise InvalidDecomposition("block transformation is not unitary")
-        sq = np.sqrt(probs[blk])[:, None] * states[blk]   # rows sqrt(p_i)|r_i>
-        new = v @ sq
-        new_p = np.einsum("ji,ji->j", new.conj(), new).real
-        if np.any(new_p < 1e-300):
-            raise InvalidDecomposition("degenerate member with zero weight")
-        probs[blk] = new_p
-        states[blk] = new / np.sqrt(new_p)[:, None]
-    out = ReservoirSpec(probs=probs, states=states, energies=energies,
-                        orthonormal=False)
-    for bi in block_unitaries:
-        if np.linalg.norm(out.block_density(blocks[bi])
-                          - res.block_density(blocks[bi])) > 1e-12:
-            raise InvalidDecomposition("block density matrix changed")
-    return out
+        new_p, new = _mixed_members(res.probs[blk], res.states[blk], v[None])
+        probs[blk], states[blk] = new_p[0], new[0]
+    return ReservoirSpec(probs=probs, states=states,
+                         energies=res.energies.copy(), orthonormal=False)
 
 
 def decomposition_check(res: ReservoirSpec, psi_s: np.ndarray,
                         u_fin: np.ndarray, seed: int) -> tuple[float, float]:
     """Redecompose degenerate blocks with seeded random unitaries and return
     the worst shift of each first moment (Z, H) under the common-D(E)
-    convention."""
-    rng = np.random.default_rng(seed)
+    convention.
+
+    Each seed draws one unitary per block, in block order, and mixes that
+    block's members; a block of zero total weight has nothing to
+    redecompose and draws nothing.  Every member's first moment
+    v = <psi_S|<u|U|u>|psi_S> is read off one reservoir operator,
+    v = <u|M|u> with M = <psi_S|U|psi_S>.
+    """
+    blocks = [blk for blk in res.blocks()
+              if len(blk) > 1 and res.probs[blk].sum() > 0.0]
+    if not blocks:
+        return 0.0, 0.0
+    psi_s = np.asarray(psi_s, dtype=complex)
     dim_s = len(psi_s)
+    m = np.einsum("a,arbs,b->rs", psi_s.conj(),
+                  u_fin.reshape(dim_s, res.dim, dim_s, res.dim), psi_s)
 
-    def first_moments(spec):
-        # v_r = <psi|<r|U|r>|psi>; the blocks partition the states, so the
-        # block moments sum to Z = sum p_r v_r, and H = sum p_r v_r / |v_r|
-        v = np.array([np.vdot(psi_s, partial_inner(r, u_fin, r, dim_s,
-                                                   res.dim) @ psi_s)
-                      for r in spec.states])
-        return spec.probs @ v, spec.probs @ (v / abs(v))
+    def first_moments(probs, states):
+        # the blocks partition the states, so the block moments sum to
+        # Z = sum p_r v_r, and H = sum p_r v_r / |v_r|
+        v = np.einsum("...ri,ij,...rj->...r", states.conj(), m, states)
+        return (probs * v).sum(-1), (probs * (v / abs(v))).sum(-1)
 
-    z0, h0 = first_moments(res)
-    worst_z, worst_h = 0.0, 0.0
-    blocks = [(bi, len(blk)) for bi, blk in enumerate(res.blocks())
-              if len(blk) > 1]
-    for _ in range(DECOMPOSITION_SEEDS if blocks else 0):
-        unitaries = {}
-        for bi, k in blocks:
-            g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-            unitaries[bi] = np.linalg.qr(g)[0]
-        z1, h1 = first_moments(redecompose(res, unitaries))
-        worst_z = max(worst_z, abs(z1 - z0))
-        worst_h = max(worst_h, abs(h1 - h0))
-    return worst_z, worst_h
+    # per seed, the real and imaginary parts of each block's k x k draw
+    sizes = [len(blk) for blk in blocks]
+    draws = np.random.default_rng(seed).normal(
+        size=(DECOMPOSITION_SEEDS, sum(2 * k * k for k in sizes)))
+    probs = np.tile(res.probs, (DECOMPOSITION_SEEDS, 1))
+    states = np.tile(res.states, (DECOMPOSITION_SEEDS, 1, 1))
+    start = 0
+    for blk, k in zip(blocks, sizes):
+        g = draws[:, start:start + 2 * k * k].reshape(-1, 2, k, k)
+        start += 2 * k * k
+        v = np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0]
+        probs[:, blk], states[:, blk] = _mixed_members(
+            res.probs[blk], res.states[blk], v)
+    z0, h0 = first_moments(res.probs, res.states)
+    z1, h1 = first_moments(probs, states)
+    return float(abs(z1 - z0).max()), float(abs(h1 - h0).max())

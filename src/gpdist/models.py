@@ -308,24 +308,21 @@ def pd_lindblad_model(p: PhaseDampingParams) -> LindbladModel:
 
 def pd_trajectories(
     p: PhaseDampingParams,
-) -> list[tuple[float, ClosedFormPath]]:
+) -> tuple[np.ndarray, ClosedFormPath]:
     """The two equally weighted conditional paths K_i(t)|psi_S> over one
-    period.  Im<psi|psi'> sees only the component phases -+ omega t / 2, so
-    the derivative leaves out that of the real amplitudes, whose r(t) goes
-    like sqrt(t) at t = 0."""
+    period, as one family with its weights.  Im<psi|psi'> sees only the
+    component phases -+ omega t / 2, so the derivative leaves out that of
+    the real amplitudes, whose r(t) goes like sqrt(t) at t = 0."""
     psi0 = psi_initial(p.theta)
     rates = np.array([-0.5j, 0.5j]) * p.omega
-    weights = [w for w, _ in pd_kraus_channel(p).elements]
+    weights = np.array([w for w, _ in pd_kraus_channel(p).elements])
 
-    def path(i):
-        def states(t):
-            psi = _pd_diagonals(p, t)[i] * psi0
-            return psi, rates * psi
+    def states(t, members):
+        psi = _pd_diagonals(p, t)[members] * psi0
+        return psi, rates * psi
 
-        return ClosedFormPath(states=states, t_end=p.period,
-                              sqrt_singular_start=True)
-
-    return [(w, path(i)) for i, w in enumerate(weights)]
+    return weights, ClosedFormPath(states=states, t_end=p.period,
+                                   sqrt_singular_start=True)
 
 
 @dataclass(frozen=True)
@@ -357,7 +354,7 @@ def pd_moments(p: PhaseDampingParams) -> PhaseDampingMoments:
     """Exact two-atom moments at one period, next to the first-order forms."""
     from .distribution import build_distribution, moments as dist_moments
 
-    dist = build_distribution(pd_trajectories(p), kind="z")
+    dist = build_distribution([pd_trajectories(p)], kind="z")
     rep = dist_moments(dist, n_max=1)
     first_z = rep.z_moments[0]
     ref_z, ref_h, ref_w = pd_first_order_references(p)

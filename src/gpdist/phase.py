@@ -12,11 +12,12 @@ and is reported as an error, never as NaN.
 Two kinds of path are scored.  A sampled ``Trajectory`` uses the trapezoid
 rule in time with centered finite differences for the state derivative
 (second-order one-sided stencils at the endpoints), second order overall to
-match the propagator.  A ``ClosedFormPath`` gives psi(t) and dpsi/dt exactly
-at any time, both from one call, so its integral is taken by Gauss-Legendre
-quadrature: the node count doubles from ``QUADRATURE_START_NODES`` until two
-successive values agree to ``QUADRATURE_TOL``, and that difference is
-reported as the estimated error of beta.
+match the propagator.  A ``ClosedFormPath`` is a family of paths whose
+psi(t) and dpsi/dt are exact at any time, every member from one call, so
+each member's integral is taken by Gauss-Legendre quadrature: its node count
+doubles from ``QUADRATURE_START_NODES`` until two successive values agree to
+``QUADRATURE_TOL``, and that difference is reported as the estimated error
+of its beta.
 """
 
 from __future__ import annotations
@@ -73,18 +74,22 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ClosedFormPath:
-    """Pure-state path on [0, t_end] given by a vectorised closed form.
+    """Family of pure-state paths on [0, t_end] given by a vectorised closed
+    form.
 
-    ``states(t)`` maps an array of k times to ``(psi, dpsi)``, two (k, dim)
-    arrays, so the two can share their exponentials.  ``dpsi`` may differ
-    from d psi/dt by any vector delta with Im<psi|delta> = 0, such as the
-    derivative of a real amplitude that multiplies each component.
-    ``sqrt_singular_start`` marks an integrand that behaves like sqrt(t) at
-    t = 0; the quadrature then runs in u with t = t_end u^2, where it is
-    smooth.
+    ``states(t, members)`` maps an array of k times to ``(psi, dpsi)``, two
+    (m, k, dim) arrays for the m members that ``members`` selects along the
+    member axis (``slice(None)`` for all, or an integer index array), so
+    that members share their exponentials and psi shares them with dpsi.
+    ``dpsi`` may differ from d psi/dt by any vector delta with
+    Im<psi|delta> = 0, such as the derivative of a real amplitude that
+    multiplies each component.  ``sqrt_singular_start`` marks an integrand
+    that behaves like sqrt(t) at t = 0; the quadrature then runs in u with
+    t = t_end u^2, where it is smooth.
     """
 
-    states: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    states: Callable[[np.ndarray, slice | np.ndarray],
+                     tuple[np.ndarray, np.ndarray]]
     t_end: float
     sqrt_singular_start: bool = False
 
@@ -143,74 +148,98 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_legendre_phase(path: ClosedFormPath, n: int) -> float:
-    """n-node Gauss-Legendre value of the dynamic-phase integral, with the
-    state checks of ``Trajectory`` at every node."""
+def _gauss_legendre_phase(path: ClosedFormPath, n: int,
+                          members: slice | np.ndarray) -> np.ndarray:
+    """n-node Gauss-Legendre values of the dynamic-phase integrals of the
+    selected members, with the state checks of ``Trajectory`` at every
+    node."""
     x, w = _gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     if path.sqrt_singular_start:
         t, dt = path.t_end * u * u, path.t_end * u * w  # dt = 2 T u du
     else:
         t, dt = path.t_end * u, 0.5 * path.t_end * w
-    psi, dpsi = path.states(t)
-    norms2 = np.einsum("ki,ki->k", psi.conj(), psi).real
+    psi, dpsi = path.states(t, members)
+    norms2 = np.einsum("mki,mki->mk", psi.conj(), psi).real
     _check_norms(norms2)
     if not np.all(np.isfinite(dpsi)):
         raise InvalidOperand("trajectory has a non-finite derivative")
-    num = np.einsum("ki,ki->k", psi.conj(), dpsi).imag
-    return float(dt @ (num / norms2))
-
-
-def _largest(x: np.ndarray | float) -> float:
-    """max |x| of an array, or |x| of a number, which skips numpy's
-    reduction overhead on the many scalar phase integrals."""
-    return float(abs(x).max()) if isinstance(x, np.ndarray) else abs(x)
+    num = np.einsum("mki,mki->mk", psi.conj(), dpsi).imag
+    # one dot per member: a batched (m, k) @ (k,) product sums in another
+    # order and moves the atoms by rounding
+    return np.array([dt @ row for row in num / norms2])
 
 
 def converged_gauss_legendre(
-    rule: Callable[[int], np.ndarray | float], quantity: str,
-) -> tuple[np.ndarray | float, float]:
-    """Value of an n-node Gauss-Legendre ``rule(n)`` and its error estimate
-    max |value_n - value_2n|, doubling n from ``QUADRATURE_START_NODES``
-    until that falls below ``QUADRATURE_TOL`` relative to max(1, max |value|).
+    rule: Callable[[int, slice | np.ndarray], np.ndarray], quantity: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values of an n-node Gauss-Legendre ``rule(n, members)`` for each
+    member of a family, and their error estimates max |value_n - value_2n|.
+
+    ``rule`` returns an array whose leading axis runs over the members that
+    ``members`` selects.  Each member doubles n from
+    ``QUADRATURE_START_NODES`` until its estimate falls below
+    ``QUADRATURE_TOL`` relative to max(1, max |value|), and keeps the value
+    and estimate of that n, as it would alone; later doublings evaluate only
+    the members still open.
 
     Raises QuadratureNotConverged, naming ``quantity``, past
     ``QUADRATURE_MAX_NODES`` nodes.
     """
     n = QUADRATURE_START_NODES
-    coarse = rule(n)
+    coarse = rule(n, slice(None))
+    value, error = np.empty_like(coarse), np.empty(len(coarse))
+    members = np.arange(len(coarse))
     while 2 * n <= QUADRATURE_MAX_NODES:
         n *= 2
-        fine = rule(n)
-        error = _largest(fine - coarse)
-        if error <= QUADRATURE_TOL * max(1.0, _largest(fine)):
-            return fine, error
-        coarse = fine
+        fine = rule(n, members)
+        change = abs(fine - coarse).reshape(len(fine), -1).max(axis=1)
+        scale = np.maximum(1.0, abs(fine).reshape(len(fine), -1).max(axis=1))
+        done = change <= QUADRATURE_TOL * scale
+        value[members[done]], error[members[done]] = fine[done], change[done]
+        members, coarse, change = members[~done], fine[~done], change[~done]
+        if len(members) == 0:
+            return value, error
     raise QuadratureNotConverged(
-        f"{quantity} changed by {error:.3e} between {n // 2} and {n} "
+        f"{quantity} changed by {change.max():.3e} between {n // 2} and {n} "
         "Gauss-Legendre nodes")
 
 
-def z_functional(traj: Trajectory | ClosedFormPath) -> PhaseResult:
-    """Dynamic-phase-removed overlap Z[psi] and geometric phase beta = arg Z.
-
-    Raises UndefinedGP when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.
-    """
-    if isinstance(traj, ClosedFormPath):
-        phi, error = converged_gauss_legendre(
-            lambda n: _gauss_legendre_phase(traj, n), "dynamic phase (rad)")
-        ends = traj.states(np.array([0.0, traj.t_end]))[0]
-    else:
-        phi, error = dynamic_phase(traj), None
-        ends = traj.states[[0, -1]]
+def _scored(phi: float, error: float | None,
+            ends: np.ndarray) -> PhaseResult | UndefinedGP:
+    """Z from the dynamic phase and the end states, or the UndefinedGP of a
+    vanishing |Z|."""
     norms2 = np.einsum("ki,ki->k", ends.conj(), ends).real
     _check_norms(norms2)
     overlap = complex(np.vdot(ends[0], ends[1]))
     z = np.exp(-1j * phi) * overlap
     if abs(z) < Z_RELATIVE_EPS * np.sqrt(norms2[0] * norms2[1]):
-        raise UndefinedGP(f"|Z| = {abs(z):.3e} below tolerance; GP undefined")
+        return UndefinedGP(f"|Z| = {abs(z):.3e} below tolerance; GP undefined")
     return PhaseResult(z=z, beta=float(np.angle(z)), dynamic_phase=phi,
                        overlap=overlap, error_estimate=error)
+
+
+def z_functional(
+    traj: Trajectory | ClosedFormPath,
+) -> PhaseResult | list[PhaseResult | UndefinedGP]:
+    """Dynamic-phase-removed overlap Z[psi] and geometric phase beta = arg Z.
+
+    The GP is undefined when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||:
+    a sampled trajectory then raises UndefinedGP.  A closed-form family is
+    scored in one call and gives one entry per member, its PhaseResult or
+    the UndefinedGP it would raise alone.
+    """
+    if isinstance(traj, Trajectory):
+        res = _scored(dynamic_phase(traj), None, traj.states[[0, -1]])
+        if isinstance(res, UndefinedGP):
+            raise res
+        return res
+    phis, errors = converged_gauss_legendre(
+        lambda n, members: _gauss_legendre_phase(traj, n, members),
+        "dynamic phase (rad)")
+    ends = traj.states(np.array([0.0, traj.t_end]), slice(None))[0]
+    return [_scored(float(phi), float(error), end)
+            for phi, error, end in zip(phis, errors, ends)]
 
 
 def gauge_transform(traj: Trajectory, alpha) -> Trajectory:

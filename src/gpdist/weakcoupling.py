@@ -198,9 +198,10 @@ def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
     w = np.kron(v_s, v_r)
     energies = (lam_s[:, None] + lam_r[None, :]).ravel()
     g = w.conj().T @ model.h_interaction() @ w
-    (b, b_int), _ = converged_gauss_legendre(
-        lambda n: _b_and_integral(g, energies, t, n),
+    values, _ = converged_gauss_legendre(  # a family of one member
+        lambda n, _: _b_and_integral(g, energies, t, n)[None],
         "B and its time integral")
+    b, b_int = values[0]
     rot, phi = _rotations(energies, np.array([t]))
     a = -1j * g * rot[0] * phi[0]
     return PerturbationOperators(

@@ -380,19 +380,23 @@ class TestConditionalTrajectories:
         us = time_ordered_propagator(Schedule(evaluator=lambda t: h, dim=6),
                                      grid)
         ref = conditional_trajectories(us, res, sys, grid)
-        got, u_fin = spectral_conditional_trajectories(h, res, sys,
-                                                       grid.t_end)
-        assert [w for w, _ in got] == [w for w, _ in ref]
-        worst = max(np.abs(a.states(grid.times)[0] - b.states).max()
-                    for (_, a), (_, b) in zip(got, ref))
+        (weights, family), u_fin = spectral_conditional_trajectories(
+            h, res, sys, grid.t_end)
+        assert list(weights) == [w for w, _ in ref]
+        psi, dpsi = family.states(grid.times, slice(None))
+        worst = max(np.abs(a - b.states).max() for a, (_, b) in zip(psi, ref))
         assert worst <= 1e-10
         assert np.linalg.norm(u_fin - us[-1]) <= 1e-10
         # dpsi is <r|(-i h) U(t)|psi_s r>, in the same order of (r, psi_s)
-        pairs = [(r, psi) for r in res.states for psi in sys.states]
-        for (_, path), (r, psi) in zip(got, pairs):
-            x = us @ np.kron(psi, r)
+        pairs = [(r, s) for r in res.states for s in sys.states]
+        for got_d, (r, s) in zip(dpsi, pairs):
+            x = us @ np.kron(s, r)
             ref_d = (-1j * x @ h.T).reshape(-1, 2, dim_r) @ r.conj()
-            assert np.abs(path.states(grid.times)[1] - ref_d).max() <= 1e-10
+            assert np.abs(got_d - ref_d).max() <= 1e-10
+        # a selection of members gives those members' states
+        sel = family.states(grid.times, np.array([3, 0]))
+        assert np.array_equal(sel[0], psi[[3, 0]])
+        assert np.array_equal(sel[1], dpsi[[3, 0]])
 
 
 class TestResummation:

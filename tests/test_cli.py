@@ -397,6 +397,19 @@ class TestMain:
         assert z_shift < 1e-9
         assert h_shift > z_shift
 
+    def test_unpopulated_block_is_not_redecomposed(self, tmp_path):
+        # the degenerate pair carries no weight, so no member can be mixed
+        cfg = joint_config([[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                           outputs=["moments", "decomposition_check"])
+        cfg["params"]["reservoir_energies"] = [0.0, 1.0, 1.0]
+        cfg["params"]["reservoir_probs"] = [1.0, 0.0, 0.0]
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out",
+                     str(out)]) == 0
+        rec = read_csv(out / "moments.csv")[0]
+        assert rec["decomposition_shift_mean_z_dimensionless"] == "0"
+        assert rec["decomposition_shift_mean_h_dimensionless"] == "0"
+
 
 def lindblad_config(**overrides):
     cfg = {

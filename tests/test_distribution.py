@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from gpdist.channels import ReservoirSpec
 from gpdist.distribution import (
+    DECOMPOSITION_SEEDS,
     PhaseDistribution,
     block_first_moment,
     build_distribution,
+    decomposition_check,
     moments,
     redecompose,
 )
 from gpdist.errors import InvalidBlock, InvalidDecomposition, UndefinedGP
-from gpdist.hilbert import TimeGrid
+from gpdist.hilbert import TimeGrid, partial_inner
 from gpdist.models import (
     TwoLevelAtomParams,
     se_distributions,
@@ -159,8 +161,6 @@ class TestBlockFirstMoment:
                             + 1j * rng.normal(size=(6, 6)))
         psi = np.array([0.6, 0.8], dtype=complex)
         got = block_first_moment(q, res, psi, [0])
-        from gpdist.hilbert import partial_inner
-
         k = partial_inner(res.states[0], q, res.states[0], 2, 3)
         assert got == pytest.approx(0.2 * np.vdot(psi, k @ psi))
 
@@ -229,6 +229,12 @@ class TestRedecompose:
         with pytest.raises(InvalidDecomposition):
             redecompose(res, {1: np.eye(3)})
 
+    def test_zero_weight_member_rejected(self):
+        res = ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2, dtype=complex),
+                            energies=[0.0, 0.0])
+        with pytest.raises(InvalidDecomposition, match="zero weight"):
+            redecompose(res, {0: np.eye(2)})
+
     def test_higher_z_moments_may_change(self):
         # decomposition freedom is documented to leave only the FIRST
         # Z-moment invariant; verify a second moment actually moves
@@ -237,7 +243,6 @@ class TestRedecompose:
                             + 1j * rng.normal(size=(6, 6)))
         res = _degenerate_res()
         psi = np.array([0.6, 0.8], dtype=complex)
-        from gpdist.hilbert import partial_inner
 
         def z2(spec):
             return sum(
@@ -248,3 +253,48 @@ class TestRedecompose:
                             + 1j * rng.normal(size=(2, 2)))
         alt = redecompose(res, {1: v})
         assert abs(z2(alt) - z2(res)) > 1e-6
+
+
+def loop_decomposition_check(res, psi, u_fin, seed):
+    """The per-seed, per-state reference: ``redecompose`` and one
+    ``partial_inner`` per reservoir state."""
+    rng = np.random.default_rng(seed)
+
+    def first_moments(spec):
+        v = np.array([np.vdot(psi, partial_inner(r, u_fin, r, 2, res.dim)
+                              @ psi) for r in spec.states])
+        return spec.probs @ v, spec.probs @ (v / abs(v))
+
+    z0, h0 = first_moments(res)
+    blocks = [(bi, len(blk)) for bi, blk in enumerate(res.blocks())
+              if len(blk) > 1]
+    worst_z, worst_h = 0.0, 0.0
+    for _ in range(DECOMPOSITION_SEEDS):
+        unitaries = {}
+        for bi, k in blocks:
+            g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            unitaries[bi] = np.linalg.qr(g)[0]
+        z1, h1 = first_moments(redecompose(res, unitaries))
+        worst_z = max(worst_z, abs(z1 - z0))
+        worst_h = max(worst_h, abs(h1 - h0))
+    return worst_z, worst_h
+
+
+class TestDecompositionCheck:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23])
+    def test_matches_per_state_loop(self, seed):
+        # degenerate blocks of sizes 2 and 3 with unequal weights, in a
+        # rotated reservoir basis, under a generic joint unitary
+        rng = np.random.default_rng(100 + seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(6, 6))
+                                + 1j * rng.normal(size=(6, 6)))
+        res = ReservoirSpec(probs=[0.3, 0.25, 0.15, 0.12, 0.1, 0.08],
+                            states=basis,
+                            energies=[0.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        u_fin, _ = np.linalg.qr(rng.normal(size=(12, 12))
+                                + 1j * rng.normal(size=(12, 12)))
+        psi = np.array([0.6, 0.8j])
+        got = decomposition_check(res, psi, u_fin, seed)
+        want = loop_decomposition_check(res, psi, u_fin, seed)
+        assert got[1] > 1e-3  # the H moment does move
+        assert got == pytest.approx(want, abs=1e-12, rel=0.0)

@@ -346,21 +346,22 @@ class TestPdMoments:
 
     def test_two_trajectories(self):
         p = PhaseDampingParams(omega=1.0, alpha=0.02, theta=np.pi / 3)
-        trajs = pd_trajectories(p)
-        assert len(trajs) == 2
-        assert sum(w for w, _ in trajs) == pytest.approx(1.0)
+        weights, path = pd_trajectories(p)
+        assert len(weights) == 2
+        assert sum(weights) == pytest.approx(1.0)
         t = np.linspace(0.1, p.period - 0.1, 7)
         h = 1e-5
-        for _, path in trajs:
-            assert path.t_end == p.period and path.sqrt_singular_start
-            assert np.allclose(path.states(np.array([0.0]))[0][0],
-                               psi_initial(p.theta))
-            # dpsi keeps every part of psi' that Im<psi|psi'> sees
-            psi, dpsi = path.states(t)
-            fd = (path.states(t + h)[0] - path.states(t - h)[0]) / (2.0 * h)
-            exact = np.einsum("ki,ki->k", psi.conj(), dpsi).imag
-            assert np.allclose(
-                exact, np.einsum("ki,ki->k", psi.conj(), fd).imag, atol=1e-9)
+        every = slice(None)
+        assert path.t_end == p.period and path.sqrt_singular_start
+        for start in path.states(np.array([0.0]), every)[0]:
+            assert np.allclose(start[0], psi_initial(p.theta))
+        # dpsi keeps every part of psi' that Im<psi|psi'> sees
+        psi, dpsi = path.states(t, every)
+        fd = (path.states(t + h, every)[0]
+              - path.states(t - h, every)[0]) / (2.0 * h)
+        exact = np.einsum("mki,mki->mk", psi.conj(), dpsi).imag
+        assert np.allclose(
+            exact, np.einsum("mki,mki->mk", psi.conj(), fd).imag, atol=1e-9)
 
 
 class TestMicroscopicCouplings:
@@ -393,10 +394,12 @@ class TestGridBroadcastBuilders:
         p = PhaseDampingParams(omega=1.01, alpha=alpha, theta=1.1)
         grid = TimeGrid(0.0, p.period, 1024)
         psi = psi_initial(p.theta)
-        trajs = pd_trajectories(p)
-        for (w, path), (w_ref, k) in zip(trajs, pd_kraus_channel(p).elements):
+        weights, path = pd_trajectories(p)
+        states = path.states(grid.times, slice(None))[0]
+        for w, got, (w_ref, k) in zip(weights, states,
+                                      pd_kraus_channel(p).elements):
             assert w == w_ref
-            assert_bit_identical(path.states(grid.times)[0],
+            assert_bit_identical(got,
                                  np.array([k(t) @ psi for t in grid.times]))
 
     @pytest.mark.parametrize("gamma0, n_thermal", [(0.0, 0.0), (0.05, 0.0),

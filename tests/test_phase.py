@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpdist.channels import ReservoirSpec, SystemEnsemble
-from gpdist.distribution import PhaseDistribution
+from gpdist.channels import (ReservoirSpec, SystemEnsemble,
+                             spectral_conditional_trajectories)
+from gpdist.distribution import PhaseDistribution, build_distribution
 from gpdist.errors import (DegenerateTrajectory, InvalidOperand, InvalidState,
                            QuadratureNotConverged, UndefinedGP)
 from gpdist.hilbert import SIGMA_Z, Schedule, TimeGrid, time_ordered_propagator
-from gpdist.models import PhaseDampingParams, TwoLevelAtomParams
+from gpdist.models import (PhaseDampingParams, TwoLevelAtomParams,
+                           pd_trajectories)
 from gpdist.phase import (
     QUADRATURE_TOL,
     ClosedFormPath,
@@ -77,7 +79,8 @@ NAN = float("nan")
                                values=[1.0, complex(0.0, float("inf"))]),
      ValueError),
     (lambda: TimeGrid(0.0, NAN, 4), ValueError),
-    (lambda: ClosedFormPath(states=lambda t: (t, t), t_end=NAN), ValueError),
+    (lambda: ClosedFormPath(states=lambda t, members: (t, t), t_end=NAN),
+     ValueError),
     (lambda: PhaseDistribution(kind="z", weights=[1.0], values=[1.0],
                                error_estimate=NAN), ValueError),
     (lambda: TwoLevelAtomParams(omega=NAN, gamma0=0.0), ValueError),
@@ -156,28 +159,30 @@ class TestZFunctional:
         assert abs(res.z - ref.z) < 1e-8
 
 
-def precession_path(theta, t_end=2.0 * np.pi):
-    """``precession_states`` as a closed form, with its exact derivative."""
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+def precession_path(*thetas, t_end=2.0 * np.pi):
+    """``precession_states`` of each theta as one closed-form family, with
+    the exact derivative."""
+    amps = np.array([[np.sin(th / 2.0), np.cos(th / 2.0)] for th in thetas])
     rates = np.array([-0.5j, 0.5j]) * OMEGA
 
-    def states(t):
-        psi = np.array([s, c]) * np.exp(np.outer(t, rates))
+    def states(t, members):
+        psi = amps[members][:, None, :] * np.exp(np.outer(t, rates))
         return psi, rates * psi
 
     return ClosedFormPath(states=states, t_end=t_end)
 
 
-def fourth_root_path(sqrt_singular_start):
-    """psi = (1, t^{1/4} e^{-iEt}): Im<psi|psi'>/<psi|psi> = -E sqrt(t) /
-    (1 + sqrt(t)), whose integral over [0, T] is
+def fourth_root_path(sqrt_singular_start, energies=(1.3,)):
+    """psi = (1, t^{1/4} e^{-iEt}) for each E: Im<psi|psi'>/<psi|psi> =
+    -E sqrt(t) / (1 + sqrt(t)), whose integral over [0, T] is
     -E (T - 2 sqrt(T) + 2 ln(1 + sqrt(T)))."""
-    e = 1.3
+    e = np.array(energies)
 
-    def states(t):
-        psi = np.stack([np.ones_like(t), t**0.25 * np.exp(-1j * e * t)],
+    def states(t, members):
+        em = e[members][:, None]
+        psi = np.stack([np.ones_like(em * t), t**0.25 * np.exp(-1j * em * t)],
                        axis=-1)
-        return psi, psi * [0.0, -1j * e]
+        return psi, psi * np.stack([0.0 * em, -1j * em], axis=-1)
 
     path = ClosedFormPath(states=states, t_end=2.0 * np.pi,
                           sqrt_singular_start=sqrt_singular_start)
@@ -185,33 +190,59 @@ def fourth_root_path(sqrt_singular_start):
     return path, -e * (path.t_end - 2.0 * root + 2.0 * np.log1p(root))
 
 
+def member(family, i):
+    """Member ``i`` of a closed-form family as a family of its own."""
+    return ClosedFormPath(
+        states=lambda t, members: family.states(t, np.array([i])[members]),
+        t_end=family.t_end, sqrt_singular_start=family.sqrt_singular_start)
+
+
+def spectral_family():
+    """Conditional paths of a non-diagonal joint H whose reservoir has an
+    exactly degenerate pair (d_R = 4), from two system states."""
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (np.kron(-0.5 * SIGMA_Z, np.eye(4))
+         + np.kron(np.eye(2), np.diag([0.0, 0.7, 0.7, 1.9]))
+         + 0.2 * np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), w + w.conj().T))
+    res = ReservoirSpec(probs=[0.4, 0.3, 0.2, 0.1],
+                        states=np.eye(4, dtype=complex),
+                        energies=[0.0, 0.7, 0.7, 1.9])
+    sys = SystemEnsemble(probs=[0.6, 0.4],
+                         states=[[0.6, 0.8], [0.8, -0.6j]])
+    (_, family), _ = spectral_conditional_trajectories(h, res, sys,
+                                                       2.0 * np.pi)
+    return family
+
+
 class TestClosedFormPath:
-    @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 2, 3 * np.pi / 4])
-    def test_precession_to_rounding(self, theta):
-        res = z_functional(precession_path(theta))
-        assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
-                                                  abs=1e-14)
-        beta = angle_to_positive_branch(res.beta)
-        assert beta == pytest.approx(2.0 * np.pi * np.sin(theta / 2.0) ** 2,
-                                     abs=1e-13)
-        assert res.error_estimate <= QUADRATURE_TOL
+    def test_precession_to_rounding(self):
+        thetas = [np.pi / 6, np.pi / 2, 3 * np.pi / 4]
+        for theta, res in zip(thetas, z_functional(precession_path(*thetas))):
+            assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
+                                                      abs=1e-14)
+            beta = angle_to_positive_branch(res.beta)
+            assert beta == pytest.approx(
+                2.0 * np.pi * np.sin(theta / 2.0) ** 2, abs=1e-13)
+            assert res.error_estimate <= QUADRATURE_TOL
 
     def test_sampled_trajectory_converges_onto_it(self):
-        closed = z_functional(precession_path(np.pi / 3)).z
+        closed = z_functional(precession_path(np.pi / 3))[0].z
         sampled = z_functional(precession_trajectory(np.pi / 3, 16384)).z
         assert 0.0 < abs(sampled - closed) < 1e-7
 
     def test_sqrt_start_in_u(self):
         path, exact = fourth_root_path(True)
-        res = z_functional(path)
-        assert res.dynamic_phase == pytest.approx(exact, abs=1e-13)
-        assert res.error_estimate <= QUADRATURE_TOL * abs(exact)
+        res = z_functional(path)[0]
+        assert res.dynamic_phase == pytest.approx(exact[0], abs=1e-13)
+        assert res.error_estimate <= QUADRATURE_TOL * abs(exact[0])
 
     def test_node_cap_raises(self):
         # in t, the sqrt(t) integrand converges only algebraically and is
         # still moving by 2e-10 rad at the cap
-        with pytest.raises(QuadratureNotConverged, match="4096"):
-            z_functional(fourth_root_path(False)[0])
+        for energies in [(1.3,), (1.3, 0.2)]:
+            with pytest.raises(QuadratureNotConverged, match="4096"):
+                z_functional(fourth_root_path(False, energies)[0])
 
     @pytest.mark.parametrize("psi, dpsi, error", [
         (lambda t: np.where(t[:, None] > 0.5, NAN, 1.0) * [1.0, 0.0],
@@ -225,12 +256,63 @@ class TestClosedFormPath:
     ], ids=["state", "derivative", "norm"])
     def test_every_node_is_checked(self, psi, dpsi, error):
         with pytest.raises(error):
-            z_functional(ClosedFormPath(states=lambda t: (psi(t), dpsi(t)),
-                                        t_end=1.0))
+            z_functional(ClosedFormPath(
+                states=lambda t, members: (psi(t)[None], dpsi(t)[None]),
+                t_end=1.0))
 
     def test_orthogonal_final_state_undefined(self):
+        res = z_functional(precession_path(np.pi / 2, t_end=np.pi))[0]
+        assert isinstance(res, UndefinedGP)
+
+    def test_undefined_member_is_its_own_atom(self):
+        # at t = pi the theta = pi/2 end is orthogonal to its start and the
+        # theta = pi/3 one is not
+        family = precession_path(np.pi / 2, np.pi / 3, t_end=np.pi)
+        dist = build_distribution([(np.array([0.25, 0.75]), family)])
+        assert dist.values[0] == 0.0
+        assert dist.values[1] == z_functional(member(family, 1))[0].z
         with pytest.raises(UndefinedGP):
-            z_functional(precession_path(np.pi / 2, t_end=np.pi))
+            build_distribution([(np.array([0.25, 0.75]), family)], kind="h")
+
+
+def assert_members_scored_alone(family):
+    """Every member of a family scores as it would alone, to the bit."""
+    together = z_functional(family)
+    for i, res in enumerate(together):
+        alone = z_functional(member(family, i))[0]
+        assert (res.z, res.beta, res.dynamic_phase, res.error_estimate) == (
+            alone.z, alone.beta, alone.dynamic_phase, alone.error_estimate)
+    return together
+
+
+class TestFamily:
+    def test_spectral_members_score_alone(self):
+        assert len(assert_members_scored_alone(spectral_family())) == 8
+
+    def test_phase_damping_members_score_alone(self):
+        weights, family = pd_trajectories(
+            PhaseDampingParams(omega=1.0, alpha=0.05, theta=1.1))
+        assert len(assert_members_scored_alone(family)) == len(weights) == 2
+
+    def test_open_members_alone_are_evaluated(self):
+        # the fast member needs more doublings than the slow one, and only
+        # it is evaluated once the slow one has stopped
+        path, exact = fourth_root_path(True, energies=(0.2, 40.0))
+        calls = []
+
+        def states(t, members):
+            out = path.states(t, members)
+            calls.append((len(t), len(out[0])))
+            return out
+
+        family = ClosedFormPath(states=states, t_end=path.t_end,
+                                sqrt_singular_start=True)
+        results = assert_members_scored_alone(family)
+        assert [res.dynamic_phase for res in results] == pytest.approx(
+            exact, abs=1e-11)
+        open_counts = [m for k, m in calls if k > 2]
+        assert open_counts[:2] == [2, 2] and 1 in open_counts
+        assert open_counts == sorted(open_counts, reverse=True)
 
 
 class TestGauge:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import gpdist
+import gpdist.cli
 from gpdist.cli import SCHEMA_VERSION
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -58,12 +59,53 @@ outputs: [moments]
     assert (tmp_path / "out" / "comparison.csv").is_file()
 
 
-def test_traced_names_resolve():
-    # a traced name the package lacks reads as zero calls in the benchmark
+def load_tracing():
     spec = importlib.util.spec_from_file_location("_gpdist_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # a traced name the package lacks reads as zero calls in the benchmark
+    tracing = load_tracing()
     for name in tracing.TRACED:
         fn = tracing.lookup(name)
         assert callable(fn), name
         assert fn.__module__.startswith("gpdist."), name
+
+
+def test_custom_joint_point_work_is_batched(tmp_path, monkeypatch):
+    # per point, one z_functional call scores every conditional path and
+    # the decomposition check needs no partial_inner; the matrices are
+    # parsed once per scenario, not once per sweep point
+    scenario = tmp_path / "joint.yaml"
+    scenario.write_text(f"""\
+schema: {SCHEMA_VERSION}
+model: custom_joint
+params:
+  reservoir_energies: [0.0, 1.0, 1.0, 2.5]
+  reservoir_probs: [0.4, 0.3, 0.2, 0.1]
+  couplings:
+    - g: 0.1
+      r: [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+      s: [[0, 1], [1, 0]]
+sweep: {{parameter: theta, values: [0.5, 1.0, 1.5]}}
+outputs: [moments, decomposition_check]
+""")
+    matrices = []
+    parse = gpdist.cli._matrix
+
+    def counted(obj, where, dim):
+        matrices.append(where)
+        return parse(obj, where, dim)
+
+    monkeypatch.setattr(gpdist.cli, "_matrix", counted)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        assert gpdist.cli.main(["run", str(scenario),
+                                "--out", str(tmp_path / "out")]) == 0
+    calls = tracer.take_pass()
+    assert calls["phase.z_functional.calls"] == 3
+    assert calls.get("hilbert.partial_inner.calls", 0) == 0
+    assert matrices == ["params.couplings[0].r", "params.couplings[0].s"]
