@@ -216,7 +216,17 @@ def spectral_family():
 
 
 class TestClosedFormPath:
-    def test_precession_to_rounding(self):
+    @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 2, 3 * np.pi / 4])
+    def test_precession_to_rounding(self, theta):
+        (res,) = z_functional(precession_path(theta))
+        assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
+                                                  abs=1e-14)
+        beta = angle_to_positive_branch(res.beta)
+        assert beta == pytest.approx(2.0 * np.pi * np.sin(theta / 2.0) ** 2,
+                                     abs=1e-13)
+        assert res.error_estimate <= QUADRATURE_TOL
+
+    def test_precession_family_to_rounding(self):
         thetas = [np.pi / 6, np.pi / 2, 3 * np.pi / 4]
         for theta, res in zip(thetas, z_functional(precession_path(*thetas))):
             assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
