@@ -41,6 +41,7 @@ from .phase import (
     PhaseResult,
     Trajectory,
     dynamic_phase,
+    family_z,
     gauge_transform,
     z_functional,
 )

@@ -347,18 +347,17 @@ def spectral_conditional_trajectories(
     v3 = v.reshape(dim_s, dim_r, len(v))
     rates = -1j * lam
     n_sys = len(sys.states)
-    left = np.repeat(np.einsum("ri,ain->ran", res.states.conj(), v3),
-                     n_sys, axis=0)
+    left_t = np.repeat(np.einsum("ri,ain->ran", res.states.conj(), v3),
+                       n_sys, axis=0).transpose(0, 2, 1)
     coeffs = np.einsum("ain,sa,ri->rsn", v3.conj(), sys.states,
                        res.states).reshape(-1, len(v))
     # e * (rates * coeffs), not (e * coeffs) * rates, which rounds apart
     rate_coeffs = rates * coeffs
 
-    def states(t, members):
+    def states(t):
         e = np.exp(np.outer(t, rates))
-        left_t = left[members].transpose(0, 2, 1)
-        return ((e * coeffs[members, None]) @ left_t,
-                (e * rate_coeffs[members, None]) @ left_t)
+        return ((e * coeffs[:, None]) @ left_t,
+                (e * rate_coeffs[:, None]) @ left_t)
 
     weights = np.outer(res.probs, sys.probs).ravel()
     return ((weights, ClosedFormPath(states=states, t_end=t_end)),

@@ -44,7 +44,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -95,6 +95,8 @@ SCALARS = {
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
@@ -169,17 +171,16 @@ def _matrix(obj, where: str, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CustomPoint:
-    """Model point given by operators; H_S follows omega and psi_S theta."""
+    """A point of a model given by its operators rather than closed forms;
+    ``build(omega, theta)`` makes its model from operators parsed once."""
 
     omega: float
     theta: float
-    model: WeakCouplingModel | LindbladModel
+    build: Callable = field(repr=False, compare=False)
+    model: WeakCouplingModel | LindbladModel = field(init=False)
 
     def __post_init__(self):
-        pointed = {"hs": hs_schedule(self.omega)}
-        if isinstance(self.model, WeakCouplingModel):
-            pointed["psi_s"] = psi_initial(self.theta)
-        object.__setattr__(self, "model", replace(self.model, **pointed))
+        object.__setattr__(self, "model", self.build(self.omega, self.theta))
 
     @property
     def period(self) -> float:
@@ -202,9 +203,9 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
     try:
         res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
                             energies=energies)
-        return CustomPoint(omega, theta, WeakCouplingModel(
-            hs=hs_schedule(omega), hr=np.diag(energies).astype(complex),
-            couplings=terms, res=res, psi_s=psi_initial(theta)))
+        return CustomPoint(omega, theta, lambda w, th: WeakCouplingModel(
+            hs=hs_schedule(w), hr=np.diag(energies).astype(complex),
+            couplings=terms, res=res, psi_s=psi_initial(th)))
     except InvalidState as exc:
         raise ConfigError(f"params.reservoir_probs: {exc}") from exc
     except InvalidOperand as exc:   # a non-Hermitian or non-finite coupling
@@ -214,8 +215,8 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
 def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
     jumps = [_matrix(j, f"params.jump_ops[{i}]", 2)
              for i, j in enumerate(_list(jump_ops, "params.jump_ops"))]
-    return CustomPoint(omega, theta,
-                       LindbladModel(hs=hs_schedule(omega), jump_ops=jumps))
+    return CustomPoint(omega, theta, lambda w, _: LindbladModel(
+        hs=hs_schedule(w), jump_ops=jumps))
 
 
 def _joint_distribution(p: CustomPoint):
@@ -385,7 +386,7 @@ def load_scenario(path: str) -> Scenario:
     for key in params:
         if key in SCALARS:
             params[key] = _scalar(key, params[key], f"params.{key}")
-    parameter, overrides = None, [{}]
+    parameter, overrides = None, []
     if raw["sweep"] is not None:
         if model.distribution is None:
             raise ConfigError(f"sweep: {name} integrates a single point and "
@@ -402,10 +403,10 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError("sweep.values: must be sorted")
         overrides = [{parameter: _scalar(parameter, v, f"sweep.values[{i}]")}
                      for i, v in enumerate(values)]
-    point = model.point(**params)  # a sweep point is a copy: one parse
+    point = model.point(**params)  # operators parsed and checked once
     return Scenario(model=name, n_steps=n_steps, sweep_parameter=parameter,
-                    points=tuple(replace(point, **o) for o in overrides),
-                    outputs=outputs)
+                    points=tuple(replace(point, **o) for o in overrides)
+                    or (point,), outputs=outputs)
 
 
 def _each_point(scn: Scenario, work) -> list:

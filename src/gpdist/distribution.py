@@ -20,7 +20,7 @@ import numpy as np
 from .channels import ENERGY_DEGENERACY_TOL, ReservoirSpec
 from .errors import InvalidBlock, InvalidDecomposition, UndefinedGP
 from .hilbert import partial_inner
-from .phase import ClosedFormPath, Trajectory, z_functional
+from .phase import ClosedFormPath, Trajectory, family_z, z_functional
 
 WEIGHT_TOL = 1e-10
 FIRST_MOMENT_EPS = 1e-12  # |<z>_Z| below this leaves the mean GP undefined
@@ -87,7 +87,7 @@ def build_distribution(
 ) -> PhaseDistribution:
     """One atom per sampled trajectory or family member, valued Z[psi]
     ("z") or Z/|Z| ("h").  A family comes with one weight per member and is
-    scored in one ``z_functional`` call.
+    scored in one ``family_z`` call.
 
     A trajectory with undefined GP contributes a legal zero atom to a
     Z-valued build but aborts an H-valued build, which needs every phase.
@@ -97,7 +97,7 @@ def build_distribution(
     weights, values, estimates = [], [], []
     for w, traj in weighted_trajs:
         if isinstance(traj, ClosedFormPath):
-            scored = z_functional(traj)
+            scored = family_z(traj)
         else:
             w = [w]
             try:

@@ -317,8 +317,8 @@ def pd_trajectories(
     rates = np.array([-0.5j, 0.5j]) * p.omega
     weights = np.array([w for w, _ in pd_kraus_channel(p).elements])
 
-    def states(t, members):
-        psi = _pd_diagonals(p, t)[members] * psi0
+    def states(t):
+        psi = _pd_diagonals(p, t) * psi0
         return psi, rates * psi
 
     return weights, ClosedFormPath(states=states, t_end=p.period,

@@ -77,19 +77,17 @@ class ClosedFormPath:
     """Family of pure-state paths on [0, t_end] given by a vectorised closed
     form.
 
-    ``states(t, members)`` maps an array of k times to ``(psi, dpsi)``, two
-    (m, k, dim) arrays for the m members that ``members`` selects along the
-    member axis (``slice(None)`` for all, or an integer index array), so
-    that members share their exponentials and psi shares them with dpsi.
-    ``dpsi`` may differ from d psi/dt by any vector delta with
-    Im<psi|delta> = 0, such as the derivative of a real amplitude that
-    multiplies each component.  ``sqrt_singular_start`` marks an integrand
-    that behaves like sqrt(t) at t = 0; the quadrature then runs in u with
-    t = t_end u^2, where it is smooth.
+    ``states(t)`` maps an array of k times to ``(psi, dpsi)``, two
+    (m, k, dim) arrays over the m members, so that members share their
+    exponentials and psi shares them with dpsi.  ``dpsi`` may differ from
+    d psi/dt by any vector delta with Im<psi|delta> = 0, such as the
+    derivative of a real amplitude that multiplies each component.
+    ``sqrt_singular_start`` marks an integrand that behaves like sqrt(t) at
+    t = 0; the quadrature then runs in u with t = t_end u^2, where it is
+    smooth.
     """
 
-    states: Callable[[np.ndarray, slice | np.ndarray],
-                     tuple[np.ndarray, np.ndarray]]
+    states: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     t_end: float
     sqrt_singular_start: bool = False
 
@@ -148,18 +146,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_legendre_phase(path: ClosedFormPath, n: int,
-                          members: slice | np.ndarray) -> np.ndarray:
-    """n-node Gauss-Legendre values of the dynamic-phase integrals of the
-    selected members, with the state checks of ``Trajectory`` at every
-    node."""
+def _gauss_legendre_phase(path: ClosedFormPath, n: int) -> np.ndarray:
+    """n-node Gauss-Legendre values of the members' dynamic-phase integrals,
+    with the state checks of ``Trajectory`` at every node."""
     x, w = _gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     if path.sqrt_singular_start:
         t, dt = path.t_end * u * u, path.t_end * u * w  # dt = 2 T u du
     else:
         t, dt = path.t_end * u, 0.5 * path.t_end * w
-    psi, dpsi = path.states(t, members)
+    psi, dpsi = path.states(t)
     norms2 = np.einsum("mki,mki->mk", psi.conj(), psi).real
     _check_norms(norms2)
     if not np.all(np.isfinite(dpsi)):
@@ -171,38 +167,42 @@ def _gauss_legendre_phase(path: ClosedFormPath, n: int,
 
 
 def converged_gauss_legendre(
-    rule: Callable[[int, slice | np.ndarray], np.ndarray], quantity: str,
+    rule: Callable[[int], np.ndarray], quantity: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values of an n-node Gauss-Legendre ``rule(n, members)`` for each
-    member of a family, and their error estimates max |value_n - value_2n|.
+    """Values of an n-node Gauss-Legendre ``rule(n)`` for each member of a
+    family, and their error estimates max |value_n - value_2n|.
 
-    ``rule`` returns an array whose leading axis runs over the members that
-    ``members`` selects.  Each member doubles n from
-    ``QUADRATURE_START_NODES`` until its estimate falls below
-    ``QUADRATURE_TOL`` relative to max(1, max |value|), and keeps the value
-    and estimate of that n, as it would alone; later doublings evaluate only
-    the members still open.
+    ``rule`` returns an array whose leading axis runs over the members.  n
+    doubles from ``QUADRATURE_START_NODES`` until every member's estimate
+    has fallen below ``QUADRATURE_TOL`` relative to max(1, max |value|);
+    each member keeps the value and estimate of the first n at which its
+    own did, as it would alone.
 
     Raises QuadratureNotConverged, naming ``quantity``, past
     ``QUADRATURE_MAX_NODES`` nodes.
     """
     n = QUADRATURE_START_NODES
-    coarse = rule(n, slice(None))
-    value, error = np.empty_like(coarse), np.empty(len(coarse))
-    members = np.arange(len(coarse))
+    coarse = rule(n)
+    value, error = None, np.empty(len(coarse))
+    open_ = np.ones(len(coarse), dtype=bool)
     while 2 * n <= QUADRATURE_MAX_NODES:
         n *= 2
-        fine = rule(n, members)
+        fine = rule(n)
         change = abs(fine - coarse).reshape(len(fine), -1).max(axis=1)
         scale = np.maximum(1.0, abs(fine).reshape(len(fine), -1).max(axis=1))
-        done = change <= QUADRATURE_TOL * scale
-        value[members[done]], error[members[done]] = fine[done], change[done]
-        members, coarse, change = members[~done], fine[~done], change[~done]
-        if len(members) == 0:
+        done = open_ & (change <= QUADRATURE_TOL * scale)
+        if value is None:  # no copy: an open member's row is set when it closes
+            value = fine
+        else:
+            value[done] = fine[done]
+        error[done] = change[done]
+        open_ &= ~done
+        if not open_.any():
             return value, error
+        coarse = fine
     raise QuadratureNotConverged(
-        f"{quantity} changed by {change.max():.3e} between {n // 2} and {n} "
-        "Gauss-Legendre nodes")
+        f"{quantity} changed by {change[open_].max():.3e} between {n // 2} "
+        f"and {n} Gauss-Legendre nodes")
 
 
 def _scored(phi: float, error: float | None,
@@ -219,25 +219,25 @@ def _scored(phi: float, error: float | None,
                        overlap=overlap, error_estimate=error)
 
 
-def z_functional(
-    traj: Trajectory | ClosedFormPath,
-) -> PhaseResult | list[PhaseResult | UndefinedGP]:
-    """Dynamic-phase-removed overlap Z[psi] and geometric phase beta = arg Z.
+def z_functional(traj: Trajectory) -> PhaseResult:
+    """Dynamic-phase-removed overlap Z[psi] and geometric phase beta = arg Z
+    of a sampled trajectory.
 
-    The GP is undefined when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||:
-    a sampled trajectory then raises UndefinedGP.  A closed-form family is
-    scored in one call and gives one entry per member, its PhaseResult or
-    the UndefinedGP it would raise alone.
+    Raises UndefinedGP when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.
     """
-    if isinstance(traj, Trajectory):
-        res = _scored(dynamic_phase(traj), None, traj.states[[0, -1]])
-        if isinstance(res, UndefinedGP):
-            raise res
-        return res
+    res = _scored(dynamic_phase(traj), None, traj.states[[0, -1]])
+    if isinstance(res, UndefinedGP):
+        raise res
+    return res
+
+
+def family_z(path: ClosedFormPath) -> list[PhaseResult | UndefinedGP]:
+    """``z_functional`` of every member of a closed-form family, in one
+    call: each member's PhaseResult, or the UndefinedGP it would raise
+    alone."""
     phis, errors = converged_gauss_legendre(
-        lambda n, members: _gauss_legendre_phase(traj, n, members),
-        "dynamic phase (rad)")
-    ends = traj.states(np.array([0.0, traj.t_end]), slice(None))[0]
+        lambda n: _gauss_legendre_phase(path, n), "dynamic phase (rad)")
+    ends = path.states(np.array([0.0, path.t_end]))[0]
     return [_scored(float(phi), float(error), end)
             for phi, error, end in zip(phis, errors, ends)]
 

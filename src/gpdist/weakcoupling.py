@@ -199,7 +199,7 @@ def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
     energies = (lam_s[:, None] + lam_r[None, :]).ravel()
     g = w.conj().T @ model.h_interaction() @ w
     values, _ = converged_gauss_legendre(  # a family of one member
-        lambda n, _: _b_and_integral(g, energies, t, n)[None],
+        lambda n: _b_and_integral(g, energies, t, n)[None],
         "B and its time integral")
     b, b_int = values[0]
     rot, phi = _rotations(energies, np.array([t]))

@@ -351,14 +351,12 @@ class TestPdMoments:
         assert sum(weights) == pytest.approx(1.0)
         t = np.linspace(0.1, p.period - 0.1, 7)
         h = 1e-5
-        every = slice(None)
         assert path.t_end == p.period and path.sqrt_singular_start
-        for start in path.states(np.array([0.0]), every)[0]:
+        for start in path.states(np.array([0.0]))[0]:
             assert np.allclose(start[0], psi_initial(p.theta))
         # dpsi keeps every part of psi' that Im<psi|psi'> sees
-        psi, dpsi = path.states(t, every)
-        fd = (path.states(t + h, every)[0]
-              - path.states(t - h, every)[0]) / (2.0 * h)
+        psi, dpsi = path.states(t)
+        fd = (path.states(t + h)[0] - path.states(t - h)[0]) / (2.0 * h)
         exact = np.einsum("mki,mki->mk", psi.conj(), dpsi).imag
         assert np.allclose(
             exact, np.einsum("mki,mki->mk", psi.conj(), fd).imag, atol=1e-9)
@@ -395,7 +393,7 @@ class TestGridBroadcastBuilders:
         grid = TimeGrid(0.0, p.period, 1024)
         psi = psi_initial(p.theta)
         weights, path = pd_trajectories(p)
-        states = path.states(grid.times, slice(None))[0]
+        states = path.states(grid.times)[0]
         for w, got, (w_ref, k) in zip(weights, states,
                                       pd_kraus_channel(p).elements):
             assert w == w_ref

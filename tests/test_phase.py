@@ -19,6 +19,7 @@ from gpdist.phase import (
     Trajectory,
     angle_to_positive_branch,
     dynamic_phase,
+    family_z,
     gauge_transform,
     z_functional,
 )
@@ -79,8 +80,7 @@ NAN = float("nan")
                                values=[1.0, complex(0.0, float("inf"))]),
      ValueError),
     (lambda: TimeGrid(0.0, NAN, 4), ValueError),
-    (lambda: ClosedFormPath(states=lambda t, members: (t, t), t_end=NAN),
-     ValueError),
+    (lambda: ClosedFormPath(states=lambda t: (t, t), t_end=NAN), ValueError),
     (lambda: PhaseDistribution(kind="z", weights=[1.0], values=[1.0],
                                error_estimate=NAN), ValueError),
     (lambda: TwoLevelAtomParams(omega=NAN, gamma0=0.0), ValueError),
@@ -165,8 +165,8 @@ def precession_path(*thetas, t_end=2.0 * np.pi):
     amps = np.array([[np.sin(th / 2.0), np.cos(th / 2.0)] for th in thetas])
     rates = np.array([-0.5j, 0.5j]) * OMEGA
 
-    def states(t, members):
-        psi = amps[members][:, None, :] * np.exp(np.outer(t, rates))
+    def states(t):
+        psi = amps[:, None, :] * np.exp(np.outer(t, rates))
         return psi, rates * psi
 
     return ClosedFormPath(states=states, t_end=t_end)
@@ -178,8 +178,8 @@ def fourth_root_path(sqrt_singular_start, energies=(1.3,)):
     -E (T - 2 sqrt(T) + 2 ln(1 + sqrt(T)))."""
     e = np.array(energies)
 
-    def states(t, members):
-        em = e[members][:, None]
+    def states(t):
+        em = e[:, None]
         psi = np.stack([np.ones_like(em * t), t**0.25 * np.exp(-1j * em * t)],
                        axis=-1)
         return psi, psi * np.stack([0.0 * em, -1j * em], axis=-1)
@@ -193,7 +193,7 @@ def fourth_root_path(sqrt_singular_start, energies=(1.3,)):
 def member(family, i):
     """Member ``i`` of a closed-form family as a family of its own."""
     return ClosedFormPath(
-        states=lambda t, members: family.states(t, np.array([i])[members]),
+        states=lambda t: tuple(a[i:i + 1] for a in family.states(t)),
         t_end=family.t_end, sqrt_singular_start=family.sqrt_singular_start)
 
 
@@ -218,7 +218,7 @@ def spectral_family():
 class TestClosedFormPath:
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 2, 3 * np.pi / 4])
     def test_precession_to_rounding(self, theta):
-        (res,) = z_functional(precession_path(theta))
+        (res,) = family_z(precession_path(theta))
         assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
                                                   abs=1e-14)
         beta = angle_to_positive_branch(res.beta)
@@ -228,7 +228,7 @@ class TestClosedFormPath:
 
     def test_precession_family_to_rounding(self):
         thetas = [np.pi / 6, np.pi / 2, 3 * np.pi / 4]
-        for theta, res in zip(thetas, z_functional(precession_path(*thetas))):
+        for theta, res in zip(thetas, family_z(precession_path(*thetas))):
             assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
                                                       abs=1e-14)
             beta = angle_to_positive_branch(res.beta)
@@ -237,13 +237,13 @@ class TestClosedFormPath:
             assert res.error_estimate <= QUADRATURE_TOL
 
     def test_sampled_trajectory_converges_onto_it(self):
-        closed = z_functional(precession_path(np.pi / 3))[0].z
+        closed = family_z(precession_path(np.pi / 3))[0].z
         sampled = z_functional(precession_trajectory(np.pi / 3, 16384)).z
         assert 0.0 < abs(sampled - closed) < 1e-7
 
     def test_sqrt_start_in_u(self):
         path, exact = fourth_root_path(True)
-        res = z_functional(path)[0]
+        res = family_z(path)[0]
         assert res.dynamic_phase == pytest.approx(exact[0], abs=1e-13)
         assert res.error_estimate <= QUADRATURE_TOL * abs(exact[0])
 
@@ -252,7 +252,7 @@ class TestClosedFormPath:
         # still moving by 2e-10 rad at the cap
         for energies in [(1.3,), (1.3, 0.2)]:
             with pytest.raises(QuadratureNotConverged, match="4096"):
-                z_functional(fourth_root_path(False, energies)[0])
+                family_z(fourth_root_path(False, energies)[0])
 
     @pytest.mark.parametrize("psi, dpsi, error", [
         (lambda t: np.where(t[:, None] > 0.5, NAN, 1.0) * [1.0, 0.0],
@@ -266,12 +266,11 @@ class TestClosedFormPath:
     ], ids=["state", "derivative", "norm"])
     def test_every_node_is_checked(self, psi, dpsi, error):
         with pytest.raises(error):
-            z_functional(ClosedFormPath(
-                states=lambda t, members: (psi(t)[None], dpsi(t)[None]),
-                t_end=1.0))
+            family_z(ClosedFormPath(
+                states=lambda t: (psi(t)[None], dpsi(t)[None]), t_end=1.0))
 
     def test_orthogonal_final_state_undefined(self):
-        res = z_functional(precession_path(np.pi / 2, t_end=np.pi))[0]
+        res = family_z(precession_path(np.pi / 2, t_end=np.pi))[0]
         assert isinstance(res, UndefinedGP)
 
     def test_undefined_member_is_its_own_atom(self):
@@ -280,16 +279,16 @@ class TestClosedFormPath:
         family = precession_path(np.pi / 2, np.pi / 3, t_end=np.pi)
         dist = build_distribution([(np.array([0.25, 0.75]), family)])
         assert dist.values[0] == 0.0
-        assert dist.values[1] == z_functional(member(family, 1))[0].z
+        assert dist.values[1] == family_z(member(family, 1))[0].z
         with pytest.raises(UndefinedGP):
             build_distribution([(np.array([0.25, 0.75]), family)], kind="h")
 
 
 def assert_members_scored_alone(family):
     """Every member of a family scores as it would alone, to the bit."""
-    together = z_functional(family)
+    together = family_z(family)
     for i, res in enumerate(together):
-        alone = z_functional(member(family, i))[0]
+        alone = family_z(member(family, i))[0]
         assert (res.z, res.beta, res.dynamic_phase, res.error_estimate) == (
             alone.z, alone.beta, alone.dynamic_phase, alone.error_estimate)
     return together
@@ -304,25 +303,33 @@ class TestFamily:
             PhaseDampingParams(omega=1.0, alpha=0.05, theta=1.1))
         assert len(assert_members_scored_alone(family)) == len(weights) == 2
 
-    def test_open_members_alone_are_evaluated(self):
-        # the fast member needs more doublings than the slow one, and only
-        # it is evaluated once the slow one has stopped
-        path, exact = fourth_root_path(True, energies=(0.2, 40.0))
-        calls = []
+    def test_members_stop_on_their_own_schedule(self):
+        # psi = (1, r e^{-it}) with r = 1 + sin(W t) / 2: the integrand
+        # -r^2 / (1 + r^2) needs more nodes as W grows, and for whole W its
+        # integral over one period does not depend on W
+        w = np.array([[1.0], [5.0]])
 
-        def states(t, members):
-            out = path.states(t, members)
-            calls.append((len(t), len(out[0])))
-            return out
+        def wobble(t):
+            r = 1.0 + 0.5 * np.sin(w * t)
+            psi = np.stack([np.ones_like(r), r * np.exp(-1j * t)], axis=-1)
+            return psi, psi * [0.0, -1j]
 
-        family = ClosedFormPath(states=states, t_end=path.t_end,
-                                sqrt_singular_start=True)
-        results = assert_members_scored_alone(family)
-        assert [res.dynamic_phase for res in results] == pytest.approx(
-            exact, abs=1e-11)
-        open_counts = [m for k, m in calls if k > 2]
-        assert open_counts[:2] == [2, 2] and 1 in open_counts
-        assert open_counts == sorted(open_counts, reverse=True)
+        family = ClosedFormPath(states=wobble, t_end=2.0 * np.pi)
+        slow, fast = assert_members_scored_alone(family)
+        assert slow.dynamic_phase == pytest.approx(fast.dynamic_phase,
+                                                   abs=1e-12)
+
+        def last_nodes(i):
+            sizes = []
+
+            def states(t):
+                sizes.append(len(t))
+                return member(family, i).states(t)
+
+            family_z(ClosedFormPath(states=states, t_end=family.t_end))
+            return max(sizes)
+
+        assert last_nodes(0) < last_nodes(1)
 
 
 class TestGauge:
