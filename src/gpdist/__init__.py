@@ -7,14 +7,13 @@ their moments and Holevo-style spread, including the second-order
 weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     ConfigError,
     DegenerateTrajectory,
     DimensionError,
     GpdistError,
-    InconsistentModel,
     IntegrationDiverged,
     InvalidBlock,
     InvalidChannel,
@@ -33,7 +32,6 @@ from .hilbert import (
     TimeGrid,
     matexp,
     partial_inner,
-    partial_trace_reservoir,
     time_ordered_propagator,
 )
 from .phase import (
@@ -42,7 +40,6 @@ from .phase import (
     Trajectory,
     dynamic_phase,
     family_z,
-    gauge_transform,
     z_functional,
 )
 from .channels import (
@@ -50,9 +47,7 @@ from .channels import (
     LindbladModel,
     ReservoirSpec,
     SystemEnsemble,
-    adapted_basis,
     apply_kraus,
-    conditional_kraus_elements,
     conditional_trajectories,
     integrate_lindblad,
     lindblad_rhs,
@@ -74,7 +69,6 @@ from .weakcoupling import (
     build_AB,
     delta_z,
     delta_z_from_b,
-    lindblad_identification,
     perturbative_moments,
 )
 from .models import (

@@ -1,26 +1,24 @@
-"""Open-system dynamics: Lindblad integration, Kraus channels, conditional
-trajectories from a joint unitary (or, as closed-form paths, straight from
-the eigenvectors of a constant joint Hamiltonian), and the reservoir-adapted
-basis.
+"""Open-system dynamics: Lindblad integration, Kraus channels, and
+conditional trajectories from a joint unitary (or, as closed-form paths,
+straight from the eigenvectors of a constant joint Hamiltonian).
 
 The Lindblad normalization follows the convention in which the dissipator
 reads ``-(L^dag L rho + rho L^dag L - 2 L rho L^dag)`` with NO factor 1/2;
 all rates in this package are interpreted in that convention.
 
-The master equation is linear, ``vec(rho)' = L(t) vec(rho)`` with the
-d^2 x d^2 superoperator ``liouvillian``, so one classical RK4 step is a fixed
-matrix built from L at t, t + dt/2 and t + dt.  For a constant generator that
-matrix is ``M = sum_{j<=4} (L dt)^j / j!`` and ``integrate_lindblad`` applies
-its powers M^1..M^B to a chunk's start state in one batched product.  The
-exact propagator ``expm(L dt)`` is deliberately not used: it would change
-the numbers, and an exact step can never lose trace, so an unstable grid
-would no longer be reported as ``IntegrationDiverged``.
+H_S is constant, so the master equation is ``vec(rho)' = L vec(rho)`` with
+one d^2 x d^2 superoperator ``liouvillian``, and one classical RK4 step is
+the fixed matrix ``M = sum_{j<=4} (L dt)^j / j!``; ``integrate_lindblad``
+applies its powers M^1..M^B to a chunk's start state in one batched
+product.  The exact propagator ``expm(L dt)`` is deliberately not used: it
+would change the numbers, and an exact step can never lose trace, so an
+unstable grid would no longer be reported as ``IntegrationDiverged``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,13 +29,13 @@ from .errors import (
     InvalidOperand,
     InvalidState,
 )
-from .hilbert import Schedule, TimeGrid, eigh_hermitian, is_hermitian
+from .hilbert import Schedule, TimeGrid, eigh_hermitian
 from .phase import ClosedFormPath, Trajectory
 
 ENERGY_DEGENERACY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
 TRACE_DRIFT_TOL = 1e-6
-_LINDBLAD_CHUNK = 64  # RK4 steps per batched product on a constant generator
+_LINDBLAD_CHUNK = 64  # RK4 steps per batched product
 
 
 @dataclass(frozen=True)
@@ -92,15 +90,6 @@ class ReservoirSpec:
                 blocks.append([i])
         return blocks
 
-    def density_matrix(self) -> np.ndarray:
-        return np.einsum("r,ri,rj->ij", self.probs, self.states,
-                         self.states.conj())
-
-    def block_density(self, block: Sequence[int]) -> np.ndarray:
-        idx = list(block)
-        return np.einsum("r,ri,rj->ij", self.probs[idx], self.states[idx],
-                         self.states[idx].conj())
-
 
 @dataclass(frozen=True)
 class SystemEnsemble:
@@ -146,13 +135,14 @@ class KrausChannel:
 
 @dataclass
 class LindbladModel:
-    """Master-equation data: H_S(t), Hermitian shift, and jump operators."""
+    """Master-equation data: a constant H_S and the jump operators."""
 
     hs: Schedule
     jump_ops: list[np.ndarray] = field(default_factory=list)
-    delta_h: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.hs.matrix is None:
+            raise InvalidOperand("H_S must be a constant schedule")
         self.jump_ops = [np.asarray(l, dtype=complex) for l in self.jump_ops]
         dim = self.hs.dim
         for i, l in enumerate(self.jump_ops):
@@ -161,12 +151,6 @@ class LindbladModel:
                     f"jump operator {i} has shape {l.shape}, need {(dim, dim)}")
             if not np.all(np.isfinite(l)):
                 raise InvalidOperand(f"jump operator {i} has non-finite entries")
-        if self.delta_h is None:
-            self.delta_h = np.zeros((dim, dim), dtype=complex)
-        else:
-            self.delta_h = np.asarray(self.delta_h, dtype=complex)
-            if not is_hermitian(self.delta_h):
-                raise InvalidOperand("delta_h must be Hermitian")
 
 
 def liouvillian(model: LindbladModel, h) -> np.ndarray:
@@ -176,7 +160,7 @@ def liouvillian(model: LindbladModel, h) -> np.ndarray:
     ``vec(A rho B) = kron(A, B^T) vec(rho)``.  With ``K = sum L^dag L`` the
     equation reads ``(-i h - K) rho + rho (i h - K) + 2 sum L rho L^dag``.
     """
-    h = np.asarray(h, dtype=complex) + model.delta_h
+    h = np.asarray(h, dtype=complex)
     d = len(h)
     eye = np.eye(d)
     ldl = sum((l.conj().T @ l for l in model.jump_ops), np.zeros_like(h))
@@ -196,48 +180,38 @@ def lindblad_rhs(rho, model: LindbladModel, t: float) -> np.ndarray:
     return (liouvillian(model, model.hs(t)) @ rho.reshape(-1)).reshape(rho.shape)
 
 
-def _rk4_map(l0: np.ndarray, l_mid: np.ndarray, l1: np.ndarray,
-             dt: float) -> np.ndarray:
-    """Classical RK4 step of ``v' = L(t) v`` as one matrix, from L at the
-    step's start, midpoint and end."""
-    eye = np.eye(len(l0))
-    k1 = l0
-    k2 = l_mid @ (eye + 0.5 * dt * k1)
-    k3 = l_mid @ (eye + 0.5 * dt * k2)
-    k4 = l1 @ (eye + dt * k3)
+def _rk4_map(l: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4 step of ``v' = L v`` as one matrix."""
+    eye = np.eye(len(l))
+    k1 = l
+    k2 = l @ (eye + 0.5 * dt * k1)
+    k3 = l @ (eye + 0.5 * dt * k2)
+    k4 = l @ (eye + dt * k3)
     return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray:
     """Classical RK4 on the grid, applied as one linear step map.
 
-    A constant schedule (``hs.matrix`` set) builds the step map M once and
-    fills chunks of up to ``_LINDBLAD_CHUNK`` nodes from the chunk's start
-    state with the precomputed powers M^1..M^B; a time-dependent schedule
-    builds M per step and advances one node at a time.  Each node is
-    symmetrized to Hermitian, and a trace drift beyond ``TRACE_DRIFT_TOL``
-    (or a non-finite trace, as after overflow) raises ``IntegrationDiverged``
-    naming the first drifting node.
+    The step map M is built once, and chunks of up to ``_LINDBLAD_CHUNK``
+    nodes are filled from the chunk's start state with the precomputed
+    powers M^1..M^B.  Each node is symmetrized to Hermitian, and a trace
+    drift beyond ``TRACE_DRIFT_TOL`` (or a non-finite trace, as after
+    overflow) raises ``IntegrationDiverged`` naming the first drifting node.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     tr0 = np.trace(rho0).real
     dt, times, n = grid.dt, grid.times, grid.n_steps
     out = np.empty((n + 1, *rho0.shape), dtype=complex)
     out[0] = rho0
-    h = model.hs.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        if h is not None:
-            l = liouvillian(model, h)
-            powers = np.empty((min(_LINDBLAD_CHUNK, n), *l.shape), dtype=complex)
-            powers[0] = _rk4_map(l, l, l, dt)
-            for j in range(1, len(powers)):
-                powers[j] = powers[0] @ powers[j - 1]
+        l = liouvillian(model, model.hs.matrix)
+        powers = np.empty((min(_LINDBLAD_CHUNK, n), *l.shape), dtype=complex)
+        powers[0] = _rk4_map(l, dt)
+        for j in range(1, len(powers)):
+            powers[j] = powers[0] @ powers[j - 1]
         k = 0
         while k < n:
-            if h is None:
-                t = times[k]
-                powers = _rk4_map(*(liouvillian(model, model.hs(s))
-                                    for s in (t, t + 0.5 * dt, t + dt)), dt)[None]
             b = min(len(powers), n - k)
             chunk = out[k + 1:k + 1 + b]
             chunk[:] = (powers[:b] @ out[k].reshape(-1)).reshape(chunk.shape)
@@ -265,30 +239,6 @@ def apply_kraus(channel: KrausChannel, rho0, t: float) -> np.ndarray:
     return out
 
 
-def adapted_basis(r, dim: int) -> np.ndarray:
-    """Orthonormal reservoir basis whose 0th element is ``r`` itself.
-
-    Completed by Gram-Schmidt over the standard basis with the vector of
-    largest overlap with ``r`` removed (for stability of the completion).
-    """
-    r = np.asarray(r, dtype=complex)
-    nrm = np.linalg.norm(r)
-    if nrm < 1e-12:
-        raise InvalidState("cannot adapt a basis to the zero vector")
-    basis = [r / nrm]
-    pivot = int(np.argmax(np.abs(r)))
-    for j in [i for i in range(dim) if i != pivot]:
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for b in basis:
-            v -= np.vdot(b, v) * b
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            raise InvalidState("Gram-Schmidt completion broke down")
-        basis.append(v / n)
-    return np.array(basis)
-
-
 def _joint_blocks(us: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
     """A stack of joint operators as (n, s, r, s', r') blocks."""
     if us.ndim != 3 or us.shape[1:] != (dim_s * dim_r,) * 2:
@@ -308,8 +258,7 @@ def conditional_trajectories(
 
     Only the diagonal-in-r (b_R = 0 in the adapted basis) Kraus element is
     kept: in the adapted basis all other elements start at the zero vector
-    and carry no phase information.  Use ``conditional_kraus_elements`` to
-    recover the discarded elements for resummation checks.
+    and carry no phase information.
     """
     u5 = _joint_blocks(us, sys.states.shape[1], res.dim)
     out = []
@@ -363,36 +312,3 @@ def spectral_conditional_trajectories(
     return ((weights, ClosedFormPath(states=states, t_end=t_end)),
             (v * np.exp(-1j * (t_end * lam))) @ v.conj().T)
 
-
-def conditional_kraus_elements(
-    us: np.ndarray, res: ReservoirSpec, dim_s: int
-) -> list[tuple[float, list[np.ndarray]]]:
-    """All adapted-basis Kraus sequences ``<b_j(r)|U(t_k)|r>`` per r.
-
-    Returns one entry per reservoir state: ``(p_r, [seq_b0, seq_b1, ...])``
-    where each ``seq`` has shape (n_nodes, dim_s, dim_s) and b0 is the kept
-    diagonal element.
-    """
-    u5 = _joint_blocks(us, dim_s, res.dim)
-    out = []
-    for p_r, r in zip(res.probs, res.states):
-        basis = adapted_basis(r, res.dim)
-        seqs = np.einsum("bi,kaicj,j->bkac", basis.conj(), u5, r)
-        out.append((p_r, list(seqs)))
-    return out
-
-
-def reduced_density_from_elements(
-    elements: list[tuple[float, list[np.ndarray]]],
-    sys: SystemEnsemble,
-    node: int,
-) -> np.ndarray:
-    """Resum the full conditional Kraus set into rho_S at a grid node."""
-    dim_s = sys.states.shape[1]
-    rho0 = np.einsum("s,si,sj->ij", sys.probs, sys.states, sys.states.conj())
-    out = np.zeros((dim_s, dim_s), dtype=complex)
-    for p_r, seqs in elements:
-        for seq in seqs:
-            k = seq[node]
-            out += p_r * k @ rho0 @ k.conj().T
-    return out

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import ENERGY_DEGENERACY_TOL, ReservoirSpec
 from .errors import InvalidBlock, InvalidDecomposition, UndefinedGP
 from .hilbert import partial_inner
-from .phase import ClosedFormPath, Trajectory, family_z, z_functional
+from .phase import ClosedFormPath, family_z
 
 WEIGHT_TOL = 1e-10
 FIRST_MOMENT_EPS = 1e-12  # |<z>_Z| below this leaves the mean GP undefined
@@ -81,43 +81,29 @@ class MomentReport:
 
 
 def build_distribution(
-    weighted_trajs: list[tuple[float, Trajectory]
-                         | tuple[np.ndarray, ClosedFormPath]],
-    kind: str = "z",
+    weighted_families: list[tuple[np.ndarray, ClosedFormPath]],
 ) -> PhaseDistribution:
-    """One atom per sampled trajectory or family member, valued Z[psi]
-    ("z") or Z/|Z| ("h").  A family comes with one weight per member and is
-    scored in one ``family_z`` call.
+    """P_Z with one atom per family member, valued Z[psi].  Each family
+    comes with one weight per member and is scored in one ``family_z``
+    call.
 
-    A trajectory with undefined GP contributes a legal zero atom to a
-    Z-valued build but aborts an H-valued build, which needs every phase.
-    The distribution's ``error_estimate`` is the largest over the defined
-    atoms, or None when one of them has none (a sampled trajectory).
+    A member with undefined GP contributes a legal zero atom, on which
+    ``to_h()`` raises, since P_H needs every phase.  The distribution's
+    ``error_estimate`` is the largest over the defined atoms, or None when
+    there are none.
     """
     weights, values, estimates = [], [], []
-    for w, traj in weighted_trajs:
-        if isinstance(traj, ClosedFormPath):
-            scored = family_z(traj)
-        else:
-            w = [w]
-            try:
-                scored = [z_functional(traj)]
-            except UndefinedGP as exc:
-                scored = [exc]
-        for res in scored:
+    for w, family in weighted_families:
+        for res in family_z(family):
             if isinstance(res, UndefinedGP):
-                if kind == "h":
-                    raise res
                 values.append(0.0)
             else:
                 values.append(res.z)
                 estimates.append(res.error_estimate)
         weights.extend(w)
-    estimate = (None if None in estimates or not estimates
-                else max(estimates))
-    dist = PhaseDistribution(kind="z", weights=np.array(weights),
-                             values=np.array(values), error_estimate=estimate)
-    return dist.to_h() if kind == "h" else dist
+    return PhaseDistribution(kind="z", weights=np.array(weights),
+                             values=np.array(values),
+                             error_estimate=max(estimates, default=None))
 
 
 def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:

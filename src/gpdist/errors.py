@@ -46,11 +46,6 @@ class InvalidDecomposition(GpdistError):
     """A reservoir redecomposition changed the block density matrix."""
 
 
-class InconsistentModel(GpdistError):
-    """Perturbative identification produced a dissipative part that is not
-    negative semidefinite."""
-
-
 class RCondViolated(GpdistError):
     """The reservoir coupling has <r|R|r> != 0 for some populated eigenstate,
     so the perturbative phase formula is spurious."""

@@ -13,8 +13,8 @@ which is second order in ``dt``.
 
 Tensor-product index convention: the SYSTEM index is the slow (outer) index,
 i.e. a joint operator is ``np.kron(op_system, op_reservoir)`` and a joint
-state index decomposes as ``i = s * dim_r + r``.  All partial traces and
-partial inner products in this package rely on this convention.
+state index decomposes as ``i = s * dim_r + r``.  All partial inner
+products in this package rely on this convention.
 """
 
 from __future__ import annotations
@@ -118,11 +118,6 @@ class Schedule:
         ts = grid.times if at == "nodes" else grid.midpoints
         return np.array([self(t) for t in ts])
 
-    def check_hermitian(self, grid: TimeGrid):
-        for h in self.sample(grid):
-            if not is_hermitian(h):
-                raise InvalidOperand("schedule is not Hermitian on the grid")
-
 
 def matexp(m) -> np.ndarray:
     """Matrix exponential.
@@ -193,11 +188,3 @@ def partial_inner(bra_r, u, ket_r, dim_s: int, dim_r: int) -> np.ndarray:
     u4 = u.reshape(dim_s, dim_r, dim_s, dim_r)
     return np.einsum("i,aibj,j->ab", bra_r.conj(), u4, ket_r)
 
-
-def partial_trace_reservoir(rho_joint, dim_s: int, dim_r: int) -> np.ndarray:
-    """Trace a joint density matrix over the reservoir factor."""
-    rho_joint = _as_square(rho_joint)
-    if rho_joint.shape[0] != dim_s * dim_r:
-        raise DimensionError("joint dimension mismatch")
-    r4 = rho_joint.reshape(dim_s, dim_r, dim_s, dim_r)
-    return np.einsum("aibi->ab", r4)

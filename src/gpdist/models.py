@@ -15,13 +15,9 @@ import numpy as np
 
 from .channels import KrausChannel, LindbladModel, ReservoirSpec
 from .distribution import PhaseDistribution
-from .hilbert import SIGMA_Z, Schedule, TimeGrid
-from .phase import ClosedFormPath, Trajectory
+from .hilbert import SIGMA_Z, Schedule
+from .phase import ClosedFormPath
 from .weakcoupling import WeakCouplingModel
-
-PROJ_G = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-PROJ_E = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 def hs_schedule(omega: float) -> Schedule:
     return Schedule.constant(-0.5 * omega * SIGMA_Z)
@@ -229,22 +225,6 @@ def se_perturbative_gp(p: TwoLevelAtomParams) -> float:
                                         * np.sin(p.theta) ** 2)
 
 
-def se_no_jump_trajectory(p: TwoLevelAtomParams, grid: TimeGrid) -> Trajectory:
-    """Non-unitary trajectory K0(t)|psi_S> under the effective no-jump decay."""
-    k0 = _se_no_jump_diagonals(p, grid.times)[0]
-    return Trajectory(grid=grid, states=k0 * psi_initial(p.theta))
-
-
-def se_effective_b_blocks(p: TwoLevelAtomParams, grid: TimeGrid) -> np.ndarray:
-    """Reservoir-averaged perturbation operator <B(t)>_R = -gamma0 (|e><e| + n) t.
-
-    The n-dependence is proportional to the identity, which is why thermal
-    fluctuations cancel in the mean GP.
-    """
-    b0 = -p.gamma0 * (PROJ_E + p.n_thermal * np.eye(2))
-    return grid.times[:, None, None] * b0
-
-
 def se_weak_coupling_model(
     p: TwoLevelAtomParams, dim_bath: int = 4, g: float = 0.1,
 ) -> WeakCouplingModel:
@@ -354,7 +334,7 @@ def pd_moments(p: PhaseDampingParams) -> PhaseDampingMoments:
     """Exact two-atom moments at one period, next to the first-order forms."""
     from .distribution import build_distribution, moments as dist_moments
 
-    dist = build_distribution([pd_trajectories(p)], kind="z")
+    dist = build_distribution([pd_trajectories(p)])
     rep = dist_moments(dist, n_max=1)
     first_z = rep.z_moments[0]
     ref_z, ref_h, ref_w = pd_first_order_references(p)

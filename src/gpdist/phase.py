@@ -64,10 +64,6 @@ class Trajectory:
             )
         _check_norms(np.einsum("ki,ki->k", states.conj(), states).real)
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
     def norms(self) -> np.ndarray:
         return np.sqrt(np.einsum("ki,ki->k", self.states.conj(), self.states).real)
 
@@ -240,22 +236,6 @@ def family_z(path: ClosedFormPath) -> list[PhaseResult | UndefinedGP]:
     ends = path.states(np.array([0.0, path.t_end]))[0]
     return [_scored(float(phi), float(error), end)
             for phi, error, end in zip(phis, errors, ends)]
-
-
-def gauge_transform(traj: Trajectory, alpha) -> Trajectory:
-    """Multiply each sampled state by exp(i alpha(t_k)).
-
-    ``alpha`` is either a callable of time or an array of per-node angles.
-    Z is gauge invariant up to quadrature error; this helper exists to
-    exercise that property.
-    """
-    if callable(alpha):
-        a = np.array([alpha(t) for t in traj.grid.times], dtype=float)
-    else:
-        a = np.asarray(alpha, dtype=float)
-        if a.shape != (traj.grid.n_steps + 1,):
-            raise ValueError("alpha must supply one angle per grid node")
-    return Trajectory(grid=traj.grid, states=np.exp(1j * a)[:, None] * traj.states)
 
 
 def angle_to_positive_branch(a: float) -> float:

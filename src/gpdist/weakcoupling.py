@@ -50,7 +50,6 @@ import numpy as np
 from .channels import ReservoirSpec
 from .errors import (
     DimensionError,
-    InconsistentModel,
     InvalidOperand,
     RCondViolated,
     UndefinedGP,
@@ -62,7 +61,6 @@ from .phase import (QUADRATURE_START_NODES, _gauss_legendre,
 RCOND_TOL = 1e-10
 IM_DZ_WARN = 0.1
 US_AVG_EPS = 1e-9  # |<U_S>_S| below this leaves the perturbative GP undefined
-PSD_TOL = 1e-9     # most negative eigenvalue allowed in sum L^dag L
 
 
 @dataclass
@@ -248,24 +246,6 @@ def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
                     for op in (ops.b, ops.b_int))
     return delta_z_from_b(b_fin, b_int, ops.u_fin, model.hs.matrix,
                           model.psi_s)
-
-
-def lindblad_identification(
-    b_dot: np.ndarray, u_s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``U_S d<B>_R/dt U_S^dag = -i dH - sum L^dag L`` at one time.
-
-    Returns ``(delta_h, sum_ldag_l)``; a dissipative part that fails to be
-    positive semidefinite (beyond ``PSD_TOL``) raises InconsistentModel.
-    """
-    m = u_s @ b_dot @ u_s.conj().T
-    sum_ldag_l = -0.5 * (m + m.conj().T)
-    delta_h = 0.5j * (m - m.conj().T)
-    if np.linalg.eigvalsh(sum_ldag_l).min() < -PSD_TOL:
-        raise InconsistentModel(
-            "dissipative part of the identification is not positive"
-        )
-    return delta_h, sum_ldag_l
 
 
 def perturbative_moments(dz: complex, beta0: float, n: int = 1) -> complex:

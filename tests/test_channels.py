@@ -1,5 +1,5 @@
-"""Open-system dynamics: Lindblad integration, Kraus maps, conditional
-trajectories, and the reservoir-adapted basis."""
+"""Open-system dynamics: Lindblad integration, Kraus maps and conditional
+trajectories."""
 
 import warnings
 
@@ -11,14 +11,11 @@ from gpdist.channels import (
     LindbladModel,
     ReservoirSpec,
     SystemEnsemble,
-    adapted_basis,
     apply_kraus,
-    conditional_kraus_elements,
     conditional_trajectories,
     integrate_lindblad,
     lindblad_rhs,
     liouvillian,
-    reduced_density_from_elements,
     spectral_conditional_trajectories,
 )
 from gpdist.errors import (
@@ -33,7 +30,6 @@ from gpdist.hilbert import (
     SIGMA_Z,
     Schedule,
     TimeGrid,
-    partial_trace_reservoir,
     time_ordered_propagator,
 )
 from gpdist.models import (
@@ -82,8 +78,9 @@ class TestReservoirSpec:
                             energies=[0.0, 1.0, 1.0])
         assert res.dim == 3
         assert res.blocks() == [[0], [1, 2]]
-        assert np.allclose(res.density_matrix(), np.diag([0.5, 0.3, 0.2]))
-        assert np.allclose(res.block_density([1, 2]), np.diag([0.0, 0.3, 0.2]))
+        assert np.allclose(np.einsum("r,ri,rj->ij", res.probs, res.states,
+                                     res.states.conj()),
+                           np.diag([0.5, 0.3, 0.2]))
 
     def test_bad_probabilities(self):
         with pytest.raises(InvalidState):
@@ -140,24 +137,29 @@ class TestLindbladModel:
         with pytest.raises(InvalidOperand):
             LindbladModel(hs=hs_schedule(1.0), jump_ops=[bad])
 
+    def test_evaluator_schedule_rejected(self):
+        # the RK4 step map is built once, from a constant H_S
+        hs = Schedule(evaluator=lambda t: (-0.5 * (1.0 + 0.3 * np.sin(t))
+                                           * SIGMA_Z + 0.2 * SIGMA_X), dim=2)
+        with pytest.raises(InvalidOperand):
+            LindbladModel(hs=hs, jump_ops=[0.1 * SIGMA_Z])
+
 
 class TestLiouvillian:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_rhs_and_commutator_form(self, dim):
         rng = np.random.default_rng(11 + dim)
         h = random_complex(dim, rng)
-        h = h + h.conj().T
         dh = random_complex(dim, rng)
+        h = h + h.conj().T + dh + dh.conj().T
         jumps = [random_complex(dim, rng) for _ in range(2)]
-        model = LindbladModel(hs=Schedule.constant(h), jump_ops=jumps,
-                              delta_h=dh + dh.conj().T)
+        model = LindbladModel(hs=Schedule.constant(h), jump_ops=jumps)
         rho = random_complex(dim, rng)
         lhs = liouvillian(model, h) @ rho.reshape(-1)
         assert np.max(np.abs(lhs - lindblad_rhs(rho, model, 0.3).reshape(-1))
                       ) < 1e-14
         # the master equation written out as commutator plus dissipators
-        hh = h + model.delta_h
-        ref = -1j * (hh @ rho - rho @ hh)
+        ref = -1j * (h @ rho - rho @ h)
         for l in jumps:
             ldl = l.conj().T @ l
             ref -= ldl @ rho + rho @ ldl - 2.0 * l @ rho @ l.conj().T
@@ -237,18 +239,21 @@ class TestIntegrateLindblad:
         rhos = integrate_lindblad(model, rho0, grid)
         assert np.max(np.abs(rhos - rk4_oracle(model, rho0, grid))) < 1e-12
 
-    def test_time_dependent_schedule_matches_stepwise_rk4(self):
-        hs = Schedule(evaluator=lambda t: (-0.5 * (1.0 + 0.3 * np.sin(t))
-                                           * SIGMA_Z + 0.2 * SIGMA_X), dim=2)
-        model = LindbladModel(
-            hs=hs, jump_ops=[0.2 * np.array([[0.0, 1.0], [0.0, 0.0]]),
-                             0.1 * SIGMA_Z])
-        psi = psi_initial(0.7)
-        rho0 = np.outer(psi, psi.conj())
-        grid = TimeGrid(0.0, 2.0 * np.pi, 512)
-        rhos = integrate_lindblad(model, rho0, grid)
-        assert np.max(np.abs(rhos - rk4_oracle(model, rho0, grid))) < 1e-12
-
+    def test_fourth_order_convergence(self):
+        # jump operator sqrt(gamma)|g><e|:
+        # rho_ee(t) = cos^2(theta/2) e^{-2 gamma t}
+        gamma, theta = 0.3, 1.1
+        model = LindbladModel(hs=hs_schedule(1.0), jump_ops=[
+            np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])])
+        psi = psi_initial(theta)
+        errs = []
+        for n in (16, 32, 64, 128, 256):
+            grid = TimeGrid(0.0, 2.0 * np.pi, n)
+            rhos = integrate_lindblad(model, np.outer(psi, psi.conj()), grid)
+            exact = np.cos(theta / 2.0) ** 2 * np.exp(-2.0 * gamma * grid.times)
+            errs.append(np.abs(rhos[:, 1, 1].real - exact).max())
+        ratios = [errs[i] / errs[i + 1] for i in range(4)]
+        assert all(12.0 < r < 20.0 for r in ratios)  # halving dt: ~16x
 
 class TestApplyKraus:
     def test_single_unitary_element(self):
@@ -273,32 +278,6 @@ class TestApplyKraus:
     def test_completeness_defect(self):
         channel = KrausChannel(elements=[(1.0, lambda t: np.eye(2))], dim=2)
         assert channel.completeness_defect(0.7) < 1e-15
-
-
-class TestAdaptedBasis:
-    def test_standard_vector(self):
-        e0 = np.zeros(3)
-        e0[0] = 1.0
-        basis = adapted_basis(e0, 3)
-        assert np.allclose(np.abs(basis), np.eye(3))
-
-    def test_superposition(self):
-        r = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        basis = adapted_basis(r, 2)
-        assert np.allclose(basis[0], r)
-        assert abs(np.vdot(basis[1], r)) < 1e-12
-
-    def test_random_gram_identity(self):
-        rng = np.random.default_rng(3)
-        r = rng.normal(size=5) + 1j * rng.normal(size=5)
-        r /= np.linalg.norm(r)
-        basis = adapted_basis(r, 5)
-        gram = basis.conj() @ basis.T
-        assert np.linalg.norm(gram - np.eye(5)) < 1e-12
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidState):
-            adapted_basis(np.zeros(3), 3)
 
 
 def _joint_setup(g, n_steps=1024, theta=np.pi / 3, omega=1.0, bath_omega=2.0):
@@ -342,14 +321,16 @@ class TestConditionalTrajectories:
     def test_perturbative_cross_oracle(self):
         # small energy-exchange coupling: exact conditional GP matches the
         # second-order formula within O(g^2) of the leading O(g^2) correction
-        from gpdist.distribution import build_distribution, moments
+        from gpdist.distribution import PhaseDistribution, moments
+        from gpdist.phase import z_functional
         from gpdist.weakcoupling import WeakCouplingModel, build_AB, delta_z
 
         g = 0.05
         res, sys, us, grid = _joint_setup(g, n_steps=2048)
-        dist = build_distribution(
-            conditional_trajectories(us, res, sys, grid), kind="z")
-        rep = moments(dist, n_max=1)
+        weights, trajs = zip(*conditional_trajectories(us, res, sys, grid))
+        rep = moments(PhaseDistribution(
+            kind="z", weights=weights,
+            values=[z_functional(traj).z for traj in trajs]), n_max=1)
         model = WeakCouplingModel(
             hs=hs_schedule(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
             couplings=[(g * SIGMA_X, SIGMA_X)], res=res,
@@ -393,28 +374,6 @@ class TestConditionalTrajectories:
             x = us @ np.kron(s, r)
             ref_d = (-1j * x @ h.T).reshape(-1, 2, dim_r) @ r.conj()
             assert np.abs(got_d - ref_d).max() <= 1e-10
-
-
-class TestResummation:
-    def test_reduced_dynamics_consistency(self):
-        # all adapted-basis Kraus elements resum to Tr_R(U rho U^dag)
-        res, sys, us, grid = _joint_setup(0.4, n_steps=256)
-        elements = conditional_kraus_elements(us, res, sys.states.shape[1])
-        rho_s0 = np.outer(sys.states[0], sys.states[0].conj())
-        node = grid.n_steps  # final time
-        got = reduced_density_from_elements(elements, sys, node)
-        rho_joint0 = sum(
-            p * np.kron(rho_s0, np.outer(r, r.conj()))
-            for p, r in zip(res.probs, res.states))
-        u = us[node]
-        ref = partial_trace_reservoir(u @ rho_joint0 @ u.conj().T, 2, 2)
-        assert np.linalg.norm(got - ref) < 1e-10
-
-    def test_discarded_elements_start_at_zero(self):
-        res, sys, us, grid = _joint_setup(0.3, n_steps=64)
-        for _, seqs in conditional_kraus_elements(us, res, 2):
-            for seq in seqs[1:]:
-                assert np.linalg.norm(seq[0]) < 1e-12
 
 
 class TestPositivity:

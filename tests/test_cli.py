@@ -313,6 +313,24 @@ class TestCompare:
         assert float(rec["exact_spread_w_dimensionless"]) > 0.0
         assert "order_violation" in rec
 
+    @pytest.mark.parametrize("model, rate", [
+        ("spontaneous_emission", "gamma0"), ("phase_damping", "alpha")])
+    def test_zero_rate_is_no_order_violation(self, tmp_path, model, rate):
+        # at rate 0 the expected order is 0, and exact and first-order sides
+        # differ only by rounding, which is no violation
+        cfg = {
+            "schema": SCHEMA_VERSION,
+            "model": model,
+            "params": {"omega": 1.0, rate: 0.0},
+            "sweep": {"parameter": "theta",
+                      "values": [0.3, 0.9, 1.5, 2.1, 2.7]},
+            "outputs": ["moments"],
+        }
+        compare_scenario(load_scenario(write_config(tmp_path, cfg)),
+                         tmp_path, "csv")
+        table = read_csv(tmp_path / "comparison.csv")
+        assert [rec["order_violation"] for rec in table] == ["false"] * 5
+
     def test_custom_joint_perturbative(self, tmp_path):
         cfg = joint_config([[0, 1], [1, 0]])
         scn = load_scenario(write_config(tmp_path, cfg))

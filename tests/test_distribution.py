@@ -16,19 +16,26 @@ from gpdist.distribution import (
     redecompose,
 )
 from gpdist.errors import InvalidBlock, InvalidDecomposition, UndefinedGP
-from gpdist.hilbert import TimeGrid, partial_inner
+from gpdist.hilbert import partial_inner
 from gpdist.models import (
     TwoLevelAtomParams,
     se_distributions,
     se_exact_z_values,
     se_weights,
 )
-from gpdist.phase import Trajectory
+from gpdist.phase import ClosedFormPath
 
 
-def constant_trajectory(psi, n_steps=8):
-    grid = TimeGrid(0.0, 1.0, n_steps)
-    return Trajectory(grid=grid, states=np.tile(psi, (n_steps + 1, 1)))
+def real_path(psi, dpsi, t_end=1.0):
+    """One-member family from vectorised ``psi(t)`` and ``dpsi(t)``."""
+    return ClosedFormPath(states=lambda t: (psi(t)[None], dpsi(t)[None]),
+                          t_end=t_end)
+
+
+def constant_path(psi, t_end=1.0):
+    psi = np.asarray(psi, dtype=complex)
+    return real_path(lambda t: np.tile(psi, (len(t), 1)),
+                     lambda t: np.zeros((len(t), len(psi))), t_end)
 
 
 class TestPhaseDistribution:
@@ -67,7 +74,7 @@ class TestPhaseDistribution:
 class TestBuildDistribution:
     def test_single_trajectory_sharp(self):
         psi = np.array([0.6, 0.8], dtype=complex)
-        dist = build_distribution([(1.0, constant_trajectory(psi))], kind="h")
+        dist = build_distribution([(np.array([1.0]), constant_path(psi))]).to_h()
         rep = moments(dist, n_max=1)
         assert len(dist.values) == 1
         assert rep.spread_w == 0.0  # sharp distribution, exactly
@@ -85,19 +92,16 @@ class TestBuildDistribution:
 
     def test_zero_atom_legal_for_z_only(self):
         # path ending orthogonal to its start: GP undefined
-        grid = TimeGrid(0.0, np.pi, 2048)
-        t = grid.times
-        states = np.stack([np.cos(t / 2.0), np.sin(t / 2.0)],
-                          axis=1).astype(complex)
-        bad = Trajectory(grid=grid, states=states)
-        good = constant_trajectory(np.array([1.0, 0.0], dtype=complex),
-                                   n_steps=2048)
-        # rebuild on the same grid
-        good = Trajectory(grid=grid, states=np.tile([1.0, 0.0], (2049, 1)))
-        dist = build_distribution([(0.5, bad), (0.5, good)], kind="z")
+        bad = real_path(
+            lambda t: np.stack([np.cos(t / 2.0), np.sin(t / 2.0)], axis=1),
+            lambda t: 0.5 * np.stack([-np.sin(t / 2.0), np.cos(t / 2.0)],
+                                     axis=1), t_end=np.pi)
+        good = constant_path([1.0, 0.0], t_end=np.pi)
+        dist = build_distribution([(np.array([0.5]), bad),
+                                   (np.array([0.5]), good)])
         assert dist.values[0] == 0.0
         with pytest.raises(UndefinedGP):
-            build_distribution([(0.5, bad), (0.5, good)], kind="h")
+            dist.to_h()
 
 
 class TestMoments:
@@ -145,6 +149,12 @@ class TestMoments:
             return
         assert rep.spread_w >= 0.0
         assert abs(rep.h_moments[0]) <= 1.0 + 1e-12
+
+
+def density(spec):
+    """rho_R = sum_r p_r |r><r| of a reservoir decomposition."""
+    return np.einsum("r,ri,rj->ij", spec.probs, spec.states,
+                     spec.states.conj())
 
 
 def _degenerate_res():
@@ -204,8 +214,7 @@ class TestRedecompose:
                             energies=[0.0, 0.0])
         had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         alt = redecompose(res, {0: had})
-        assert np.allclose(alt.density_matrix(), res.density_matrix(),
-                           atol=1e-12)
+        assert np.allclose(density(alt), density(res), atol=1e-12)
         assert np.allclose(alt.probs, [0.5, 0.5])
 
     def test_unequal_weights_density_preserved(self):
@@ -215,8 +224,7 @@ class TestRedecompose:
                             + 1j * rng.normal(size=(2, 2)))
         alt = redecompose(res, {1: v})
         assert alt.orthonormal is False
-        assert np.allclose(alt.density_matrix(), res.density_matrix(),
-                           atol=1e-12)
+        assert np.allclose(density(alt), density(res), atol=1e-12)
         assert not np.allclose(alt.states, res.states)
 
     def test_non_unitary_rejected(self):

@@ -10,9 +10,9 @@ from gpdist.distribution import moments
 from gpdist.errors import RCondViolated
 from gpdist.hilbert import TimeGrid
 from gpdist.models import (
-    PROJ_E,
     PhaseDampingParams,
     TwoLevelAtomParams,
+    _se_no_jump_diagonals,
     closed_system_gp,
     pd_first_order_references,
     pd_kraus_channel,
@@ -22,17 +22,15 @@ from gpdist.models import (
     pd_weak_coupling_model,
     psi_initial,
     se_distributions,
-    se_effective_b_blocks,
     se_exact_z_values,
     se_kraus_channel,
     se_lindblad_model,
     se_mean_gp_zero_temperature,
-    se_no_jump_trajectory,
     se_perturbative_gp,
     se_weak_coupling_model,
     se_weights,
 )
-from gpdist.phase import angle_to_positive_branch, z_functional
+from gpdist.phase import ClosedFormPath, angle_to_positive_branch, family_z
 
 # Exact two-atom phase-damping moments at one period, frozen from an
 # independent 1D quadrature oracle (scipy.integrate.quad over the analytic
@@ -50,6 +48,19 @@ PD_EXACT_ORACLE = {
 }
 
 
+def se_no_jump_path(p):
+    """K0(t)|psi_S> as a closed-form path: each no-jump diagonal entry is
+    e^{rate t}, so the derivative is rates * psi."""
+    psi0 = psi_initial(p.theta)
+    rates = np.array([-0.5j * p.omega, 0.5j * p.omega - p.gamma_n])
+
+    def states(t):
+        psi = _se_no_jump_diagonals(p, t)[0] * psi0
+        return psi[None], (rates * psi)[None]
+
+    return ClosedFormPath(states=states, t_end=p.period)
+
+
 class TestClosedSystemGp:
     def test_poles(self):
         assert closed_system_gp(0.0) == 0.0
@@ -58,8 +69,7 @@ class TestClosedSystemGp:
     def test_equator_and_numeric_cross_check(self):
         assert closed_system_gp(np.pi / 2) == pytest.approx(np.pi)
         p = TwoLevelAtomParams(omega=1.0, gamma0=0.0, theta=np.pi / 2)
-        traj = se_no_jump_trajectory(p, TimeGrid(0.0, p.period, 4096))
-        beta = angle_to_positive_branch(z_functional(traj).beta)
+        beta = angle_to_positive_branch(family_z(se_no_jump_path(p))[0].beta)
         assert abs(beta - np.pi) < 1e-6
 
     def test_range_validation(self):
@@ -176,8 +186,7 @@ class TestSeExactValues:
 
     def test_no_jump_trajectory_matches(self):
         p = TwoLevelAtomParams(omega=1.0, gamma0=0.05, theta=np.pi / 4)
-        traj = se_no_jump_trajectory(p, TimeGrid(0.0, p.period, 4096))
-        beta = angle_to_positive_branch(z_functional(traj).beta)
+        beta = angle_to_positive_branch(family_z(se_no_jump_path(p))[0].beta)
         assert abs(beta - se_mean_gp_zero_temperature(p)) < 1e-6
 
     def test_weak_coupling_agreement(self):
@@ -408,12 +417,5 @@ class TestGridBroadcastBuilders:
         grid = TimeGrid(0.0, p.period, 1024)
         k0 = se_kraus_channel(p).elements[0][1]
         psi = psi_initial(p.theta)
-        assert_bit_identical(se_no_jump_trajectory(p, grid).states,
+        assert_bit_identical(se_no_jump_path(p).states(grid.times)[0][0],
                              np.array([k0(t) @ psi for t in grid.times]))
-
-    def test_se_effective_b_blocks_match_per_node_product(self):
-        p = TwoLevelAtomParams(omega=0.97, gamma0=0.05, n_thermal=0.7)
-        grid = TimeGrid(0.0, p.period, 1024)
-        b0 = -p.gamma0 * (PROJ_E + p.n_thermal * np.eye(2))
-        assert_bit_identical(se_effective_b_blocks(p, grid),
-                             np.array([b0 * t for t in grid.times]))

@@ -1,7 +1,8 @@
 """What the tooling around the package relies on: a cold ``import
-gpdist.cli`` and a ``compare`` run without scipy, and the traced names of
-the benchmark harness."""
+gpdist.cli`` and a ``compare`` run without scipy, the traced names of the
+benchmark harness, and an acceptance gate on the route the CLI ships."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -14,6 +15,11 @@ import gpdist.distribution
 from gpdist.cli import SCHEMA_VERSION
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+# the sampled route, which no CLI path runs
+SAMPLED = {"Trajectory", "z_functional", "gauge_transform",
+           "time_ordered_propagator", "conditional_trajectories",
+           "partial_inner", "block_first_moment", "se_no_jump_trajectory"}
 
 
 def run_python(code: str) -> str:
@@ -116,3 +122,12 @@ outputs: [moments, decomposition_check]
     assert calls.get("phase.z_functional.calls", 0) == 0
     assert calls.get("hilbert.partial_inner.calls", 0) == 0
     assert matrices == ["params.couplings[0].r", "params.couplings[0].s"]
+
+
+def test_acceptance_gate_scores_the_shipped_route():
+    # the gate must not drift back to the sampled route
+    imported = set()
+    for node in ast.walk(ast.parse(ACCEPTANCE.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    assert imported & SAMPLED == set()
