@@ -7,7 +7,7 @@ their moments and Holevo-style spread, including the second-order
 weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (
     ConfigError,
@@ -28,7 +28,6 @@ from .hilbert import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Schedule,
     TimeGrid,
     matexp,
     partial_inner,

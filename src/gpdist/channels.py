@@ -29,7 +29,7 @@ from .errors import (
     InvalidOperand,
     InvalidState,
 )
-from .hilbert import Schedule, TimeGrid, eigh_hermitian
+from .hilbert import TimeGrid, _as_square, eigh_hermitian
 from .phase import ClosedFormPath, Trajectory
 
 ENERGY_DEGENERACY_TOL = 1e-9
@@ -116,35 +116,32 @@ class SystemEnsemble:
 class KrausChannel:
     """Weighted Kraus map ``rho -> sum_i p_i K_i(t) rho K_i(t)^dag``.
 
-    Weights are kept separate from the operators; the authoritative validity
-    condition is the completeness relation ``sum_i p_i K_i^dag K_i = 1``.
+    ``operators(t)`` is the (m, d, d) stack of the K_i(t) for the m weights
+    p_i; the validity condition is ``sum_i p_i K_i^dag K_i = 1``.
     """
 
-    elements: list[tuple[float, Callable[[float], np.ndarray]]]
-    dim: int
-
-    def operators(self, t: float) -> list[tuple[float, np.ndarray]]:
-        return [(p, np.asarray(k(t), dtype=complex)) for p, k in self.elements]
+    weights: np.ndarray
+    operators: Callable[[float], np.ndarray]
 
     def completeness_defect(self, t: float) -> float:
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, k in self.operators(t):
-            acc += p * k.conj().T @ k
-        return float(np.linalg.norm(acc - np.eye(self.dim)))
+        ks = self.operators(t)
+        if ks.shape != (len(self.weights),) + ks.shape[-1:] * 2:
+            raise DimensionError(f"{len(self.weights)} weights, operator stack {ks.shape}")
+        acc = np.einsum("i,iab,iac->bc", self.weights, ks.conj(), ks)
+        return float(np.linalg.norm(acc - np.eye(ks.shape[-1])))
 
 
 @dataclass
 class LindbladModel:
-    """Master-equation data: a constant H_S and the jump operators."""
+    """Master-equation data: the H_S matrix and the jump operators."""
 
-    hs: Schedule
+    hs: np.ndarray
     jump_ops: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.hs.matrix is None:
-            raise InvalidOperand("H_S must be a constant schedule")
+        self.hs = _as_square(self.hs)
         self.jump_ops = [np.asarray(l, dtype=complex) for l in self.jump_ops]
-        dim = self.hs.dim
+        dim = len(self.hs)
         for i, l in enumerate(self.jump_ops):
             if l.shape != (dim, dim):
                 raise DimensionError(
@@ -153,14 +150,14 @@ class LindbladModel:
                 raise InvalidOperand(f"jump operator {i} has non-finite entries")
 
 
-def liouvillian(model: LindbladModel, h) -> np.ndarray:
-    """Superoperator of the master equation with system Hamiltonian ``h``.
+def liouvillian(model: LindbladModel) -> np.ndarray:
+    """Superoperator of the master equation.
 
     Acts on the row-major ``vec(rho) = rho.reshape(-1)``, for which
     ``vec(A rho B) = kron(A, B^T) vec(rho)``.  With ``K = sum L^dag L`` the
-    equation reads ``(-i h - K) rho + rho (i h - K) + 2 sum L rho L^dag``.
+    equation reads ``(-i H_S - K) rho + rho (i H_S - K) + 2 sum L rho L^dag``.
     """
-    h = np.asarray(h, dtype=complex)
+    h = model.hs
     d = len(h)
     eye = np.eye(d)
     ldl = sum((l.conj().T @ l for l in model.jump_ops), np.zeros_like(h))
@@ -174,10 +171,10 @@ def liouvillian(model: LindbladModel, h) -> np.ndarray:
     return out.reshape(d * d, d * d)
 
 
-def lindblad_rhs(rho, model: LindbladModel, t: float) -> np.ndarray:
+def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     """Right-hand side of the master equation (no-1/2 convention)."""
     rho = np.asarray(rho, dtype=complex)
-    return (liouvillian(model, model.hs(t)) @ rho.reshape(-1)).reshape(rho.shape)
+    return (liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
 
 
 def _rk4_map(l: np.ndarray, dt: float) -> np.ndarray:
@@ -205,7 +202,7 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray
     out = np.empty((n + 1, *rho0.shape), dtype=complex)
     out[0] = rho0
     with np.errstate(over="ignore", invalid="ignore"):
-        l = liouvillian(model, model.hs.matrix)
+        l = liouvillian(model)
         powers = np.empty((min(_LINDBLAD_CHUNK, n), *l.shape), dtype=complex)
         powers[0] = _rk4_map(l, dt)
         for j in range(1, len(powers)):
@@ -232,11 +229,9 @@ def apply_kraus(channel: KrausChannel, rho0, t: float) -> np.ndarray:
     defect = channel.completeness_defect(t)
     if not defect <= COMPLETENESS_TOL:  # a NaN defect fails too
         raise InvalidChannel(f"completeness defect {defect:.3e} at t={t:.6g}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    out = np.zeros_like(rho0)
-    for p, k in channel.operators(t):
-        out += p * k @ rho0 @ k.conj().T
-    return out
+    ks = channel.operators(t)
+    return np.einsum("i,iab,bc,idc->ad", channel.weights, ks,
+                     np.asarray(rho0, dtype=complex), ks.conj())
 
 
 def _joint_blocks(us: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:

@@ -34,7 +34,7 @@ Config errors are found before any numerics run and name their field:
 ``params.couplings[0].r``), ``grid`` or ``grid.n_steps``, ``sweep``,
 ``sweep.parameter``, ``sweep.values[i]``, ``outputs`` or ``outputs[i]``, or
 the unknown field.  Angles are in radians.  Exit codes: 0 success, 2 config
-error, 3 numerical failure (naming the failing sweep point).
+error or unusable ``--out``, 3 numerical failure (naming the failing point).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
     closed_system_gp,
-    hs_schedule,
+    h_system,
     pd_first_order_references,
     pd_trajectories,
     psi_initial,
@@ -204,7 +204,7 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
         res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
                             energies=energies)
         return CustomPoint(omega, theta, lambda w, th: WeakCouplingModel(
-            hs=hs_schedule(w), hr=np.diag(energies).astype(complex),
+            hs=h_system(w), hr=np.diag(energies).astype(complex),
             couplings=terms, res=res, psi_s=psi_initial(th)))
     except InvalidState as exc:
         raise ConfigError(f"params.reservoir_probs: {exc}") from exc
@@ -216,7 +216,7 @@ def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
     jumps = [_matrix(j, f"params.jump_ops[{i}]", 2)
              for i, j in enumerate(_list(jump_ops, "params.jump_ops"))]
     return CustomPoint(omega, theta, lambda w, _: LindbladModel(
-        hs=hs_schedule(w), jump_ops=jumps))
+        hs=h_system(w), jump_ops=jumps))
 
 
 def _joint_distribution(p: CustomPoint):
@@ -411,13 +411,13 @@ def load_scenario(path: str) -> Scenario:
 def _each_point(scn: Scenario, work) -> list:
     """``work`` on every point in order; a numerical failure names its point.
 
-    The library also raises ValueError and ArithmeticError on computed data
-    (say, weights that overflow), so those count as numerical failures."""
+    ValueError, ArithmeticError and MemoryError raised on computed data
+    (overflowing weights, a grid too large to allocate) count as well."""
     results = []
     for p in scn.points:
         try:
             results.append(work(p))
-        except (GpdistError, ValueError, ArithmeticError) as exc:
+        except (GpdistError, ValueError, ArithmeticError, MemoryError) as exc:
             key = scn.sweep_parameter
             where = (f"sweep point {key} = {getattr(p, key)!r}" if key
                      else "the single configured point")
@@ -556,6 +556,10 @@ def main(argv=None) -> int:
     except GpdistError as exc:
         print(f"numerical failure at {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # --out is not a directory that can be written
+        print(f"output error: {out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     print(f"{args.command}: wrote {len(rows)} rows to {out_dir}")
     return 0
 

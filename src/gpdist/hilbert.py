@@ -1,15 +1,13 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
-Matrix exponentials, time-ordered propagation of time-dependent Hamiltonians
-on a uniform grid, and partial inner products on bipartite spaces.
-
-Constant and time-dependent generators take different paths.  A constant
-Hermitian ``H`` (``Schedule.constant``) is diagonalized once,
-``H = V diag(lambda) V^dag`` (``eigh_hermitian``), and every node follows
-from the phases ``e^{-i lambda_n (t_k - t_0)}``; the propagator is
-``U(t_k) = V e^{-i lambda (t_k - t_0)} V^dag`` with no per-step rounding.  A
-time-dependent schedule keeps the midpoint product of step exponentials,
-which is second order in ``dt``.
+Hermiticity checks, matrix exponentials, time-ordered propagation on a
+uniform grid, and partial inner products on bipartite spaces.  Models hold
+Hamiltonians as matrices; ``Schedule``, H as a function of t, serves only
+``time_ordered_propagator``.  There a constant Hermitian ``H``
+(``Schedule.constant``) is diagonalized once, ``H = V diag(lambda) V^dag``
+(``eigh_hermitian``), so ``U(t_k) = V e^{-i lambda (t_k - t_0)} V^dag``
+with no per-step rounding; a time-dependent schedule keeps the midpoint
+product of step exponentials, which is second order in ``dt``.
 
 Tensor-product index convention: the SYSTEM index is the slow (outer) index,
 i.e. a joint operator is ``np.kron(op_system, op_reservoir)`` and a joint

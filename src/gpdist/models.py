@@ -15,12 +15,13 @@ import numpy as np
 
 from .channels import KrausChannel, LindbladModel, ReservoirSpec
 from .distribution import PhaseDistribution
-from .hilbert import SIGMA_Z, Schedule
+from .hilbert import SIGMA_Z
 from .phase import ClosedFormPath
 from .weakcoupling import WeakCouplingModel
 
-def hs_schedule(omega: float) -> Schedule:
-    return Schedule.constant(-0.5 * omega * SIGMA_Z)
+
+def h_system(omega: float) -> np.ndarray:
+    return -0.5 * omega * SIGMA_Z
 
 
 def psi_initial(theta: float) -> np.ndarray:
@@ -111,29 +112,14 @@ def se_kraus_channel(p: TwoLevelAtomParams) -> KrausChannel:
     K0/K2 are the no-jump branches (decay on |e> resp. |g>), K1/K3 the
     photon-emission and -absorption jumps; completeness holds analytically.
     """
-    gn = p.gamma_n
+    def operators(t):
+        ks = np.zeros((4, 2, 2), dtype=complex)
+        ks[::2] = _se_no_jump_diagonals(p, t)[..., None] * np.eye(2)
+        amp = np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * p.gamma_n * t)))
+        ks[1, 0, 1] = ks[3, 1, 0] = amp  # |g><e| and |e><g|
+        return ks
 
-    def k0(t):
-        return np.diag(_se_no_jump_diagonals(p, t)[0])
-
-    def k1(t):
-        amp = np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * gn * t)))
-        out = np.zeros((2, 2), dtype=complex)
-        out[0, 1] = amp          # |g><e|
-        return out
-
-    def k2(t):
-        return np.diag(_se_no_jump_diagonals(p, t)[1])
-
-    def k3(t):
-        amp = np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * gn * t)))
-        out = np.zeros((2, 2), dtype=complex)
-        out[1, 0] = amp          # |e><g|
-        return out
-
-    p0, p1, p2, p3 = se_weights(p)
-    return KrausChannel(elements=[(p0, k0), (p1, k1), (p2, k2), (p3, k3)],
-                        dim=2)
+    return KrausChannel(weights=se_weights(p), operators=operators)
 
 
 def se_lindblad_model(p: TwoLevelAtomParams) -> LindbladModel:
@@ -142,7 +128,7 @@ def se_lindblad_model(p: TwoLevelAtomParams) -> LindbladModel:
         [[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     l2 = np.sqrt(p.gamma0 * p.n_thermal) * np.array(
         [[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    return LindbladModel(hs=hs_schedule(p.omega), jump_ops=[l1, l2])
+    return LindbladModel(hs=h_system(p.omega), jump_ops=[l1, l2])
 
 
 def _no_jump_factors(theta: float, x: float):
@@ -242,7 +228,7 @@ def se_weak_coupling_model(
     res = ReservoirSpec(probs=probs, states=np.eye(dim_bath, dtype=complex),
                         energies=p.omega * np.arange(dim_bath))
     return WeakCouplingModel(
-        hs=hs_schedule(p.omega), hr=np.diag(p.omega * np.arange(dim_bath)),
+        hs=h_system(p.omega), hr=np.diag(p.omega * np.arange(dim_bath)),
         couplings=[(g * r_op, s_op)], res=res, psi_s=psi_initial(p.theta),
     )
 
@@ -266,13 +252,9 @@ def pd_kraus_channel(p: PhaseDampingParams) -> KrausChannel:
     Both operators reduce to phase-free unitaries at t = 0, so both branches
     contribute GP atoms.
     """
-    def k0(t):
-        return np.diag(_pd_diagonals(p, t)[0])
-
-    def k1(t):
-        return np.diag(_pd_diagonals(p, t)[1])
-
-    return KrausChannel(elements=[(0.5, k0), (0.5, k1)], dim=2)
+    return KrausChannel(
+        weights=np.array([0.5, 0.5]),
+        operators=lambda t: _pd_diagonals(p, t)[..., None] * np.eye(2))
 
 
 def pd_lindblad_model(p: PhaseDampingParams) -> LindbladModel:
@@ -283,7 +265,7 @@ def pd_lindblad_model(p: PhaseDampingParams) -> LindbladModel:
     consistent jump operator is therefore (sqrt(alpha)/2) sigma_z.
     """
     l1 = 0.5 * np.sqrt(p.alpha) * SIGMA_Z
-    return LindbladModel(hs=hs_schedule(p.omega), jump_ops=[l1])
+    return LindbladModel(hs=h_system(p.omega), jump_ops=[l1])
 
 
 def pd_trajectories(
@@ -295,7 +277,7 @@ def pd_trajectories(
     the real amplitudes, whose r(t) goes like sqrt(t) at t = 0."""
     psi0 = psi_initial(p.theta)
     rates = np.array([-0.5j, 0.5j]) * p.omega
-    weights = np.array([w for w, _ in pd_kraus_channel(p).elements])
+    weights = pd_kraus_channel(p).weights
 
     def states(t):
         psi = _pd_diagonals(p, t) * psi0
@@ -364,6 +346,6 @@ def pd_weak_coupling_model(p: PhaseDampingParams) -> WeakCouplingModel:
                         energies=bath_omega * ns)
     r_op = g * np.diag(ns).astype(complex)
     return WeakCouplingModel(
-        hs=hs_schedule(p.omega), hr=np.diag(bath_omega * ns).astype(complex),
+        hs=h_system(p.omega), hr=np.diag(bath_omega * ns).astype(complex),
         couplings=[(r_op, SIGMA_Z)], res=res, psi_s=psi_initial(p.theta),
     )

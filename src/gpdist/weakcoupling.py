@@ -15,7 +15,7 @@ perturbative moments of both phase distributions then coincide:
 
     <e^{ins}>_H = <z^n>_Z / |<z>_Z|^n = e^{in beta0} (1 + i n Im<DeltaZ>).
 
-H_0 and H_I are constant, so all three operators are explicit in the
+H_S, H_R and H_I are constant matrices, so H_I~ is explicit in the
 eigenbasis of H_0 = W diag(E) W^dag, where W = kron(V_S, V_R) holds the
 eigenvectors of H_S and H_R and E_m = lambda_S + lambda_R.  With
 g = W^dag H_I W and omega_mn = E_m - E_n,
@@ -24,8 +24,9 @@ g = W^dag H_I W and omega_mn = E_m - E_n,
     A~(s) = integral_0^s H_I~ = g o phi(omega, s),
     phi(omega, s) = e^{i omega s / 2} 2 sin(omega s / 2) / omega   (= s at 0)
 
-so A(t) = -i A~(t) in closed form, free of cancellation as omega -> 0 for
-degenerate and near-degenerate pairs.  Cauchy's formula for repeated
+in closed form, free of cancellation as omega -> 0 for degenerate and
+near-degenerate pairs (A(t) = -i A~(t) is never formed: only B enters the
+correction).  Cauchy's formula for repeated
 integration turns B and its time integral into single integrals of one
 integrand,
 
@@ -54,7 +55,7 @@ from .errors import (
     RCondViolated,
     UndefinedGP,
 )
-from .hilbert import Schedule, eigh_hermitian, is_hermitian
+from .hilbert import _as_square, eigh_hermitian, is_hermitian
 from .phase import (QUADRATURE_START_NODES, _gauss_legendre,
                     converged_gauss_legendre)
 
@@ -68,26 +69,27 @@ class WeakCouplingModel:
     """Constant system Hamiltonian, static reservoir, and coupling
     ``H_I = -sum R_mu S_mu``.
 
-    ``hs`` must be a ``Schedule.constant``.  ``couplings`` is a list of
+    ``hs`` is the Hermitian H_S matrix.  ``couplings`` is a list of
     ``(r_op, s_op)`` pairs acting on the reservoir and system factors; the
     joint coupling is ``-sum kron(s_op, r_op)`` (system slow index).
     """
 
-    hs: Schedule
+    hs: np.ndarray
     hr: np.ndarray
     couplings: list[tuple[np.ndarray, np.ndarray]]
     res: ReservoirSpec
     psi_s: np.ndarray
 
     def __post_init__(self):
+        self.hs = _as_square(self.hs)
         self.hr = np.asarray(self.hr, dtype=complex)
         self.psi_s = np.asarray(self.psi_s, dtype=complex)
         self.couplings = [
             (np.asarray(r, dtype=complex), np.asarray(s, dtype=complex))
             for r, s in self.couplings
         ]
-        if self.hs.matrix is None or not is_hermitian(self.hs.matrix):
-            raise InvalidOperand("H_S must be a constant Hermitian schedule")
+        if not is_hermitian(self.hs):
+            raise InvalidOperand("H_S is not Hermitian")
         if self.hr.shape[0] != self.res.dim:
             raise DimensionError("H_R dimension != reservoir dimension")
         if not is_hermitian(self.hr):
@@ -100,7 +102,7 @@ class WeakCouplingModel:
 
     @property
     def dim_s(self) -> int:
-        return self.hs.dim
+        return len(self.hs)
 
     @property
     def dim_r(self) -> int:
@@ -108,7 +110,7 @@ class WeakCouplingModel:
 
     def h0(self) -> np.ndarray:
         """H_S x 1 + 1 x H_R, built per call: a model keeps no d x d array."""
-        return (np.kron(self.hs.matrix, np.eye(self.dim_r))
+        return (np.kron(self.hs, np.eye(self.dim_r))
                 + np.kron(np.eye(self.dim_s), self.hr))
 
     def h_interaction(self) -> np.ndarray:
@@ -142,7 +144,6 @@ class PerturbationOperators:
     """The second-order operators at one time t, on the joint space."""
 
     u_fin: np.ndarray  # (ds, ds) system propagator U_S(t)
-    a: np.ndarray      # (d, d) A(t), anti-Hermitian
     b: np.ndarray      # (d, d) B(t)
     b_int: np.ndarray  # (d, d) integral_0^t B(t') dt'
 
@@ -185,13 +186,13 @@ def _b_and_integral(g: np.ndarray, energies: np.ndarray, t: float,
 
 
 def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
-    """A, B and their time integral at ``t``, in closed form and by
-    Gauss-Legendre quadrature in the H_0 eigenbasis.
+    """U_S, B and the time integral of B at ``t``, by Gauss-Legendre
+    quadrature in the H_0 eigenbasis.
 
     Raises QuadratureNotConverged when the quadrature does not settle by
     ``QUADRATURE_MAX_NODES`` nodes.
     """
-    lam_s, v_s = eigh_hermitian(model.hs.matrix)
+    lam_s, v_s = eigh_hermitian(model.hs)
     lam_r, v_r = eigh_hermitian(model.hr)
     w = np.kron(v_s, v_r)
     energies = (lam_s[:, None] + lam_r[None, :]).ravel()
@@ -200,12 +201,9 @@ def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
         lambda n: _b_and_integral(g, energies, t, n)[None],
         "B and its time integral")
     b, b_int = values[0]
-    rot, phi = _rotations(energies, np.array([t]))
-    a = -1j * g * rot[0] * phi[0]
     return PerturbationOperators(
         u_fin=(v_s * np.exp(-1j * t * lam_s)) @ v_s.conj().T,
-        a=w @ a @ w.conj().T, b=w @ b @ w.conj().T,
-        b_int=w @ b_int @ w.conj().T)
+        b=w @ b @ w.conj().T, b_int=w @ b_int @ w.conj().T)
 
 
 def delta_z_from_b(b_fin: np.ndarray, b_int: np.ndarray, u_fin: np.ndarray,
@@ -244,8 +242,7 @@ def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
     rho_r = (res.states.T * res.probs) @ res.states.conj()
     b_fin, b_int = (np.einsum("aibj,ji->ab", op.reshape(ds, dr, ds, dr), rho_r)
                     for op in (ops.b, ops.b_int))
-    return delta_z_from_b(b_fin, b_int, ops.u_fin, model.hs.matrix,
-                          model.psi_s)
+    return delta_z_from_b(b_fin, b_int, ops.u_fin, model.hs, model.psi_s)
 
 
 def perturbative_moments(dz: complex, beta0: float, n: int = 1) -> complex:

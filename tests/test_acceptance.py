@@ -36,7 +36,7 @@ from gpdist.models import (
     TwoLevelAtomParams,
     _se_no_jump_diagonals,
     closed_system_gp,
-    hs_schedule,
+    h_system,
     pd_kraus_channel,
     pd_lindblad_model,
     pd_moments,
@@ -66,7 +66,7 @@ def precession_path(*thetas, t_end=2.0 * np.pi):
     theta: psi(t) = e^{rates t} psi(0) with rates = -i diag(H_S), and the
     exact derivative rates * psi."""
     amps = np.array([psi_initial(th) for th in thetas])
-    rates = -1j * np.diag(hs_schedule(OMEGA).matrix)
+    rates = -1j * np.diag(h_system(OMEGA))
 
     def states(t):
         psi = amps[:, None, :] * np.exp(np.outer(t, rates))
@@ -101,7 +101,7 @@ def joint_qubit_model(g, theta=np.pi / 3, bath_omega=2.0, probs=(0.7, 0.3)):
     res = ReservoirSpec(probs=list(probs), states=np.eye(2, dtype=complex),
                         energies=[0.0, bath_omega])
     return WeakCouplingModel(
-        hs=hs_schedule(OMEGA), hr=np.diag([0.0, bath_omega]),
+        hs=h_system(OMEGA), hr=np.diag([0.0, bath_omega]),
         couplings=[(g * SIGMA_X, SIGMA_X)], res=res,
         psi_s=psi_initial(theta))
 
@@ -271,7 +271,7 @@ def test_criterion_09_decomposition_freedom(capsys):
     rng0 = np.random.default_rng(7)
     w = rng0.normal(size=(4, 4)) + 1j * rng0.normal(size=(4, 4))
     w = 0.5 * (w + w.conj().T)
-    model = WeakCouplingModel(hs=hs_schedule(OMEGA), hr=np.diag(energies),
+    model = WeakCouplingModel(hs=h_system(OMEGA), hr=np.diag(energies),
                               couplings=[(g * w, SIGMA_X)], res=res,
                               psi_s=psi_initial(np.pi / 3))
     _, u_fin = joint_family(model)

@@ -34,7 +34,7 @@ from gpdist.hilbert import (
 )
 from gpdist.models import (
     TwoLevelAtomParams,
-    hs_schedule,
+    h_system,
     pd_lindblad_model,
     PhaseDampingParams,
     psi_initial,
@@ -60,11 +60,11 @@ def rk4_oracle(model, rho0, grid):
     every step."""
     rho, dt = np.asarray(rho0, dtype=complex), grid.dt
     out = [rho]
-    for t in grid.times[:-1]:
-        k1 = lindblad_rhs(rho, model, t)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, model, t + 0.5 * dt)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, model, t + 0.5 * dt)
-        k4 = lindblad_rhs(rho + dt * k3, model, t + dt)
+    for _ in range(grid.n_steps):
+        k1 = lindblad_rhs(rho, model)
+        k2 = lindblad_rhs(rho + 0.5 * dt * k1, model)
+        k3 = lindblad_rhs(rho + 0.5 * dt * k2, model)
+        k4 = lindblad_rhs(rho + dt * k3, model)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         out.append(rho)
@@ -104,15 +104,14 @@ class TestReservoirSpec:
 
 class TestLindbladRhs:
     def test_stationary_zero(self):
-        model = LindbladModel(hs=Schedule.constant(SIGMA_Z))
+        model = LindbladModel(hs=SIGMA_Z)
         rho = np.diag([0.3, 0.7]).astype(complex)  # commutes with sz
-        assert np.linalg.norm(lindblad_rhs(rho, model, 0.0)) < 1e-14
+        assert np.linalg.norm(lindblad_rhs(rho, model)) < 1e-14
 
     def test_hermitian_jump_on_maximally_mixed(self):
-        model = LindbladModel(hs=Schedule.constant(np.zeros((2, 2))),
-                              jump_ops=[0.7 * SIGMA_Z])
+        model = LindbladModel(hs=np.zeros((2, 2)), jump_ops=[0.7 * SIGMA_Z])
         rho = 0.5 * np.eye(2, dtype=complex)
-        assert np.linalg.norm(lindblad_rhs(rho, model, 0.0)) < 1e-14
+        assert np.linalg.norm(lindblad_rhs(rho, model)) < 1e-14
 
     def test_two_level_atom_populations(self):
         # hand 2x2 oracle: from |e><e|, pop_e rate -2 g0 (n+1), pop_g gains it
@@ -120,7 +119,7 @@ class TestLindbladRhs:
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=g0,
                                                      n_thermal=n))
         rho = np.diag([0.0, 1.0]).astype(complex)
-        rhs = lindblad_rhs(rho, model, 0.0)
+        rhs = lindblad_rhs(rho, model)
         assert rhs[1, 1].real == pytest.approx(-2.0 * g0 * (n + 1.0))
         assert rhs[0, 0].real == pytest.approx(2.0 * g0 * (n + 1.0))
         assert abs(np.trace(rhs)) < 1e-14
@@ -130,19 +129,20 @@ class TestLindbladRhs:
 class TestLindbladModel:
     def test_jump_operator_wrong_shape(self):
         with pytest.raises(DimensionError):
-            LindbladModel(hs=hs_schedule(1.0), jump_ops=[np.eye(3)])
+            LindbladModel(hs=h_system(1.0), jump_ops=[np.eye(3)])
 
     def test_jump_operator_non_finite(self):
         bad = np.array([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(InvalidOperand):
-            LindbladModel(hs=hs_schedule(1.0), jump_ops=[bad])
+            LindbladModel(hs=h_system(1.0), jump_ops=[bad])
 
-    def test_evaluator_schedule_rejected(self):
-        # the RK4 step map is built once, from a constant H_S
-        hs = Schedule(evaluator=lambda t: (-0.5 * (1.0 + 0.3 * np.sin(t))
-                                           * SIGMA_Z + 0.2 * SIGMA_X), dim=2)
+    def test_hs_not_square_or_non_finite_rejected(self):
+        # the RK4 step map is built once, from the H_S matrix
+        with pytest.raises(DimensionError):
+            LindbladModel(hs=np.ones((2, 3)), jump_ops=[0.1 * SIGMA_Z])
         with pytest.raises(InvalidOperand):
-            LindbladModel(hs=hs, jump_ops=[0.1 * SIGMA_Z])
+            LindbladModel(hs=np.array([[0.0, np.nan], [np.nan, 0.0]]),
+                          jump_ops=[0.1 * SIGMA_Z])
 
 
 class TestLiouvillian:
@@ -153,10 +153,10 @@ class TestLiouvillian:
         dh = random_complex(dim, rng)
         h = h + h.conj().T + dh + dh.conj().T
         jumps = [random_complex(dim, rng) for _ in range(2)]
-        model = LindbladModel(hs=Schedule.constant(h), jump_ops=jumps)
+        model = LindbladModel(hs=h, jump_ops=jumps)
         rho = random_complex(dim, rng)
-        lhs = liouvillian(model, h) @ rho.reshape(-1)
-        assert np.max(np.abs(lhs - lindblad_rhs(rho, model, 0.3).reshape(-1))
+        lhs = liouvillian(model) @ rho.reshape(-1)
+        assert np.max(np.abs(lhs - lindblad_rhs(rho, model).reshape(-1))
                       ) < 1e-14
         # the master equation written out as commutator plus dissipators
         ref = -1j * (h @ rho - rho @ h)
@@ -168,13 +168,13 @@ class TestLiouvillian:
 
 class TestIntegrateLindblad:
     def test_closed_system_matches_propagator(self):
-        h = Schedule.constant(-0.5 * SIGMA_Z)
+        h = -0.5 * SIGMA_Z
         model = LindbladModel(hs=h)
         psi = psi_initial(np.pi / 3)
         rho0 = np.outer(psi, psi.conj())
         grid = TimeGrid(0.0, 2.0 * np.pi, 2048)
         rhos = integrate_lindblad(model, rho0, grid)
-        us = time_ordered_propagator(h, grid)
+        us = time_ordered_propagator(Schedule.constant(h), grid)
         ref = us[-1] @ rho0 @ us[-1].conj().T
         assert np.linalg.norm(rhos[-1] - ref) < 1e-8
 
@@ -210,7 +210,7 @@ class TestIntegrateLindblad:
     def test_divergence_detected(self):
         # stiff rate: ||L||^2 dt >> 1 destabilizes RK4 until trace drifts
         stiff = LindbladModel(
-            hs=hs_schedule(1.0),
+            hs=h_system(1.0),
             jump_ops=[30.0 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
         )
         with pytest.raises(IntegrationDiverged):
@@ -221,7 +221,7 @@ class TestIntegrateLindblad:
         # the step map overflows to inf/nan; the trace check must catch a
         # NaN trace instead of returning NaN rows
         huge = LindbladModel(
-            hs=hs_schedule(1.0),
+            hs=h_system(1.0),
             jump_ops=[1e80 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
         )
         with warnings.catch_warnings():
@@ -243,7 +243,7 @@ class TestIntegrateLindblad:
         # jump operator sqrt(gamma)|g><e|:
         # rho_ee(t) = cos^2(theta/2) e^{-2 gamma t}
         gamma, theta = 0.3, 1.1
-        model = LindbladModel(hs=hs_schedule(1.0), jump_ops=[
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[
             np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])])
         psi = psi_initial(theta)
         errs = []
@@ -258,25 +258,37 @@ class TestIntegrateLindblad:
 class TestApplyKraus:
     def test_single_unitary_element(self):
         u = random_unitary(2)
-        channel = KrausChannel(elements=[(1.0, lambda t: u)], dim=2)
+        channel = KrausChannel(weights=[1.0], operators=lambda t: u[None])
         rho0 = np.diag([0.2, 0.8]).astype(complex)
         assert np.linalg.norm(apply_kraus(channel, rho0, 1.0)
                               - u @ rho0 @ u.conj().T) < 1e-12
 
     def test_incomplete_channel_rejected(self):
-        channel = KrausChannel(elements=[(0.5, lambda t: np.eye(2))], dim=2)
+        channel = KrausChannel(weights=[0.5],
+                               operators=lambda t: np.eye(2)[None])
         with pytest.raises(InvalidChannel):
             apply_kraus(channel, 0.5 * np.eye(2, dtype=complex), 1.0)
 
     def test_nan_element_rejected(self):
         # a NaN defect passes "defect > tol"; the channel must still fail
         nan = np.full((2, 2), np.nan)
-        channel = KrausChannel(elements=[(1.0, lambda t: nan)], dim=2)
+        channel = KrausChannel(weights=[1.0], operators=lambda t: nan[None])
         with pytest.raises(InvalidChannel):
             apply_kraus(channel, 0.5 * np.eye(2, dtype=complex), 1.0)
 
+    def test_weights_and_stack_must_match(self):
+        # einsum would broadcast a one-operator stack over both weights
+        channel = KrausChannel(weights=[0.5, 0.5],
+                               operators=lambda t: np.eye(2)[None])
+        with pytest.raises(DimensionError):
+            apply_kraus(channel, 0.5 * np.eye(2, dtype=complex), 1.0)
+        with pytest.raises(DimensionError):
+            KrausChannel(weights=[1.0],
+                         operators=lambda t: np.eye(2)).completeness_defect(0.0)
+
     def test_completeness_defect(self):
-        channel = KrausChannel(elements=[(1.0, lambda t: np.eye(2))], dim=2)
+        channel = KrausChannel(weights=[1.0],
+                               operators=lambda t: np.eye(2)[None])
         assert channel.completeness_defect(0.7) < 1e-15
 
 
@@ -332,7 +344,7 @@ class TestConditionalTrajectories:
             kind="z", weights=weights,
             values=[z_functional(traj).z for traj in trajs]), n_max=1)
         model = WeakCouplingModel(
-            hs=hs_schedule(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
+            hs=h_system(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
             couplings=[(g * SIGMA_X, SIGMA_X)], res=res,
             psi_s=psi_initial(np.pi / 3))
         ops = build_AB(model, grid.t_end)

@@ -378,6 +378,28 @@ class TestMain:
         assert "numerical failure" in err
         assert "theta" in err
 
+    def test_unusable_out_exits_two_naming_it(self, tmp_path, capsys):
+        # --out names an existing file, or a path below one
+        path = write_config(tmp_path, PD)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            assert main(["run", path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"output error: {out}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unallocatable_grid_exits_three(self, tmp_path, capsys):
+        # 10**15 steps ask for more than the address space: numpy refuses
+        # the allocation at once
+        path = write_config(tmp_path, lindblad_config(
+            grid={"n_steps": 10**15}))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure at the single configured "
+                              "point: MemoryError: Unable to allocate")
+        assert "Traceback" not in err
+
     def test_bad_seed_exits_two_before_numerics(self, tmp_path, capsys):
         joint = joint_config([[0, 1], [1, 0]],
                              outputs=["moments", "decomposition_check"])

@@ -106,10 +106,10 @@ class TestSeKrausChannel:
         ch = se_kraus_channel(TwoLevelAtomParams(omega=1.0, gamma0=0.1,
                                                  n_thermal=0.7))
         ops = ch.operators(0.0)
-        assert np.allclose(ops[0][1], np.eye(2))
-        assert np.allclose(ops[2][1], np.eye(2))
-        assert np.linalg.norm(ops[1][1]) < 1e-15
-        assert np.linalg.norm(ops[3][1]) < 1e-15
+        assert np.allclose(ops[0], np.eye(2))
+        assert np.allclose(ops[2], np.eye(2))
+        assert np.linalg.norm(ops[1]) < 1e-15
+        assert np.linalg.norm(ops[3]) < 1e-15
 
     def test_completeness_random_times(self):
         ch = se_kraus_channel(TwoLevelAtomParams(omega=1.0, gamma0=0.08,
@@ -245,12 +245,12 @@ class TestSeDistributions:
 class TestPdKrausChannel:
     def test_initial_unitary(self):
         ch = pd_kraus_channel(PhaseDampingParams(omega=1.0, alpha=0.3))
-        for _, k in ch.operators(0.0):
+        for k in ch.operators(0.0):
             assert np.allclose(np.abs(np.diag(k)), 1.0)
 
     def test_zero_damping_closed_system(self):
         ch = pd_kraus_channel(PhaseDampingParams(omega=1.0, alpha=0.0))
-        for _, k in ch.operators(1.7):
+        for k in ch.operators(1.7):
             assert np.allclose(np.abs(np.diag(k)), 1.0)
         assert ch.completeness_defect(1.7) < 1e-12
 
@@ -402,12 +402,10 @@ class TestGridBroadcastBuilders:
         grid = TimeGrid(0.0, p.period, 1024)
         psi = psi_initial(p.theta)
         weights, path = pd_trajectories(p)
-        states = path.states(grid.times)[0]
-        for w, got, (w_ref, k) in zip(weights, states,
-                                      pd_kraus_channel(p).elements):
-            assert w == w_ref
-            assert_bit_identical(got,
-                                 np.array([k(t) @ psi for t in grid.times]))
+        channel = pd_kraus_channel(p)
+        assert_bit_identical(weights, channel.weights)
+        assert_bit_identical(path.states(grid.times)[0], np.array(
+            [channel.operators(t) @ psi for t in grid.times]).swapaxes(0, 1))
 
     @pytest.mark.parametrize("gamma0, n_thermal", [(0.0, 0.0), (0.05, 0.0),
                                                    (0.1, 0.7)])
@@ -415,7 +413,8 @@ class TestGridBroadcastBuilders:
         p = TwoLevelAtomParams(omega=0.97, gamma0=gamma0, n_thermal=n_thermal,
                                theta=1.1)
         grid = TimeGrid(0.0, p.period, 1024)
-        k0 = se_kraus_channel(p).elements[0][1]
+        channel = se_kraus_channel(p)
         psi = psi_initial(p.theta)
         assert_bit_identical(se_no_jump_path(p).states(grid.times)[0][0],
-                             np.array([k0(t) @ psi for t in grid.times]))
+                             np.array([channel.operators(t)[0] @ psi
+                                       for t in grid.times]))

@@ -1,6 +1,7 @@
 """What the tooling around the package relies on: a cold ``import
 gpdist.cli`` and a ``compare`` run without scipy, the traced names of the
-benchmark harness, and an acceptance gate on the route the CLI ships."""
+benchmark harness, an acceptance gate on the route the CLI ships, and
+``Schedule`` kept inside ``hilbert``."""
 
 import ast
 import importlib.util
@@ -19,7 +20,8 @@ ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # the sampled route, which no CLI path runs
 SAMPLED = {"Trajectory", "z_functional", "gauge_transform",
            "time_ordered_propagator", "conditional_trajectories",
-           "partial_inner", "block_first_moment", "se_no_jump_trajectory"}
+           "partial_inner", "block_first_moment", "se_no_jump_trajectory",
+           "Schedule"}
 
 
 def run_python(code: str) -> str:
@@ -131,3 +133,19 @@ def test_acceptance_gate_scores_the_shipped_route():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
     assert imported & SAMPLED == set()
+
+
+def test_only_hilbert_names_schedule():
+    # models hold H_S as a matrix; Schedule serves time_ordered_propagator
+    for path in Path(gpdist.__file__).parent.glob("*.py"):
+        if path.name == "hilbert.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name.rsplit(".", 1)[-1])
+        assert "Schedule" not in names, path.name

@@ -1,4 +1,4 @@
-"""Second-order perturbation theory: A, B, the Lindblad structure of B, the
+"""Second-order perturbation theory: B, the Lindblad structure of B, the
 phase-correction functional, and the coupling-condition guard."""
 
 import dataclasses
@@ -14,11 +14,11 @@ from gpdist.errors import (
     RCondViolated,
     UndefinedGP,
 )
-from gpdist.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, Schedule, TimeGrid
+from gpdist.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, TimeGrid
 from gpdist.models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
-    hs_schedule,
+    h_system,
     pd_weak_coupling_model,
     psi_initial,
     se_lindblad_model,
@@ -53,7 +53,7 @@ def zero_hamiltonian_model(r_op, s_op, probs=(1.0, 0.0)):
     res = ReservoirSpec(probs=list(probs), states=np.eye(2, dtype=complex),
                         energies=[0.0, 0.0])
     return WeakCouplingModel(
-        hs=Schedule.constant(np.zeros((2, 2))),
+        hs=np.zeros((2, 2)),
         hr=np.zeros((2, 2), dtype=complex),
         couplings=[(r_op, s_op)], res=res,
         psi_s=np.array([1.0, 0.0], dtype=complex))
@@ -65,10 +65,19 @@ class TestModelValidation:
 
         res = vacuum_qubit_res()
         with pytest.raises(DimensionError):
-            WeakCouplingModel(hs=hs_schedule(1.0),
+            WeakCouplingModel(hs=h_system(1.0),
                               hr=np.zeros((3, 3), dtype=complex),
                               couplings=[], res=res,
                               psi_s=psi_initial(0.5))
+
+    def test_non_hermitian_system_hamiltonian(self):
+        # the interaction picture is built from a Hermitian H_S
+        with pytest.raises(InvalidOperand):
+            WeakCouplingModel(hs=-0.5 * SIGMA_Z + 0.3j * SIGMA_X,
+                              hr=np.diag([0.0, 2.0]),
+                              couplings=[(0.2 * SIGMA_X, SIGMA_X)],
+                              res=vacuum_qubit_res(),
+                              psi_s=psi_initial(np.pi / 3))
 
     def test_non_hermitian_interaction(self):
         with pytest.raises(InvalidOperand):
@@ -95,60 +104,29 @@ class TestBuildAB:
     def test_zero_interaction(self):
         model = zero_hamiltonian_model(0.0 * SIGMA_X, SIGMA_X)
         ops = build_AB(model, 1.0)
-        assert np.linalg.norm(ops.a) < 1e-14
         assert np.linalg.norm(ops.b) < 1e-14
 
     def test_constant_integrand(self):
-        # zero Hamiltonians: H~ = h constant, A = -i h t, B = -h^2 t^2 / 2
+        # zero Hamiltonians: H~ = h constant, B = -h^2 t^2 / 2
         g = 0.3
         model = zero_hamiltonian_model(g * SIGMA_X, SIGMA_X)
         ops = build_AB(model, 2.0)
         h = -g * np.kron(SIGMA_X, SIGMA_X)
-        assert np.linalg.norm(ops.a - (-1j * h * 2.0)) < 1e-12
         assert np.linalg.norm(ops.b - (-0.5 * h @ h * 4.0)) < 1e-10
         at_zero = build_AB(model, 0.0)
-        assert np.linalg.norm(at_zero.a) < 1e-15
         assert np.linalg.norm(at_zero.b) < 1e-15
 
-    def test_a_anti_hermitian(self):
-        p = TwoLevelAtomParams(omega=1.0, gamma0=0.0, theta=np.pi / 3)
-        model = se_weak_coupling_model(p, dim_bath=3, g=0.2)
-        for t in np.linspace(0.0, 2.0 * np.pi, 9):
-            a = build_AB(model, t).a
-            assert np.linalg.norm(a + a.conj().T) < 1e-12
-
-    def test_analytic_interaction_picture_integral(self):
-        # S = sz commutes with H_S, R = sx rotates under H_R = (Om/2) sz:
-        # A(t) has the closed form of the integrated rotating coupling
-        om_r = 1.3
-        g = 0.4
-        res = vacuum_qubit_res()
-        model = WeakCouplingModel(
-            hs=hs_schedule(1.0), hr=0.5 * om_r * SIGMA_Z,
-            couplings=[(g * SIGMA_X, SIGMA_Z)], res=res,
-            psi_s=psi_initial(np.pi / 3))
-        t = 2.0 * np.pi
-        ops = build_AB(model, t)
-        # U_R^dag sx U_R = cos(Om t) sx - sin(Om t) sy for H_R = (Om/2) sz
-        int_sx = np.sin(om_r * t) / om_r
-        int_sy = (np.cos(om_r * t) - 1.0) / om_r
-        a_ref = -1j * (-g) * np.kron(SIGMA_Z,
-                                     int_sx * SIGMA_X - int_sy * SIGMA_Y)
-        assert np.linalg.norm(ops.a - a_ref) < 1e-8
-
     def test_matches_contour_dyson_coefficients(self):
-        # A and B are the g^1 and g^2 coefficients of U_0^dag U(g), and
-        # int B the Gauss-Legendre quadrature of B(t'); non-diagonal H_S,
-        # non-diagonal H_R with a degenerate pair, two coupling terms
+        # B is the g^2 coefficient of U_0^dag U(g), and int B the
+        # Gauss-Legendre quadrature of B(t'); non-diagonal H_S, non-diagonal
+        # H_R with a degenerate pair, two coupling terms
         model = _degenerate_reservoir_model()
         t = 1.7
         ops = build_AB(model, t)
-        a_ref, b_ref = _dyson_coefficients(model, t)
-        assert np.linalg.norm(ops.a - a_ref) <= 1e-12
-        assert np.linalg.norm(ops.b - b_ref) <= 1e-12
+        assert np.linalg.norm(ops.b - _dyson_b(model, t)) <= 1e-12
         x, w = np.polynomial.legendre.leggauss(20)
         b_int_ref = 0.5 * t * sum(
-            wk * _dyson_coefficients(model, 0.5 * t * (xk + 1.0))[1]
+            wk * _dyson_b(model, 0.5 * t * (xk + 1.0))
             for xk, wk in zip(x, w))
         assert np.linalg.norm(ops.b_int - b_int_ref) <= 1e-12
 
@@ -159,8 +137,7 @@ class TestBuildAB:
         # would lose eps / omega there
         model = _degenerate_reservoir_model([0.0, 0.8, 0.8, 1.7, 1.7 + 1e-9])
         ops = build_AB(model, t)
-        for got, ref in zip((ops.a, ops.b, ops.b_int),
-                            _van_loan_blocks(model, t)):
+        for got, ref in zip((ops.b, ops.b_int), _van_loan_blocks(model, t)):
             assert np.linalg.norm(got - ref) <= 1e-13
 
     def test_node_cap_raises(self):
@@ -168,14 +145,14 @@ class TestBuildAB:
         res = ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2, dtype=complex),
                             energies=[0.0, 1e4])
         model = WeakCouplingModel(
-            hs=hs_schedule(1.0), hr=np.diag([0.0, 1e4]).astype(complex),
+            hs=h_system(1.0), hr=np.diag([0.0, 1e4]).astype(complex),
             couplings=[(SIGMA_X, SIGMA_X)], res=res, psi_s=psi_initial(1.0))
         with pytest.raises(QuadratureNotConverged, match="4096"):
             build_AB(model, 2.0 * np.pi)
 
 
 def _van_loan_blocks(model, t):
-    """A, B and integral_0^t B from the exponential of the 4d x 4d
+    """B and integral_0^t B from the exponential of the 4d x 4d
     block-triangular matrix (C. F. Van Loan, IEEE Trans. Autom. Control 23,
     395 (1978)).  With X = -i H_0 and Y = -i H_I,
 
@@ -193,7 +170,7 @@ def _van_loan_blocks(model, t):
     m[1, :, 2] = m[2, :, 3] = -1j * model.h_interaction()
     e = scipy.linalg.expm(t * m.reshape(4 * d, 4 * d)).reshape(4, d, 4, d)
     u0_dag = e[0, :, 0].conj().T
-    return u0_dag @ e[1, :, 2], u0_dag @ e[1, :, 3], u0_dag @ e[0, :, 3]
+    return u0_dag @ e[1, :, 3], u0_dag @ e[0, :, 3]
 
 
 def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
@@ -209,22 +186,21 @@ def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     r_op = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(n))) @ q.conj().T
     return WeakCouplingModel(
-        hs=Schedule.constant(0.6 * SIGMA_X + 0.3 * SIGMA_Z), hr=hr,
+        hs=0.6 * SIGMA_X + 0.3 * SIGMA_Z, hr=hr,
         couplings=[(0.2 * r_op, SIGMA_X), (0.1 * hr, SIGMA_Y)], res=res,
         psi_s=psi_initial(1.1))
 
 
-def _dyson_coefficients(model, t, n_points=16, radius=0.2):
-    """g^1 and g^2 coefficients of U_0^dag expm(-i (H_0 + g H_I) t), from
-    Cauchy's formula as the trapezoid rule on the circle |g| = radius."""
-    h0 = (np.kron(model.hs.matrix, np.eye(model.dim_r))
+def _dyson_b(model, t, n_points=16, radius=0.2):
+    """g^2 coefficient of U_0^dag expm(-i (H_0 + g H_I) t), from Cauchy's
+    formula as the trapezoid rule on the circle |g| = radius."""
+    h0 = (np.kron(model.hs, np.eye(model.dim_r))
           + np.kron(np.eye(model.dim_s), model.hr))
     u0_dag = scipy.linalg.expm(1j * h0 * t)
     gs = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
     us = [u0_dag @ scipy.linalg.expm(-1j * (h0 + g * model.h_interaction())
                                      * t) for g in gs]
-    return [sum(u * g**-n for u, g in zip(us, gs)) / n_points
-            for n in (1, 2)]
+    return sum(u * g**-2 for u, g in zip(us, gs)) / n_points
 
 
 class TestLindbladIdentification:
@@ -303,16 +279,6 @@ class TestDeltaZ:
         with pytest.raises(UndefinedGP):
             delta_z(dataclasses.replace(ops, u_fin=SIGMA_X), model)
 
-    def test_depends_only_on_b(self):
-        # the correction never references A: mutating A leaves it unchanged
-        se = se_weak_coupling_model(TwoLevelAtomParams(omega=1.0, gamma0=0.0,
-                                                       theta=1.0),
-                                    dim_bath=3, g=0.2)
-        ops = build_AB(se, 2.0 * np.pi)
-        before = delta_z(ops, se)
-        ops.a[:] = 0.0
-        assert delta_z(ops, se) == before
-
     def test_reservoir_redecomposition_invariance(self):
         # Tr(rho_R B) is basis independent inside degenerate blocks
         from gpdist.distribution import redecompose
@@ -320,7 +286,7 @@ class TestDeltaZ:
         res = ReservoirSpec(probs=[0.6, 0.4], states=np.eye(2, dtype=complex),
                             energies=[1.0, 1.0])
         model = WeakCouplingModel(
-            hs=hs_schedule(1.0), hr=np.eye(2, dtype=complex),
+            hs=h_system(1.0), hr=np.eye(2, dtype=complex),
             couplings=[(0.2 * SIGMA_X, SIGMA_X)], res=res,
             psi_s=psi_initial(np.pi / 3))
         ops = build_AB(model, 2.0 * np.pi)
@@ -335,7 +301,7 @@ class TestDeltaZ:
             *(sum(p * blk for p, blk in zip(alt_res.probs,
                                             _full_b_blocks(op, alt_res)))
               for op in (ops.b, ops.b_int)),
-            ops.u_fin, model.hs.matrix, model.psi_s)
+            ops.u_fin, model.hs, model.psi_s)
         assert abs(alt - base) < 1e-9
 
 
@@ -351,27 +317,15 @@ class TestBlockRoute:
         # the functional is real-linear in B and the weights are real
         res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
                             energies=[0.0, 2.0])
-        model = WeakCouplingModel(hs=hs_schedule(1.0), hr=np.diag([0.0, 2.0]),
+        model = WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 2.0]),
                                   couplings=[(0.2 * SIGMA_X, SIGMA_X)],
                                   res=res, psi_s=psi_initial(np.pi / 3))
         ops = build_AB(model, 2.0 * np.pi)
         per_state = sum(
-            p * delta_z_from_b(blk, blk_int, ops.u_fin, model.hs.matrix,
-                               model.psi_s)
+            p * delta_z_from_b(blk, blk_int, ops.u_fin, model.hs, model.psi_s)
             for p, blk, blk_int in zip(res.probs, _full_b_blocks(ops.b, res),
                                        _full_b_blocks(ops.b_int, res)))
         assert abs(delta_z(ops, model) - per_state) <= 1e-14
-
-    def test_time_dependent_system_hamiltonian(self):
-        # rejected: the interaction picture is built from a constant H_S
-        hs = Schedule(evaluator=lambda t: -0.5 * SIGMA_Z
-                      + 0.3 * np.sin(t) * SIGMA_X, dim=2)
-        res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
-                            energies=[0.0, 2.0])
-        with pytest.raises(InvalidOperand):
-            WeakCouplingModel(hs=hs, hr=np.diag([0.0, 2.0]),
-                              couplings=[(0.2 * SIGMA_X, SIGMA_X)],
-                              res=res, psi_s=psi_initial(np.pi / 3))
 
 
 class TestPerturbativeMoments:
