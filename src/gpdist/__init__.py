@@ -7,7 +7,7 @@ their moments and Holevo-style spread, including the second-order
 weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     ConfigError,
@@ -69,6 +69,7 @@ from .weakcoupling import (
     delta_z,
     delta_z_from_b,
     perturbative_moments,
+    reservoir_averages,
 )
 from .models import (
     PhaseDampingParams,

@@ -29,7 +29,7 @@ from .errors import (
     InvalidOperand,
     InvalidState,
 )
-from .hilbert import TimeGrid, _as_square, eigh_hermitian
+from .hilbert import TimeGrid, _as_square
 from .phase import ClosedFormPath, Trajectory
 
 ENERGY_DEGENERACY_TOL = 1e-9
@@ -124,11 +124,15 @@ class KrausChannel:
     operators: Callable[[float], np.ndarray]
 
     def completeness_defect(self, t: float) -> float:
-        ks = self.operators(t)
-        if ks.shape != (len(self.weights),) + ks.shape[-1:] * 2:
-            raise DimensionError(f"{len(self.weights)} weights, operator stack {ks.shape}")
-        acc = np.einsum("i,iab,iac->bc", self.weights, ks.conj(), ks)
-        return float(np.linalg.norm(acc - np.eye(ks.shape[-1])))
+        return _completeness_defect(self.weights, self.operators(t))
+
+
+def _completeness_defect(weights: np.ndarray, ks: np.ndarray) -> float:
+    """``|| sum_i p_i K_i^dag K_i - 1 ||`` of an operator stack ``ks``."""
+    if ks.shape != (len(weights),) + ks.shape[-1:] * 2:
+        raise DimensionError(f"{len(weights)} weights, operator stack {ks.shape}")
+    acc = np.einsum("i,iab,iac->bc", weights, ks.conj(), ks)
+    return float(np.linalg.norm(acc - np.eye(ks.shape[-1])))
 
 
 @dataclass
@@ -226,10 +230,10 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray
 
 def apply_kraus(channel: KrausChannel, rho0, t: float) -> np.ndarray:
     """Evolved density matrix ``sum_i p_i K_i(t) rho0 K_i(t)^dag``."""
-    defect = channel.completeness_defect(t)
+    ks = channel.operators(t)
+    defect = _completeness_defect(channel.weights, ks)
     if not defect <= COMPLETENESS_TOL:  # a NaN defect fails too
         raise InvalidChannel(f"completeness defect {defect:.3e} at t={t:.6g}")
-    ks = channel.operators(t)
     return np.einsum("i,iab,bc,idc->ad", channel.weights, ks,
                      np.asarray(rho0, dtype=complex), ks.conj())
 
@@ -266,25 +270,28 @@ def conditional_trajectories(
 
 
 def spectral_conditional_trajectories(
-    h: np.ndarray,
+    spectrum: tuple[np.ndarray, np.ndarray],
     res: ReservoirSpec,
     sys: SystemEnsemble,
     t_end: float,
 ) -> tuple[tuple[np.ndarray, ClosedFormPath], np.ndarray]:
-    """``conditional_trajectories`` of a constant joint Hamiltonian ``h`` as
-    one closed-form family on [0, t_end] with the members' weights, and the
-    final propagator ``U(t_end)``.
+    """``conditional_trajectories`` of a constant joint Hamiltonian
+    ``h = V diag(lambda) V^dag``, given as its ``spectrum = (lambda, V)``
+    from ``eigh_hermitian(h)``, as one closed-form family on [0, t_end] with
+    the members' weights, and the final propagator ``U(t_end)``.
 
-    With ``h = V diag(lambda) V^dag`` each conditional state is
+    Each conditional state is
 
         psi_r(t)_a = sum_n <a, r|V>_n e^{-i lambda_n t} (V^dag (psi_s x r))_n,
 
-    and its derivative multiplies each term by -i lambda_n: one
-    eigendecomposition per call, the exponentials evaluated once per set of
-    times for every member and for psi and its derivative, and O(d) work
-    per member and time.  Members run over (r, psi_s) with psi_s fastest.
+    and its derivative multiplies each term by -i lambda_n: the exponentials
+    evaluated once per set of times for every member and for psi and its
+    derivative, and O(d) work per member and time.  Members run over
+    (r, psi_s) with psi_s fastest.  The spectrum does not depend on the
+    system states, so one eigendecomposition serves every ensemble of a
+    given h.
     """
-    lam, v = eigh_hermitian(h)
+    lam, v = spectrum
     dim_s, dim_r = sys.states.shape[1], res.dim
     if len(v) != dim_s * dim_r:
         raise DimensionError("joint Hamiltonian dimension != dim_s * dim_r")

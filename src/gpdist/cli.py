@@ -34,7 +34,10 @@ Config errors are found before any numerics run and name their field:
 ``params.couplings[0].r``), ``grid`` or ``grid.n_steps``, ``sweep``,
 ``sweep.parameter``, ``sweep.values[i]``, ``outputs`` or ``outputs[i]``, or
 the unknown field.  Angles are in radians.  Exit codes: 0 success, 2 config
-error or unusable ``--out``, 3 numerical failure (naming the failing point).
+error or unusable ``--out`` (found before any point runs), 3 numerical
+failure (naming the failing point).  On a ``custom_joint`` sweep the work
+only omega enters (the joint spectrum; for ``compare`` also ``build_AB``)
+is done once per run of points with equal omega.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .channels import (LindbladModel, ReservoirSpec, SystemEnsemble,
 from .distribution import (build_distribution, decomposition_check,
                            moments as dist_moments)
 from .errors import ConfigError, GpdistError, InvalidOperand, InvalidState
-from .hilbert import TimeGrid
+from .hilbert import TimeGrid, eigh_hermitian
 from .models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
@@ -71,7 +74,8 @@ from .models import (
     se_perturbative_gp,
 )
 from .phase import QUADRATURE_TOL, angle_to_positive_branch
-from .weakcoupling import WeakCouplingModel, build_AB, delta_z, perturbative_moments
+from .weakcoupling import (WeakCouplingModel, build_AB, delta_z_from_b,
+                           perturbative_moments, reservoir_averages)
 
 SCHEMA_VERSION = 1
 OUTPUT_KINDS = ("moments", "atoms", "decomposition_check")
@@ -219,12 +223,19 @@ def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
         hs=h_system(w), jump_ops=jumps))
 
 
-def _joint_distribution(p: CustomPoint):
-    """P_Z of the constant joint H = H_0 + H_I over one period, and U there."""
+def _joint_shared(p: CustomPoint, compare: bool):
+    """The work psi_S does not enter: for ``compare`` the reservoir averages
+    of B(T) and its integral with U_S(T), then (so that build_AB's
+    temporaries never peak beside it) the spectrum of H = H_0 + H_I."""
     m = p.model
+    averages = reservoir_averages(build_AB(m, p.period), m) if compare else None
+    return averages, eigh_hermitian(m.h0() + m.h_interaction())
+
+
+def _joint_distribution(p: CustomPoint, shared):
+    """P_Z of the constant joint H = H_0 + H_I over one period, and U there."""
     family, u_fin = spectral_conditional_trajectories(
-        m.h0() + m.h_interaction(), m.res, SystemEnsemble.pure(m.psi_s),
-        p.period)
+        shared[1], p.model.res, SystemEnsemble.pure(p.model.psi_s), p.period)
     return build_distribution([family]), u_fin
 
 
@@ -242,7 +253,7 @@ def _pd_references(p: PhaseDampingParams) -> dict:
             "ref_mean_gp_h_principal_rad": float(np.angle(ref_h))}
 
 
-def _se_compare(p: TwoLevelAtomParams, dist, rep) -> dict:
+def _se_compare(p: TwoLevelAtomParams, _, dist, rep) -> dict:
     pert, rate = se_perturbative_gp(p), p.gamma0 / p.omega
     exact_z = angle_to_positive_branch(rep.mean_gp_z)
     exact_h = angle_to_positive_branch(float(np.angle(rep.mean_gp_h)))
@@ -262,7 +273,7 @@ def _se_compare(p: TwoLevelAtomParams, dist, rep) -> dict:
     }
 
 
-def _pd_compare(p: PhaseDampingParams, dist, rep) -> dict:
+def _pd_compare(p: PhaseDampingParams, _, dist, rep) -> dict:
     ref_z, ref_h, ref_w = pd_first_order_references(p)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     dz, expected = abs(exact_z - ref_z), 100.0 * (p.alpha / p.omega)**2
@@ -283,9 +294,9 @@ def _pd_compare(p: PhaseDampingParams, dist, rep) -> dict:
     }
 
 
-def _joint_compare(p: CustomPoint, dist, rep) -> dict:
-    """Exact conditional-trajectory moments against delta_z."""
-    dz = delta_z(build_AB(p.model, p.period), p.model)
+def _joint_compare(p: CustomPoint, shared, dist, rep) -> dict:
+    """Exact conditional-trajectory moments against <DeltaZ>."""
+    dz = delta_z_from_b(*shared[0], p.model.hs, p.model.psi_s)
     pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     return {
@@ -303,10 +314,11 @@ def _joint_compare(p: CustomPoint, dist, rep) -> dict:
 @dataclass(frozen=True)
 class Model:
     """A model's parameters (REQUIRED: no default), typed ``point``, output
-    kinds, ``distribution(p)`` -> (P_Z at one period, final joint propagator
-    or None), extra run columns ``references(p)`` and ``compare(p, dist,
-    moments(dist, n_max=1))`` row on run's evaluation of the point.
-    Without a distribution it only integrates the master equation."""
+    kinds, ``distribution(p, shared)`` -> (P_Z at one period, final joint
+    propagator or None), extra run columns ``references(p)`` and
+    ``compare(p, shared, dist, moments(dist, n_max=1))`` row on run's
+    evaluation of the point, ``shared(p, compare)`` being the work only omega
+    enters.  Without a distribution it only integrates the master equation."""
 
     defaults: dict
     point: Callable
@@ -314,6 +326,7 @@ class Model:
     distribution: Callable | None = None
     references: Callable = lambda p: {}
     compare: Callable | None = None
+    shared: Callable = lambda p, compare: None
 
 
 MODELS = {
@@ -321,19 +334,21 @@ MODELS = {
         defaults={"omega": 1.0, "gamma0": 0.0, "n_thermal": 0.0,
                   "theta": np.pi / 2.0},
         point=TwoLevelAtomParams, outputs=("moments", "atoms"),
-        distribution=lambda p: (se_distributions(p)[0], None),
+        distribution=lambda p, _: (se_distributions(p)[0], None),
         references=_se_references, compare=_se_compare),
     "phase_damping": Model(
         defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
         point=PhaseDampingParams, outputs=("moments", "atoms"),
-        distribution=lambda p: (build_distribution([pd_trajectories(p)]), None),
+        distribution=lambda p, _: (build_distribution([pd_trajectories(p)]),
+                                   None),
         references=_pd_references, compare=_pd_compare),
     "custom_joint": Model(
         defaults={"omega": 1.0, "theta": np.pi / 2.0,
                   "reservoir_energies": REQUIRED, "reservoir_probs": REQUIRED,
                   "couplings": REQUIRED},
         point=_joint_point, outputs=OUTPUT_KINDS,
-        distribution=_joint_distribution, compare=_joint_compare),
+        distribution=_joint_distribution, compare=_joint_compare,
+        shared=_joint_shared),
     "custom_lindblad": Model(
         defaults={"omega": 1.0, "theta": np.pi / 2.0, "jump_ops": REQUIRED},
         point=_lindblad_point),
@@ -408,15 +423,20 @@ def load_scenario(path: str) -> Scenario:
                     or (point,), outputs=outputs)
 
 
-def _each_point(scn: Scenario, work) -> list:
-    """``work`` on every point in order; a numerical failure names its point.
+def _each_point(scn: Scenario, work, compare: bool = False) -> list:
+    """``work(p, shared)`` on every point in order, with the model's
+    ``shared(p, compare)`` made at the first point of each run of points
+    with equal omega; a numerical failure names its point.
 
     ValueError, ArithmeticError and MemoryError raised on computed data
     (overflowing weights, a grid too large to allocate) count as well."""
-    results = []
+    results, omega, shared = [], None, None
     for p in scn.points:
         try:
-            results.append(work(p))
+            if p.omega != omega:
+                omega, shared = p.omega, None  # free the old before the new
+                shared = MODELS[scn.model].shared(p, compare)
+            results.append(work(p, shared))
         except (GpdistError, ValueError, ArithmeticError, MemoryError) as exc:
             key = scn.sweep_parameter
             where = (f"sweep point {key} = {getattr(p, key)!r}" if key
@@ -433,10 +453,10 @@ def _finite(row: dict) -> dict:
     return row
 
 
-def _run_row(model: Model, p, scn: Scenario, seed: int):
+def _run_row(model: Model, p, shared, scn: Scenario, seed: int):
     """Param columns, shared GP columns, closed-system GP, model references;
     and the point's atoms."""
-    dist, u_fin = model.distribution(p)
+    dist, u_fin = model.distribution(p, shared)
     rep = dist_moments(dist, n_max=1)
     row = {SCALARS[k][2]: getattr(p, k) for k in model.defaults if k in SCALARS}
     for measure, first in (("z", rep.z_moments[0]), ("h", rep.mean_gp_h)):
@@ -476,7 +496,6 @@ def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
 
 
 def _write_rows(rows: list[dict], path: Path, fmt: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         with open(path.with_suffix(".json"), "w") as fh:
             json.dump(rows, fh, indent=2, default=float)
@@ -494,11 +513,12 @@ def _write_rows(rows: list[dict], path: Path, fmt: str):
 def run_scenario(scn: Scenario, out_dir: Path, fmt: str,
                  seed: int) -> list[dict]:
     model = MODELS[scn.model]
+    out_dir.mkdir(parents=True, exist_ok=True)  # before any numerics
     if model.distribution is None:
-        (rows,) = _each_point(scn, lambda p: _evolution_rows(p, scn.n_steps))
+        (rows,) = _each_point(scn, lambda p, _: _evolution_rows(p, scn.n_steps))
         _write_rows(rows, out_dir / "evolution", fmt)
         return rows
-    results = _each_point(scn, lambda p: _run_row(model, p, scn, seed))
+    results = _each_point(scn, lambda p, s: _run_row(model, p, s, scn, seed))
     rows = [row for row, _ in results]
     _write_rows(rows, out_dir / "moments", fmt)
     if "atoms" in scn.outputs:
@@ -514,12 +534,14 @@ def compare_scenario(scn: Scenario, out_dir: Path, fmt: str) -> list[dict]:
     model = MODELS[scn.model]
     if model.compare is None:
         raise ConfigError(f"model: {scn.model} has no perturbative path")
+    out_dir.mkdir(parents=True, exist_ok=True)  # before any numerics
 
-    def row(p):
-        dist = model.distribution(p)[0]
-        return _finite(model.compare(p, dist, dist_moments(dist, n_max=1)))
+    def row(p, shared):
+        dist = model.distribution(p, shared)[0]
+        return _finite(model.compare(p, shared, dist,
+                                     dist_moments(dist, n_max=1)))
 
-    rows = _each_point(scn, row)
+    rows = _each_point(scn, row, compare=True)
     _write_rows(rows, out_dir / "comparison", fmt)
     return rows
 

@@ -38,7 +38,8 @@ integrates to ``QUADRATURE_TOL`` from a few dozen nodes
 (``phase.converged_gauss_legendre``).  No time grid and no matrix
 exponential enter this layer.  The correction functional is real-linear in
 B and the reservoir weights are real, so it is applied once, to the
-averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``.
+averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``
+(``reservoir_averages``), which psi_S does not enter.
 """
 
 from __future__ import annotations
@@ -233,16 +234,27 @@ def delta_z_from_b(b_fin: np.ndarray, b_int: np.ndarray, u_fin: np.ndarray,
                    + 2j * np.real(np.vdot(dhs_psi, b_int @ psi)))
 
 
-def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
-    """<DeltaZ> over rho_SR(0), from the reservoir averages
-    tr_R[(1 x rho_R) B] of B and of its integral; requires the coupling
-    condition to hold."""
+def reservoir_averages(ops: PerturbationOperators, model: WeakCouplingModel
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reservoir averages tr_R[(1 x rho_R) B] of B and of its integral,
+    and U_S: the arguments of ``delta_z_from_b`` that do not depend on
+    psi_S.  Requires the coupling condition to hold."""
     model.require_rcond()
     res, ds, dr = model.res, model.dim_s, model.dim_r
     rho_r = (res.states.T * res.probs) @ res.states.conj()
     b_fin, b_int = (np.einsum("aibj,ji->ab", op.reshape(ds, dr, ds, dr), rho_r)
                     for op in (ops.b, ops.b_int))
-    return delta_z_from_b(b_fin, b_int, ops.u_fin, model.hs, model.psi_s)
+    return b_fin, b_int, ops.u_fin
+
+
+def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
+    """<DeltaZ> over rho_SR(0): ``delta_z_from_b`` on ``reservoir_averages``.
+
+    The averages do not depend on psi_S, so a sweep over psi_S at fixed
+    H_S, H_R, H_I and t computes them once and applies ``delta_z_from_b``
+    per state."""
+    return delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+                          model.psi_s)
 
 
 def perturbative_moments(dz: complex, beta0: float, n: int = 1) -> complex:

@@ -30,7 +30,7 @@ from gpdist.distribution import (
     moments,
 )
 from gpdist.errors import RCondViolated
-from gpdist.hilbert import SIGMA_X, TimeGrid
+from gpdist.hilbert import SIGMA_X, TimeGrid, eigh_hermitian
 from gpdist.models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
@@ -92,7 +92,7 @@ def joint_family(model):
     """The CLI's conditional-path family of a weak-coupling model over one
     period, with its weights, and U(T)."""
     return spectral_conditional_trajectories(
-        model.h0() + model.h_interaction(), model.res,
+        eigh_hermitian(model.h0() + model.h_interaction()), model.res,
         SystemEnsemble.pure(model.psi_s), 2.0 * np.pi / OMEGA)
 
 

@@ -30,6 +30,7 @@ from gpdist.hilbert import (
     SIGMA_Z,
     Schedule,
     TimeGrid,
+    eigh_hermitian,
     time_ordered_propagator,
 )
 from gpdist.models import (
@@ -291,6 +292,18 @@ class TestApplyKraus:
                                operators=lambda t: np.eye(2)[None])
         assert channel.completeness_defect(0.7) < 1e-15
 
+    def test_operators_evaluated_once(self):
+        # the completeness check and the product share one stack
+        times = []
+
+        def operators(t):
+            times.append(t)
+            return np.eye(2)[None]
+
+        channel = KrausChannel(weights=[1.0], operators=operators)
+        apply_kraus(channel, 0.5 * np.eye(2, dtype=complex), 0.3)
+        assert times == [0.3]
+
 
 def _joint_setup(g, n_steps=1024, theta=np.pi / 3, omega=1.0, bath_omega=2.0):
     res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
@@ -374,7 +387,7 @@ class TestConditionalTrajectories:
                                      grid)
         ref = conditional_trajectories(us, res, sys, grid)
         (weights, family), u_fin = spectral_conditional_trajectories(
-            h, res, sys, grid.t_end)
+            eigh_hermitian(h), res, sys, grid.t_end)
         assert list(weights) == [w for w, _ in ref]
         psi, dpsi = family.states(grid.times)
         worst = max(np.abs(a - b.states).max() for a, (_, b) in zip(psi, ref))

@@ -4,6 +4,7 @@ import csv
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -378,16 +379,24 @@ class TestMain:
         assert "numerical failure" in err
         assert "theta" in err
 
-    def test_unusable_out_exits_two_naming_it(self, tmp_path, capsys):
-        # --out names an existing file, or a path below one
+    def test_unusable_out_exits_two_naming_it(self, tmp_path, capsys,
+                                              monkeypatch):
+        # --out names an existing file, or a path below one; that is found
+        # before any point is computed
+        def no_numerics(*args):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setitem(MODELS, "phase_damping", replace(
+            MODELS["phase_damping"], distribution=no_numerics))
         path = write_config(tmp_path, PD)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        for out in (blocker, blocker / "sub"):
-            assert main(["run", path, "--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"output error: {out}: ")
-            assert err.count("\n") == 1 and "Traceback" not in err
+        for command in ("run", "compare"):
+            for out in (blocker, blocker / "sub"):
+                assert main([command, path, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"output error: {out}: ")
+                assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unallocatable_grid_exits_three(self, tmp_path, capsys):
         # 10**15 steps ask for more than the address space: numpy refuses
@@ -449,6 +458,47 @@ class TestMain:
         rec = read_csv(out / "moments.csv")[0]
         assert rec["decomposition_shift_mean_z_dimensionless"] == "0"
         assert rec["decomposition_shift_mean_h_dimensionless"] == "0"
+
+
+JOINT_SWEEPS = {"theta": [0.4, 1.1, 2.3], "omega": [0.9, 1.2]}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("key", sorted(JOINT_SWEEPS))
+def test_sweep_cells_match_single_points(tmp_path, command, key):
+    # the work a point shares with its omega neighbours is done once per
+    # omega; every cell equals that of the point run on its own, bit for bit
+    cfg = joint_config([[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                       outputs=["moments", "atoms", "decomposition_check"])
+    with_params(cfg, reservoir_energies=[0.0, 1.0, 1.0],
+                reservoir_probs=[0.5, 0.3, 0.2])
+    values = JOINT_SWEEPS[key]
+
+    def tables(name, cfg):
+        out = tmp_path / name
+        assert main([command, write_config(tmp_path, cfg, f"{name}.yaml"),
+                     "--out", str(out), "--seed", "5"]) == 0
+        return {f.name: read_csv(f) for f in out.glob("*.csv")}
+
+    swept = tables("sweep", {**cfg, "sweep": {"parameter": key,
+                                              "values": values}})
+    singles = [tables(f"single{i}", with_params(dict(cfg), **{key: v}))
+               for i, v in enumerate(values)]
+    assert sorted(swept) == sorted(singles[0])
+    for name, rows in swept.items():
+        if name == "atoms.csv":  # a sweep's atoms lead with the swept value
+            assert [float(r.pop(key)) for r in rows] == [
+                v for v, s in zip(values, singles) for _ in s[name]]
+        assert rows == [r for s in singles for r in s[name]]
+
+
+def test_rcond_violation_on_sweep_names_first_point(tmp_path, capsys):
+    cfg = joint_config([[1, 0], [0, -1]], sweep={"parameter": "theta",
+                                                 "values": [0.4, 1.1, 2.3]})
+    assert main(["compare", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure at sweep point theta = 0.4: RCondViolated: ")
 
 
 def lindblad_config(**overrides):

@@ -10,7 +10,8 @@ from gpdist.channels import (ReservoirSpec, SystemEnsemble,
 from gpdist.distribution import PhaseDistribution, build_distribution
 from gpdist.errors import (DegenerateTrajectory, InvalidOperand, InvalidState,
                            QuadratureNotConverged, UndefinedGP)
-from gpdist.hilbert import SIGMA_Z, Schedule, TimeGrid, time_ordered_propagator
+from gpdist.hilbert import (SIGMA_Z, Schedule, TimeGrid, eigh_hermitian,
+                            time_ordered_propagator)
 from gpdist.models import (PhaseDampingParams, TwoLevelAtomParams,
                            pd_trajectories)
 from gpdist.phase import (
@@ -209,8 +210,8 @@ def spectral_family():
                         energies=[0.0, 0.7, 0.7, 1.9])
     sys = SystemEnsemble(probs=[0.6, 0.4],
                          states=[[0.6, 0.8], [0.8, -0.6j]])
-    (_, family), _ = spectral_conditional_trajectories(h, res, sys,
-                                                       2.0 * np.pi)
+    (_, family), _ = spectral_conditional_trajectories(eigh_hermitian(h), res,
+                                                       sys, 2.0 * np.pi)
     return family
 
 

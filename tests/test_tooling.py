@@ -10,9 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gpdist
 import gpdist.cli
 import gpdist.distribution
+import gpdist.hilbert
 from gpdist.cli import SCHEMA_VERSION
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -84,10 +87,9 @@ def test_traced_names_resolve():
         assert fn.__module__.startswith("gpdist."), name
 
 
-def test_custom_joint_point_work_is_batched(tmp_path, monkeypatch):
-    # per point, one family_z call scores every conditional path and the
-    # decomposition check needs no partial_inner; the matrices are parsed
-    # once per scenario, not once per sweep point
+def joint_scenario(tmp_path, parameter: str = "theta") -> Path:
+    """A three-point custom_joint sweep with joint dimension 8."""
+    values = {"theta": [0.5, 1.0, 1.5], "omega": [0.8, 1.0, 1.2]}[parameter]
     scenario = tmp_path / "joint.yaml"
     scenario.write_text(f"""\
 schema: {SCHEMA_VERSION}
@@ -99,9 +101,17 @@ params:
     - g: 0.1
       r: [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
       s: [[0, 1], [1, 0]]
-sweep: {{parameter: theta, values: [0.5, 1.0, 1.5]}}
+sweep: {{parameter: {parameter}, values: {values}}}
 outputs: [moments, decomposition_check]
 """)
+    return scenario
+
+
+def test_custom_joint_point_work_is_batched(tmp_path, monkeypatch):
+    # per point, one family_z call scores every conditional path and the
+    # decomposition check needs no partial_inner; the matrices are parsed
+    # once per scenario, not once per sweep point
+    scenario = joint_scenario(tmp_path)
     matrices, families = [], []
     parse, score = gpdist.cli._matrix, gpdist.distribution.family_z
 
@@ -124,6 +134,35 @@ outputs: [moments, decomposition_check]
     assert calls.get("phase.z_functional.calls", 0) == 0
     assert calls.get("hilbert.partial_inner.calls", 0) == 0
     assert matrices == ["params.couplings[0].r", "params.couplings[0].s"]
+
+
+@pytest.mark.parametrize("command, parameter, per_scenario", [
+    ("compare", "theta", (1, 1)), ("compare", "omega", (3, 3)),
+    ("run", "theta", (0, 1))])
+def test_theta_independent_work_is_done_once_per_omega(
+        tmp_path, monkeypatch, command, parameter, per_scenario):
+    # build_AB and the joint eigendecomposition see only omega: a theta
+    # sweep does each once, an omega sweep once per point, and run never
+    # builds B
+    joint_eighs = []
+    eigh = gpdist.hilbert.eigh_hermitian
+
+    def counted(h):
+        if len(h) == 8:  # the joint dimension, 2 x 4
+            joint_eighs.append(h)
+        return eigh(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gpdist") and getattr(
+                module, "eigh_hermitian", None) is eigh:
+            monkeypatch.setattr(module, "eigh_hermitian", counted)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        assert gpdist.cli.main([command, str(joint_scenario(
+            tmp_path, parameter)), "--out", str(tmp_path / "out")]) == 0
+    calls = tracer.take_pass()
+    assert (calls.get("weakcoupling.build_AB.calls", 0),
+            len(joint_eighs)) == per_scenario
 
 
 def test_acceptance_gate_scores_the_shipped_route():
