@@ -7,7 +7,7 @@ their moments and Holevo-style spread, including the second-order
 weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (
     ConfigError,

@@ -36,8 +36,8 @@ Config errors are found before any numerics run and name their field:
 the unknown field.  Angles are in radians.  Exit codes: 0 success, 2 config
 error or unusable ``--out`` (found before any point runs), 3 numerical
 failure (naming the failing point).  On a ``custom_joint`` sweep the work
-only omega enters (the joint spectrum; for ``compare`` also ``build_AB``)
-is done once per run of points with equal omega.
+only omega enters (the joint model and its spectrum; for ``compare`` also
+``build_AB``) is done once per run of points with equal omega.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ import argparse
 import csv
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -83,6 +85,9 @@ REQUIRED = object()
 # libyaml's parser with the pure-Python loader's YAML 1.1 resolver, so 1e-3
 # still arrives as text; it parses a large coupling matrix ten times faster
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# a scenario value quoted in a config error, bounded in depth and length so
+# that a deeply nested list cannot recurse while the message is formatted
+_quote = reprlib.Repr().repr
 TOP_LEVEL = {"schema": REQUIRED, "model": REQUIRED, "params": {}, "grid": {},
              "sweep": None, "outputs": ["moments"]}
 
@@ -111,7 +116,7 @@ def _fields(obj, where: str, spec: dict) -> dict:
     required keys are errors, absent optional keys take their defaults."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'top level'}: expected a mapping, "
-                          f"got {obj!r}")
+                          f"got {_quote(obj)}")
     prefix = f"{where}." if where else ""
     for key in obj:
         if key not in spec:
@@ -131,7 +136,8 @@ def _number(value, where: str) -> float:
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{where}: expected a finite number, "
+                          f"got {_quote(value)}")
     return x
 
 
@@ -139,13 +145,14 @@ def _scalar(name: str, value, where: str) -> float:
     x = _number(value, where)
     in_domain, wording, _ = SCALARS[name]
     if not in_domain(x):
-        raise ConfigError(f"{where}: {name} must be {wording}, got {x!r}")
+        raise ConfigError(f"{where}: {name} must be {wording}, "
+                          f"got {_quote(x)}")
     return x
 
 
 def _list(value, where: str) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
+        raise ConfigError(f"{where}: expected a list, got {_quote(value)}")
     return value
 
 
@@ -162,7 +169,7 @@ def _matrix(obj, where: str, dim: int) -> np.ndarray:
     if not (isinstance(obj, list) and len(obj) == dim and all(
             isinstance(row, list) and len(row) == dim for row in obj)):
         raise ConfigError(f"{where}: expected a {dim}x{dim} matrix, "
-                          f"got {obj!r}")
+                          f"got {_quote(obj)}")
 
     def entry(cell, at):
         if isinstance(cell, list):
@@ -176,7 +183,7 @@ def _matrix(obj, where: str, dim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CustomPoint:
     """A point of a model given by its operators rather than closed forms;
-    ``build(omega, theta)`` makes its model from operators parsed once."""
+    ``build(omega)`` makes its model from operators parsed once."""
 
     omega: float
     theta: float
@@ -184,7 +191,7 @@ class CustomPoint:
     model: WeakCouplingModel | LindbladModel = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "model", self.build(self.omega, self.theta))
+        object.__setattr__(self, "model", self.build(self.omega))
 
     @property
     def period(self) -> float:
@@ -207,9 +214,9 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
     try:
         res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
                             energies=energies)
-        return CustomPoint(omega, theta, lambda w, th: WeakCouplingModel(
-            hs=h_system(w), hr=np.diag(energies).astype(complex),
-            couplings=terms, res=res, psi_s=psi_initial(th)))
+        return CustomPoint(omega, theta, lru_cache(1)(  # one model per omega
+            lambda w: WeakCouplingModel(hs=h_system(w), hr=np.diag(energies),
+                                        couplings=terms, res=res)))
     except InvalidState as exc:
         raise ConfigError(f"params.reservoir_probs: {exc}") from exc
     except InvalidOperand as exc:   # a non-Hermitian or non-finite coupling
@@ -219,7 +226,7 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
 def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
     jumps = [_matrix(j, f"params.jump_ops[{i}]", 2)
              for i, j in enumerate(_list(jump_ops, "params.jump_ops"))]
-    return CustomPoint(omega, theta, lambda w, _: LindbladModel(
+    return CustomPoint(omega, theta, lambda w: LindbladModel(
         hs=h_system(w), jump_ops=jumps))
 
 
@@ -235,7 +242,8 @@ def _joint_shared(p: CustomPoint, compare: bool):
 def _joint_distribution(p: CustomPoint, shared):
     """P_Z of the constant joint H = H_0 + H_I over one period, and U there."""
     family, u_fin = spectral_conditional_trajectories(
-        shared[1], p.model.res, SystemEnsemble.pure(p.model.psi_s), p.period)
+        shared[1], p.model.res, SystemEnsemble.pure(psi_initial(p.theta)),
+        p.period)
     return build_distribution([family]), u_fin
 
 
@@ -296,7 +304,7 @@ def _pd_compare(p: PhaseDampingParams, _, dist, rep) -> dict:
 
 def _joint_compare(p: CustomPoint, shared, dist, rep) -> dict:
     """Exact conditional-trajectory moments against <DeltaZ>."""
-    dz = delta_z_from_b(*shared[0], p.model.hs, p.model.psi_s)
+    dz = delta_z_from_b(*shared[0], p.model.hs, psi_initial(p.theta))
     pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     return {
@@ -372,29 +380,31 @@ def load_scenario(path: str) -> Scenario:
             raw = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except (yaml.YAMLError, ValueError) as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
     raw = _fields(raw, "", TOP_LEVEL)
     if type(raw["schema"]) is not int or raw["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"schema: must be {SCHEMA_VERSION}, "
-                          f"got {raw['schema']!r}")
+                          f"got {_quote(raw['schema'])}")
     name = raw["model"]
     if not isinstance(name, str) or name not in MODELS:
-        raise ConfigError(f"model: must be one of {tuple(MODELS)}, got {name!r}")
+        raise ConfigError(f"model: must be one of {tuple(MODELS)}, "
+                          f"got {_quote(name)}")
     model = MODELS[name]
     n_steps = _fields(raw["grid"], "grid", {"n_steps": 4096})["n_steps"]
     if type(n_steps) is not int or n_steps < 1:
         raise ConfigError(f"grid.n_steps: expected a positive integer, "
-                          f"got {n_steps!r}")
+                          f"got {_quote(n_steps)}")
     outputs = tuple(_list(raw["outputs"], "outputs"))
     for i, kind in enumerate(outputs):
         if kind not in OUTPUT_KINDS:
-            raise ConfigError(f"outputs[{i}]: unknown output kind {kind!r}, "
+            raise ConfigError(f"outputs[{i}]: unknown output kind "
+                              f"{_quote(kind)}, "
                               f"expected one of {OUTPUT_KINDS}")
         if kind not in model.outputs:
             allowed = model.outputs or "only evolution.csv (set outputs: [])"
-            raise ConfigError(f"outputs[{i}]: {name} cannot write {kind!r}; "
-                              f"it writes {allowed}")
+            raise ConfigError(f"outputs[{i}]: {name} cannot write "
+                              f"{_quote(kind)}; it writes {allowed}")
 
     params = _fields(raw["params"], "params", model.defaults)
     for key in params:
@@ -411,7 +421,7 @@ def load_scenario(path: str) -> Scenario:
         numeric = tuple(k for k in model.defaults if k in SCALARS)
         if not isinstance(parameter, str) or parameter not in numeric:
             raise ConfigError(f"sweep.parameter: must be one of {numeric}, "
-                              f"got {parameter!r}")
+                              f"got {_quote(parameter)}")
         values = _numbers(sweep["values"], "sweep.values")
         if values != sorted(values):
             raise ConfigError("sweep.values: must be sorted")
@@ -470,8 +480,8 @@ def _run_row(model: Model, p, shared, scn: Scenario, seed: int):
     row["closed_system_gp_rad"] = closed_system_gp(p.theta)
     row.update(model.references(p))
     if "decomposition_check" in scn.outputs:
-        z_shift, h_shift = decomposition_check(p.model.res, p.model.psi_s,
-                                               u_fin, seed)
+        z_shift, h_shift = decomposition_check(
+            p.model.res, psi_initial(p.theta), u_fin, seed)
         row["decomposition_shift_mean_z_dimensionless"] = z_shift
         row["decomposition_shift_mean_h_dimensionless"] = h_shift
     atoms = [{"weight_probability": float(w), "z_re_dimensionless": v.real,
@@ -483,16 +493,20 @@ def _run_row(model: Model, p, shared, scn: Scenario, seed: int):
 def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
     psi = psi_initial(p.theta)
     grid = TimeGrid(0.0, p.period, n_steps)
-    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
     stride = max(1, n_steps // 256)
-    return [_finite({
-        "time_inverse_omega": t,
-        "trace_dimensionless": float(np.trace(rho).real),
-        "purity_dimensionless": float(np.trace(rho @ rho).real),
-        "population_g_dimensionless": float(rho[0, 0].real),
-        "population_e_dimensionless": float(rho[1, 1].real),
-        "coherence_abs_dimensionless": float(abs(rho[0, 1])),
-    }) for t, rho in zip(grid.times[::stride], rhos[::stride])]
+    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
+                              grid)[::stride]
+    columns = {
+        "time_inverse_omega": grid.times[::stride],
+        "trace_dimensionless": np.trace(rhos, axis1=1, axis2=2).real,
+        "purity_dimensionless": np.trace(rhos @ rhos, axis1=1, axis2=2).real,
+        "population_g_dimensionless": rhos[:, 0, 0].real,
+        "population_e_dimensionless": rhos[:, 1, 1].real,
+        "coherence_abs_dimensionless": np.hypot(rhos[:, 0, 1].real,
+                                                rhos[:, 0, 1].imag),
+    }
+    return [_finite(dict(zip(columns, row)))
+            for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def _write_rows(rows: list[dict], path: Path, fmt: str):

@@ -229,8 +229,7 @@ def se_weak_coupling_model(
                         energies=p.omega * np.arange(dim_bath))
     return WeakCouplingModel(
         hs=h_system(p.omega), hr=np.diag(p.omega * np.arange(dim_bath)),
-        couplings=[(g * r_op, s_op)], res=res, psi_s=psi_initial(p.theta),
-    )
+        couplings=[(g * r_op, s_op)], res=res)
 
 
 # ---------------------------------------------------------------------------
@@ -347,5 +346,4 @@ def pd_weak_coupling_model(p: PhaseDampingParams) -> WeakCouplingModel:
     r_op = g * np.diag(ns).astype(complex)
     return WeakCouplingModel(
         hs=h_system(p.omega), hr=np.diag(bath_omega * ns).astype(complex),
-        couplings=[(r_op, SIGMA_Z)], res=res, psi_s=psi_initial(p.theta),
-    )
+        couplings=[(r_op, SIGMA_Z)], res=res)

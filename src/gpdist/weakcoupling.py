@@ -68,7 +68,8 @@ US_AVG_EPS = 1e-9  # |<U_S>_S| below this leaves the perturbative GP undefined
 @dataclass
 class WeakCouplingModel:
     """Constant system Hamiltonian, static reservoir, and coupling
-    ``H_I = -sum R_mu S_mu``.
+    ``H_I = -sum R_mu S_mu``; no initial system state, which the functions
+    that need it take as an argument.
 
     ``hs`` is the Hermitian H_S matrix.  ``couplings`` is a list of
     ``(r_op, s_op)`` pairs acting on the reservoir and system factors; the
@@ -79,12 +80,10 @@ class WeakCouplingModel:
     hr: np.ndarray
     couplings: list[tuple[np.ndarray, np.ndarray]]
     res: ReservoirSpec
-    psi_s: np.ndarray
 
     def __post_init__(self):
         self.hs = _as_square(self.hs)
         self.hr = np.asarray(self.hr, dtype=complex)
-        self.psi_s = np.asarray(self.psi_s, dtype=complex)
         self.couplings = [
             (np.asarray(r, dtype=complex), np.asarray(s, dtype=complex))
             for r, s in self.couplings
@@ -247,14 +246,15 @@ def reservoir_averages(ops: PerturbationOperators, model: WeakCouplingModel
     return b_fin, b_int, ops.u_fin
 
 
-def delta_z(ops: PerturbationOperators, model: WeakCouplingModel) -> complex:
-    """<DeltaZ> over rho_SR(0): ``delta_z_from_b`` on ``reservoir_averages``.
+def delta_z(ops: PerturbationOperators, model: WeakCouplingModel,
+            psi_s: np.ndarray) -> complex:
+    """<DeltaZ> over rho_SR(0) = |psi_S><psi_S| x rho_R: ``delta_z_from_b``
+    on ``reservoir_averages``.
 
     The averages do not depend on psi_S, so a sweep over psi_S at fixed
     H_S, H_R, H_I and t computes them once and applies ``delta_z_from_b``
     per state."""
-    return delta_z_from_b(*reservoir_averages(ops, model), model.hs,
-                          model.psi_s)
+    return delta_z_from_b(*reservoir_averages(ops, model), model.hs, psi_s)
 
 
 def perturbative_moments(dz: complex, beta0: float, n: int = 1) -> complex:

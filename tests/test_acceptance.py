@@ -88,22 +88,21 @@ def se_no_jump_path(p):
     return ClosedFormPath(states=states, t_end=p.period)
 
 
-def joint_family(model):
+def joint_family(model, psi_s):
     """The CLI's conditional-path family of a weak-coupling model over one
     period, with its weights, and U(T)."""
     return spectral_conditional_trajectories(
         eigh_hermitian(model.h0() + model.h_interaction()), model.res,
-        SystemEnsemble.pure(model.psi_s), 2.0 * np.pi / OMEGA)
+        SystemEnsemble.pure(psi_s), 2.0 * np.pi / OMEGA)
 
 
-def joint_qubit_model(g, theta=np.pi / 3, bath_omega=2.0, probs=(0.7, 0.3)):
+def joint_qubit_model(g, bath_omega=2.0, probs=(0.7, 0.3)):
     """System qubit coupled by -g sx x sx to a two-level reservoir."""
     res = ReservoirSpec(probs=list(probs), states=np.eye(2, dtype=complex),
                         energies=[0.0, bath_omega])
     return WeakCouplingModel(
         hs=h_system(OMEGA), hr=np.diag([0.0, bath_omega]),
-        couplings=[(g * SIGMA_X, SIGMA_X)], res=res,
-        psi_s=psi_initial(theta))
+        couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
 
 
 def test_criterion_01_closed_system_gp(capsys):
@@ -272,10 +271,10 @@ def test_criterion_09_decomposition_freedom(capsys):
     w = rng0.normal(size=(4, 4)) + 1j * rng0.normal(size=(4, 4))
     w = 0.5 * (w + w.conj().T)
     model = WeakCouplingModel(hs=h_system(OMEGA), hr=np.diag(energies),
-                              couplings=[(g * w, SIGMA_X)], res=res,
-                              psi_s=psi_initial(np.pi / 3))
-    _, u_fin = joint_family(model)
-    shift_z, shift_h = decomposition_check(res, model.psi_s, u_fin, seed=0)
+                              couplings=[(g * w, SIGMA_X)], res=res)
+    _, u_fin = joint_family(model, psi_initial(np.pi / 3))
+    shift_z, shift_h = decomposition_check(res, psi_initial(np.pi / 3), u_fin,
+                                           seed=0)
     ok = shift_z < 1e-9 and shift_h > 1e-6
     report(capsys, 9, ok,
            f"{DECOMPOSITION_SEEDS} degenerate-block redecompositions: Z first "
@@ -307,7 +306,8 @@ def test_criterion_10_gauge_invariance_and_sharpness(capsys):
         worst = max(worst, abs(res.z - res0.z))
     # a reservoir prepared in a single pure state yields one conditional
     # branch, hence an exactly sharp distribution
-    family, _ = joint_family(joint_qubit_model(0.2, probs=(1.0, 0.0)))
+    family, _ = joint_family(joint_qubit_model(0.2, probs=(1.0, 0.0)),
+                             psi_initial(np.pi / 3))
     rep = moments(build_distribution([family]), n_max=1)
     ok = worst < 1e-8 and rep.spread_w == 0.0
     report(capsys, 10, ok,
@@ -333,7 +333,8 @@ def test_criterion_12_measure_gap_scales_faster(capsys):
     beta0 = closed_system_gp(np.pi / 3)
     diffs, leads = [], []
     for lam in (1.0, 0.5, 0.25):
-        family, _ = joint_family(joint_qubit_model(0.2 * lam))
+        family, _ = joint_family(joint_qubit_model(0.2 * lam),
+                                 psi_initial(np.pi / 3))
         rep = moments(build_distribution([family]), n_max=1)
         # unit-modulus mean under the Z measure vs the contracted H moment
         diffs.append(abs(np.exp(1j * rep.mean_gp_z) - rep.mean_gp_h))

@@ -358,10 +358,9 @@ class TestConditionalTrajectories:
             values=[z_functional(traj).z for traj in trajs]), n_max=1)
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
-            couplings=[(g * SIGMA_X, SIGMA_X)], res=res,
-            psi_s=psi_initial(np.pi / 3))
+            couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
         ops = build_AB(model, grid.t_end)
-        dz = delta_z(ops, model)
+        dz = delta_z(ops, model, psi_initial(np.pi / 3))
         beta0 = 2.0 * np.pi * np.sin(np.pi / 6.0) ** 2
         exact_corr = rep.mean_gp_z - beta0
         assert exact_corr == pytest.approx(np.imag(dz), abs=20.0 * g**4)

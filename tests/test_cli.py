@@ -21,7 +21,10 @@ from gpdist.cli import (
     main,
     run_scenario,
 )
+from gpdist.channels import integrate_lindblad
 from gpdist.errors import ConfigError
+from gpdist.hilbert import TimeGrid
+from gpdist.models import psi_initial
 
 
 def write_config(tmp_path, payload, name="scenario.yaml"):
@@ -280,6 +283,36 @@ class TestRunCustomLindblad:
         # ground population grows monotonically under pure decay
         pg = [float(r["population_g_dimensionless"]) for r in table]
         assert pg[-1] > pg[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells_match_per_row_formulas(self, tmp_path, seed):
+        # the columns are formed on the whole strided stack; each cell must
+        # equal the formula applied to its own row, bit for bit
+        rng = np.random.default_rng(seed)
+        jumps = 0.2 * (rng.normal(size=(2, 2, 2))
+                       + 1j * rng.normal(size=(2, 2, 2)))
+        cfg = lindblad_config(grid={"n_steps": 4096}, params={
+            "omega": float(rng.uniform(0.9, 1.1)),
+            "theta": float(rng.uniform(0.3, 2.8)),
+            "jump_ops": [[[[z.real, z.imag] for z in row] for row in jump]
+                         for jump in jumps.tolist()]})
+        scn = load_scenario(write_config(tmp_path, cfg))
+        rows = run_scenario(scn, tmp_path, "csv", seed=0)
+        p = scn.points[0]
+        psi = psi_initial(p.theta)
+        grid = TimeGrid(0.0, p.period, 4096)
+        rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
+        expected = [{
+            "time_inverse_omega": float(t),
+            "trace_dimensionless": float(np.trace(rho).real),
+            "purity_dimensionless": float(np.trace(rho @ rho).real),
+            "population_g_dimensionless": float(rho[0, 0].real),
+            "population_e_dimensionless": float(rho[1, 1].real),
+            "coherence_abs_dimensionless": float(abs(rho[0, 1])),
+        } for t, rho in zip(grid.times[::16], rhos[::16])]
+        assert len(rows) == 257 and rows == expected
+        assert read_csv(tmp_path / "evolution.csv") == [
+            {k: format(v, ".17g") for k, v in row.items()} for row in expected]
 
 
 class TestCompare:
@@ -575,6 +608,53 @@ def test_overflowing_coupling_is_non_finite(tmp_path, capsys):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "non-finite" in err and "not Hermitian" not in err
+
+
+# Values nested deeper than repr can follow, each with the field its config
+# error must name.  yaml.safe_dump cannot emit them, so the text is written
+# directly.
+DEEP = "[" * 3000 + "]" * 3000
+DEEPLY_NESTED = {
+    "omega": (f"model: phase_damping\nparams: {{omega: {DEEP}}}",
+              "params.omega"),
+    "coupling_cell": (f"""model: custom_joint
+params:
+  reservoir_energies: [0.0, 1.0]
+  reservoir_probs: [0.5, 0.5]
+  couplings:
+    - {{r: [[{DEEP}, 1], [1, 0]], s: [[0, 1], [1, 0]]}}""",
+                      "params.couplings[0].r"),
+    "sweep_value": (f"model: phase_damping\n"
+                    f"sweep: {{parameter: theta, values: [{DEEP}]}}",
+                    "sweep.values[0]"),
+}
+
+
+def write_deep(tmp_path, body: str) -> str:
+    path = tmp_path / "deep.yaml"
+    path.write_text(f"schema: {SCHEMA_VERSION}\n{body}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("body, field", DEEPLY_NESTED.values(),
+                         ids=DEEPLY_NESTED)
+def test_deeply_nested_value_names_field(tmp_path, capsys, body, field):
+    path = write_deep(tmp_path, body)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_deeply_nested_value_with_python_loader(tmp_path, capsys,
+                                                monkeypatch):
+    # the pure-Python loader recurses while it composes the nodes
+    monkeypatch.setattr("gpdist.cli.YAML_LOADER", yaml.SafeLoader)
+    path = write_deep(tmp_path, DEEPLY_NESTED["omega"][0])
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: YAML parse error: ")
+    assert err.count("\n") == 1
 
 
 PARAM_NAMES = {

@@ -137,32 +137,39 @@ def test_custom_joint_point_work_is_batched(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command, parameter, per_scenario", [
-    ("compare", "theta", (1, 1)), ("compare", "omega", (3, 3)),
-    ("run", "theta", (0, 1))])
+    ("compare", "theta", (1, 1, 1)), ("compare", "omega", (3, 3, 4)),
+    ("run", "theta", (0, 1, 1))])
 def test_theta_independent_work_is_done_once_per_omega(
         tmp_path, monkeypatch, command, parameter, per_scenario):
-    # build_AB and the joint eigendecomposition see only omega: a theta
-    # sweep does each once, an omega sweep once per point, and run never
-    # builds B
-    joint_eighs = []
+    # build_AB, the joint eigendecomposition and the joint model see only
+    # omega: a theta sweep does each once, an omega sweep once per point
+    # (and one model more, for the base point load_scenario checks), and run
+    # never builds B
+    joint_eighs, models = [], []
     eigh = gpdist.hilbert.eigh_hermitian
+    weak_coupling_model = gpdist.cli.WeakCouplingModel
 
     def counted(h):
         if len(h) == 8:  # the joint dimension, 2 x 4
             joint_eighs.append(h)
         return eigh(h)
 
+    def built(**kwargs):
+        models.append(weak_coupling_model(**kwargs))
+        return models[-1]
+
     for name, module in list(sys.modules.items()):
         if name.startswith("gpdist") and getattr(
                 module, "eigh_hermitian", None) is eigh:
             monkeypatch.setattr(module, "eigh_hermitian", counted)
+    monkeypatch.setattr(gpdist.cli, "WeakCouplingModel", built)
     tracer = load_tracing().Tracer()
     with tracer.installed():
         assert gpdist.cli.main([command, str(joint_scenario(
             tmp_path, parameter)), "--out", str(tmp_path / "out")]) == 0
     calls = tracer.take_pass()
     assert (calls.get("weakcoupling.build_AB.calls", 0),
-            len(joint_eighs)) == per_scenario
+            len(joint_eighs), len(models)) == per_scenario
 
 
 def test_acceptance_gate_scores_the_shipped_route():

@@ -55,8 +55,7 @@ def zero_hamiltonian_model(r_op, s_op, probs=(1.0, 0.0)):
     return WeakCouplingModel(
         hs=np.zeros((2, 2)),
         hr=np.zeros((2, 2), dtype=complex),
-        couplings=[(r_op, s_op)], res=res,
-        psi_s=np.array([1.0, 0.0], dtype=complex))
+        couplings=[(r_op, s_op)], res=res)
 
 
 class TestModelValidation:
@@ -67,8 +66,7 @@ class TestModelValidation:
         with pytest.raises(DimensionError):
             WeakCouplingModel(hs=h_system(1.0),
                               hr=np.zeros((3, 3), dtype=complex),
-                              couplings=[], res=res,
-                              psi_s=psi_initial(0.5))
+                              couplings=[], res=res)
 
     def test_non_hermitian_system_hamiltonian(self):
         # the interaction picture is built from a Hermitian H_S
@@ -76,8 +74,7 @@ class TestModelValidation:
             WeakCouplingModel(hs=-0.5 * SIGMA_Z + 0.3j * SIGMA_X,
                               hr=np.diag([0.0, 2.0]),
                               couplings=[(0.2 * SIGMA_X, SIGMA_X)],
-                              res=vacuum_qubit_res(),
-                              psi_s=psi_initial(np.pi / 3))
+                              res=vacuum_qubit_res())
 
     def test_non_hermitian_interaction(self):
         with pytest.raises(InvalidOperand):
@@ -146,7 +143,7 @@ class TestBuildAB:
                             energies=[0.0, 1e4])
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.diag([0.0, 1e4]).astype(complex),
-            couplings=[(SIGMA_X, SIGMA_X)], res=res, psi_s=psi_initial(1.0))
+            couplings=[(SIGMA_X, SIGMA_X)], res=res)
         with pytest.raises(QuadratureNotConverged, match="4096"):
             build_AB(model, 2.0 * np.pi)
 
@@ -187,8 +184,7 @@ def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
     r_op = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(n))) @ q.conj().T
     return WeakCouplingModel(
         hs=0.6 * SIGMA_X + 0.3 * SIGMA_Z, hr=hr,
-        couplings=[(0.2 * r_op, SIGMA_X), (0.1 * hr, SIGMA_Y)], res=res,
-        psi_s=psi_initial(1.1))
+        couplings=[(0.2 * r_op, SIGMA_X), (0.1 * hr, SIGMA_Y)], res=res)
 
 
 def _dyson_b(model, t, n_points=16, radius=0.2):
@@ -227,7 +223,8 @@ class TestDeltaZ:
     def test_zero_interaction(self):
         model = zero_hamiltonian_model(0.0 * SIGMA_X, SIGMA_X)
         ops = build_AB(model, 1.0)
-        assert abs(delta_z(ops, model)) < 1e-13
+        assert abs(delta_z(ops, model,
+                           np.array([1.0, 0.0], dtype=complex))) < 1e-13
 
     @pytest.mark.parametrize("n_thermal", [0.0, 1.0, 5.0])
     def test_spontaneous_emission_phase_correction(self, n_thermal):
@@ -266,18 +263,19 @@ class TestDeltaZ:
         pd = pd_weak_coupling_model(PhaseDampingParams(omega=1.0, alpha=0.01))
         ops = build_AB(pd, 2.0 * np.pi)
         with pytest.raises(RCondViolated):
-            delta_z(ops, pd)
+            delta_z(ops, pd, psi_initial(np.pi / 2))
         se = se_weak_coupling_model(TwoLevelAtomParams(omega=1.0, gamma0=0.0),
                                     dim_bath=3, g=0.1)
         ops = build_AB(se, 2.0 * np.pi)
-        delta_z(ops, se)  # must not raise
+        delta_z(ops, se, psi_initial(np.pi / 2))  # must not raise
 
     def test_vanishing_system_expectation(self):
         model = zero_hamiltonian_model(0.1 * SIGMA_X, SIGMA_X)
         ops = build_AB(model, 1.0)
         # replace the system propagator so <psi|U_S|psi> = 0
         with pytest.raises(UndefinedGP):
-            delta_z(dataclasses.replace(ops, u_fin=SIGMA_X), model)
+            delta_z(dataclasses.replace(ops, u_fin=SIGMA_X), model,
+                    np.array([1.0, 0.0], dtype=complex))
 
     def test_reservoir_redecomposition_invariance(self):
         # Tr(rho_R B) is basis independent inside degenerate blocks
@@ -287,10 +285,9 @@ class TestDeltaZ:
                             energies=[1.0, 1.0])
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.eye(2, dtype=complex),
-            couplings=[(0.2 * SIGMA_X, SIGMA_X)], res=res,
-            psi_s=psi_initial(np.pi / 3))
+            couplings=[(0.2 * SIGMA_X, SIGMA_X)], res=res)
         ops = build_AB(model, 2.0 * np.pi)
-        base = delta_z(ops, model)
+        base = delta_z(ops, model, psi_initial(np.pi / 3))
         rng = np.random.default_rng(6)
         v, _ = np.linalg.qr(rng.normal(size=(2, 2))
                             + 1j * rng.normal(size=(2, 2)))
@@ -301,7 +298,7 @@ class TestDeltaZ:
             *(sum(p * blk for p, blk in zip(alt_res.probs,
                                             _full_b_blocks(op, alt_res)))
               for op in (ops.b, ops.b_int)),
-            ops.u_fin, model.hs, model.psi_s)
+            ops.u_fin, model.hs, psi_initial(np.pi / 3))
         assert abs(alt - base) < 1e-9
 
 
@@ -319,13 +316,15 @@ class TestBlockRoute:
                             energies=[0.0, 2.0])
         model = WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 2.0]),
                                   couplings=[(0.2 * SIGMA_X, SIGMA_X)],
-                                  res=res, psi_s=psi_initial(np.pi / 3))
+                                  res=res)
         ops = build_AB(model, 2.0 * np.pi)
         per_state = sum(
-            p * delta_z_from_b(blk, blk_int, ops.u_fin, model.hs, model.psi_s)
+            p * delta_z_from_b(blk, blk_int, ops.u_fin, model.hs,
+                               psi_initial(np.pi / 3))
             for p, blk, blk_int in zip(res.probs, _full_b_blocks(ops.b, res),
                                        _full_b_blocks(ops.b_int, res)))
-        assert abs(delta_z(ops, model) - per_state) <= 1e-14
+        assert abs(delta_z(ops, model, psi_initial(np.pi / 3))
+                   - per_state) <= 1e-14
 
 
 class TestPerturbativeMoments:
