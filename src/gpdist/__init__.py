@@ -7,7 +7,7 @@ their moments and Holevo-style spread, including the second-order
 weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (
     ConfigError,
@@ -79,7 +79,7 @@ from .models import (
     pd_lindblad_model,
     pd_moments,
     psi_initial,
-    se_distributions,
+    se_distribution,
     se_kraus_channel,
     se_lindblad_model,
     se_mean_gp_zero_temperature,

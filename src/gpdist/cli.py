@@ -33,17 +33,20 @@ Config errors are found before any numerics run and name their field:
 ``schema``, ``model``, ``params`` or ``params.<name>`` (down to
 ``params.couplings[0].r``), ``grid`` or ``grid.n_steps``, ``sweep``,
 ``sweep.parameter``, ``sweep.values[i]``, ``outputs`` or ``outputs[i]``, or
-the unknown field.  Angles are in radians.  Exit codes: 0 success, 2 config
-error or unusable ``--out`` (found before any point runs), 3 numerical
-failure (naming the failing point).  On a ``custom_joint`` sweep the work
-only omega enters (the joint model and its spectrum; for ``compare`` also
-``build_AB``) is done once per run of points with equal omega.
+the unknown field; a key repeated in one mapping and nesting deeper than
+``YAML_MAX_DEPTH`` are YAML parse errors naming their line.  Angles are in
+radians.  Exit codes: 0 success, 2 config error or unusable ``--out``
+(found before any point runs), 3 numerical failure (naming the failing
+point).  On a ``custom_joint`` sweep the work only omega enters (the joint
+model and its spectrum; for ``compare`` also ``build_AB``) is done once per
+run of points with equal omega.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import reprlib
@@ -71,7 +74,7 @@ from .models import (
     pd_first_order_references,
     pd_trajectories,
     psi_initial,
-    se_distributions,
+    se_distribution,
     se_mean_gp_zero_temperature,
     se_perturbative_gp,
 )
@@ -82,12 +85,36 @@ from .weakcoupling import (WeakCouplingModel, build_AB, delta_z_from_b,
 SCHEMA_VERSION = 1
 OUTPUT_KINDS = ("moments", "atoms", "decomposition_check")
 REQUIRED = object()
-# libyaml's parser with the pure-Python loader's YAML 1.1 resolver, so 1e-3
-# still arrives as text; it parses a large coupling matrix ten times faster
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 # a scenario value quoted in a config error, bounded in depth and length so
 # that a deeply nested list cannot recurse while the message is formatted
 _quote = reprlib.Repr().repr
+# libyaml composes nodes recursively on the C stack and segfaults near 25,000
+# nested collections; a scenario nests about 7 deep
+YAML_MAX_DEPTH = 5000
+
+
+class _ScenarioLoader(yaml.CSafeLoader if yaml.__with_libyaml__
+                      else yaml.SafeLoader):
+    """libyaml's parser with the pure-Python loader's YAML 1.1 resolver, so
+    1e-3 still arrives as text; it parses a large coupling matrix ten times
+    faster.  A key that its own mapping already holds is an error, where
+    PyYAML would keep the last value; ``<<`` merge keys stay legal."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in keys:
+                    raise yaml.YAMLError(
+                        f"line {key_node.start_mark.line + 1}: repeated "
+                        f"key {_quote(key)}")
+                keys.add(key)
+        return super().construct_mapping(node, deep)
+
+
+YAML_LOADER = _ScenarioLoader
 TOP_LEVEL = {"schema": REQUIRED, "model": REQUIRED, "params": {}, "grid": {},
              "sweep": None, "outputs": ["moments"]}
 
@@ -342,7 +369,7 @@ MODELS = {
         defaults={"omega": 1.0, "gamma0": 0.0, "n_thermal": 0.0,
                   "theta": np.pi / 2.0},
         point=TwoLevelAtomParams, outputs=("moments", "atoms"),
-        distribution=lambda p, _: (se_distributions(p)[0], None),
+        distribution=lambda p, _: (se_distribution(p), None),
         references=_se_references, compare=_se_compare),
     "phase_damping": Model(
         defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
@@ -372,12 +399,37 @@ class Scenario:
     outputs: tuple
 
 
+def _check_depth(stream: io.StringIO) -> None:
+    """Raise a YAMLError where collections nest deeper than YAML_MAX_DEPTH.
+
+    Every collection opens with one of ``[{-:?``, so their count bounds the
+    depth, and only a text with more of them than the bound takes an event
+    pass through the parser, which keeps no recursion.
+    """
+    if sum(map(stream.getvalue().count, "[{-:?")) <= YAML_MAX_DEPTH:
+        return
+    depth = 0
+    for event in yaml.parse(stream, Loader=YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > YAML_MAX_DEPTH:
+                raise yaml.YAMLError(
+                    f"line {event.start_mark.line + 1}: collections nest "
+                    f"deeper than {YAML_MAX_DEPTH} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    stream.seek(0)
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and check a scenario file into typed points; every problem is
     a ConfigError naming its field."""
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=YAML_LOADER)
+            stream = io.StringIO(fh.read())
+        stream.name = path  # named in YAML errors
+        _check_depth(stream)
+        raw = yaml.load(stream, Loader=YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except (yaml.YAMLError, ValueError, RecursionError) as exc:

@@ -1,11 +1,11 @@
 """Atomic geometric-phase distributions and their moments.
 
-Two candidate distributions are supported:
+One set of atoms, the complex values Z[psi_{r,s}] weighted by the initial
+probabilities p_r * q_s, carries both candidate distributions:
 
-* Z-valued: atoms at the complex values Z[psi_{r,s}] weighted by the initial
-  probabilities p_r * q_s; the mean GP is the argument of the first moment.
-* H-valued (Holevo-style): atoms at the unit-modulus phases Z/|Z|; the
-  modulus of the first moment sets the spread W = |<e^{i beta}>|^{-2} - 1.
+* P_Z, at the values; the mean GP is the argument of the first moment.
+* P_H (Holevo-style), at the unit-modulus phases Z/|Z|; the modulus of the
+  first moment sets the spread W = |<e^{i beta}>|^{-2} - 1.
 
 Atoms are exact weighted delta functions (no binning); coincident atoms are
 not merged.
@@ -32,9 +32,8 @@ DECOMPOSITION_SEEDS = 10  # random redecompositions in ``decomposition_check``
 
 @dataclass(frozen=True)
 class PhaseDistribution:
-    """Weighted atom list; ``kind`` is "z" (complex values) or "h" (phases)."""
+    """Weighted complex Z atoms; ``moments`` reads P_Z and P_H off them."""
 
-    kind: str
     weights: np.ndarray
     values: np.ndarray
     error_estimate: float | None = None  # largest atom error estimate, rad
@@ -44,31 +43,15 @@ class PhaseDistribution:
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "values", values)
-        if self.kind not in ("z", "h"):
-            raise ValueError("kind must be 'z' or 'h'")
         if len(weights) == 0 or len(weights) != len(values):
             raise ValueError("need one weight per atom, at least one atom")
         if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= WEIGHT_TOL):
             raise ValueError("weights must be nonnegative and sum to 1")
         if not np.all(np.isfinite(values)):
             raise ValueError("atom values must be finite")
-        if self.kind == "h" and not np.all(np.abs(np.abs(values) - 1.0) <= 1e-12):
-            raise ValueError("h-valued atoms must lie on the unit circle")
         if self.error_estimate is not None and not (
                 np.isfinite(self.error_estimate) and self.error_estimate >= 0):
             raise ValueError("error_estimate must be finite and >= 0")
-
-    def to_h(self) -> "PhaseDistribution":
-        """Project Z-valued atoms onto the unit circle."""
-        if self.kind == "h":
-            return self
-        mod = np.abs(self.values)
-        if np.any(mod < 1e-300):
-            raise UndefinedGP("zero atom cannot be projected onto the circle")
-        v = self.values / mod
-        return PhaseDistribution(kind="h", weights=self.weights,
-                                 values=v / np.abs(v),
-                                 error_estimate=self.error_estimate)
 
 
 @dataclass(frozen=True)
@@ -88,7 +71,7 @@ def build_distribution(
     call.
 
     A member with undefined GP contributes a legal zero atom, on which
-    ``to_h()`` raises, since P_H needs every phase.  The distribution's
+    ``moments`` raises, since P_H needs every phase.  The distribution's
     ``error_estimate`` is the largest over the defined atoms, or None when
     there are none.
     """
@@ -101,7 +84,7 @@ def build_distribution(
                 values.append(res.z)
                 estimates.append(res.error_estimate)
         weights.extend(w)
-    return PhaseDistribution(kind="z", weights=np.array(weights),
+    return PhaseDistribution(weights=np.array(weights),
                              values=np.array(values),
                              error_estimate=max(estimates, default=None))
 
@@ -109,16 +92,20 @@ def build_distribution(
 def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:
     """First ``n_max`` moments of both measures plus mean GP and spread.
 
-    For a Z-valued input the H-side quantities are computed from the
-    projected atoms; a Z-valued first moment below ``FIRST_MOMENT_EPS`` raises
-    UndefinedGP.
+    P_H takes each atom at its phase u = z / |z|, normalised once more so
+    that |u| rounds to 1; a zero atom has no phase and raises UndefinedGP,
+    and so does a first Z-moment below ``FIRST_MOMENT_EPS``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ns = np.arange(1, n_max + 1)
     z_moms = np.array([np.sum(dist.weights * dist.values**n) for n in ns])
-    h = dist.to_h()
-    h_moms = np.array([np.sum(h.weights * h.values**n) for n in ns])
+    mod = np.abs(dist.values)
+    if np.any(mod < 1e-300):
+        raise UndefinedGP("zero atom cannot be projected onto the circle")
+    u = dist.values / mod
+    u /= np.abs(u)
+    h_moms = np.array([np.sum(dist.weights * u**n) for n in ns])
 
     first_z = z_moms[0]
     if abs(first_z) < FIRST_MOMENT_EPS:

@@ -179,10 +179,8 @@ def se_exact_z_values(p: TwoLevelAtomParams) -> tuple[complex, complex]:
     return complex(f_minus), complex(f_plus)
 
 
-def se_distributions(
-    p: TwoLevelAtomParams,
-) -> tuple[PhaseDistribution, PhaseDistribution]:
-    """(P_Z, P_H) at one period; the jump branches K1, K3 start at the zero
+def se_distribution(p: TwoLevelAtomParams) -> PhaseDistribution:
+    """P_Z at one period; the jump branches K1, K3 start at the zero
     vector and are excluded, and the kept weights p0 + p2 already sum to 1."""
     f_minus, f_plus = se_exact_z_values(p)
     p0, _, p2, _ = se_weights(p)
@@ -191,8 +189,7 @@ def se_distributions(
     else:
         weights = np.array([p0, p2])
         values = np.array([f_minus, f_plus])
-    pz = PhaseDistribution(kind="z", weights=weights, values=values)
-    return pz, pz.to_h()
+    return PhaseDistribution(weights=weights, values=values)
 
 
 def se_mean_gp_zero_temperature(p: TwoLevelAtomParams) -> float:

@@ -42,7 +42,7 @@ from gpdist.models import (
     pd_moments,
     pd_weak_coupling_model,
     psi_initial,
-    se_distributions,
+    se_distribution,
     se_kraus_channel,
     se_lindblad_model,
     se_mean_gp_zero_temperature,
@@ -136,7 +136,7 @@ def test_criterion_02_zero_temperature_closed_form(capsys):
 
 
 def _se_exact_gp(p):
-    pz, _ = se_distributions(p)
+    pz = se_distribution(p)
     return angle_to_positive_branch(
         float(np.angle(moments(pz, 1).z_moments[0])))
 

@@ -354,7 +354,7 @@ class TestConditionalTrajectories:
         res, sys, us, grid = _joint_setup(g, n_steps=2048)
         weights, trajs = zip(*conditional_trajectories(us, res, sys, grid))
         rep = moments(PhaseDistribution(
-            kind="z", weights=weights,
+            weights=weights,
             values=[z_functional(traj).z for traj in trajs]), n_max=1)
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.diag([0.0, 2.0]).astype(complex),

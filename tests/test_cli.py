@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -12,10 +15,12 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import gpdist
 from gpdist.cli import (
     MODELS,
     SCHEMA_VERSION,
     YAML_LOADER,
+    YAML_MAX_DEPTH,
     compare_scenario,
     load_scenario,
     main,
@@ -128,6 +133,20 @@ class TestLoadScenario:
         assert got["a"] == "1e-3" and got["b"] == 1e-3
         assert got["c"] == float("inf") and got["d"] == 16
         assert got["e"] == 1000
+
+    def test_large_shallow_file_loads(self, tmp_path):
+        # more collection-opening characters than YAML_MAX_DEPTH, so the
+        # depth is measured, but nested only a few levels deep
+        dim = 64
+        r = np.full((dim, dim), -0.5) + 0.5 * np.eye(dim)
+        cfg = joint_config(r.tolist())
+        cfg["params"].update(reservoir_energies=[float(e) for e in range(dim)],
+                             reservoir_probs=[1.0 / dim] * dim)
+        path = write_config(tmp_path, cfg)
+        text = Path(path).read_text()
+        assert sum(map(text.count, "[{-:?")) > YAML_MAX_DEPTH
+        scn = load_scenario(path)
+        assert scn.points[0].theta == np.pi / 3
 
 
 PD_CONFIG = {"schema": SCHEMA_VERSION, "model": "phase_damping",
@@ -655,6 +674,67 @@ def test_deeply_nested_value_with_python_loader(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: YAML parse error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["[" * 50000 + "1" + "]" * 50000,
+                                   "- " * 50000 + "1"],
+                         ids=["flow", "block"])
+def test_nesting_past_the_libyaml_stack_exits_2(tmp_path, value):
+    # libyaml's composer would overflow the C stack and kill the process,
+    # so the run goes in a subprocess
+    path = write_deep(tmp_path, f"model: phase_damping\nparams:\n  omega:\n"
+                                f"    {value}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpdist.cli", "run", path, "--out",
+         str(tmp_path / "out")], capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(gpdist.__file__).parents[1])})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+# A key given twice in one mapping, which PyYAML would resolve to the last
+# value; yaml.safe_dump cannot emit it, so the text is written directly.
+PD_TEXT = "schema: 1\nmodel: phase_damping\n"
+JOINT_PARAMS = """params:
+  reservoir_energies: [0.0, 1.0]
+  reservoir_probs: [0.5, 0.5]
+  couplings:
+  - g: 0.1
+    r: [[0, 1], [1, 0]]
+    s: [[0, 1], [1, 0]]
+"""
+REPEATED_KEYS = {
+    "params.theta": (PD_TEXT + "params:\n  theta: 0.5\n  theta: 2.0\n",
+                     "theta", 5),
+    "model": ("schema: 1\nmodel: custom_joint\nmodel: phase_damping\n",
+              "model", 3),
+    "couplings[0].g": ("schema: 1\nmodel: custom_joint\n" + JOINT_PARAMS
+                       + "    g: 0.2\n", "g", 10),
+    "flow": (PD_TEXT + "params: {omega: 2.0, alpha: 0.01, omega: 1.0}\n",
+             "omega", 3),
+}
+
+
+@pytest.mark.parametrize("text, key, line", REPEATED_KEYS.values(),
+                         ids=REPEATED_KEYS)
+def test_repeated_key_exits_2(tmp_path, capsys, text, key, line):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {path}: YAML parse error: line {line}: "
+                   f"repeated key '{key}'\n")
+
+
+def test_merge_keys_stay_legal(tmp_path):
+    # explicit keys override merged ones, and merged mappings may overlap
+    path = tmp_path / "scenario.yaml"
+    path.write_text(PD_TEXT + "params:\n  <<: [{omega: 2.0, alpha: 0.01}, "
+                    "{omega: 3.0}]\n  omega: 1.5\n")
+    scn = load_scenario(str(path))
+    assert (scn.points[0].omega, scn.points[0].alpha) == (1.5, 0.01)
 
 
 PARAM_NAMES = {

@@ -19,7 +19,7 @@ from gpdist.errors import InvalidBlock, InvalidDecomposition, UndefinedGP
 from gpdist.hilbert import partial_inner
 from gpdist.models import (
     TwoLevelAtomParams,
-    se_distributions,
+    se_distribution,
     se_exact_z_values,
     se_weights,
 )
@@ -40,41 +40,44 @@ def constant_path(psi, t_end=1.0):
 
 class TestPhaseDistribution:
     def test_valid_z(self):
-        d = PhaseDistribution(kind="z", weights=[0.5, 0.5],
-                              values=[1.0, 0.5j])
-        assert d.kind == "z"
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            PhaseDistribution(kind="q", weights=[1.0], values=[1.0])
+        d = PhaseDistribution(weights=[0.5, 0.5], values=[1.0, 0.5j])
+        assert np.array_equal(d.values, [1.0, 0.5j])
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            PhaseDistribution(kind="z", weights=[0.5, 0.6], values=[1.0, 1.0])
+            PhaseDistribution(weights=[0.5, 0.6], values=[1.0, 1.0])
         with pytest.raises(ValueError):
-            PhaseDistribution(kind="z", weights=[-0.5, 1.5], values=[1.0, 1.0])
-
-    def test_h_atoms_on_circle(self):
-        with pytest.raises(ValueError):
-            PhaseDistribution(kind="h", weights=[1.0], values=[0.5])
+            PhaseDistribution(weights=[-0.5, 1.5], values=[1.0, 1.0])
 
     def test_to_h_projection(self):
-        d = PhaseDistribution(kind="z", weights=[0.4, 0.6],
-                              values=[2.0j, -0.5])
-        h = d.to_h()
-        assert np.allclose(np.abs(h.values), 1.0)
-        assert np.allclose(h.values, [1.0j, -1.0])
+        # P_H reads each atom at its phase z / |z|
+        d = PhaseDistribution(weights=[0.4, 0.6], values=[2.0j, -0.5])
+        h = moments(d, n_max=2).h_moments
+        assert np.allclose(h, [0.4 * 1.0j - 0.6, -0.4 + 0.6])
 
     def test_to_h_zero_atom_rejected(self):
-        d = PhaseDistribution(kind="z", weights=[0.5, 0.5], values=[0.0, 1.0])
+        d = PhaseDistribution(weights=[0.5, 0.5], values=[0.0, 1.0])
         with pytest.raises(UndefinedGP):
-            d.to_h()
+            moments(d)
+
+    def test_h_moments_bit_exact_on_random_atoms(self):
+        # the second normalisation of u changes the bits of about a third
+        # of these atoms, so it must be part of the H measure
+        rng = np.random.default_rng(20)
+        z = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+        w = rng.random(1000)
+        w /= w.sum()
+        u = z / np.abs(z)
+        u = u / np.abs(u)
+        rep = moments(PhaseDistribution(weights=w, values=z), n_max=3)
+        assert np.array_equal(rep.h_moments,
+                              [np.sum(w * u**n) for n in np.arange(1, 4)])
 
 
 class TestBuildDistribution:
     def test_single_trajectory_sharp(self):
         psi = np.array([0.6, 0.8], dtype=complex)
-        dist = build_distribution([(np.array([1.0]), constant_path(psi))]).to_h()
+        dist = build_distribution([(np.array([1.0]), constant_path(psi))])
         rep = moments(dist, n_max=1)
         assert len(dist.values) == 1
         assert rep.spread_w == 0.0  # sharp distribution, exactly
@@ -82,13 +85,12 @@ class TestBuildDistribution:
     def test_spontaneous_emission_atoms(self):
         p = TwoLevelAtomParams(omega=1.0, gamma0=0.05, n_thermal=1.0,
                                theta=np.pi / 3)
-        pz, ph = se_distributions(p)
+        pz = se_distribution(p)
         f_minus, f_plus = se_exact_z_values(p)
         w = se_weights(p)
         assert np.allclose(pz.weights, [w[0], w[2]])
         assert np.allclose(pz.values, [f_minus, f_plus])
         assert pz.weights.sum() == pytest.approx(1.0)
-        assert np.allclose(np.abs(ph.values), 1.0)
 
     def test_zero_atom_legal_for_z_only(self):
         # path ending orthogonal to its start: GP undefined
@@ -101,14 +103,13 @@ class TestBuildDistribution:
                                    (np.array([0.5]), good)])
         assert dist.values[0] == 0.0
         with pytest.raises(UndefinedGP):
-            dist.to_h()
+            moments(dist)
 
 
 class TestMoments:
     def test_single_unit_atom(self):
         phi = 0.8
-        d = PhaseDistribution(kind="h", weights=[1.0],
-                              values=[np.exp(1j * phi)])
+        d = PhaseDistribution(weights=[1.0], values=[np.exp(1j * phi)])
         rep = moments(d, n_max=3)
         assert rep.mean_gp_z == pytest.approx(phi)
         assert np.angle(rep.mean_gp_h) == pytest.approx(phi)
@@ -118,20 +119,19 @@ class TestMoments:
 
     def test_symmetric_pair(self):
         phi = 0.6
-        d = PhaseDistribution(kind="h", weights=[0.5, 0.5],
+        d = PhaseDistribution(weights=[0.5, 0.5],
                               values=[np.exp(1j * phi), np.exp(-1j * phi)])
         rep = moments(d, n_max=1)
         assert rep.mean_gp_h == pytest.approx(np.cos(phi))
         assert rep.spread_w == pytest.approx(1.0 / np.cos(phi) ** 2 - 1.0)
 
     def test_vanishing_first_moment(self):
-        d = PhaseDistribution(kind="h", weights=[0.5, 0.5],
-                              values=[1.0, -1.0])
+        d = PhaseDistribution(weights=[0.5, 0.5], values=[1.0, -1.0])
         with pytest.raises(UndefinedGP):
             moments(d, n_max=1)
 
     def test_n_max_validation(self):
-        d = PhaseDistribution(kind="h", weights=[1.0], values=[1.0])
+        d = PhaseDistribution(weights=[1.0], values=[1.0])
         with pytest.raises(ValueError):
             moments(d, n_max=0)
 
@@ -142,7 +142,7 @@ class TestMoments:
         ws = np.array([w for w, _ in raw])
         ws = ws / ws.sum()
         vals = np.exp(1j * np.array([a for _, a in raw]))
-        d = PhaseDistribution(kind="h", weights=ws, values=vals)
+        d = PhaseDistribution(weights=ws, values=vals)
         try:
             rep = moments(d, n_max=2)
         except UndefinedGP:

@@ -21,7 +21,7 @@ from gpdist.models import (
     pd_trajectories,
     pd_weak_coupling_model,
     psi_initial,
-    se_distributions,
+    se_distribution,
     se_exact_z_values,
     se_kraus_channel,
     se_lindblad_model,
@@ -191,7 +191,7 @@ class TestSeExactValues:
 
     def test_weak_coupling_agreement(self):
         p = TwoLevelAtomParams(omega=1.0, gamma0=1e-3, theta=np.pi / 3)
-        pz, _ = se_distributions(p)
+        pz = se_distribution(p)
         rep = moments(pz, n_max=1)
         exact = angle_to_positive_branch(rep.mean_gp_z)
         assert abs(exact - se_perturbative_gp(p)) < 100.0 * (1e-3) ** 2
@@ -218,14 +218,13 @@ def _unreduced_references(mp, p):
 
 class TestSeDistributions:
     def test_zero_temperature_single_atom(self):
-        pz, ph = se_distributions(TwoLevelAtomParams(omega=1.0, gamma0=0.1))
+        pz = se_distribution(TwoLevelAtomParams(omega=1.0, gamma0=0.1))
         assert len(pz.values) == 1
         assert pz.weights[0] == pytest.approx(1.0)
-        assert abs(abs(ph.values[0]) - 1.0) < 1e-12
 
     def test_thermal_two_atoms(self):
         p = TwoLevelAtomParams(omega=1.0, gamma0=0.1, n_thermal=2.0)
-        pz, _ = se_distributions(p)
+        pz = se_distribution(p)
         assert len(pz.values) == 2
         assert pz.weights.sum() == pytest.approx(1.0)
         assert np.allclose(pz.weights, [3.0 / 5.0, 2.0 / 5.0])
@@ -237,7 +236,7 @@ class TestSeDistributions:
         for n in (0.0, n_thermal):
             p = TwoLevelAtomParams(omega=1.0, gamma0=rate, n_thermal=n,
                                    theta=np.pi / 2)
-            pz, _ = se_distributions(p)
+            pz = se_distribution(p)
             gps.append(angle_to_positive_branch(moments(pz, 1).mean_gp_z))
         assert abs(gps[1] - gps[0]) <= 100.0 * rate**2
 

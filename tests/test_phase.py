@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gpdist.channels import (ReservoirSpec, SystemEnsemble,
                              spectral_conditional_trajectories)
-from gpdist.distribution import PhaseDistribution, build_distribution
+from gpdist.distribution import PhaseDistribution, build_distribution, moments
 from gpdist.errors import (DegenerateTrajectory, InvalidOperand, InvalidState,
                            QuadratureNotConverged, UndefinedGP)
 from gpdist.hilbert import (SIGMA_Z, Schedule, TimeGrid, eigh_hermitian,
@@ -72,16 +72,16 @@ NAN = float("nan")
                            energies=[0.0, NAN]),
      InvalidState),
     (lambda: SystemEnsemble(probs=[NAN], states=[[1.0, 0.0]]), InvalidState),
-    (lambda: PhaseDistribution(kind="z", weights=[NAN], values=[1.0]),
+    (lambda: PhaseDistribution(weights=[NAN], values=[1.0]),
      ValueError),
-    (lambda: PhaseDistribution(kind="z", weights=[1.0], values=[NAN]),
+    (lambda: PhaseDistribution(weights=[1.0], values=[NAN]),
      ValueError),
-    (lambda: PhaseDistribution(kind="z", weights=[0.5, 0.5],
+    (lambda: PhaseDistribution(weights=[0.5, 0.5],
                                values=[1.0, complex(0.0, float("inf"))]),
      ValueError),
     (lambda: TimeGrid(0.0, NAN, 4), ValueError),
     (lambda: ClosedFormPath(states=lambda t: (t, t), t_end=NAN), ValueError),
-    (lambda: PhaseDistribution(kind="z", weights=[1.0], values=[1.0],
+    (lambda: PhaseDistribution(weights=[1.0], values=[1.0],
                                error_estimate=NAN), ValueError),
     (lambda: TwoLevelAtomParams(omega=NAN, gamma0=0.0), ValueError),
     (lambda: TwoLevelAtomParams(omega=1.0, gamma0=float("inf")), ValueError),
@@ -281,7 +281,7 @@ class TestClosedFormPath:
         assert dist.values[0] == 0.0
         assert dist.values[1] == family_z(member(family, 1))[0].z
         with pytest.raises(UndefinedGP):
-            build_distribution([(np.array([0.25, 0.75]), family)]).to_h()
+            moments(build_distribution([(np.array([0.25, 0.75]), family)]))
 
 
 def assert_members_scored_alone(family):
