@@ -1,13 +1,13 @@
 """Geometric-phase distributions for open quantum systems.
 
 Evolves small quantum systems under non-unitary and Kraus dynamics, removes
-the dynamic phase from overlap phases, and builds the two candidate
-geometric-phase distributions (complex-valued P_Z and unit-modulus P_H) with
-their moments and Holevo-style spread, including the second-order
-weak-coupling formula and closed-form two-level-atom models.
+the dynamic phase from overlap phases, and builds one weighted atom set Z[psi]
+carrying both candidate geometric-phase distributions (P_Z at the values,
+P_H at their phases) with their moments and Holevo-style spread, plus the
+second-order weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import (
     ConfigError,

@@ -103,8 +103,12 @@ class SystemEnsemble:
         states = np.asarray(self.states, dtype=complex)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
+        if states.ndim != 2 or len(probs) != len(states):
+            raise DimensionError("need one state vector per probability")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise InvalidState("probabilities must be nonnegative and sum to 1")
+        if not np.all(abs(np.linalg.norm(states, axis=1) - 1.0) <= 1e-10):
+            raise InvalidState("system states must have unit norm")
 
     @classmethod
     def pure(cls, psi) -> "SystemEnsemble":

@@ -271,7 +271,7 @@ def _joint_distribution(p: CustomPoint, shared):
     family, u_fin = spectral_conditional_trajectories(
         shared[1], p.model.res, SystemEnsemble.pure(psi_initial(p.theta)),
         p.period)
-    return build_distribution([family]), u_fin
+    return build_distribution(*family), u_fin
 
 
 def _se_references(p: TwoLevelAtomParams) -> dict:
@@ -374,7 +374,7 @@ MODELS = {
     "phase_damping": Model(
         defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
         point=PhaseDampingParams, outputs=("moments", "atoms"),
-        distribution=lambda p, _: (build_distribution([pd_trajectories(p)]),
+        distribution=lambda p, _: (build_distribution(*pd_trajectories(p)),
                                    None),
         references=_pd_references, compare=_pd_compare),
     "custom_joint": Model(

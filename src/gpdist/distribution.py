@@ -63,30 +63,20 @@ class MomentReport:
     h_moments: np.ndarray     # <e^{ins}> for n = 1..n_max
 
 
-def build_distribution(
-    weighted_families: list[tuple[np.ndarray, ClosedFormPath]],
-) -> PhaseDistribution:
-    """P_Z with one atom per family member, valued Z[psi].  Each family
-    comes with one weight per member and is scored in one ``family_z``
-    call.
+def build_distribution(weights: np.ndarray,
+                       family: ClosedFormPath) -> PhaseDistribution:
+    """P_Z with one atom per member of ``family``, weighted by ``weights``
+    and valued Z[psi], from one ``family_z`` call.
 
-    A member with undefined GP contributes a legal zero atom, on which
-    ``moments`` raises, since P_H needs every phase.  The distribution's
+    A member with undefined GP is a legal zero atom, on which ``moments``
+    raises, since P_H needs every phase.  The distribution's
     ``error_estimate`` is the largest over the defined atoms, or None when
     there are none.
     """
-    weights, values, estimates = [], [], []
-    for w, family in weighted_families:
-        for res in family_z(family):
-            if isinstance(res, UndefinedGP):
-                values.append(0.0)
-            else:
-                values.append(res.z)
-                estimates.append(res.error_estimate)
-        weights.extend(w)
-    return PhaseDistribution(weights=np.array(weights),
-                             values=np.array(values),
-                             error_estimate=max(estimates, default=None))
+    z, _, errors = family_z(family)
+    defined = errors[z != 0.0]
+    return PhaseDistribution(weights=weights, values=z, error_estimate=(
+        float(defined.max()) if len(defined) else None))
 
 
 def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:

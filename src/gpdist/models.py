@@ -1,7 +1,7 @@
 """Closed-form two-level-atom models: thermal spontaneous emission and phase
 damping.
 
-Basis ordering is (|g>, |e|) with sigma_z = |e><e| - |g><g| = diag(-1, +1)
+Basis ordering is (|g>, |e>) with sigma_z = |e><e| - |g><g| = diag(-1, +1)
 and H_S = -(omega/2) sigma_z, so the printed Kraus matrices and the
 e^{+/- i omega t / 2} phases come out verbatim.  All closed forms are quoted
 at one period t = 2*pi/omega unless a time is supplied.
@@ -312,7 +312,7 @@ def pd_moments(p: PhaseDampingParams) -> PhaseDampingMoments:
     """Exact two-atom moments at one period, next to the first-order forms."""
     from .distribution import build_distribution, moments as dist_moments
 
-    dist = build_distribution([pd_trajectories(p)])
+    dist = build_distribution(*pd_trajectories(p))
     rep = dist_moments(dist, n_max=1)
     first_z = rep.z_moments[0]
     ref_z, ref_h, ref_w = pd_first_order_references(p)

@@ -6,8 +6,9 @@ contributions; multiplying by the dynamic-phase factor
     D[psi] = exp(-i * integral Im<psi|dpsi/dt> / <psi|psi>)
 
 removes the dynamic part, leaving Z[psi] = D[psi] <psi(0)|psi(t)> whose
-argument is the geometric phase beta.  Z = 0 means the phase is undefined
-and is reported as an error, never as NaN.
+argument is the geometric phase beta.  A |Z| below ``Z_RELATIVE_EPS`` times
+the end norms means the phase is undefined: an error for one trajectory, an
+atom of exactly 0 in a family, never NaN.
 
 Two kinds of path are scored.  A sampled ``Trajectory`` uses the trapezoid
 rule in time with centered finite differences for the state derivative
@@ -98,7 +99,6 @@ class PhaseResult:
     beta: float          # arg Z, principal value in (-pi, pi]
     dynamic_phase: float # integral Im<psi|psi_dot>/<psi|psi>, radians
     overlap: complex     # <psi(0)|psi(t)>
-    error_estimate: float | None = None  # |beta_n - beta_2n| of a closed form
 
 
 def dynamic_phase(traj: Trajectory) -> float:
@@ -201,18 +201,19 @@ def converged_gauss_legendre(
         f"and {n} Gauss-Legendre nodes")
 
 
-def _scored(phi: float, error: float | None,
-            ends: np.ndarray) -> PhaseResult | UndefinedGP:
-    """Z from the dynamic phase and the end states, or the UndefinedGP of a
-    vanishing |Z|."""
-    norms2 = np.einsum("ki,ki->k", ends.conj(), ends).real
+def _scored(phis: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Z of each member from its dynamic phase and end states (m, 2, d),
+    exactly 0 where |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.  D times
+    the overlap is taken in real parts, which round as numpy's complex
+    scalar product does and its complex array product does not."""
+    norms2 = np.einsum("mki,mki->mk", ends.conj(), ends).real
     _check_norms(norms2)
-    overlap = complex(np.vdot(ends[0], ends[1]))
-    z = np.exp(-1j * phi) * overlap
-    if abs(z) < Z_RELATIVE_EPS * np.sqrt(norms2[0] * norms2[1]):
-        return UndefinedGP(f"|Z| = {abs(z):.3e} below tolerance; GP undefined")
-    return PhaseResult(z=z, beta=float(np.angle(z)), dynamic_phase=phi,
-                       overlap=overlap, error_estimate=error)
+    o = np.array([np.vdot(a, b) for a, b in ends])
+    d = np.exp(-1j * phis)
+    z = (d.real * o.real - d.imag * o.imag).astype(complex)
+    z.imag = d.real * o.imag + d.imag * o.real
+    z[abs(z) < Z_RELATIVE_EPS * np.sqrt(norms2[:, 0] * norms2[:, 1])] = 0.0
+    return z
 
 
 def z_functional(traj: Trajectory) -> PhaseResult:
@@ -221,21 +222,22 @@ def z_functional(traj: Trajectory) -> PhaseResult:
 
     Raises UndefinedGP when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.
     """
-    res = _scored(dynamic_phase(traj), None, traj.states[[0, -1]])
-    if isinstance(res, UndefinedGP):
-        raise res
-    return res
+    phi, ends = dynamic_phase(traj), traj.states[[0, -1]]
+    z = complex(_scored(np.array([phi]), ends[None])[0])
+    if z == 0.0:
+        raise UndefinedGP("|Z| below tolerance; GP undefined")
+    return PhaseResult(z=z, beta=float(np.angle(z)), dynamic_phase=phi,
+                       overlap=complex(np.vdot(*ends)))
 
 
-def family_z(path: ClosedFormPath) -> list[PhaseResult | UndefinedGP]:
-    """``z_functional`` of every member of a closed-form family, in one
-    call: each member's PhaseResult, or the UndefinedGP it would raise
-    alone."""
+def family_z(path: ClosedFormPath) -> tuple[np.ndarray, ...]:
+    """Z, the dynamic phase and its quadrature error estimate of every
+    member of a closed-form family, as three (m,) arrays from one call; Z
+    is 0 for a member on which ``z_functional`` would raise UndefinedGP."""
     phis, errors = converged_gauss_legendre(
         lambda n: _gauss_legendre_phase(path, n), "dynamic phase (rad)")
     ends = path.states(np.array([0.0, path.t_end]))[0]
-    return [_scored(float(phi), float(error), end)
-            for phi, error, end in zip(phis, errors, ends)]
+    return _scored(phis, ends), phis, errors
 
 
 def angle_to_positive_branch(a: float) -> float:

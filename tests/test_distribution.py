@@ -26,16 +26,12 @@ from gpdist.models import (
 from gpdist.phase import ClosedFormPath
 
 
-def real_path(psi, dpsi, t_end=1.0):
-    """One-member family from vectorised ``psi(t)`` and ``dpsi(t)``."""
-    return ClosedFormPath(states=lambda t: (psi(t)[None], dpsi(t)[None]),
-                          t_end=t_end)
-
-
 def constant_path(psi, t_end=1.0):
+    """One-member family that stays at ``psi``."""
     psi = np.asarray(psi, dtype=complex)
-    return real_path(lambda t: np.tile(psi, (len(t), 1)),
-                     lambda t: np.zeros((len(t), len(psi))), t_end)
+    return ClosedFormPath(
+        states=lambda t: (np.tile(psi, (1, len(t), 1)),
+                          np.zeros((1, len(t), len(psi)))), t_end=t_end)
 
 
 class TestPhaseDistribution:
@@ -77,7 +73,7 @@ class TestPhaseDistribution:
 class TestBuildDistribution:
     def test_single_trajectory_sharp(self):
         psi = np.array([0.6, 0.8], dtype=complex)
-        dist = build_distribution([(np.array([1.0]), constant_path(psi))])
+        dist = build_distribution(np.array([1.0]), constant_path(psi))
         rep = moments(dist, n_max=1)
         assert len(dist.values) == 1
         assert rep.spread_w == 0.0  # sharp distribution, exactly
@@ -91,19 +87,6 @@ class TestBuildDistribution:
         assert np.allclose(pz.weights, [w[0], w[2]])
         assert np.allclose(pz.values, [f_minus, f_plus])
         assert pz.weights.sum() == pytest.approx(1.0)
-
-    def test_zero_atom_legal_for_z_only(self):
-        # path ending orthogonal to its start: GP undefined
-        bad = real_path(
-            lambda t: np.stack([np.cos(t / 2.0), np.sin(t / 2.0)], axis=1),
-            lambda t: 0.5 * np.stack([-np.sin(t / 2.0), np.cos(t / 2.0)],
-                                     axis=1), t_end=np.pi)
-        good = constant_path([1.0, 0.0], t_end=np.pi)
-        dist = build_distribution([(np.array([0.5]), bad),
-                                   (np.array([0.5]), good)])
-        assert dist.values[0] == 0.0
-        with pytest.raises(UndefinedGP):
-            moments(dist)
 
 
 class TestMoments:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gpdist.channels import (ReservoirSpec, SystemEnsemble,
                              spectral_conditional_trajectories)
 from gpdist.distribution import PhaseDistribution, build_distribution, moments
-from gpdist.errors import (DegenerateTrajectory, InvalidOperand, InvalidState,
+from gpdist.errors import (DegenerateTrajectory, DimensionError,
+                           InvalidOperand, InvalidState,
                            QuadratureNotConverged, UndefinedGP)
 from gpdist.hilbert import (SIGMA_Z, Schedule, TimeGrid, eigh_hermitian,
                             time_ordered_propagator)
@@ -72,6 +73,7 @@ NAN = float("nan")
                            energies=[0.0, NAN]),
      InvalidState),
     (lambda: SystemEnsemble(probs=[NAN], states=[[1.0, 0.0]]), InvalidState),
+    (lambda: SystemEnsemble(probs=[1.0], states=[[NAN, 0.0]]), InvalidState),
     (lambda: PhaseDistribution(weights=[NAN], values=[1.0]),
      ValueError),
     (lambda: PhaseDistribution(weights=[1.0], values=[NAN]),
@@ -88,12 +90,23 @@ NAN = float("nan")
     (lambda: PhaseDampingParams(omega=float("inf"), alpha=0.0), ValueError),
     (lambda: PhaseDampingParams(omega=1.0, alpha=NAN), ValueError),
 ], ids=["trajectory", "reservoir", "reservoir_energy", "ensemble",
-        "distribution", "atom_value", "atom_value_inf", "grid",
-        "closed_form_path", "error_estimate", "atom_omega", "atom_gamma0",
-        "damping_omega", "damping_alpha"])
+        "ensemble_state", "distribution", "atom_value", "atom_value_inf",
+        "grid", "closed_form_path", "error_estimate", "atom_omega",
+        "atom_gamma0", "damping_omega", "damping_alpha"])
 def test_non_finite_input_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("probs, states, error", [
+    ([1.0], [[2.0, 0.0]], InvalidState),
+    ([0.5, 0.5], [[1.0, 0.0], [0.6, 0.6]], InvalidState),
+    ([1.0], [1.0, 0.0], DimensionError),
+    ([0.5, 0.5], [[1.0, 0.0]], DimensionError),
+], ids=["norm_2", "short_row", "1d_states", "length_mismatch"])
+def test_malformed_ensemble_rejected(probs, states, error):
+    with pytest.raises(error):
+        SystemEnsemble(probs=probs, states=states)
 
 
 class TestDynamicPhase:
@@ -218,34 +231,33 @@ def spectral_family():
 class TestClosedFormPath:
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 2, 3 * np.pi / 4])
     def test_precession_to_rounding(self, theta):
-        (res,) = family_z(precession_path(theta))
-        assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
-                                                  abs=1e-14)
-        beta = angle_to_positive_branch(res.beta)
+        (z,), (phi,), (error,) = family_z(precession_path(theta))
+        assert phi == pytest.approx(np.pi * np.cos(theta), abs=1e-14)
+        beta = angle_to_positive_branch(np.angle(z))
         assert beta == pytest.approx(2.0 * np.pi * np.sin(theta / 2.0) ** 2,
                                      abs=1e-13)
-        assert res.error_estimate <= QUADRATURE_TOL
+        assert error <= QUADRATURE_TOL
 
     def test_precession_family_to_rounding(self):
         thetas = [np.pi / 6, np.pi / 2, 3 * np.pi / 4]
-        for theta, res in zip(thetas, family_z(precession_path(*thetas))):
-            assert res.dynamic_phase == pytest.approx(np.pi * np.cos(theta),
-                                                      abs=1e-14)
-            beta = angle_to_positive_branch(res.beta)
+        z, phis, errors = family_z(precession_path(*thetas))
+        for theta, zi, phi, error in zip(thetas, z, phis, errors):
+            assert phi == pytest.approx(np.pi * np.cos(theta), abs=1e-14)
+            beta = angle_to_positive_branch(np.angle(zi))
             assert beta == pytest.approx(
                 2.0 * np.pi * np.sin(theta / 2.0) ** 2, abs=1e-13)
-            assert res.error_estimate <= QUADRATURE_TOL
+            assert error <= QUADRATURE_TOL
 
     def test_sampled_trajectory_converges_onto_it(self):
-        closed = family_z(precession_path(np.pi / 3))[0].z
+        (closed,), _, _ = family_z(precession_path(np.pi / 3))
         sampled = z_functional(precession_trajectory(np.pi / 3, 16384)).z
         assert 0.0 < abs(sampled - closed) < 1e-7
 
     def test_sqrt_start_in_u(self):
         path, exact = fourth_root_path(True)
-        res = family_z(path)[0]
-        assert res.dynamic_phase == pytest.approx(exact[0], abs=1e-13)
-        assert res.error_estimate <= QUADRATURE_TOL * abs(exact[0])
+        _, (phi,), (error,) = family_z(path)
+        assert phi == pytest.approx(exact[0], abs=1e-13)
+        assert error <= QUADRATURE_TOL * abs(exact[0])
 
     def test_node_cap_raises(self):
         # in t, the sqrt(t) integrand converges only algebraically and is
@@ -270,28 +282,40 @@ class TestClosedFormPath:
                 states=lambda t: (psi(t)[None], dpsi(t)[None]), t_end=1.0))
 
     def test_orthogonal_final_state_undefined(self):
-        res = family_z(precession_path(np.pi / 2, t_end=np.pi))[0]
-        assert isinstance(res, UndefinedGP)
+        (z,), _, _ = family_z(precession_path(np.pi / 2, t_end=np.pi))
+        assert z == 0.0
 
     def test_undefined_member_is_its_own_atom(self):
         # at t = pi the theta = pi/2 end is orthogonal to its start and the
         # theta = pi/3 one is not
         family = precession_path(np.pi / 2, np.pi / 3, t_end=np.pi)
-        dist = build_distribution([(np.array([0.25, 0.75]), family)])
+        dist = build_distribution(np.array([0.25, 0.75]), family)
+        (z,), _, (error,) = family_z(member(family, 1))
         assert dist.values[0] == 0.0
-        assert dist.values[1] == family_z(member(family, 1))[0].z
+        assert dist.values[1] == z
+        # a legal Z atom, but P_H needs its phase
         with pytest.raises(UndefinedGP):
-            moments(build_distribution([(np.array([0.25, 0.75]), family)]))
+            moments(dist)
+        # the estimate is read off the defined atoms only, if there are any
+        assert dist.error_estimate == error
+        alone = build_distribution(np.array([1.0]), member(family, 0))
+        assert alone.values[0] == 0.0 and alone.error_estimate is None
 
 
 def assert_members_scored_alone(family):
-    """Every member of a family scores as it would alone, to the bit."""
+    """Every member of a family scores as it would alone, and its Z is
+    numpy's complex scalar product D * <psi(0)|psi(t)>, to the bit.
+    Returns the members' dynamic phases."""
     together = family_z(family)
-    for i, res in enumerate(together):
-        alone = family_z(member(family, i))[0]
-        assert (res.z, res.beta, res.dynamic_phase, res.error_estimate) == (
-            alone.z, alone.beta, alone.dynamic_phase, alone.error_estimate)
-    return together
+    ends = family.states(np.array([0.0, family.t_end]))[0]
+    for i, (psi0, psi_t) in enumerate(ends):
+        alone = family_z(member(family, i))
+        assert [a.tobytes() for a in alone] == [
+            a[i:i + 1].tobytes() for a in together]
+        z, phi = together[0][i], together[1][i]
+        scalar = np.exp(-1j * phi) * complex(np.vdot(psi0, psi_t))
+        assert np.complex128(scalar).tobytes() == z.tobytes()
+    return together[1]
 
 
 class TestFamily:
@@ -316,8 +340,7 @@ class TestFamily:
 
         family = ClosedFormPath(states=wobble, t_end=2.0 * np.pi)
         slow, fast = assert_members_scored_alone(family)
-        assert slow.dynamic_phase == pytest.approx(fast.dynamic_phase,
-                                                   abs=1e-12)
+        assert slow == pytest.approx(fast, abs=1e-12)
 
         def last_nodes(i):
             sizes = []

@@ -1,9 +1,11 @@
 """What the tooling around the package relies on: a cold ``import
 gpdist.cli`` and a ``compare`` run without scipy, the traced names of the
-benchmark harness, an acceptance gate on the route the CLI ships, and
-``Schedule`` kept inside ``hilbert``."""
+benchmark harness, an acceptance gate on the route the CLI ships,
+``Schedule`` kept inside ``hilbert`` and errors that are raised, not
+returned."""
 
 import ast
+import builtins
 import importlib.util
 import os
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 import gpdist
 import gpdist.cli
 import gpdist.distribution
+import gpdist.errors
 import gpdist.hilbert
 from gpdist.cli import SCHEMA_VERSION
 
@@ -195,3 +198,18 @@ def test_only_hilbert_names_schedule():
             elif isinstance(node, ast.alias):
                 names.add(node.asname or node.name.rsplit(".", 1)[-1])
         assert "Schedule" not in names, path.name
+
+
+def test_no_function_returns_an_exception():
+    # an error is raised where it is found, not handed back as a value that
+    # every caller must test for
+    errors = {name for name, obj in [*vars(builtins).items(),
+                                     *vars(gpdist.errors).items()]
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    for path in Path(gpdist.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Return) and isinstance(node.value,
+                                                           ast.Call):
+                func = node.value.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                assert name not in errors, f"{path.name}:{node.lineno}"
