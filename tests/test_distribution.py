@@ -88,6 +88,24 @@ class TestBuildDistribution:
         assert np.allclose(pz.values, [f_minus, f_plus])
         assert pz.weights.sum() == pytest.approx(1.0)
 
+    def test_zero_atom_legal_for_z_only(self):
+        # member 0 ends orthogonal to its start (GP undefined), member 1
+        # stays at |0>
+        def states(t):
+            zero = np.zeros_like(t)
+            bad = np.stack([np.cos(t / 2.0), np.sin(t / 2.0)], axis=1)
+            dbad = 0.5 * np.stack([-np.sin(t / 2.0), np.cos(t / 2.0)], axis=1)
+            good = np.stack([np.ones_like(t), zero], axis=1)
+            return (np.stack([bad, good]).astype(complex),
+                    np.stack([dbad, np.zeros_like(good)]).astype(complex))
+
+        dist = build_distribution(np.array([0.5, 0.5]),
+                                  ClosedFormPath(states=states, t_end=np.pi))
+        assert dist.values[0] == 0.0
+        assert dist.values[1] != 0.0
+        with pytest.raises(UndefinedGP):
+            moments(dist)
+
 
 class TestMoments:
     def test_single_unit_atom(self):
