@@ -7,7 +7,7 @@ P_H at their phases) with their moments and Holevo-style spread, plus the
 second-order weak-coupling formula and closed-form two-level-atom models.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import (
     ConfigError,
@@ -29,17 +29,11 @@ from .hilbert import (
     SIGMA_Y,
     SIGMA_Z,
     TimeGrid,
-    matexp,
     partial_inner,
-    time_ordered_propagator,
 )
 from .phase import (
     ClosedFormPath,
-    PhaseResult,
-    Trajectory,
-    dynamic_phase,
     family_z,
-    z_functional,
 )
 from .channels import (
     KrausChannel,
@@ -47,9 +41,7 @@ from .channels import (
     ReservoirSpec,
     SystemEnsemble,
     apply_kraus,
-    conditional_trajectories,
     integrate_lindblad,
-    lindblad_rhs,
     liouvillian,
     spectral_conditional_trajectories,
 )
@@ -66,7 +58,6 @@ from .weakcoupling import (
     PerturbationOperators,
     WeakCouplingModel,
     build_AB,
-    delta_z,
     delta_z_from_b,
     perturbative_moments,
     reservoir_averages,

@@ -1,6 +1,7 @@
-"""Open-system dynamics: Lindblad integration, Kraus channels, and
-conditional trajectories from a joint unitary (or, as closed-form paths,
-straight from the eigenvectors of a constant joint Hamiltonian).
+"""Open-system dynamics: Lindblad integration, Kraus channels, and the
+conditional trajectories of a joint system-reservoir evolution, as one
+closed-form family straight from the eigenvectors of the constant joint
+Hamiltonian (``spectral_conditional_trajectories``).
 
 The Lindblad normalization follows the convention in which the dissipator
 reads ``-(L^dag L rho + rho L^dag L - 2 L rho L^dag)`` with NO factor 1/2;
@@ -30,7 +31,7 @@ from .errors import (
     InvalidState,
 )
 from .hilbert import TimeGrid, _as_square
-from .phase import ClosedFormPath, Trajectory
+from .phase import ClosedFormPath
 
 ENERGY_DEGENERACY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
@@ -179,12 +180,6 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return out.reshape(d * d, d * d)
 
 
-def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
-    """Right-hand side of the master equation (no-1/2 convention)."""
-    rho = np.asarray(rho, dtype=complex)
-    return (liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
-
-
 def _rk4_map(l: np.ndarray, dt: float) -> np.ndarray:
     """Classical RK4 step of ``v' = L v`` as one matrix."""
     eye = np.eye(len(l))
@@ -242,49 +237,21 @@ def apply_kraus(channel: KrausChannel, rho0, t: float) -> np.ndarray:
                      np.asarray(rho0, dtype=complex), ks.conj())
 
 
-def _joint_blocks(us: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
-    """A stack of joint operators as (n, s, r, s', r') blocks."""
-    if us.ndim != 3 or us.shape[1:] != (dim_s * dim_r,) * 2:
-        raise DimensionError("joint propagator dimension != dim_s * dim_r")
-    if not np.all(np.isfinite(us)):
-        raise InvalidOperand("joint propagator has non-finite entries")
-    return us.reshape(len(us), dim_s, dim_r, dim_s, dim_r)
-
-
-def conditional_trajectories(
-    us: np.ndarray,
-    res: ReservoirSpec,
-    sys: SystemEnsemble,
-    grid: TimeGrid,
-) -> list[tuple[float, Trajectory]]:
-    """Weighted conditional trajectories ``<r|U_SR(t_k)|r> |psi_s>``.
-
-    Only the diagonal-in-r (b_R = 0 in the adapted basis) Kraus element is
-    kept: in the adapted basis all other elements start at the zero vector
-    and carry no phase information.
-    """
-    u5 = _joint_blocks(us, sys.states.shape[1], res.dim)
-    out = []
-    for p_r, r in zip(res.probs, res.states):
-        kraus_seq = np.einsum("i,kaibj,j->kab", r.conj(), u5, r)
-        for q_s, psi in zip(sys.probs, sys.states):
-            states = np.einsum("kab,b->ka", kraus_seq, psi)
-            out.append((p_r * q_s, Trajectory(grid=grid, states=states)))
-    return out
-
-
 def spectral_conditional_trajectories(
     spectrum: tuple[np.ndarray, np.ndarray],
     res: ReservoirSpec,
     sys: SystemEnsemble,
     t_end: float,
 ) -> tuple[tuple[np.ndarray, ClosedFormPath], np.ndarray]:
-    """``conditional_trajectories`` of a constant joint Hamiltonian
-    ``h = V diag(lambda) V^dag``, given as its ``spectrum = (lambda, V)``
-    from ``eigh_hermitian(h)``, as one closed-form family on [0, t_end] with
-    the members' weights, and the final propagator ``U(t_end)``.
+    """Weighted conditional trajectories ``<r|U(t)|r> |psi_s>`` of a constant
+    joint Hamiltonian ``h = V diag(lambda) V^dag``, given as its
+    ``spectrum = (lambda, V)`` from ``eigh_hermitian(h)``, as one
+    closed-form family on [0, t_end] with the members' weights
+    ``p_r q_s``, and the final propagator ``U(t_end)``.
 
-    Each conditional state is
+    Only the diagonal-in-r Kraus element is kept: in the adapted basis
+    (b_R = 0) every other element starts at the zero vector and carries no
+    phase information.  Each conditional state is
 
         psi_r(t)_a = sum_n <a, r|V>_n e^{-i lambda_n t} (V^dag (psi_s x r))_n,
 

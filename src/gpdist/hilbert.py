@@ -1,13 +1,9 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
-Hermiticity checks, matrix exponentials, time-ordered propagation on a
-uniform grid, and partial inner products on bipartite spaces.  Models hold
-Hamiltonians as matrices; ``Schedule``, H as a function of t, serves only
-``time_ordered_propagator``.  There a constant Hermitian ``H``
-(``Schedule.constant``) is diagonalized once, ``H = V diag(lambda) V^dag``
-(``eigh_hermitian``), so ``U(t_k) = V e^{-i lambda (t_k - t_0)} V^dag``
-with no per-step rounding; a time-dependent schedule keeps the midpoint
-product of step exponentials, which is second order in ``dt``.
+Hermiticity checks, the eigendecomposition of a constant Hermitian
+operator (``eigh_hermitian``), from which every propagator in this package
+is formed as ``U(t) = V e^{-i lambda t} V^dag``, the uniform time grid of the
+Lindblad integrator, and partial inner products on bipartite spaces.
 
 Tensor-product index convention: the SYSTEM index is the slow (outer) index,
 i.e. a joint operator is ``np.kron(op_system, op_reservoir)`` and a joint
@@ -89,9 +85,12 @@ class TimeGrid:
 class Schedule:
     """Time-dependent Hermitian operator ``H(t)``.
 
-    Wraps an evaluator ``t -> matrix``.  A schedule made by ``constant``
-    also keeps its ``matrix``, which selects the spectral path of
-    ``time_ordered_propagator``.
+    Wraps an evaluator ``t -> matrix``; a schedule made by ``constant`` also
+    keeps its ``matrix``.  No package code evaluates a schedule: every
+    Hamiltonian is a constant matrix.  The class stays only because the
+    benchmark's tracer counts ``Schedule.__call__`` as the per-layer metric
+    ``hilbert.Schedule.evals``; the benchmark change that retires that
+    counter retires this class and ``TimeGrid.midpoints`` with it.
     """
 
     evaluator: Callable[[float], np.ndarray]
@@ -117,27 +116,6 @@ class Schedule:
         return np.array([self(t) for t in ts])
 
 
-def matexp(m) -> np.ndarray:
-    """Matrix exponential.
-
-    Hermitian inputs go through an eigendecomposition, anti-Hermitian inputs
-    through the eigendecomposition of ``i*M`` (which keeps the result unitary
-    to machine precision); everything else falls back to scaling-and-squaring.
-    scipy is imported only there, which keeps it off the import path.
-    """
-    m = _as_square(m)
-    if is_hermitian(m):
-        w, v = np.linalg.eigh(m)
-        return (v * np.exp(w)) @ v.conj().T
-    if is_hermitian(1j * m):
-        # m = -i*h with h = i*m Hermitian
-        w, v = np.linalg.eigh(1j * m)
-        return (v * np.exp(-1j * w)) @ v.conj().T
-    import scipy.linalg
-
-    return scipy.linalg.expm(m)
-
-
 def eigh_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``lambda`` and eigenvectors ``V`` of a constant Hermitian
     ``h = V diag(lambda) V^dag``."""
@@ -145,27 +123,6 @@ def eigh_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(h):
         raise InvalidOperand("spectral propagation needs a Hermitian matrix")
     return np.linalg.eigh(h)
-
-
-def time_ordered_propagator(h: Schedule, grid: TimeGrid) -> np.ndarray:
-    """Propagators ``U(t_k)`` for all grid nodes, ``U(t_0) = 1``.
-
-    A constant Hermitian schedule is propagated exactly from one
-    eigendecomposition.  Otherwise this uses the midpoint-rule product of
-    step exponentials ``exp(-i H(t_{k+1/2}) dt)``, which is second order in
-    ``dt`` and exactly unitary for Hermitian schedules.
-    """
-    if h.matrix is not None and is_hermitian(h.matrix):
-        lam, v = eigh_hermitian(h.matrix)
-        phases = np.exp(-1j * np.outer(grid.times - grid.t_start, lam))
-        return (v * phases[:, None, :]) @ v.conj().T
-    h_mid = h.sample(grid, at="midpoints")
-    dt = grid.dt
-    us = np.empty((grid.n_steps + 1, h.dim, h.dim), dtype=complex)
-    us[0] = np.eye(h.dim)
-    for k in range(grid.n_steps):
-        us[k + 1] = matexp(-1j * h_mid[k] * dt) @ us[k]
-    return us
 
 
 def partial_inner(bra_r, u, ket_r, dim_s: int, dim_r: int) -> np.ndarray:

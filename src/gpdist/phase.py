@@ -6,17 +6,16 @@ contributions; multiplying by the dynamic-phase factor
     D[psi] = exp(-i * integral Im<psi|dpsi/dt> / <psi|psi>)
 
 removes the dynamic part, leaving Z[psi] = D[psi] <psi(0)|psi(t)> whose
-argument is the geometric phase beta.  A |Z| below ``Z_RELATIVE_EPS`` times
-the end norms means the phase is undefined: an error for one trajectory, an
-atom of exactly 0 in a family, never NaN.
+argument is the geometric phase beta.  Z is invariant under a gauge change
+psi -> e^{i alpha(t)} psi and a reparametrisation of time, and beta under a
+rescaling of psi (Samuel & Bhandari, PRL 60, 2339 (1988)).  A |Z| below
+``Z_RELATIVE_EPS`` times the end norms means the phase is undefined: such a
+path is an atom of exactly 0, never NaN.
 
-Two kinds of path are scored.  A sampled ``Trajectory`` uses the trapezoid
-rule in time with centered finite differences for the state derivative
-(second-order one-sided stencils at the endpoints), second order overall to
-match the propagator.  A ``ClosedFormPath`` is a family of paths whose
-psi(t) and dpsi/dt are exact at any time, every member from one call, so
-each member's integral is taken by Gauss-Legendre quadrature: its node count
-doubles from ``QUADRATURE_START_NODES`` until two successive values agree to
+Paths come as a ``ClosedFormPath``: a family whose psi(t) and dpsi/dt are
+exact at any time, every member from one call.  Each member's integral is
+taken by Gauss-Legendre quadrature: its node count doubles from
+``QUADRATURE_START_NODES`` until two successive values agree to
 ``QUADRATURE_TOL``, and that difference is reported as the estimated error
 of its beta.
 """
@@ -30,8 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DegenerateTrajectory, InvalidOperand,
-                     QuadratureNotConverged, UndefinedGP)
-from .hilbert import TimeGrid
+                     QuadratureNotConverged)
 
 NORM_FLOOR = 1e-12
 Z_RELATIVE_EPS = 1e-9
@@ -47,26 +45,6 @@ def _check_norms(norms2: np.ndarray):
         raise InvalidOperand("trajectory has non-finite states")
     if np.any(norms2 <= NORM_FLOOR**2):
         raise DegenerateTrajectory("trajectory norm fell below threshold")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-sampled pure-state path; norms may decay below 1 but not to 0."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, dim), complex
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=complex)
-        object.__setattr__(self, "states", states)
-        if states.ndim != 2 or states.shape[0] != self.grid.n_steps + 1:
-            raise ValueError(
-                f"need {self.grid.n_steps + 1} sampled states, got {states.shape}"
-            )
-        _check_norms(np.einsum("ki,ki->k", states.conj(), states).real)
-
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.einsum("ki,ki->k", self.states.conj(), self.states).real)
 
 
 @dataclass(frozen=True)
@@ -91,29 +69,6 @@ class ClosedFormPath:
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError("t_end must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class PhaseResult:
-    z: complex           # Z[psi]
-    beta: float          # arg Z, principal value in (-pi, pi]
-    dynamic_phase: float # integral Im<psi|psi_dot>/<psi|psi>, radians
-    overlap: complex     # <psi(0)|psi(t)>
-
-
-def dynamic_phase(traj: Trajectory) -> float:
-    """Accumulated dynamic phase integral along the trajectory.
-
-    For an eigenstate of energy E this equals -E*t; the dynamic-phase factor
-    is ``exp(-1j * dynamic_phase(traj))``.
-    """
-    psi = traj.states
-    dt = traj.grid.dt
-    psi_dot = np.gradient(psi, dt, axis=0,
-                          edge_order=min(2, traj.grid.n_steps))
-    num = np.einsum("ki,ki->k", psi.conj(), psi_dot).imag
-    den = np.einsum("ki,ki->k", psi.conj(), psi).real
-    return float(np.trapezoid(num / den, dx=dt))
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,8 +98,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_legendre_phase(path: ClosedFormPath, n: int) -> np.ndarray:
-    """n-node Gauss-Legendre values of the members' dynamic-phase integrals,
-    with the state checks of ``Trajectory`` at every node."""
+    """n-node Gauss-Legendre values of the members' dynamic-phase integrals;
+    every node's states and derivatives must be finite and its norms above
+    ``NORM_FLOOR``."""
     x, w = _gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     if path.sqrt_singular_start:
@@ -216,24 +172,11 @@ def _scored(phis: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return z
 
 
-def z_functional(traj: Trajectory) -> PhaseResult:
-    """Dynamic-phase-removed overlap Z[psi] and geometric phase beta = arg Z
-    of a sampled trajectory.
-
-    Raises UndefinedGP when |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||.
-    """
-    phi, ends = dynamic_phase(traj), traj.states[[0, -1]]
-    z = complex(_scored(np.array([phi]), ends[None])[0])
-    if z == 0.0:
-        raise UndefinedGP("|Z| below tolerance; GP undefined")
-    return PhaseResult(z=z, beta=float(np.angle(z)), dynamic_phase=phi,
-                       overlap=complex(np.vdot(*ends)))
-
-
 def family_z(path: ClosedFormPath) -> tuple[np.ndarray, ...]:
     """Z, the dynamic phase and its quadrature error estimate of every
     member of a closed-form family, as three (m,) arrays from one call; Z
-    is 0 for a member on which ``z_functional`` would raise UndefinedGP."""
+    is 0 for a member whose |Z| < Z_RELATIVE_EPS * ||psi(0)|| * ||psi(t)||,
+    where its geometric phase is undefined."""
     phis, errors = converged_gauss_legendre(
         lambda n: _gauss_legendre_phase(path, n), "dynamic phase (rad)")
     ends = path.states(np.array([0.0, path.t_end]))[0]

@@ -10,7 +10,7 @@ and ``H_I~ = U_0^dag H_I U_0`` with ``U_0 = e^{-i H_0 t}``,
 ``H_0 = H_S x 1 + 1 x H_R``.  Under the coupling condition
 ``<r|R_mu|r> = 0`` for every populated reservoir eigenstate, the first-order
 terms drop out of the phase functional and the correction to Z is governed by
-the operator B alone, through the functional ``delta_z`` below.  The
+the operator B alone, through the functional ``delta_z_from_b`` below.  The
 perturbative moments of both phase distributions then coincide:
 
     <e^{ins}>_H = <z^n>_Z / |<z>_Z|^n = e^{in beta0} (1 + i n Im<DeltaZ>).
@@ -39,7 +39,9 @@ integrates to ``QUADRATURE_TOL`` from a few dozen nodes
 exponential enter this layer.  The correction functional is real-linear in
 B and the reservoir weights are real, so it is applied once, to the
 averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``
-(``reservoir_averages``), which psi_S does not enter.
+(``reservoir_averages``), which psi_S does not enter: a sweep over psi_S
+at fixed H_S, H_R, H_I and t computes them once and applies
+``delta_z_from_b`` per state.
 """
 
 from __future__ import annotations
@@ -244,17 +246,6 @@ def reservoir_averages(ops: PerturbationOperators, model: WeakCouplingModel
     b_fin, b_int = (np.einsum("aibj,ji->ab", op.reshape(ds, dr, ds, dr), rho_r)
                     for op in (ops.b, ops.b_int))
     return b_fin, b_int, ops.u_fin
-
-
-def delta_z(ops: PerturbationOperators, model: WeakCouplingModel,
-            psi_s: np.ndarray) -> complex:
-    """<DeltaZ> over rho_SR(0) = |psi_S><psi_S| x rho_R: ``delta_z_from_b``
-    on ``reservoir_averages``.
-
-    The averages do not depend on psi_S, so a sweep over psi_S at fixed
-    H_S, H_R, H_I and t computes them once and applies ``delta_z_from_b``
-    per state."""
-    return delta_z_from_b(*reservoir_averages(ops, model), model.hs, psi_s)
 
 
 def perturbative_moments(dz: complex, beta0: float, n: int = 1) -> complex:

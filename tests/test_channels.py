@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gpdist.channels import (
     KrausChannel,
@@ -12,9 +13,7 @@ from gpdist.channels import (
     ReservoirSpec,
     SystemEnsemble,
     apply_kraus,
-    conditional_trajectories,
     integrate_lindblad,
-    lindblad_rhs,
     liouvillian,
     spectral_conditional_trajectories,
 )
@@ -25,14 +24,7 @@ from gpdist.errors import (
     InvalidOperand,
     InvalidState,
 )
-from gpdist.hilbert import (
-    SIGMA_X,
-    SIGMA_Z,
-    Schedule,
-    TimeGrid,
-    eigh_hermitian,
-    time_ordered_propagator,
-)
+from gpdist.hilbert import SIGMA_X, SIGMA_Z, TimeGrid, eigh_hermitian
 from gpdist.models import (
     TwoLevelAtomParams,
     h_system,
@@ -56,16 +48,35 @@ def random_complex(dim, rng=RNG):
             + 1j * rng.normal(size=(dim, dim))) / (2.0 * dim)
 
 
+def textbook_rhs(rho, model):
+    """The master equation as a commutator plus one dissipator per jump
+    operator, in the package's no-1/2 convention:
+    -i[H, rho] - sum (L^dag L rho + rho L^dag L - 2 L rho L^dag)."""
+    h = model.hs
+    out = -1j * (h @ rho - rho @ h)
+    for l in model.jump_ops:
+        ldl = l.conj().T @ l
+        out -= ldl @ rho + rho @ ldl - 2.0 * l @ rho @ l.conj().T
+    return out
+
+
+def liouvillian_rhs(rho, model):
+    """The right-hand side ``integrate_lindblad`` steps: ``liouvillian``
+    applied to the row-major vec(rho)."""
+    rho = np.asarray(rho, dtype=complex)
+    return (liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
+
+
 def rk4_oracle(model, rho0, grid):
-    """Step-by-step classical RK4 over ``lindblad_rhs``, symmetrized after
+    """Step-by-step classical RK4 over ``textbook_rhs``, symmetrized after
     every step."""
     rho, dt = np.asarray(rho0, dtype=complex), grid.dt
     out = [rho]
     for _ in range(grid.n_steps):
-        k1 = lindblad_rhs(rho, model)
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, model)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, model)
-        k4 = lindblad_rhs(rho + dt * k3, model)
+        k1 = textbook_rhs(rho, model)
+        k2 = textbook_rhs(rho + 0.5 * dt * k1, model)
+        k3 = textbook_rhs(rho + 0.5 * dt * k2, model)
+        k4 = textbook_rhs(rho + dt * k3, model)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         out.append(rho)
@@ -107,12 +118,12 @@ class TestLindbladRhs:
     def test_stationary_zero(self):
         model = LindbladModel(hs=SIGMA_Z)
         rho = np.diag([0.3, 0.7]).astype(complex)  # commutes with sz
-        assert np.linalg.norm(lindblad_rhs(rho, model)) < 1e-14
+        assert np.linalg.norm(liouvillian_rhs(rho, model)) < 1e-14
 
     def test_hermitian_jump_on_maximally_mixed(self):
         model = LindbladModel(hs=np.zeros((2, 2)), jump_ops=[0.7 * SIGMA_Z])
         rho = 0.5 * np.eye(2, dtype=complex)
-        assert np.linalg.norm(lindblad_rhs(rho, model)) < 1e-14
+        assert np.linalg.norm(liouvillian_rhs(rho, model)) < 1e-14
 
     def test_two_level_atom_populations(self):
         # hand 2x2 oracle: from |e><e|, pop_e rate -2 g0 (n+1), pop_g gains it
@@ -120,7 +131,7 @@ class TestLindbladRhs:
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=g0,
                                                      n_thermal=n))
         rho = np.diag([0.0, 1.0]).astype(complex)
-        rhs = lindblad_rhs(rho, model)
+        rhs = liouvillian_rhs(rho, model)
         assert rhs[1, 1].real == pytest.approx(-2.0 * g0 * (n + 1.0))
         assert rhs[0, 0].real == pytest.approx(2.0 * g0 * (n + 1.0))
         assert abs(np.trace(rhs)) < 1e-14
@@ -157,13 +168,8 @@ class TestLiouvillian:
         model = LindbladModel(hs=h, jump_ops=jumps)
         rho = random_complex(dim, rng)
         lhs = liouvillian(model) @ rho.reshape(-1)
-        assert np.max(np.abs(lhs - lindblad_rhs(rho, model).reshape(-1))
-                      ) < 1e-14
         # the master equation written out as commutator plus dissipators
-        ref = -1j * (h @ rho - rho @ h)
-        for l in jumps:
-            ldl = l.conj().T @ l
-            ref -= ldl @ rho + rho @ ldl - 2.0 * l @ rho @ l.conj().T
+        ref = textbook_rhs(rho, model)
         assert np.max(np.abs(lhs - ref.reshape(-1))) < 1e-14
 
 
@@ -175,8 +181,8 @@ class TestIntegrateLindblad:
         rho0 = np.outer(psi, psi.conj())
         grid = TimeGrid(0.0, 2.0 * np.pi, 2048)
         rhos = integrate_lindblad(model, rho0, grid)
-        us = time_ordered_propagator(Schedule.constant(h), grid)
-        ref = us[-1] @ rho0 @ us[-1].conj().T
+        u = scipy.linalg.expm(-1j * h * grid.t_end)
+        ref = u @ rho0 @ u.conj().T
         assert np.linalg.norm(rhos[-1] - ref) < 1e-8
 
     def test_spontaneous_emission_decay(self):
@@ -305,71 +311,71 @@ class TestApplyKraus:
         assert times == [0.3]
 
 
-def _joint_setup(g, n_steps=1024, theta=np.pi / 3, omega=1.0, bath_omega=2.0):
+def _joint_setup(g, theta=np.pi / 3, omega=1.0, bath_omega=2.0):
+    """Reservoir, system state, the spectrum of the constant joint
+    Hamiltonian and one period, for an XX coupling of strength g."""
     res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
                         energies=[0.0, bath_omega])
-    hr = np.diag([0.0, bath_omega]).astype(complex)
-    h_i = -g * np.kron(SIGMA_X, SIGMA_X)
-    sched = Schedule(
-        evaluator=lambda t: (np.kron(-0.5 * omega * SIGMA_Z, np.eye(2))
-                             + np.kron(np.eye(2), hr) + h_i),
-        dim=4,
-    )
-    grid = TimeGrid(0.0, 2.0 * np.pi / omega, n_steps)
-    us = time_ordered_propagator(sched, grid)
+    h = (np.kron(-0.5 * omega * SIGMA_Z, np.eye(2))
+         + np.kron(np.eye(2), np.diag([0.0, bath_omega]))
+         - g * np.kron(SIGMA_X, SIGMA_X))
     sys = SystemEnsemble.pure(psi_initial(theta))
-    return res, sys, us, grid
+    return res, sys, eigh_hermitian(h), 2.0 * np.pi / omega
 
 
 class TestConditionalTrajectories:
     def test_uncoupled_limit(self):
-        res, sys, us, grid = _joint_setup(0.0, n_steps=256)
-        trajs = conditional_trajectories(us, res, sys, grid)
-        assert len(trajs) == 2
+        res, sys, spectrum, t_end = _joint_setup(0.0)
+        (weights, family), _ = spectral_conditional_trajectories(
+            spectrum, res, sys, t_end)
+        times = TimeGrid(0.0, t_end, 256).times
+        psi, _ = family.states(times)
+        assert len(psi) == 2
         # every trajectory is e^{-i E_r t} U_S(t)|psi_s>; strip the reservoir
         # phase and the branches coincide
-        phase = np.exp(1j * 2.0 * grid.times)[:, None]
-        assert np.allclose(trajs[0][1].states, phase * trajs[1][1].states,
-                           atol=1e-12)
-        assert np.allclose([w for w, _ in trajs], [0.7, 0.3])
+        phase = np.exp(1j * 2.0 * times)[:, None]
+        assert np.allclose(psi[0], phase * psi[1], atol=1e-12)
+        assert np.allclose(weights, [0.7, 0.3])
 
     def test_initial_states(self):
-        res, sys, us, grid = _joint_setup(0.2, n_steps=128)
-        for _, traj in conditional_trajectories(us, res, sys, grid):
-            assert np.allclose(traj.states[0], sys.states[0], atol=1e-12)
+        res, sys, spectrum, t_end = _joint_setup(0.2)
+        (_, family), _ = spectral_conditional_trajectories(
+            spectrum, res, sys, t_end)
+        for psi0 in family.states(np.array([0.0]))[0][:, 0]:
+            assert np.allclose(psi0, sys.states[0], atol=1e-12)
 
     def test_dimension_mismatch(self):
-        res, sys, us, grid = _joint_setup(0.1, n_steps=8)
+        res, sys, _, t_end = _joint_setup(0.1)
         with pytest.raises(DimensionError):
-            conditional_trajectories(us[:, :2, :2], res, sys, grid)
+            spectral_conditional_trajectories(eigh_hermitian(SIGMA_Z), res,
+                                              sys, t_end)
 
     def test_perturbative_cross_oracle(self):
         # small energy-exchange coupling: exact conditional GP matches the
         # second-order formula within O(g^2) of the leading O(g^2) correction
-        from gpdist.distribution import PhaseDistribution, moments
-        from gpdist.phase import z_functional
-        from gpdist.weakcoupling import WeakCouplingModel, build_AB, delta_z
+        from gpdist.distribution import build_distribution, moments
+        from gpdist.weakcoupling import (WeakCouplingModel, build_AB,
+                                         delta_z_from_b, reservoir_averages)
 
         g = 0.05
-        res, sys, us, grid = _joint_setup(g, n_steps=2048)
-        weights, trajs = zip(*conditional_trajectories(us, res, sys, grid))
-        rep = moments(PhaseDistribution(
-            weights=weights,
-            values=[z_functional(traj).z for traj in trajs]), n_max=1)
+        res, sys, spectrum, t_end = _joint_setup(g)
+        (weights, family), _ = spectral_conditional_trajectories(
+            spectrum, res, sys, t_end)
+        rep = moments(build_distribution(weights, family), n_max=1)
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
             couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
-        ops = build_AB(model, grid.t_end)
-        dz = delta_z(ops, model, psi_initial(np.pi / 3))
+        ops = build_AB(model, t_end)
+        dz = delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+                            psi_initial(np.pi / 3))
         beta0 = 2.0 * np.pi * np.sin(np.pi / 6.0) ** 2
         exact_corr = rep.mean_gp_z - beta0
         assert exact_corr == pytest.approx(np.imag(dz), abs=20.0 * g**4)
 
 
     def test_spectral_route_matches_propagator_stack(self):
-        # one eigendecomposition of the constant joint H against the
-        # midpoint product of an evaluator schedule, which is exact for a
-        # constant H up to the rounding of its 4096 steps
+        # one eigendecomposition of the constant joint H against
+        # scipy's expm(-i h t) at every grid time
         rng = np.random.default_rng(11)
         dim_r = 3
         hr = np.diag([0.0, 0.7, 1.9]).astype(complex)
@@ -382,21 +388,20 @@ class TestConditionalTrajectories:
         sys = SystemEnsemble(probs=[0.8, 0.2],
                              states=[psi_initial(1.1), psi_initial(0.4)])
         grid = TimeGrid(0.0, 2.0 * np.pi, 4096)
-        us = time_ordered_propagator(Schedule(evaluator=lambda t: h, dim=6),
-                                     grid)
-        ref = conditional_trajectories(us, res, sys, grid)
+        us = np.array([scipy.linalg.expm(-1j * h * t) for t in grid.times])
         (weights, family), u_fin = spectral_conditional_trajectories(
             eigh_hermitian(h), res, sys, grid.t_end)
-        assert list(weights) == [w for w, _ in ref]
+        assert list(weights) == [p * q for p in res.probs for q in sys.probs]
         psi, dpsi = family.states(grid.times)
-        worst = max(np.abs(a - b.states).max() for a, (_, b) in zip(psi, ref))
-        assert worst <= 1e-10
         assert np.linalg.norm(u_fin - us[-1]) <= 1e-10
-        # dpsi is <r|(-i h) U(t)|psi_s r>, in the same order of (r, psi_s)
+        # psi is <r|U(t)|psi_s r> and dpsi is <r|(-i h) U(t)|psi_s r>, with
+        # psi_s fastest
         pairs = [(r, s) for r in res.states for s in sys.states]
-        for got_d, (r, s) in zip(dpsi, pairs):
+        for got, got_d, (r, s) in zip(psi, dpsi, pairs):
             x = us @ np.kron(s, r)
+            ref = x.reshape(-1, 2, dim_r) @ r.conj()
             ref_d = (-1j * x @ h.T).reshape(-1, 2, dim_r) @ r.conj()
+            assert np.abs(got - ref).max() <= 1e-10
             assert np.abs(got_d - ref_d).max() <= 1e-10
 
 

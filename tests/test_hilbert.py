@@ -1,4 +1,5 @@
-"""Dense linear algebra substrate: matexp, propagators, partial inners."""
+"""Dense linear algebra substrate: Hermiticity, grids, schedules, partial
+inner products."""
 
 import warnings
 
@@ -14,9 +15,7 @@ from gpdist.hilbert import (
     TimeGrid,
     eigh_hermitian,
     is_hermitian,
-    matexp,
     partial_inner,
-    time_ordered_propagator,
 )
 
 RNG = np.random.default_rng(42)
@@ -31,56 +30,6 @@ def random_unitary(dim, rng=RNG):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim))
                         + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestMatexp:
-    def test_zero_is_identity(self):
-        assert np.allclose(matexp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-
-    def test_pauli_half_turn(self):
-        # series-summation oracle: exp(-i pi sx / 2) = -i sx
-        got = matexp(-0.5j * np.pi * SIGMA_X)
-        ref = np.zeros((2, 2), dtype=complex)
-        arg = -0.5j * np.pi * SIGMA_X
-        term = np.eye(2, dtype=complex)
-        for k in range(1, 60):
-            ref += term
-            term = term @ arg / k
-        assert np.linalg.norm(got - (-1j * SIGMA_X)) < 1e-12
-        assert np.linalg.norm(got - ref) < 1e-12
-
-    def test_diagonal(self):
-        got = matexp(np.diag([0.3, -1.2 + 0.5j]))
-        assert np.allclose(got, np.diag(np.exp([0.3, -1.2 + 0.5j])), atol=1e-14)
-
-    def test_anti_hermitian_gives_unitary(self):
-        m = -1j * random_hermitian(5)
-        u = matexp(m)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(5)) < 1e-10
-
-    def test_general_matches_scipy(self):
-        import scipy.linalg
-
-        m = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-        assert np.linalg.norm(matexp(m) - scipy.linalg.expm(m)) < 1e-10
-
-    def test_non_finite_raises(self):
-        with pytest.raises(InvalidOperand):
-            matexp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_huge_non_hermitian_matches_scipy(self):
-        # both Frobenius norms overflow; eigh would read one triangle only
-        import scipy.linalg
-
-        m = np.array([[0.0, 1e160], [0.0, 0.0]], dtype=complex)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = matexp(m)
-        assert np.array_equal(got, scipy.linalg.expm(m))
-
-    def test_non_square_raises(self):
-        with pytest.raises(DimensionError):
-            matexp(np.zeros((2, 3)))
 
 
 class TestTimeGrid:
@@ -129,60 +78,6 @@ class TestSchedule:
         sched = Schedule(evaluator=lambda t: np.eye(3), dim=2)
         with pytest.raises(DimensionError):
             sched(0.0)
-
-
-class TestPropagator:
-    def test_constant_hamiltonian(self):
-        h = random_hermitian(3)
-        grid = TimeGrid(0.0, 1.0, 2048)
-        us = time_ordered_propagator(Schedule.constant(h), grid)
-        # midpoint rule is exact for constant schedules, up to the roundoff
-        # accumulated over 2048 matrix products
-        assert np.linalg.norm(us[-1] - matexp(-1j * h * 1.0)) < 1e-11
-
-    def test_zero_hamiltonian(self):
-        us = time_ordered_propagator(Schedule.constant(np.zeros((2, 2))),
-                                     TimeGrid(0.0, 3.0, 16))
-        assert all(np.allclose(u, np.eye(2), atol=1e-14) for u in us)
-
-    def test_sigma_z_full_period(self):
-        # H = -(w/2) sz over t = 2 pi / w: U = exp(i pi sz) = -1
-        us = time_ordered_propagator(Schedule.constant(-0.5 * SIGMA_Z),
-                                     TimeGrid(0.0, 2.0 * np.pi, 1024))
-        assert np.linalg.norm(us[-1] + np.eye(2)) < 1e-10
-
-    def test_unitarity_along_grid(self):
-        sched = Schedule(
-            evaluator=lambda t: random_hermitian(2, np.random.default_rng(0))
-            * np.cos(t),
-            dim=2,
-        )
-        us = time_ordered_propagator(sched, TimeGrid(0.0, 2.0 * np.pi, 2048))
-        worst = max(np.linalg.norm(u.conj().T @ u - np.eye(2)) for u in us)
-        assert worst < 1e-9
-
-    def test_second_order_convergence(self):
-        h0, h1 = random_hermitian(2), random_hermitian(2)
-        sched = Schedule(evaluator=lambda t: h0 + np.sin(t) * h1, dim=2)
-        ref = time_ordered_propagator(sched, TimeGrid(0.0, 2.0, 8192))[-1]
-        errs = []
-        for n in (256, 512):
-            u = time_ordered_propagator(sched, TimeGrid(0.0, 2.0, n))[-1]
-            errs.append(np.linalg.norm(u - ref))
-        ratio = errs[0] / errs[1]
-        assert 3.0 < ratio < 5.0  # halving dt cuts the error ~4x
-
-
-    @pytest.mark.parametrize("h", [random_hermitian(8, np.random.default_rng(8)),
-                                   np.zeros((8, 8))])
-    def test_constant_matches_expm_at_every_node(self, h):
-        import scipy.linalg
-
-        grid = TimeGrid(0.5, 3.0, 64)
-        us = time_ordered_propagator(Schedule.constant(h), grid)
-        worst = max(np.linalg.norm(u - scipy.linalg.expm(-1j * h * (t - 0.5)))
-                    for t, u in zip(grid.times, us))
-        assert worst <= 1e-12
 
 
 class TestPartialInner:

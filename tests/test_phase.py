@@ -1,4 +1,5 @@
-"""Geometric-phase functional: dynamic-phase removal, Z, gauge behavior."""
+"""Geometric-phase functional: dynamic-phase removal, Z, gauge behavior,
+all on closed-form families scored by ``family_z``."""
 
 import numpy as np
 import pytest
@@ -11,51 +12,40 @@ from gpdist.distribution import PhaseDistribution, build_distribution, moments
 from gpdist.errors import (DegenerateTrajectory, DimensionError,
                            InvalidOperand, InvalidState,
                            QuadratureNotConverged, UndefinedGP)
-from gpdist.hilbert import (SIGMA_Z, Schedule, TimeGrid, eigh_hermitian,
-                            time_ordered_propagator)
+from gpdist.hilbert import SIGMA_X, SIGMA_Z, TimeGrid, eigh_hermitian
 from gpdist.models import (PhaseDampingParams, TwoLevelAtomParams,
                            pd_trajectories)
 from gpdist.phase import (
     QUADRATURE_TOL,
     ClosedFormPath,
-    Trajectory,
     angle_to_positive_branch,
-    dynamic_phase,
     family_z,
-    z_functional,
 )
 
 OMEGA = 1.0
 
 
-def precession_states(theta, grid):
-    """Closed two-level precession under H = -(w/2) sz, analytic."""
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    t = grid.times
-    return np.stack([s * np.exp(-0.5j * OMEGA * t),
-                     c * np.exp(0.5j * OMEGA * t)], axis=1)
+def precession_path(*thetas, t_end=2.0 * np.pi):
+    """Closed two-level precession under H = -(w/2) sz from
+    (sin(theta/2), cos(theta/2)), for each theta, as one closed-form family
+    with the exact derivative."""
+    amps = np.array([[np.sin(th / 2.0), np.cos(th / 2.0)] for th in thetas])
+    rates = np.array([-0.5j, 0.5j]) * OMEGA
+
+    def states(t):
+        psi = amps[:, None, :] * np.exp(np.outer(t, rates))
+        return psi, rates * psi
+
+    return ClosedFormPath(states=states, t_end=t_end)
 
 
-def precession_trajectory(theta, n_steps=4096, t_end=2.0 * np.pi):
-    grid = TimeGrid(0.0, t_end, n_steps)
-    return Trajectory(grid=grid, states=precession_states(theta, grid))
-
-
-class TestTrajectory:
-    def test_shape_validation(self):
-        grid = TimeGrid(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            Trajectory(grid=grid, states=np.ones((3, 2), dtype=complex))
-
-    def test_degenerate_norm_raises(self):
-        grid = TimeGrid(0.0, 1.0, 2)
-        states = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(DegenerateTrajectory):
-            Trajectory(grid=grid, states=states)
-
-    def test_norms(self):
-        traj = precession_trajectory(np.pi / 3, n_steps=8)
-        assert np.allclose(traj.norms(), 1.0)
+def constant_path(psi, t_end):
+    """The constant path psi on [0, t_end], a family of one."""
+    psi = np.asarray(psi, dtype=complex)
+    return ClosedFormPath(
+        states=lambda t: (np.broadcast_to(psi, (1, len(t), len(psi))),
+                          np.zeros((1, len(t), len(psi)), dtype=complex)),
+        t_end=t_end)
 
 
 NAN = float("nan")
@@ -64,9 +54,6 @@ NAN = float("nan")
 # Each check must reject a non-finite value, which passes both x < 0 and
 # x > tol; the phase of a NaN path would otherwise come out as nan+nanj.
 @pytest.mark.parametrize("build, error", [
-    (lambda: Trajectory(grid=TimeGrid(0.0, 1.0, 2),
-                        states=[[NAN, 0.0], [1.0, 0.0], [1.0, 0.0]]),
-     InvalidOperand),
     (lambda: ReservoirSpec(probs=[NAN], states=[[1.0]], energies=[0.0]),
      InvalidState),
     (lambda: ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2),
@@ -89,7 +76,7 @@ NAN = float("nan")
     (lambda: TwoLevelAtomParams(omega=1.0, gamma0=float("inf")), ValueError),
     (lambda: PhaseDampingParams(omega=float("inf"), alpha=0.0), ValueError),
     (lambda: PhaseDampingParams(omega=1.0, alpha=NAN), ValueError),
-], ids=["trajectory", "reservoir", "reservoir_energy", "ensemble",
+], ids=["reservoir", "reservoir_energy", "ensemble",
         "ensemble_state", "distribution", "atom_value", "atom_value_inf",
         "grid", "closed_form_path", "error_estimate", "atom_omega",
         "atom_gamma0", "damping_omega", "damping_alpha"])
@@ -112,77 +99,82 @@ def test_malformed_ensemble_rejected(probs, states, error):
 class TestDynamicPhase:
     def test_eigenstate_minus_et(self):
         e = 0.7
-        grid = TimeGrid(0.0, 2.0 * np.pi, 65536)
-        states = np.outer(np.exp(-1j * e * grid.times),
-                          np.array([1.0, 0.0]))
-        got = dynamic_phase(Trajectory(grid=grid, states=states))
-        assert abs(got - (-e * 2.0 * np.pi)) < 1e-8
+        def states(t):
+            psi = np.exp(-1j * e * t)[None, :, None] * [1.0, 0.0]
+            return psi, -1j * e * psi
+
+        path = ClosedFormPath(states=states, t_end=2.0 * np.pi)
+        _, (phi,), _ = family_z(path)
+        assert abs(phi - (-e * 2.0 * np.pi)) < 1e-13
 
     def test_parallel_transport_zero(self):
         # real rotating frame vector: Im<psi|psi_dot> = 0 identically
-        grid = TimeGrid(0.0, np.pi, 4096)
-        states = np.stack([np.cos(grid.times), np.sin(grid.times)], axis=1)
-        got = dynamic_phase(Trajectory(grid=grid, states=states.astype(complex)))
-        assert abs(got) < 1e-12
+        path = ClosedFormPath(
+            states=lambda t: (np.stack([np.cos(t), np.sin(t)], axis=-1)[None],
+                              np.stack([-np.sin(t), np.cos(t)], axis=-1)[None]),
+            t_end=np.pi)
+        _, (phi,), _ = family_z(path)
+        assert abs(phi) < 1e-12
 
     def test_precession_value(self):
         # one-period dynamic phase is +pi cos(theta) in this basis convention
         theta = np.pi / 3
-        traj = precession_trajectory(theta, n_steps=16384)
-        assert abs(dynamic_phase(traj) - np.pi * np.cos(theta)) < 1e-7
+        _, (phi,), _ = family_z(precession_path(theta))
+        assert abs(phi - np.pi * np.cos(theta)) < 1e-13
+
+
+def rabi_path(t_end):
+    """psi = e^{-i sx t / 2} |g> = (cos(t/2), -i sin(t/2)), orthogonal to
+    its start at t = pi."""
+    def states(t):
+        psi = np.stack([np.cos(0.5 * t), -1j * np.sin(0.5 * t)], axis=-1)
+        return psi[None], -0.5j * (psi @ SIGMA_X)[None]
+
+    return ClosedFormPath(states=states, t_end=t_end)
 
 
 class TestZFunctional:
     def test_constant_trajectory(self):
-        grid = TimeGrid(0.0, 1.0, 8)
         psi = np.array([0.6, 0.8j])
-        states = np.tile(psi, (9, 1))
-        res = z_functional(Trajectory(grid=grid, states=states))
-        assert abs(res.z - np.vdot(psi, psi)) < 1e-12
-        assert abs(res.beta) < 1e-12
+        (z,), (phi,), _ = family_z(constant_path(psi, 1.0))
+        assert abs(z - np.vdot(psi, psi)) < 1e-12
+        assert abs(np.angle(z)) < 1e-12 and phi == 0.0
 
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 4, np.pi / 2,
                                        3 * np.pi / 4])
     def test_closed_precession_beta(self, theta):
-        res = z_functional(precession_trajectory(theta))
-        beta = angle_to_positive_branch(res.beta)
-        assert abs(beta - 2.0 * np.pi * np.sin(theta / 2.0) ** 2) < 1e-6
+        (z,), _, _ = family_z(precession_path(theta))
+        beta = angle_to_positive_branch(np.angle(z))
+        assert abs(beta - 2.0 * np.pi * np.sin(theta / 2.0) ** 2) < 1e-13
 
     def test_beta_is_arg_z(self):
-        res = z_functional(precession_trajectory(np.pi / 5))
-        assert res.beta == float(np.angle(res.z))
-        assert abs(np.exp(1j * res.beta) - res.z / abs(res.z)) < 1e-12
+        # beta = arg<psi(0)|psi(t)> - phi, and |Z| = |<psi(0)|psi(t)>|
+        path = precession_path(np.pi / 5)
+        (z,), (phi,), _ = family_z(path)
+        psi0, psi_t = path.states(np.array([0.0, path.t_end]))[0][0]
+        overlap = np.vdot(psi0, psi_t)
+        assert abs(np.exp(1j * (np.angle(overlap) - phi))
+                   - z / abs(z)) < 1e-12
+        assert abs(z) == pytest.approx(abs(overlap), rel=1e-15)
 
     def test_orthogonal_final_state_undefined(self):
-        # half a precession period at theta = pi/2 lands orthogonal to start
-        traj = precession_trajectory(np.pi / 2, t_end=np.pi)
-        with pytest.raises(UndefinedGP):
-            z_functional(traj)
+        (z,), _, _ = family_z(rabi_path(np.pi))
+        assert z == 0.0
+        (z,), _, _ = family_z(rabi_path(0.9 * np.pi))
+        assert z != 0.0
 
     def test_numeric_propagation_matches_analytic(self):
-        grid = TimeGrid(0.0, 2.0 * np.pi, 4096)
-        us = time_ordered_propagator(Schedule.constant(-0.5 * OMEGA * SIGMA_Z),
-                                     grid)
+        # the spectral route of H = -(w/2) sz with a one-state reservoir
+        # against the analytic precession
         theta = np.pi / 4
-        psi0 = np.array([np.sin(theta / 2), np.cos(theta / 2)], dtype=complex)
-        traj = Trajectory(grid=grid,
-                          states=np.einsum("kab,b->ka", us, psi0))
-        res = z_functional(traj)
-        ref = z_functional(precession_trajectory(theta))
-        assert abs(res.z - ref.z) < 1e-8
-
-
-def precession_path(*thetas, t_end=2.0 * np.pi):
-    """``precession_states`` of each theta as one closed-form family, with
-    the exact derivative."""
-    amps = np.array([[np.sin(th / 2.0), np.cos(th / 2.0)] for th in thetas])
-    rates = np.array([-0.5j, 0.5j]) * OMEGA
-
-    def states(t):
-        psi = amps[:, None, :] * np.exp(np.outer(t, rates))
-        return psi, rates * psi
-
-    return ClosedFormPath(states=states, t_end=t_end)
+        res = ReservoirSpec(probs=[1.0], states=[[1.0]], energies=[0.0])
+        sys = SystemEnsemble.pure(
+            [np.sin(theta / 2.0), np.cos(theta / 2.0)])
+        (_, family), _ = spectral_conditional_trajectories(
+            eigh_hermitian(-0.5 * OMEGA * SIGMA_Z), res, sys, 2.0 * np.pi)
+        (z,), _, _ = family_z(family)
+        (ref,), _, _ = family_z(precession_path(theta))
+        assert abs(z - ref) < 1e-12
 
 
 def fourth_root_path(sqrt_singular_start, energies=(1.3,)):
@@ -247,11 +239,6 @@ class TestClosedFormPath:
             assert beta == pytest.approx(
                 2.0 * np.pi * np.sin(theta / 2.0) ** 2, abs=1e-13)
             assert error <= QUADRATURE_TOL
-
-    def test_sampled_trajectory_converges_onto_it(self):
-        (closed,), _, _ = family_z(precession_path(np.pi / 3))
-        sampled = z_functional(precession_trajectory(np.pi / 3, 16384)).z
-        assert 0.0 < abs(sampled - closed) < 1e-7
 
     def test_sqrt_start_in_u(self):
         path, exact = fourth_root_path(True)
@@ -355,75 +342,95 @@ class TestFamily:
         assert last_nodes(0) < last_nodes(1)
 
 
-def gauged(traj, alpha):
-    """``traj`` with each state multiplied by e^{i alpha(t_k)}, for a callable
-    ``alpha`` or an array of per-node angles."""
-    a = (np.array([alpha(t) for t in traj.grid.times]) if callable(alpha)
-         else np.asarray(alpha, dtype=float))
-    return Trajectory(grid=traj.grid, states=np.exp(1j * a)[:, None] * traj.states)
+def gauged(path, alpha, dalpha):
+    """``path`` with each state multiplied by e^{i alpha(t)}, so that dpsi
+    becomes e^{i alpha} (dpsi + i alpha'(t) psi); ``alpha`` and its
+    derivative ``dalpha`` map k times to (k,) or, per member, (m, k)."""
+    def states(t):
+        psi, dpsi = path.states(t)
+        g = np.exp(1j * alpha(t))[..., None]
+        return g * psi, g * (dpsi + 1j * dalpha(t)[..., None] * psi)
+
+    return ClosedFormPath(states=states, t_end=path.t_end)
+
+
+def scaled(path, scale):
+    """``path`` with every state multiplied by ``scale``."""
+    return ClosedFormPath(
+        states=lambda t: tuple(scale * a for a in path.states(t)),
+        t_end=path.t_end)
 
 
 class TestGauge:
     def test_zero_gauge_identity(self):
-        traj = precession_trajectory(np.pi / 4, n_steps=64)
-        assert z_functional(gauged(traj, lambda t: 0.0)) == z_functional(traj)
+        path = precession_path(np.pi / 4)
+        zero = gauged(path, lambda t: 0.0 * t, lambda t: 0.0 * t)
+        assert [a.tobytes() for a in family_z(zero)] == [
+            a.tobytes() for a in family_z(path)]
 
     def test_linear_gauge_invariance(self):
-        traj = precession_trajectory(np.pi / 4, n_steps=65536)
-        z0 = z_functional(traj).z
-        z1 = z_functional(gauged(traj, lambda t: 0.37 * t)).z
-        assert abs(z1 - z0) < 1e-8
+        path = precession_path(np.pi / 4)
+        (z0,), _, _ = family_z(path)
+        (z1,), _, _ = family_z(gauged(path, lambda t: 0.37 * t,
+                                      lambda t: 0.37 + 0.0 * t))
+        assert abs(z1 - z0) < 1e-13
 
     def test_random_smooth_gauges(self):
-        traj = precession_trajectory(np.pi / 3, n_steps=32768)
-        z0 = z_functional(traj).z
+        path = precession_path(np.pi / 3)
+        (z0,), _, _ = family_z(path)
         rng = np.random.default_rng(11)
         for _ in range(5):
             c = rng.normal(scale=0.3, size=3)
-            alpha = (lambda t, c=c:
-                     c[0] + c[1] * (t / (2 * np.pi))
-                     + c[2] * (t / (2 * np.pi)) ** 2)
-            z1 = z_functional(gauged(traj, alpha)).z
-            assert abs(z1 - z0) < 1e-8
+            u = 1.0 / (2.0 * np.pi)
+            (z1,), _, _ = family_z(gauged(
+                path,
+                lambda t, c=c: c[0] + c[1] * (u * t) + c[2] * (u * t) ** 2,
+                lambda t, c=c: u * (c[1] + 2.0 * c[2] * (u * t))))
+            assert abs(z1 - z0) < 1e-13
 
     def test_array_gauge_and_validation(self):
-        traj = precession_trajectory(np.pi / 4, n_steps=16)
-        angles = 0.37 * traj.grid.times
-        # per-node angles and the same gauge as a callable agree exactly
-        assert z_functional(gauged(traj, angles)) == z_functional(
-            gauged(traj, lambda t: 0.37 * t))
+        # one gauge rate per member: every member keeps its Z and scores as
+        # it would alone
+        thetas = [np.pi / 6, np.pi / 2, 3 * np.pi / 4]
+        rates = np.array([0.37, -1.1, 2.0])[:, None]
+        path = precession_path(*thetas)
+        family = gauged(path, lambda t: rates * t,
+                        lambda t: rates + 0.0 * t)
+        assert np.abs(family_z(family)[0] - family_z(path)[0]).max() < 1e-13
+        assert_members_scored_alone(family)
 
 
 class TestInvariances:
     def test_norm_scaling(self):
-        traj = precession_trajectory(np.pi / 4)
-        res = z_functional(traj)
-        scaled = Trajectory(grid=traj.grid, states=3.5 * traj.states)
-        res2 = z_functional(scaled)
-        assert res2.beta == pytest.approx(res.beta, abs=1e-12)
-        assert abs(res2.z) == pytest.approx(3.5**2 * abs(res.z), rel=1e-12)
+        path = precession_path(np.pi / 4)
+        (z,), _, _ = family_z(path)
+        (z2,), _, _ = family_z(scaled(path, 3.5))
+        assert np.angle(z2) == pytest.approx(np.angle(z), abs=1e-12)
+        assert abs(z2) == pytest.approx(3.5**2 * abs(z), rel=1e-12)
 
     def test_reparametrization(self):
-        # same projective path traversed with a monotone clock change
+        # same projective path traversed with the clock f(t) = T (t/T)^2,
+        # which keeps f(0) = 0 and f(T) = T
         theta = np.pi / 4
-        grid = TimeGrid(0.0, 2.0 * np.pi, 8192)
-        u = grid.times / (2.0 * np.pi)
-        warped = 2.0 * np.pi * u**2
-        s, c = np.sin(theta / 2), np.cos(theta / 2)
-        states = np.stack([s * np.exp(-0.5j * warped),
-                           c * np.exp(0.5j * warped)], axis=1)
-        beta_warp = z_functional(Trajectory(grid=grid, states=states)).beta
-        beta_ref = z_functional(precession_trajectory(theta, n_steps=8192)).beta
-        assert abs(beta_warp - beta_ref) < 1e-6
+        path = precession_path(theta)
+        t_end = path.t_end
+
+        def states(t):
+            psi, dpsi = path.states(t_end * (t / t_end) ** 2)
+            return psi, dpsi * (2.0 * t / t_end)[:, None]
+
+        (z_warp,), _, _ = family_z(ClosedFormPath(states=states, t_end=t_end))
+        (z_ref,), _, _ = family_z(path)
+        assert abs(np.angle(z_warp) - np.angle(z_ref)) < 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(min_value=0.1, max_value=10.0),
            theta=st.floats(min_value=0.2, max_value=3.0))
     def test_norm_scaling_property(self, scale, theta):
-        traj = precession_trajectory(theta, n_steps=256)
-        scaled = Trajectory(grid=traj.grid, states=scale * traj.states)
-        assert z_functional(scaled).beta == pytest.approx(
-            z_functional(traj).beta, abs=1e-10)
+        path = precession_path(theta)
+        (z,), _, _ = family_z(path)
+        (z2,), _, _ = family_z(scaled(path, scale))
+        assert np.angle(z2) == pytest.approx(np.angle(z), abs=1e-10)
 
 
 class TestAngles:

@@ -27,9 +27,9 @@ from gpdist.models import (
 from gpdist.weakcoupling import (
     WeakCouplingModel,
     build_AB,
-    delta_z,
     delta_z_from_b,
     perturbative_moments,
+    reservoir_averages,
 )
 
 PROJ_G = np.diag([1.0, 0.0]).astype(complex)
@@ -223,8 +223,9 @@ class TestDeltaZ:
     def test_zero_interaction(self):
         model = zero_hamiltonian_model(0.0 * SIGMA_X, SIGMA_X)
         ops = build_AB(model, 1.0)
-        assert abs(delta_z(ops, model,
-                           np.array([1.0, 0.0], dtype=complex))) < 1e-13
+        assert abs(delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+                                  np.array([1.0, 0.0], dtype=complex))
+                   ) < 1e-13
 
     @pytest.mark.parametrize("n_thermal", [0.0, 1.0, 5.0])
     def test_spontaneous_emission_phase_correction(self, n_thermal):
@@ -263,19 +264,22 @@ class TestDeltaZ:
         pd = pd_weak_coupling_model(PhaseDampingParams(omega=1.0, alpha=0.01))
         ops = build_AB(pd, 2.0 * np.pi)
         with pytest.raises(RCondViolated):
-            delta_z(ops, pd, psi_initial(np.pi / 2))
+            delta_z_from_b(*reservoir_averages(ops, pd), pd.hs,
+                           psi_initial(np.pi / 2))
         se = se_weak_coupling_model(TwoLevelAtomParams(omega=1.0, gamma0=0.0),
                                     dim_bath=3, g=0.1)
         ops = build_AB(se, 2.0 * np.pi)
-        delta_z(ops, se, psi_initial(np.pi / 2))  # must not raise
+        delta_z_from_b(*reservoir_averages(ops, se), se.hs,
+                       psi_initial(np.pi / 2))  # must not raise
 
     def test_vanishing_system_expectation(self):
         model = zero_hamiltonian_model(0.1 * SIGMA_X, SIGMA_X)
         ops = build_AB(model, 1.0)
         # replace the system propagator so <psi|U_S|psi> = 0
         with pytest.raises(UndefinedGP):
-            delta_z(dataclasses.replace(ops, u_fin=SIGMA_X), model,
-                    np.array([1.0, 0.0], dtype=complex))
+            delta_z_from_b(*reservoir_averages(
+                dataclasses.replace(ops, u_fin=SIGMA_X), model), model.hs,
+                np.array([1.0, 0.0], dtype=complex))
 
     def test_reservoir_redecomposition_invariance(self):
         # Tr(rho_R B) is basis independent inside degenerate blocks
@@ -287,13 +291,14 @@ class TestDeltaZ:
             hs=h_system(1.0), hr=np.eye(2, dtype=complex),
             couplings=[(0.2 * SIGMA_X, SIGMA_X)], res=res)
         ops = build_AB(model, 2.0 * np.pi)
-        base = delta_z(ops, model, psi_initial(np.pi / 3))
+        base = delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+                              psi_initial(np.pi / 3))
         rng = np.random.default_rng(6)
         v, _ = np.linalg.qr(rng.normal(size=(2, 2))
                             + 1j * rng.normal(size=(2, 2)))
         alt_res = redecompose(res, {0: v})
         # the redecomposed states break <r|R|r> = 0, so the guard in
-        # delta_z would refuse them: average the blocks directly
+        # reservoir_averages would refuse them: average the blocks directly
         alt = delta_z_from_b(
             *(sum(p * blk for p, blk in zip(alt_res.probs,
                                             _full_b_blocks(op, alt_res)))
@@ -323,7 +328,8 @@ class TestBlockRoute:
                                psi_initial(np.pi / 3))
             for p, blk, blk_int in zip(res.probs, _full_b_blocks(ops.b, res),
                                        _full_b_blocks(ops.b_int, res)))
-        assert abs(delta_z(ops, model, psi_initial(np.pi / 3))
+        assert abs(delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+                                  psi_initial(np.pi / 3))
                    - per_state) <= 1e-14
 
 
