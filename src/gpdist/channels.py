@@ -10,8 +10,9 @@ all rates in this package are interpreted in that convention.
 H_S is constant, so the master equation is ``vec(rho)' = L vec(rho)`` with
 one d^2 x d^2 superoperator ``liouvillian``, and one classical RK4 step is
 the fixed matrix ``M = sum_{j<=4} (L dt)^j / j!``; ``integrate_lindblad``
-applies its powers M^1..M^B to a chunk's start state in one batched
-product.  The exact propagator ``expm(L dt)`` is deliberately not used: it
+stacks its powers M^1..M^B into one (B d^2, d^2) matrix and fills a chunk
+of B nodes with one product on the chunk's start state, then symmetrizes
+and checks the nodes after the loop.  The exact propagator ``expm(L dt)`` is deliberately not used: it
 would change the numbers, and an exact step can never lose trace, so an
 unstable grid would no longer be reported as ``IntegrationDiverged``.
 """
@@ -37,6 +38,7 @@ ENERGY_DEGENERACY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
 TRACE_DRIFT_TOL = 1e-6
 _LINDBLAD_CHUNK = 64  # RK4 steps per batched product
+_CHECK_BLOCK = 256  # nodes per symmetrize-and-check pass: 16 KiB at d = 2
 
 
 @dataclass(frozen=True)
@@ -193,37 +195,48 @@ def _rk4_map(l: np.ndarray, dt: float) -> np.ndarray:
 def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray:
     """Classical RK4 on the grid, applied as one linear step map.
 
-    The step map M is built once, and chunks of up to ``_LINDBLAD_CHUNK``
-    nodes are filled from the chunk's start state with the precomputed
-    powers M^1..M^B.  Each node is symmetrized to Hermitian, and a trace
-    drift beyond ``TRACE_DRIFT_TOL`` (or a non-finite trace, as after
-    overflow) raises ``IntegrationDiverged`` naming the first drifting node.
+    The step map M is built once, and its powers M^1..M^B are stacked into
+    one ``(B d^2, d^2)`` matrix, so that each chunk of up to
+    ``_LINDBLAD_CHUNK`` nodes is one matrix-vector product on the chunk's
+    start state; only that start is symmetrized inside the loop, in a
+    copy.  After the loop every node is symmetrized to Hermitian, once,
+    ``_CHECK_BLOCK`` nodes at a time, and a trace drift beyond
+    ``TRACE_DRIFT_TOL`` (or a non-finite trace, as after overflow) raises
+    ``IntegrationDiverged`` naming the first drifting node.  No node
+    enters the computation of an earlier one, so the error is the one a
+    grid ending at that node raises.  ``grid.times`` is built only then.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     tr0 = np.trace(rho0).real
-    dt, times, n = grid.dt, grid.times, grid.n_steps
+    n = grid.n_steps
     out = np.empty((n + 1, *rho0.shape), dtype=complex)
     out[0] = rho0
+    flat = out.reshape(n + 1, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        l = liouvillian(model)
-        powers = np.empty((min(_LINDBLAD_CHUNK, n), *l.shape), dtype=complex)
-        powers[0] = _rk4_map(l, dt)
+        step = _rk4_map(liouvillian(model), grid.dt)
+        powers = np.empty((min(_LINDBLAD_CHUNK, n), *step.shape),
+                          dtype=complex)
+        powers[0] = step
         for j in range(1, len(powers)):
-            powers[j] = powers[0] @ powers[j - 1]
-        k = 0
-        while k < n:
+            powers[j] = step @ powers[j - 1]
+        start = flat[0]
+        for k in range(0, n, len(powers)):
             b = min(len(powers), n - k)
-            chunk = out[k + 1:k + 1 + b]
-            chunk[:] = (powers[:b] @ out[k].reshape(-1)).reshape(chunk.shape)
-            chunk += chunk.conj().swapaxes(1, 2)
-            chunk *= 0.5
-            drift = np.abs(np.trace(chunk, axis1=1, axis2=2).real - tr0)
-            bad = ~(drift <= TRACE_DRIFT_TOL)
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise IntegrationDiverged(
-                    f"trace drifted by {drift[j]:.3e} at t={times[k + 1 + j]:.6g}")
-            k += b
+            np.matmul(powers[:b].reshape(-1, len(step)), start,
+                      out=flat[k + 1:k + 1 + b].reshape(-1))
+            last = out[k + b]  # the next start, symmetrized in a copy
+            start = ((last + last.conj().T) * 0.5).reshape(-1)
+        del powers  # before the check's temporaries
+        for k in range(1, n + 1, _CHECK_BLOCK):
+            block = out[k:k + _CHECK_BLOCK]
+            block += block.conj().swapaxes(1, 2)
+            block *= 0.5
+            drift = np.abs(np.trace(block, axis1=1, axis2=2).real - tr0)
+            ok = drift <= TRACE_DRIFT_TOL  # a NaN drift fails too
+            if not ok.all():
+                j = int(np.argmax(~ok))
+                raise IntegrationDiverged(f"trace drifted by {drift[j]:.3e} "
+                                          f"at t={grid.times[k + j]:.6g}")
     return out
 
 

@@ -66,18 +66,10 @@ from .distribution import (build_distribution, decomposition_check,
                            moments as dist_moments)
 from .errors import ConfigError, GpdistError, InvalidOperand, InvalidState
 from .hilbert import TimeGrid, eigh_hermitian
-from .models import (
-    PhaseDampingParams,
-    TwoLevelAtomParams,
-    closed_system_gp,
-    h_system,
-    pd_first_order_references,
-    pd_trajectories,
-    psi_initial,
-    se_distribution,
-    se_mean_gp_zero_temperature,
-    se_perturbative_gp,
-)
+from .models import (PhaseDampingParams, TwoLevelAtomParams, closed_system_gp,
+                     h_system, pd_first_order_references, pd_trajectories,
+                     psi_initial, se_distribution, se_mean_gp_zero_temperature,
+                     se_perturbative_gp)
 from .phase import QUADRATURE_TOL, angle_to_positive_branch
 from .weakcoupling import (WeakCouplingModel, build_AB, delta_z_from_b,
                            perturbative_moments, reservoir_averages)
@@ -129,12 +121,12 @@ SCALARS = {
 
 
 def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):  # first: nearly every cell
+        return format(x, ".17g")  # numpy formats its floats as float(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
     return str(x)
 
 
@@ -545,11 +537,12 @@ def _run_row(model: Model, p, shared, scn: Scenario, seed: int):
 def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
     psi = psi_initial(p.theta)
     grid = TimeGrid(0.0, p.period, n_steps)
-    stride = max(1, n_steps // 256)
-    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
-                              grid)[::stride]
+    # every (n_steps // 256)-th node and the last, t = T, which it can miss
+    nodes = np.append(np.arange(0, n_steps, max(1, n_steps // 256)), n_steps)
+    times = grid.times[nodes]
+    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)[nodes]
     columns = {
-        "time_inverse_omega": grid.times[::stride],
+        "time_inverse_omega": times,
         "trace_dimensionless": np.trace(rhos, axis1=1, axis2=2).real,
         "purity_dimensionless": np.trace(rhos @ rhos, axis1=1, axis2=2).real,
         "population_g_dimensionless": rhos[:, 0, 0].real,
@@ -557,8 +550,10 @@ def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
         "coherence_abs_dimensionless": np.hypot(rhos[:, 0, 1].real,
                                                 rhos[:, 0, 1].imag),
     }
-    return [_finite(dict(zip(columns, row)))
-            for row in zip(*(c.tolist() for c in columns.values()))]
+    table = np.stack(list(columns.values()), axis=1)
+    rows = [dict(zip(columns, row)) for row in table.tolist()]
+    # a non-finite cell is named by the first row that holds one
+    return rows if np.isfinite(table).all() else list(map(_finite, rows))
 
 
 def _write_rows(rows: list[dict], path: Path, fmt: str):

@@ -1,6 +1,7 @@
 """Open-system dynamics: Lindblad integration, Kraus maps and conditional
 trajectories."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from gpdist.channels import (
+    TRACE_DRIFT_TOL,
     KrausChannel,
     LindbladModel,
     ReservoirSpec,
@@ -81,6 +83,39 @@ def rk4_oracle(model, rho0, grid):
         rho = 0.5 * (rho + rho.conj().T)
         out.append(rho)
     return np.array(out)
+
+
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+DRIFT_DT = 1.0 / 64  # a power of two: every grid below has the same dt bits
+
+
+def prefix_error(model, rho0, m):
+    """The error of the grid that ends at node m, or None.  That grid
+    computes nodes 0..m with the same bits as any longer one, and no node
+    after m, so its check of node m is not deferred past it."""
+    try:
+        integrate_lindblad(model, rho0, TimeGrid(0.0, m * DRIFT_DT, m))
+    except IntegrationDiverged as exc:
+        return str(exc)
+    return None
+
+
+def first_drifting_node(model, rho0, n):
+    """The least m <= n whose grid ending at node m raises, by bisection."""
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if prefix_error(model, rho0, mid) else (mid, hi)
+    return hi
+
+
+# where in the chunks of _LINDBLAD_CHUNK = 64 nodes and the checks' blocks
+# of 256 a case puts its first drifting node j of n
+PLACES = {
+    "mid-chunk": lambda j, n: j % 64 not in (0, 1),
+    "partial last chunk": lambda j, n: n % 64 and j > n - n % 64,
+    "past the first check block": lambda j, n: j > 256,
+}
 
 
 class TestReservoirSpec:
@@ -236,6 +271,85 @@ class TestIntegrateLindblad:
             with pytest.raises(IntegrationDiverged):
                 integrate_lindblad(huge, np.diag([0.0, 1.0]).astype(complex),
                                    TimeGrid(0.0, 2.0 * np.pi, 4096))
+
+    @pytest.mark.parametrize("rate, n, place", [
+        (30.0, 16, "mid-chunk"),
+        (10.58, 100, "mid-chunk"),
+        (9.8, 100, "partial last chunk"),
+        (9.5, 1000, "past the first check block"),
+        (9.45, 4096, "past the first check block"),
+    ])
+    def test_deferred_check_names_first_drifting_node(self, rate, n, place):
+        # rate^2 dt just past RK4's stability limit: the trace drifts at a
+        # node that rounding sets, the later the closer the rate is to the
+        # limit.  A stepwise oracle rounds otherwise and drifts elsewhere
+        # (node 24 against 37 at rate 10.58), so the reference is the grid
+        # that ends at the node
+        stiff = LindbladModel(hs=h_system(1.0), jump_ops=[rate * SIGMA_MINUS])
+        rho0 = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(IntegrationDiverged) as exc:
+            integrate_lindblad(stiff, rho0, TimeGrid(0.0, n * DRIFT_DT, n))
+        j = first_drifting_node(stiff, rho0, n)
+        assert PLACES[place](j, n)
+        assert str(exc.value) == prefix_error(stiff, rho0, j)
+        assert str(exc.value).endswith(f" at t={j * DRIFT_DT:.6g}")
+        rhos = integrate_lindblad(stiff, rho0,
+                                  TimeGrid(0.0, (j - 1) * DRIFT_DT, j - 1))
+        drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+        assert np.all(drift <= TRACE_DRIFT_TOL)
+
+    @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
+    def test_overflow_error_matches_stepwise_oracle(self, n):
+        huge = LindbladModel(hs=h_system(1.0),
+                             jump_ops=[1e80 * SIGMA_MINUS])
+        rho0 = np.diag([0.0, 1.0]).astype(complex)
+        grid = TimeGrid(0.0, 2.0 * np.pi, n)
+        with np.errstate(all="ignore"):
+            rhos = rk4_oracle(huge, rho0, grid)
+            drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+        j = 1 + int(np.argmax(~(drift[1:] <= TRACE_DRIFT_TOL)))
+        with pytest.raises(IntegrationDiverged) as exc:
+            integrate_lindblad(huge, rho0, grid)
+        assert str(exc.value) == (f"trace drifted by {drift[j]:.3e} "
+                                  f"at t={grid.times[j]:.6g}")
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 16384])
+    def test_every_node_is_exactly_hermitian(self, n):
+        # complex jump operators: unsymmetrized, no node here is Hermitian
+        # to the last bit
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[
+            0.6 * random_complex(2, np.random.default_rng(3))])
+        psi = psi_initial(1.1)
+        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                  TimeGrid(0.0, 2.0 * np.pi, n))
+        assert len(rhos) == n + 1
+        assert np.all(rhos == rhos.conj().swapaxes(1, 2))
+
+    def test_restart_at_a_chunk_start_continues_bit_for_bit(self):
+        # node 64 starts the second chunk; integrating from it as returned
+        # gives the same nodes, so the chunk started from that very state
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[
+            0.6 * random_complex(2, np.random.default_rng(4))])
+        psi = psi_initial(0.7)
+        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                  TimeGrid(0.0, 200 * DRIFT_DT, 200))
+        rest = integrate_lindblad(model, rhos[64],
+                                  TimeGrid(64 * DRIFT_DT, 200 * DRIFT_DT, 136))
+        assert np.array_equal(rest, rhos[64:])
+
+    def test_peak_memory_is_the_returned_stack(self):
+        model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05))
+        psi = psi_initial(1.1)
+        rho0, grid = np.outer(psi, psi.conj()), TimeGrid(0.0, 2.0 * np.pi,
+                                                          16384)
+        integrate_lindblad(model, rho0, grid)  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = integrate_lindblad(model, rho0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 64 * 1024
 
     def test_thermal_se_matches_stepwise_rk4(self):
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05,

@@ -1,11 +1,13 @@
 """Scenario loading, the run/compare pipelines, and process exit codes."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,13 +23,15 @@ from gpdist.cli import (
     SCHEMA_VERSION,
     YAML_LOADER,
     YAML_MAX_DEPTH,
+    _evolution_rows,
+    _write_rows,
     compare_scenario,
     load_scenario,
     main,
     run_scenario,
 )
 from gpdist.channels import integrate_lindblad
-from gpdist.errors import ConfigError
+from gpdist.errors import ConfigError, InvalidOperand
 from gpdist.hilbert import TimeGrid
 from gpdist.models import psi_initial
 
@@ -321,17 +325,106 @@ class TestRunCustomLindblad:
         psi = psi_initial(p.theta)
         grid = TimeGrid(0.0, p.period, 4096)
         rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
-        expected = [{
-            "time_inverse_omega": float(t),
-            "trace_dimensionless": float(np.trace(rho).real),
-            "purity_dimensionless": float(np.trace(rho @ rho).real),
-            "population_g_dimensionless": float(rho[0, 0].real),
-            "population_e_dimensionless": float(rho[1, 1].real),
-            "coherence_abs_dimensionless": float(abs(rho[0, 1])),
-        } for t, rho in zip(grid.times[::16], rhos[::16])]
+        expected = [evolution_cells(t, rho)
+                    for t, rho in zip(grid.times[::16], rhos[::16])]
         assert len(rows) == 257 and rows == expected
         assert read_csv(tmp_path / "evolution.csv") == [
             {k: format(v, ".17g") for k, v in row.items()} for row in expected]
+
+    @pytest.mark.parametrize("n_steps", [300, 1000, 4096])
+    def test_last_row_is_at_the_period(self, tmp_path, n_steps):
+        # every (n_steps // 256)-th node reaches t = T only where the stride
+        # divides n_steps; the last node is added, and no other row moves
+        cfg = lindblad_config(grid={"n_steps": n_steps})
+        scn = load_scenario(write_config(tmp_path, cfg))
+        rows = run_scenario(scn, tmp_path, "csv", seed=0)
+        p = scn.points[0]
+        psi = psi_initial(p.theta)
+        grid = TimeGrid(0.0, p.period, n_steps)
+        rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
+        strided = list(range(0, n_steps + 1, max(1, n_steps // 256)))
+        nodes = strided + [n_steps] * (strided[-1] != n_steps)
+        assert rows == [evolution_cells(grid.times[i], rhos[i]) for i in nodes]
+        assert rows[-1]["time_inverse_omega"] == p.period
+        assert len(rows) == len(strided) + (n_steps == 1000)
+
+    def test_first_non_finite_cell_in_row_order_is_named(self, tmp_path,
+                                                         monkeypatch):
+        # row 3 is non-finite in later columns than row 5, so the column
+        # checked first would name another cell than the row checked first
+        scn = load_scenario(write_config(tmp_path, lindblad_config()))
+        p = scn.points[0]
+        psi = psi_initial(p.theta)
+        grid = TimeGrid(0.0, p.period, 64)
+        rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
+        rhos[3, 0, 1] = np.inf
+        rhos[5, 0, 0] = np.nan
+        monkeypatch.setattr("gpdist.cli.integrate_lindblad",
+                            lambda *args: rhos)
+        with np.errstate(invalid="ignore"):
+            key, value = next(
+                (k, v) for t, rho in zip(grid.times, rhos)
+                for k, v in evolution_cells(t, rho).items()
+                if not np.isfinite(v))
+            with pytest.raises(InvalidOperand) as exc:
+                _evolution_rows(p, 64)
+        assert str(exc.value) == f"{key} is {value}"
+        assert key != "trace_dimensionless"
+
+    def test_rows_hold_no_second_stack(self, tmp_path):
+        n = 16384
+        cfg = lindblad_config(grid={"n_steps": n})
+        p = load_scenario(write_config(tmp_path, cfg)).points[0]
+        _evolution_rows(p, n)  # first-call allocations
+        tracemalloc.start()
+        try:
+            _evolution_rows(p, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = (n + 1) * 4 * np.dtype(complex).itemsize
+        assert peak <= stack + 64 * 1024
+
+
+def reference_cell(x) -> str:
+    """A CSV cell as the tables have always written it."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
+WRITER_ROWS = [
+    {"flag": True, "np_flag": np.bool_(False), "count": 3,
+     "np_count": np.int64(-7), "x": 0.1, "np_x": np.float64(1.0 / 3.0),
+     "name": 'a,b "c"'},
+    {"flag": False, "np_flag": np.bool_(True), "count": 0,
+     "np_count": np.int64(2**40), "x": -0.0, "np_x": np.float32(0.1),
+     "extra": 1e300},
+    {"x": 5e-324, "name": "plain"},
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_bytes(tmp_path, fmt):
+    _write_rows(WRITER_ROWS, tmp_path / "table", fmt)
+    if fmt == "csv":
+        header = list(dict.fromkeys(k for row in WRITER_ROWS for k in row))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for row in WRITER_ROWS:
+            writer.writerow([reference_cell(row.get(k, "")) for k in header])
+        expected = buf.getvalue()
+        assert expected.splitlines(keepends=True)[1] == (
+            'true,false,3,-7,0.10000000000000001,0.33333333333333331,'
+            '"a,b ""c""",\r\n')
+    else:
+        expected = json.dumps(WRITER_ROWS, indent=2, default=float)
+    assert (tmp_path / f"table.{fmt}").read_bytes() == expected.encode()
 
 
 class TestCompare:
@@ -563,6 +656,18 @@ def lindblad_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def evolution_cells(t, rho) -> dict:
+    """One evolution.csv row by the per-row formulas."""
+    return {
+        "time_inverse_omega": float(t),
+        "trace_dimensionless": float(np.trace(rho).real),
+        "purity_dimensionless": float(np.trace(rho @ rho).real),
+        "population_g_dimensionless": float(rho[0, 0].real),
+        "population_e_dimensionless": float(rho[1, 1].real),
+        "coherence_abs_dimensionless": float(abs(rho[0, 1])),
+    }
 
 
 def with_params(cfg, **params):
