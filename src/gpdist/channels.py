@@ -12,9 +12,10 @@ one d^2 x d^2 superoperator ``liouvillian``, and one classical RK4 step is
 the fixed matrix ``M = sum_{j<=4} (L dt)^j / j!``; ``integrate_lindblad``
 stacks its powers M^1..M^B into one (B d^2, d^2) matrix and fills a chunk
 of B nodes with one product on the chunk's start state, then symmetrizes
-and checks the nodes after the loop.  The exact propagator ``expm(L dt)`` is deliberately not used: it
-would change the numbers, and an exact step can never lose trace, so an
-unstable grid would no longer be reported as ``IntegrationDiverged``.
+and checks the nodes after the loop.  The exact propagator ``expm(L dt)``
+is deliberately not used: it would change the numbers, and an exact step
+can never lose trace, so an unstable grid would no longer be reported as
+``IntegrationDiverged``.
 """
 
 from __future__ import annotations
@@ -271,9 +272,10 @@ def spectral_conditional_trajectories(
     and its derivative multiplies each term by -i lambda_n: the exponentials
     evaluated once per set of times for every member and for psi and its
     derivative, and O(d) work per member and time.  Members run over
-    (r, psi_s) with psi_s fastest.  The spectrum does not depend on the
-    system states, so one eigendecomposition serves every ensemble of a
-    given h.
+    (r, psi_s) with psi_s fastest, and only over p_r > 0 and q_s > 0: a
+    member of zero weight adds nothing to the distribution, and its path
+    may vanish.  The spectrum does not depend on the system states, so one
+    eigendecomposition serves every ensemble of a given h.
     """
     lam, v = spectrum
     dim_s, dim_r = sys.states.shape[1], res.dim
@@ -281,11 +283,12 @@ def spectral_conditional_trajectories(
         raise DimensionError("joint Hamiltonian dimension != dim_s * dim_r")
     v3 = v.reshape(dim_s, dim_r, len(v))
     rates = -1j * lam
-    n_sys = len(sys.states)
-    left_t = np.repeat(np.einsum("ri,ain->ran", res.states.conj(), v3),
-                       n_sys, axis=0).transpose(0, 2, 1)
-    coeffs = np.einsum("ain,sa,ri->rsn", v3.conj(), sys.states,
-                       res.states).reshape(-1, len(v))
+    r_probs, r_states = res.probs[res.probs > 0], res.states[res.probs > 0]
+    s_probs, s_states = sys.probs[sys.probs > 0], sys.states[sys.probs > 0]
+    left_t = np.repeat(np.einsum("ri,ain->ran", r_states.conj(), v3),
+                       len(s_states), axis=0).transpose(0, 2, 1)
+    coeffs = np.einsum("ain,sa,ri->rsn", v3.conj(), s_states,
+                       r_states).reshape(-1, len(v))
     # e * (rates * coeffs), not (e * coeffs) * rates, which rounds apart
     rate_coeffs = rates * coeffs
 
@@ -294,7 +297,7 @@ def spectral_conditional_trajectories(
         return ((e * coeffs[:, None]) @ left_t,
                 (e * rate_coeffs[:, None]) @ left_t)
 
-    weights = np.outer(res.probs, sys.probs).ravel()
+    weights = np.outer(r_probs, s_probs).ravel()
     return ((weights, ClosedFormPath(states=states, t_end=t_end)),
             (v * np.exp(-1j * (t_end * lam))) @ v.conj().T)
 

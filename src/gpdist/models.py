@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, LindbladModel, ReservoirSpec
-from .distribution import PhaseDistribution
+from .distribution import (PhaseDistribution, build_distribution,
+                           moments as dist_moments)
 from .hilbert import SIGMA_Z
 from .phase import ClosedFormPath
 from .weakcoupling import WeakCouplingModel
@@ -310,8 +311,6 @@ def pd_first_order_references(p: PhaseDampingParams) -> tuple[complex, complex, 
 
 def pd_moments(p: PhaseDampingParams) -> PhaseDampingMoments:
     """Exact two-atom moments at one period, next to the first-order forms."""
-    from .distribution import build_distribution, moments as dist_moments
-
     dist = build_distribution(*pd_trajectories(p))
     rep = dist_moments(dist, n_max=1)
     first_z = rep.z_moments[0]

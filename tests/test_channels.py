@@ -486,6 +486,30 @@ class TestConditionalTrajectories:
         exact_corr = rep.mean_gp_z - beta0
         assert exact_corr == pytest.approx(np.imag(dz), abs=20.0 * g**4)
 
+    @pytest.mark.parametrize("probs, sys_probs, kept", [
+        ([1.0, 0.0], [1.0, 0.0], [0]), ([0.7, 0.3], [0.0, 1.0], [1, 3])],
+        ids=["reservoir", "system"])
+    def test_zero_weight_members_are_left_out(self, probs, sys_probs, kept):
+        # a state of probability zero adds no member; the others are the
+        # members of a fully populated ensemble over the same states
+        _, _, spectrum, t_end = _joint_setup(0.25, bath_omega=1.0)
+        states = [psi_initial(0.0), psi_initial(1.1)]
+
+        def family(p, q):
+            res = ReservoirSpec(probs=p, states=np.eye(2, dtype=complex),
+                                energies=[0.0, 1.0])
+            return spectral_conditional_trajectories(
+                spectrum, res, SystemEnsemble(probs=q, states=states),
+                t_end)[0]
+
+        weights, fam = family(probs, sys_probs)
+        _, full = family([0.6, 0.4], [0.5, 0.5])
+        times = np.array([0.0, 1.0, 0.5 * t_end, t_end])
+        assert list(weights) == [p * q for p in probs for q in sys_probs
+                                 if p * q > 0]
+        for got, ref in zip(fam.states(times), full.states(times)):
+            assert len(got) == len(kept)
+            assert np.abs(got - ref[kept]).max() <= 1e-15
 
     def test_spectral_route_matches_propagator_stack(self):
         # one eigendecomposition of the constant joint H against

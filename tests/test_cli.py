@@ -507,6 +507,18 @@ class TestMain:
                                  if v not in ("true", "false")]
                         assert np.all(np.isfinite(np.array(cells, float)))
 
+    def test_unpopulated_state_adds_no_atom(self, tmp_path):
+        # |e,1> is resonant with |g,0>: the path of the unpopulated state
+        # swaps out completely at T, and its zero weight drops it
+        cfg = joint_config([[0, 1], [1, 0]], outputs=["moments", "atoms"])
+        cfg["params"].update(theta=0.0, reservoir_energies=[0.0, 1.0],
+                             reservoir_probs=[1.0, 0.0])
+        cfg["params"]["couplings"][0]["g"] = 0.25
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        atoms = read_csv(tmp_path / "out" / "atoms.csv")
+        assert [a["weight_probability"] for a in atoms] == ["1"]
+
     def test_exit_two_on_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, se_config(schema=7))
         assert main(["run", path]) == 2

@@ -1,4 +1,5 @@
-"""README's "Numerical thresholds" table against the package's constants."""
+"""README's "Numerical thresholds" table against the package's constants,
+and its "Modules" index against the package's modules."""
 
 import ast
 import importlib
@@ -52,3 +53,12 @@ def test_row_matches_constant(name):
 def test_every_threshold_has_a_row():
     rows = {(module, name) for name, (module, _) in threshold_rows().items()}
     assert module_thresholds() - rows == set()
+
+
+def test_module_index_lists_every_module():
+    # names are imported from their module, so the index is the API's
+    section = README.read_text().split("## Modules", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    listed = re.findall(r"^- `gpdist\.(\w+)`", section, re.MULTILINE)
+    assert sorted(listed) == sorted(
+        info.name for info in pkgutil.iter_modules(gpdist.__path__))

@@ -1,13 +1,15 @@
-"""What the tooling around the package relies on: no scipy in the package,
-so a cold ``import gpdist.cli`` and a ``compare`` run leave it unloaded, the
-traced names of the benchmark harness, an acceptance gate on the route the
-CLI ships, ``Schedule`` kept inside ``hilbert`` and errors that are raised,
-not returned."""
+"""What the tooling around the package relies on: a package that binds
+only its version, so a module import loads only that module's dependencies;
+no scipy in the package, so a cold ``import gpdist.cli`` and a ``compare``
+run leave it unloaded; the traced names of the benchmark harness, an
+acceptance gate on the route the CLI ships, ``Schedule`` kept inside
+``hilbert`` and errors that are raised, not returned."""
 
 import ast
 import builtins
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,35 @@ def run_python(code: str) -> str:
                          env={**os.environ, "PYTHONPATH": str(
                              Path(gpdist.__file__).parents[1])})
     return out.stdout.strip()
+
+
+def test_package_binds_only_its_version():
+    # every name has one import path, its module: the package re-exports
+    # nothing and imports nothing
+    tree = ast.parse(Path(gpdist.__file__).read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        assert not isinstance(node, (ast.Import, ast.ImportFrom)), node.lineno
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"__version__"}
+
+
+def test_a_module_import_loads_only_its_dependencies():
+    lower = ("channels", "distribution", "weakcoupling", "models", "cli")
+    assert run_python(
+        "import sys, gpdist.phase; "
+        f"print([m for m in {lower!r} if 'gpdist.' + m in sys.modules])"
+    ) == "[]"
+    modules = sorted(info.name for info in pkgutil.iter_modules(
+        gpdist.__path__))
+    assert len(modules) == 8
+    assert run_python(
+        "import sys, gpdist.cli; "
+        f"print([m for m in {modules!r} if 'gpdist.' + m not in sys.modules])"
+    ) == "[]"
 
 
 def test_no_module_imports_scipy():
