@@ -38,6 +38,7 @@ from .phase import ClosedFormPath
 ENERGY_DEGENERACY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
 TRACE_DRIFT_TOL = 1e-6
+RK4_GROWTH_TOL = 1e-6  # bound on rho(M)^n - 1 for the RK4 step map M
 _LINDBLAD_CHUNK = 64  # RK4 steps per batched product
 _CHECK_BLOCK = 256  # nodes per symmetrize-and-check pass: 16 KiB at d = 2
 
@@ -206,6 +207,12 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray
     ``IntegrationDiverged`` naming the first drifting node.  No node
     enters the computation of an earlier one, so the error is the one a
     grid ending at that node raises.  ``grid.times`` is built only then.
+
+    An RK4 instability in the coherences never moves the trace, so a grid
+    that passes the trace check still raises ``IntegrationDiverged`` when
+    the spectral radius rho(M) of the step map amplifies over the n steps,
+    rho(M)^n - 1 > ``RK4_GROWTH_TOL``, whatever ``rho0``; the power is taken
+    as ``n log rho(M)``, which cannot overflow.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     tr0 = np.trace(rho0).real
@@ -238,6 +245,13 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray
                 j = int(np.argmax(~ok))
                 raise IntegrationDiverged(f"trace drifted by {drift[j]:.3e} "
                                           f"at t={grid.times[k + j]:.6g}")
+        # a non-finite step map makes every node NaN, which fails above
+        radius = np.abs(np.linalg.eigvals(step)).max()
+        growth = n * np.log(radius)
+        if growth > np.log1p(RK4_GROWTH_TOL):
+            raise IntegrationDiverged(
+                f"RK4 step map has spectral radius {radius:.6g}: {n} steps "
+                f"of dt={grid.dt:.6g} amplify by exp({growth:.3e})")
     return out
 
 

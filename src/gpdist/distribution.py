@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ENERGY_DEGENERACY_TOL, ReservoirSpec
-from .errors import InvalidBlock, InvalidDecomposition, UndefinedGP
-from .hilbert import partial_inner
+from .channels import ReservoirSpec
+from .errors import InvalidDecomposition, UndefinedGP
 from .phase import ClosedFormPath, family_z
 
 WEIGHT_TOL = 1e-10
@@ -112,33 +111,6 @@ def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:
         z_moments=z_moms,
         h_moments=h_moms,
     )
-
-
-def block_first_moment(
-    u_joint: np.ndarray,
-    res: ReservoirSpec,
-    psi_s: np.ndarray,
-    block: list[int],
-) -> complex:
-    """Contribution of one degenerate block to the first Z-moment.
-
-    Returns ``sum_{r in block} p_r <psi_S|<r|U|r>|psi_S>``, which is a trace
-    over the block density matrix and therefore independent of how the block
-    is decomposed into pure states.  The block's common dynamic-phase factor
-    D(E) is 1 for parallel-transported states.
-    """
-    psi_s = np.asarray(psi_s, dtype=complex)
-    dim_s = len(psi_s)
-    dim_r = res.dim
-    e0 = res.energies[block[0]]
-    for i in block[1:]:
-        if abs(res.energies[i] - e0) >= ENERGY_DEGENERACY_TOL * max(1.0, abs(e0)):
-            raise InvalidBlock("block mixes distinct energies")
-    acc = 0.0 + 0.0j
-    for i in block:
-        k = partial_inner(res.states[i], u_joint, res.states[i], dim_s, dim_r)
-        acc += res.probs[i] * np.vdot(psi_s, k @ psi_s)
-    return complex(acc)
 
 
 def _mixed_members(probs: np.ndarray, states: np.ndarray,

@@ -31,15 +31,12 @@ class UndefinedGP(GpdistError):
 
 
 class IntegrationDiverged(GpdistError):
-    """Master-equation integration lost trace beyond tolerance."""
+    """Master-equation integration lost trace beyond tolerance, or its RK4
+    step map amplifies over the grid."""
 
 
 class InvalidChannel(GpdistError):
     """Kraus channel violates the completeness relation."""
-
-
-class InvalidBlock(GpdistError):
-    """Index set does not form a single degenerate energy block."""
 
 
 class InvalidDecomposition(GpdistError):

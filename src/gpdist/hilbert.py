@@ -2,18 +2,19 @@
 
 Hermiticity checks, the eigendecomposition of a constant Hermitian
 operator (``eigh_hermitian``), from which every propagator in this package
-is formed as ``U(t) = V e^{-i lambda t} V^dag``, the uniform time grid of the
-Lindblad integrator, and partial inner products on bipartite spaces.
+is formed as ``U(t) = V e^{-i lambda t} V^dag``, and the uniform time grid of
+the Lindblad integrator.
 
 Tensor-product index convention: the SYSTEM index is the slow (outer) index,
 i.e. a joint operator is ``np.kron(op_system, op_reservoir)`` and a joint
-state index decomposes as ``i = s * dim_r + r``.  All partial inner
-products in this package rely on this convention.
+state index decomposes as ``i = s * dim_r + r``.  Every reshape of a joint
+operator or state in this package (``channels``, ``weakcoupling``,
+``distribution``) relies on this convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,27 +76,19 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        t = self.times
-        return 0.5 * (t[:-1] + t[1:])
-
 
 @dataclass
 class Schedule:
-    """Time-dependent Hermitian operator ``H(t)``.
+    """Time-dependent operator ``t -> matrix`` of a declared dimension.
 
-    Wraps an evaluator ``t -> matrix``; a schedule made by ``constant`` also
-    keeps its ``matrix``.  No package code evaluates a schedule: every
-    Hamiltonian is a constant matrix.  The class stays only because the
-    benchmark's tracer counts ``Schedule.__call__`` as the per-layer metric
-    ``hilbert.Schedule.evals``; the benchmark change that retires that
-    counter retires this class and ``TimeGrid.midpoints`` with it.
+    No package code makes or evaluates one: every Hamiltonian is a constant
+    matrix.  The class remains only because the benchmark's tracer counts
+    ``Schedule.__call__`` as the per-layer metric ``hilbert.Schedule.evals``;
+    the benchmark change that retires that counter retires this class.
     """
 
     evaluator: Callable[[float], np.ndarray]
     dim: int
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, t: float) -> np.ndarray:
         m = _as_square(self.evaluator(t))
@@ -105,16 +98,6 @@ class Schedule:
             )
         return m
 
-    @classmethod
-    def constant(cls, m) -> "Schedule":
-        m = _as_square(m)
-        return cls(evaluator=lambda t, _m=m: _m, dim=m.shape[0], matrix=m)
-
-    def sample(self, grid: TimeGrid, at: str = "nodes") -> np.ndarray:
-        """Sampled values on grid nodes or interval midpoints."""
-        ts = grid.times if at == "nodes" else grid.midpoints
-        return np.array([self(t) for t in ts])
-
 
 def eigh_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``lambda`` and eigenvectors ``V`` of a constant Hermitian
@@ -123,23 +106,3 @@ def eigh_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(h):
         raise InvalidOperand("spectral propagation needs a Hermitian matrix")
     return np.linalg.eigh(h)
-
-
-def partial_inner(bra_r, u, ket_r, dim_s: int, dim_r: int) -> np.ndarray:
-    """System-space operator ``<b_R| U |r>`` for a joint operator ``U``.
-
-    ``bra_r`` enters conjugated; ``U`` acts on the joint space with the system
-    as the slow index.
-    """
-    u = _as_square(u)
-    bra_r = np.asarray(bra_r, dtype=complex)
-    ket_r = np.asarray(ket_r, dtype=complex)
-    if u.shape[0] != dim_s * dim_r:
-        raise DimensionError(
-            f"joint dim {u.shape[0]} != dim_s*dim_r = {dim_s * dim_r}"
-        )
-    if bra_r.shape != (dim_r,) or ket_r.shape != (dim_r,):
-        raise DimensionError("reservoir vectors must have length dim_r")
-    u4 = u.reshape(dim_s, dim_r, dim_s, dim_r)
-    return np.einsum("i,aibj,j->ab", bra_r.conj(), u4, ket_r)
-

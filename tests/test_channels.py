@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gpdist import channels
 from gpdist.channels import (
     TRACE_DRIFT_TOL,
     KrausChannel,
@@ -279,7 +280,8 @@ class TestIntegrateLindblad:
         (9.5, 1000, "past the first check block"),
         (9.45, 4096, "past the first check block"),
     ])
-    def test_deferred_check_names_first_drifting_node(self, rate, n, place):
+    def test_deferred_check_names_first_drifting_node(self, rate, n, place,
+                                                      monkeypatch):
         # rate^2 dt just past RK4's stability limit: the trace drifts at a
         # node that rounding sets, the later the closer the rate is to the
         # limit.  A stepwise oracle rounds otherwise and drifts elsewhere
@@ -289,6 +291,9 @@ class TestIntegrateLindblad:
         rho0 = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(IntegrationDiverged) as exc:
             integrate_lindblad(stiff, rho0, TimeGrid(0.0, n * DRIFT_DT, n))
+        # every prefix grid amplifies too: the trace check runs first, and
+        # the references below are the trace check alone
+        monkeypatch.setattr(channels, "RK4_GROWTH_TOL", np.inf)
         j = first_drifting_node(stiff, rho0, n)
         assert PLACES[place](j, n)
         assert str(exc.value) == prefix_error(stiff, rho0, j)
@@ -297,6 +302,30 @@ class TestIntegrateLindblad:
                                   TimeGrid(0.0, (j - 1) * DRIFT_DT, j - 1))
         drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
         assert np.all(drift <= TRACE_DRIFT_TOL)
+
+    @pytest.mark.parametrize("c, radius", [
+        (2.7, "1.12453"), (3.0, "2.85922"), (5.0, "268.798")])
+    def test_unstable_coherences_detected(self, c, radius):
+        # dephasing c sigma_z at dt = 2 pi / 64 puts the coherences' mode
+        # outside RK4's stability region; the trace never moves
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[c * SIGMA_Z])
+        psi = psi_initial(np.pi / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDiverged) as exc:
+                integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                   TimeGrid(0.0, 2.0 * np.pi, 64))
+        assert str(exc.value).startswith(
+            f"RK4 step map has spectral radius {radius}: 64 steps")
+
+    def test_stable_dephasing_stays_a_density_matrix(self):
+        # c = 2.6 keeps every mode inside the stability region: rho(M) = 1
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[2.6 * SIGMA_Z])
+        psi = psi_initial(np.pi / 2)
+        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                  TimeGrid(0.0, 2.0 * np.pi, 64))
+        assert np.all(np.linalg.eigvalsh(rhos) >= -1e-12)
+        assert np.all(np.abs(rhos[:, 0, 1]) <= 0.5)
 
     @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
     def test_overflow_error_matches_stepwise_oracle(self, n):
@@ -321,7 +350,7 @@ class TestIntegrateLindblad:
             0.6 * random_complex(2, np.random.default_rng(3))])
         psi = psi_initial(1.1)
         rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                  TimeGrid(0.0, 2.0 * np.pi, n))
+                                  TimeGrid(0.0, n * DRIFT_DT, n))
         assert len(rhos) == n + 1
         assert np.all(rhos == rhos.conj().swapaxes(1, 2))
 

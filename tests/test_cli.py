@@ -566,6 +566,21 @@ class TestMain:
                               "point: MemoryError: Unable to allocate")
         assert "Traceback" not in err
 
+    def test_unstable_lindblad_grid_exits_three(self, tmp_path, capsys):
+        # dephasing 5 sigma_z on 64 steps: the coherences overflow while the
+        # trace holds; the run stops before any row is formed
+        path = write_config(tmp_path, lindblad_config(params={
+            "omega": 1.0, "theta": np.pi / 2,
+            "jump_ops": [[[5, 0], [0, -5]]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert caught == []
+        assert capsys.readouterr().err.startswith(
+            "numerical failure at the single configured point: "
+            "IntegrationDiverged: RK4 step map has spectral radius 268.798")
+        assert not (tmp_path / "out" / "evolution.csv").exists()
+
     def test_bad_seed_exits_two_before_numerics(self, tmp_path, capsys):
         joint = joint_config([[0, 1], [1, 0]],
                              outputs=["moments", "decomposition_check"])

@@ -9,14 +9,12 @@ from gpdist.channels import ReservoirSpec
 from gpdist.distribution import (
     DECOMPOSITION_SEEDS,
     PhaseDistribution,
-    block_first_moment,
     build_distribution,
     decomposition_check,
     moments,
     redecompose,
 )
-from gpdist.errors import InvalidBlock, InvalidDecomposition, UndefinedGP
-from gpdist.hilbert import partial_inner
+from gpdist.errors import InvalidDecomposition, UndefinedGP
 from gpdist.models import (
     TwoLevelAtomParams,
     se_distribution,
@@ -24,6 +22,7 @@ from gpdist.models import (
     se_weights,
 )
 from gpdist.phase import ClosedFormPath
+from test_hilbert import partial_inner
 
 
 def constant_path(psi, t_end=1.0):
@@ -164,45 +163,6 @@ def _degenerate_res():
                          energies=[0.0, 1.0, 1.0])
 
 
-class TestBlockFirstMoment:
-    def test_one_dimensional_block(self):
-        res = _degenerate_res()
-        rng = np.random.default_rng(2)
-        q, _ = np.linalg.qr(rng.normal(size=(6, 6))
-                            + 1j * rng.normal(size=(6, 6)))
-        psi = np.array([0.6, 0.8], dtype=complex)
-        got = block_first_moment(q, res, psi, [0])
-        k = partial_inner(res.states[0], q, res.states[0], 2, 3)
-        assert got == pytest.approx(0.2 * np.vdot(psi, k @ psi))
-
-    def test_identity_full_space(self):
-        res = ReservoirSpec(probs=[0.4, 0.6], states=np.eye(2, dtype=complex),
-                            energies=[1.0, 1.0])
-        psi = np.array([1.0, 0.0], dtype=complex)
-        assert block_first_moment(np.eye(4), res, psi, [0, 1]) \
-            == pytest.approx(1.0)
-
-    def test_rotated_block_invariance(self):
-        res = _degenerate_res()
-        rng = np.random.default_rng(4)
-        q, _ = np.linalg.qr(rng.normal(size=(6, 6))
-                            + 1j * rng.normal(size=(6, 6)))
-        psi = np.array([0.6, 0.8], dtype=complex)
-        base = block_first_moment(q, res, psi, [1, 2])
-        for seed in range(5):
-            g = np.random.default_rng(seed)
-            v, _ = np.linalg.qr(g.normal(size=(2, 2))
-                                + 1j * g.normal(size=(2, 2)))
-            alt = redecompose(res, {1: v})
-            got = block_first_moment(q, alt, psi, [1, 2])
-            assert abs(got - base) < 1e-10
-
-    def test_mixed_energies_rejected(self):
-        res = _degenerate_res()
-        with pytest.raises(InvalidBlock):
-            block_first_moment(np.eye(6), res, np.array([1.0, 0.0]), [0, 1])
-
-
 class TestRedecompose:
     def test_identity_unitaries(self):
         res = _degenerate_res()
@@ -305,5 +265,6 @@ class TestDecompositionCheck:
         psi = np.array([0.6, 0.8j])
         got = decomposition_check(res, psi, u_fin, seed)
         want = loop_decomposition_check(res, psi, u_fin, seed)
+        assert got[0] <= 1e-12  # a block's first Z-moment does not move
         assert got[1] > 1e-3  # the H moment does move
         assert got == pytest.approx(want, abs=1e-12, rel=0.0)
