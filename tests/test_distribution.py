@@ -163,6 +163,33 @@ def _degenerate_res():
                          energies=[0.0, 1.0, 1.0])
 
 
+def block_first_moment(u_joint, res, psi_s, block):
+    """``sum_{r in block} p_r <psi_S|<r|U|r>|psi_S>``: one degenerate
+    block's share of the first Z-moment, summed state by state."""
+    return sum(res.probs[i] * np.vdot(psi_s, partial_inner(
+        res.states[i], u_joint, res.states[i], len(psi_s), res.dim) @ psi_s)
+        for i in block)
+
+
+class TestBlockFirstMoment:
+    def test_rotated_block_invariance(self):
+        # a block's first moment is a trace over its density matrix, so no
+        # redecomposition of the block moves it
+        res = _degenerate_res()
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6))
+                            + 1j * rng.normal(size=(6, 6)))
+        psi = np.array([0.6, 0.8], dtype=complex)
+        base = block_first_moment(q, res, psi, [1, 2])
+        for seed in range(5):
+            g = np.random.default_rng(seed)
+            v, _ = np.linalg.qr(g.normal(size=(2, 2))
+                                + 1j * g.normal(size=(2, 2)))
+            alt = redecompose(res, {1: v})
+            got = block_first_moment(q, alt, psi, [1, 2])
+            assert abs(got - base) < 1e-10
+
+
 class TestRedecompose:
     def test_identity_unitaries(self):
         res = _degenerate_res()
