@@ -270,12 +270,11 @@ def spectral_conditional_trajectories(
     res: ReservoirSpec,
     sys: SystemEnsemble,
     t_end: float,
-) -> tuple[tuple[np.ndarray, ClosedFormPath], np.ndarray]:
+) -> tuple[np.ndarray, ClosedFormPath]:
     """Weighted conditional trajectories ``<r|U(t)|r> |psi_s>`` of a constant
     joint Hamiltonian ``h = V diag(lambda) V^dag``, given as its
-    ``spectrum = (lambda, V)`` from ``eigh_hermitian(h)``, as one
-    closed-form family on [0, t_end] with the members' weights
-    ``p_r q_s``, and the final propagator ``U(t_end)``.
+    ``spectrum = (lambda, V)`` from ``eigh_hermitian(h)``, as the members'
+    weights ``p_r q_s`` and one closed-form family on [0, t_end].
 
     Only the diagonal-in-r Kraus element is kept: in the adapted basis
     (b_R = 0) every other element starts at the zero vector and carries no
@@ -311,7 +310,6 @@ def spectral_conditional_trajectories(
         return ((e * coeffs[:, None]) @ left_t,
                 (e * rate_coeffs[:, None]) @ left_t)
 
-    weights = np.outer(r_probs, s_probs).ravel()
-    return ((weights, ClosedFormPath(states=states, t_end=t_end)),
-            (v * np.exp(-1j * (t_end * lam))) @ v.conj().T)
+    return (np.outer(r_probs, s_probs).ravel(),
+            ClosedFormPath(states=states, t_end=t_end))
 

@@ -37,9 +37,9 @@ the unknown field; a key repeated in one mapping and nesting deeper than
 ``YAML_MAX_DEPTH`` are YAML parse errors naming their line.  Angles are in
 radians.  Exit codes: 0 success, 2 config error or unusable ``--out``
 (found before any point runs), 3 numerical failure (naming the failing
-point).  On a ``custom_joint`` sweep the work only omega enters (the joint
-model and its spectrum; for ``compare`` also ``build_AB``) is done once per
-run of points with equal omega.
+point).  A ``custom_joint`` point memoises the work psi_S does not enter
+(its model and spectrum; for ``compare`` also B's reservoir averages) on
+exactly its inputs, omega and the final time.
 """
 
 from __future__ import annotations
@@ -201,16 +201,20 @@ def _matrix(obj, where: str, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CustomPoint:
-    """A point of a model given by its operators rather than closed forms;
-    ``build(omega)`` makes its model from operators parsed once."""
+    """A point of a model given by its operators rather than closed forms:
+    ``build(omega)``, its model from operators parsed once, and for
+    ``custom_joint`` ``spectrum(omega)`` of the joint H and B's reservoir
+    ``averages(omega, t)``, each memoised on its last arguments."""
 
     omega: float
     theta: float
     build: Callable = field(repr=False, compare=False)
-    model: WeakCouplingModel | LindbladModel = field(init=False)
+    spectrum: Callable | None = field(default=None, repr=False, compare=False)
+    averages: Callable | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "model", self.build(self.omega))
+    @property
+    def model(self) -> WeakCouplingModel | LindbladModel:
+        return self.build(self.omega)
 
     @property
     def period(self) -> float:
@@ -233,13 +237,17 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
     try:
         res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
                             energies=energies)
-        return CustomPoint(omega, theta, lru_cache(1)(  # one model per omega
-            lambda w: WeakCouplingModel(hs=h_system(w), hr=np.diag(energies),
-                                        couplings=terms, res=res)))
+        build = lru_cache(1)(lambda w: WeakCouplingModel(
+            hs=h_system(w), hr=np.diag(energies), couplings=terms, res=res))
+        build(omega)  # a bad operator is a config error, found at load
     except InvalidState as exc:
         raise ConfigError(f"params.reservoir_probs: {exc}") from exc
     except InvalidOperand as exc:   # a non-Hermitian or non-finite coupling
         raise ConfigError(f"params.couplings: {exc}") from exc
+    return CustomPoint(omega, theta, build, spectrum=lru_cache(1)(
+        lambda w: eigh_hermitian(build(w).h0() + build(w).h_interaction())),
+        averages=lru_cache(1)(lambda w, t: reservoir_averages(
+            build_AB(build(w), t), build(w))))
 
 
 def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
@@ -249,21 +257,11 @@ def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:
         hs=h_system(w), jump_ops=jumps))
 
 
-def _joint_shared(p: CustomPoint, compare: bool):
-    """The work psi_S does not enter: for ``compare`` the reservoir averages
-    of B(T) and its integral with U_S(T), then (so that build_AB's
-    temporaries never peak beside it) the spectrum of H = H_0 + H_I."""
-    m = p.model
-    averages = reservoir_averages(build_AB(m, p.period), m) if compare else None
-    return averages, eigh_hermitian(m.h0() + m.h_interaction())
-
-
-def _joint_distribution(p: CustomPoint, shared):
-    """P_Z of the constant joint H = H_0 + H_I over one period, and U there."""
-    family, u_fin = spectral_conditional_trajectories(
-        shared[1], p.model.res, SystemEnsemble.pure(psi_initial(p.theta)),
-        p.period)
-    return build_distribution(*family), u_fin
+def _joint_distribution(p: CustomPoint):
+    """P_Z of the constant joint H = H_0 + H_I over one period."""
+    return build_distribution(*spectral_conditional_trajectories(
+        p.spectrum(p.omega), p.model.res,
+        SystemEnsemble.pure(psi_initial(p.theta)), p.period))
 
 
 def _se_references(p: TwoLevelAtomParams) -> dict:
@@ -280,7 +278,8 @@ def _pd_references(p: PhaseDampingParams) -> dict:
             "ref_mean_gp_h_principal_rad": float(np.angle(ref_h))}
 
 
-def _se_compare(p: TwoLevelAtomParams, _, dist, rep) -> dict:
+def _se_compare(p: TwoLevelAtomParams, exact) -> dict:
+    rep = exact()[1]
     pert, rate = se_perturbative_gp(p), p.gamma0 / p.omega
     exact_z = angle_to_positive_branch(rep.mean_gp_z)
     exact_h = angle_to_positive_branch(float(np.angle(rep.mean_gp_h)))
@@ -300,7 +299,8 @@ def _se_compare(p: TwoLevelAtomParams, _, dist, rep) -> dict:
     }
 
 
-def _pd_compare(p: PhaseDampingParams, _, dist, rep) -> dict:
+def _pd_compare(p: PhaseDampingParams, exact) -> dict:
+    dist, rep = exact()
     ref_z, ref_h, ref_w = pd_first_order_references(p)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     dz, expected = abs(exact_z - ref_z), 100.0 * (p.alpha / p.omega)**2
@@ -321,9 +321,12 @@ def _pd_compare(p: PhaseDampingParams, _, dist, rep) -> dict:
     }
 
 
-def _joint_compare(p: CustomPoint, shared, dist, rep) -> dict:
-    """Exact conditional-trajectory moments against <DeltaZ>."""
-    dz = delta_z_from_b(*shared[0], p.model.hs, psi_initial(p.theta))
+def _joint_compare(p: CustomPoint, exact) -> dict:
+    """Exact conditional-trajectory moments against <DeltaZ>; B before the
+    spectrum, so that build_AB's temporaries never peak beside it."""
+    dz = delta_z_from_b(*p.averages(p.omega, p.period), p.model.hs,
+                        psi_initial(p.theta))
+    dist, rep = exact()
     pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
     exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
     return {
@@ -341,11 +344,10 @@ def _joint_compare(p: CustomPoint, shared, dist, rep) -> dict:
 @dataclass(frozen=True)
 class Model:
     """A model's parameters (REQUIRED: no default), typed ``point``, output
-    kinds, ``distribution(p, shared)`` -> (P_Z at one period, final joint
-    propagator or None), extra run columns ``references(p)`` and
-    ``compare(p, shared, dist, moments(dist, n_max=1))`` row on run's
-    evaluation of the point, ``shared(p, compare)`` being the work only omega
-    enters.  Without a distribution it only integrates the master equation."""
+    kinds, ``distribution(p)`` -> P_Z at one period, extra run columns
+    ``references(p)`` and the ``compare(p, exact)`` row, ``exact()`` being
+    run's evaluation of the point, (P_Z, its moments).  Without a
+    distribution it only integrates the master equation."""
 
     defaults: dict
     point: Callable
@@ -353,7 +355,6 @@ class Model:
     distribution: Callable | None = None
     references: Callable = lambda p: {}
     compare: Callable | None = None
-    shared: Callable = lambda p, compare: None
 
 
 MODELS = {
@@ -361,21 +362,19 @@ MODELS = {
         defaults={"omega": 1.0, "gamma0": 0.0, "n_thermal": 0.0,
                   "theta": np.pi / 2.0},
         point=TwoLevelAtomParams, outputs=("moments", "atoms"),
-        distribution=lambda p, _: (se_distribution(p), None),
+        distribution=se_distribution,
         references=_se_references, compare=_se_compare),
     "phase_damping": Model(
         defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
         point=PhaseDampingParams, outputs=("moments", "atoms"),
-        distribution=lambda p, _: (build_distribution(*pd_trajectories(p)),
-                                   None),
+        distribution=lambda p: build_distribution(*pd_trajectories(p)),
         references=_pd_references, compare=_pd_compare),
     "custom_joint": Model(
         defaults={"omega": 1.0, "theta": np.pi / 2.0,
                   "reservoir_energies": REQUIRED, "reservoir_probs": REQUIRED,
                   "couplings": REQUIRED},
         point=_joint_point, outputs=OUTPUT_KINDS,
-        distribution=_joint_distribution, compare=_joint_compare,
-        shared=_joint_shared),
+        distribution=_joint_distribution, compare=_joint_compare),
     "custom_lindblad": Model(
         defaults={"omega": 1.0, "theta": np.pi / 2.0, "jump_ops": REQUIRED},
         point=_lindblad_point),
@@ -477,20 +476,16 @@ def load_scenario(path: str) -> Scenario:
                     or (point,), outputs=outputs)
 
 
-def _each_point(scn: Scenario, work, compare: bool = False) -> list:
-    """``work(p, shared)`` on every point in order, with the model's
-    ``shared(p, compare)`` made at the first point of each run of points
-    with equal omega; a numerical failure names its point.
+def _each_point(scn: Scenario, work) -> list:
+    """``work(p)`` on every point in order; a numerical failure names its
+    point.
 
     ValueError, ArithmeticError and MemoryError raised on computed data
     (overflowing weights, a grid too large to allocate) count as well."""
-    results, omega, shared = [], None, None
+    results = []
     for p in scn.points:
         try:
-            if p.omega != omega:
-                omega, shared = p.omega, None  # free the old before the new
-                shared = MODELS[scn.model].shared(p, compare)
-            results.append(work(p, shared))
+            results.append(work(p))
         except (GpdistError, ValueError, ArithmeticError, MemoryError) as exc:
             key = scn.sweep_parameter
             where = (f"sweep point {key} = {getattr(p, key)!r}" if key
@@ -507,11 +502,15 @@ def _finite(row: dict) -> dict:
     return row
 
 
-def _run_row(model: Model, p, shared, scn: Scenario, seed: int):
+def _exact(model: Model, p):
+    dist = model.distribution(p)
+    return dist, dist_moments(dist, n_max=1)
+
+
+def _run_row(model: Model, p, scn: Scenario, seed: int):
     """Param columns, shared GP columns, closed-system GP, model references;
     and the point's atoms."""
-    dist, u_fin = model.distribution(p, shared)
-    rep = dist_moments(dist, n_max=1)
+    dist, rep = _exact(model, p)
     row = {SCALARS[k][2]: getattr(p, k) for k in model.defaults if k in SCALARS}
     for measure, first in (("z", rep.z_moments[0]), ("h", rep.mean_gp_h)):
         principal = float(np.angle(first))
@@ -523,9 +522,11 @@ def _run_row(model: Model, p, shared, scn: Scenario, seed: int):
         row["gp_error_estimate_rad"] = dist.error_estimate
     row["closed_system_gp_rad"] = closed_system_gp(p.theta)
     row.update(model.references(p))
-    if "decomposition_check" in scn.outputs:
+    if "decomposition_check" in scn.outputs:  # with U(T) from the spectrum
+        lam, v = p.spectrum(p.omega)
         z_shift, h_shift = decomposition_check(
-            p.model.res, psi_initial(p.theta), u_fin, seed)
+            p.model.res, psi_initial(p.theta),
+            (v * np.exp(-1j * (p.period * lam))) @ v.conj().T, seed)
         row["decomposition_shift_mean_z_dimensionless"] = z_shift
         row["decomposition_shift_mean_h_dimensionless"] = h_shift
     atoms = [{"weight_probability": float(w), "z_re_dimensionless": v.real,
@@ -561,8 +562,6 @@ def _write_rows(rows: list[dict], path: Path, fmt: str):
         with open(path.with_suffix(".json"), "w") as fh:
             json.dump(rows, fh, indent=2, default=float)
         return
-    if not rows:
-        return
     header = list(dict.fromkeys(key for row in rows for key in row))
     with open(path.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -576,10 +575,10 @@ def run_scenario(scn: Scenario, out_dir: Path, fmt: str,
     model = MODELS[scn.model]
     out_dir.mkdir(parents=True, exist_ok=True)  # before any numerics
     if model.distribution is None:
-        (rows,) = _each_point(scn, lambda p, _: _evolution_rows(p, scn.n_steps))
+        (rows,) = _each_point(scn, lambda p: _evolution_rows(p, scn.n_steps))
         _write_rows(rows, out_dir / "evolution", fmt)
         return rows
-    results = _each_point(scn, lambda p, s: _run_row(model, p, s, scn, seed))
+    results = _each_point(scn, lambda p: _run_row(model, p, scn, seed))
     rows = [row for row, _ in results]
     _write_rows(rows, out_dir / "moments", fmt)
     if "atoms" in scn.outputs:
@@ -596,13 +595,8 @@ def compare_scenario(scn: Scenario, out_dir: Path, fmt: str) -> list[dict]:
     if model.compare is None:
         raise ConfigError(f"model: {scn.model} has no perturbative path")
     out_dir.mkdir(parents=True, exist_ok=True)  # before any numerics
-
-    def row(p, shared):
-        dist = model.distribution(p, shared)[0]
-        return _finite(model.compare(p, shared, dist,
-                                     dist_moments(dist, n_max=1)))
-
-    rows = _each_point(scn, row, compare=True)
+    rows = _each_point(scn, lambda p: _finite(
+        model.compare(p, lambda: _exact(model, p))))
     _write_rows(rows, out_dir / "comparison", fmt)
     return rows
 

@@ -90,10 +90,12 @@ def se_no_jump_path(p):
 
 def joint_family(model, psi_s):
     """The CLI's conditional-path family of a weak-coupling model over one
-    period, with its weights, and U(T)."""
-    return spectral_conditional_trajectories(
-        eigh_hermitian(model.h0() + model.h_interaction()), model.res,
-        SystemEnsemble.pure(psi_s), 2.0 * np.pi / OMEGA)
+    period, with its weights, and U(T) from the same spectrum."""
+    lam, v = eigh_hermitian(model.h0() + model.h_interaction())
+    t = 2.0 * np.pi / OMEGA
+    family = spectral_conditional_trajectories(
+        (lam, v), model.res, SystemEnsemble.pure(psi_s), t)
+    return family, (v * np.exp(-1j * (t * lam))) @ v.conj().T
 
 
 def joint_qubit_model(g, bath_omega=2.0, probs=(0.7, 0.3)):

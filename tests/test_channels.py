@@ -469,7 +469,7 @@ def _joint_setup(g, theta=np.pi / 3, omega=1.0, bath_omega=2.0):
 class TestConditionalTrajectories:
     def test_uncoupled_limit(self):
         res, sys, spectrum, t_end = _joint_setup(0.0)
-        (weights, family), _ = spectral_conditional_trajectories(
+        weights, family = spectral_conditional_trajectories(
             spectrum, res, sys, t_end)
         times = TimeGrid(0.0, t_end, 256).times
         psi, _ = family.states(times)
@@ -482,7 +482,7 @@ class TestConditionalTrajectories:
 
     def test_initial_states(self):
         res, sys, spectrum, t_end = _joint_setup(0.2)
-        (_, family), _ = spectral_conditional_trajectories(
+        _, family = spectral_conditional_trajectories(
             spectrum, res, sys, t_end)
         for psi0 in family.states(np.array([0.0]))[0][:, 0]:
             assert np.allclose(psi0, sys.states[0], atol=1e-12)
@@ -502,7 +502,7 @@ class TestConditionalTrajectories:
 
         g = 0.05
         res, sys, spectrum, t_end = _joint_setup(g)
-        (weights, family), _ = spectral_conditional_trajectories(
+        weights, family = spectral_conditional_trajectories(
             spectrum, res, sys, t_end)
         rep = moments(build_distribution(weights, family), n_max=1)
         model = WeakCouplingModel(
@@ -529,7 +529,7 @@ class TestConditionalTrajectories:
                                 energies=[0.0, 1.0])
             return spectral_conditional_trajectories(
                 spectrum, res, SystemEnsemble(probs=q, states=states),
-                t_end)[0]
+                t_end)
 
         weights, fam = family(probs, sys_probs)
         _, full = family([0.6, 0.4], [0.5, 0.5])
@@ -556,11 +556,10 @@ class TestConditionalTrajectories:
                              states=[psi_initial(1.1), psi_initial(0.4)])
         grid = TimeGrid(0.0, 2.0 * np.pi, 4096)
         us = np.array([scipy.linalg.expm(-1j * h * t) for t in grid.times])
-        (weights, family), u_fin = spectral_conditional_trajectories(
+        weights, family = spectral_conditional_trajectories(
             eigh_hermitian(h), res, sys, grid.t_end)
         assert list(weights) == [p * q for p in res.probs for q in sys.probs]
         psi, dpsi = family.states(grid.times)
-        assert np.linalg.norm(u_fin - us[-1]) <= 1e-10
         # psi is <r|U(t)|psi_s r> and dpsi is <r|(-i h) U(t)|psi_s r>, with
         # psi_s fastest
         pairs = [(r, s) for r in res.states for s in sys.states]

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 from hypothesis import given, settings, strategies as st
 
@@ -30,10 +31,11 @@ from gpdist.cli import (
     main,
     run_scenario,
 )
-from gpdist.channels import integrate_lindblad
+from gpdist.channels import ReservoirSpec, integrate_lindblad
+from gpdist.distribution import decomposition_check
 from gpdist.errors import ConfigError, InvalidOperand
 from gpdist.hilbert import TimeGrid
-from gpdist.models import psi_initial
+from gpdist.models import h_system, psi_initial
 
 
 def write_config(tmp_path, payload, name="scenario.yaml"):
@@ -618,6 +620,44 @@ class TestMain:
         assert z_shift < 1e-9
         assert h_shift > z_shift
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_decomposition_check_reads_the_final_propagator(self, tmp_path,
+                                                            seed):
+        # both shift columns are decomposition_check on scipy's expm(-i H T).
+        # The Z shift is a trace identity, near 0 for any U, so the H shift
+        # carries the check: U at T/2 moves it.  No column can tell U from
+        # U^dag, which only conjugates every member's first moment.
+        r = np.array([[0, 1 + 0.5j, 0], [1 - 0.5j, 0, 1j], [0, -1j, 0]])
+        energies, probs, omega = [0.0, 2.0, 2.0], [0.5, 0.3, 0.2], 1.3
+        cfg = joint_config([[[float(z.real), float(z.imag)] for z in row]
+                            for row in r],
+                           sweep={"parameter": "theta", "values": [0.4, 2.3]},
+                           outputs=["moments", "decomposition_check"])
+        with_params(cfg, omega=omega, reservoir_energies=energies,
+                    reservoir_probs=probs)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        h = (np.kron(h_system(omega), np.eye(3))
+             + np.kron(np.eye(2), np.diag(energies))
+             - np.kron([[0, 1], [1, 0]], 0.1 * r))
+        res = ReservoirSpec(probs=probs, states=np.eye(3, dtype=complex),
+                            energies=energies)
+        period = 2.0 * np.pi / omega
+        for rec, theta in zip(read_csv(out / "moments.csv"), [0.4, 2.3]):
+            got = np.array([
+                float(rec["decomposition_shift_mean_z_dimensionless"]),
+                float(rec["decomposition_shift_mean_h_dimensionless"])])
+
+            def shifts(t):
+                return np.array(decomposition_check(
+                    res, psi_initial(theta), scipy.linalg.expm(-1j * h * t),
+                    seed))
+
+            assert np.abs(got - shifts(period)).max() <= 1e-10
+            assert np.abs(got - shifts(-period)).max() <= 1e-10
+            assert abs(got[1] - shifts(period / 2)[1]) > 1e-4
+
     def test_unpopulated_block_is_not_redecomposed(self, tmp_path):
         # the degenerate pair carries no weight, so no member can be mixed
         cfg = joint_config([[0, 1, 0], [1, 0, 1], [0, 1, 0]],
@@ -711,6 +751,14 @@ MALFORMED = {
     "n_steps_fraction": (se_config(grid={"n_steps": 2.7}), "grid.n_steps"),
     "omega_nan": (with_params(se_config(), omega=float("nan")),
                   "params.omega"),
+    "omega_zero": (with_params(se_config(), omega=0), "params.omega"),
+    "alpha_negative": ({**PD, "params": {"alpha": -0.1}}, "params.alpha"),
+    "theta_past_pi": (se_config(sweep={"parameter": "theta",
+                                       "values": [1.0, 4.0]}),
+                      "sweep.values[1]"),
+    "probs_not_normalised": (
+        with_params(joint_config([[0, 1], [1, 0]]), reservoir_probs=[0.7, 0.4]),
+        "params.reservoir_probs"),
     "sweep_misspelled": (se_config(sweep={"parameter": "thetta",
                                           "values": [0.1, 0.2]}),
                          "sweep.parameter"),

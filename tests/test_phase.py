@@ -170,7 +170,7 @@ class TestZFunctional:
         res = ReservoirSpec(probs=[1.0], states=[[1.0]], energies=[0.0])
         sys = SystemEnsemble.pure(
             [np.sin(theta / 2.0), np.cos(theta / 2.0)])
-        (_, family), _ = spectral_conditional_trajectories(
+        _, family = spectral_conditional_trajectories(
             eigh_hermitian(-0.5 * OMEGA * SIGMA_Z), res, sys, 2.0 * np.pi)
         (z,), _, _ = family_z(family)
         (ref,), _, _ = family_z(precession_path(theta))
@@ -215,8 +215,8 @@ def spectral_family():
                         energies=[0.0, 0.7, 0.7, 1.9])
     sys = SystemEnsemble(probs=[0.6, 0.4],
                          states=[[0.6, 0.8], [0.8, -0.6j]])
-    (_, family), _ = spectral_conditional_trajectories(eigh_hermitian(h), res,
-                                                       sys, 2.0 * np.pi)
+    _, family = spectral_conditional_trajectories(eigh_hermitian(h), res, sys,
+                                                  2.0 * np.pi)
     return family
 
 

@@ -147,9 +147,14 @@ def test_traced_names_resolve():
         assert fn.__module__.startswith("gpdist."), name
 
 
-def joint_scenario(tmp_path, parameter: str = "theta") -> Path:
-    """A three-point custom_joint sweep with joint dimension 8."""
-    values = {"theta": [0.5, 1.0, 1.5], "omega": [0.8, 1.0, 1.2]}[parameter]
+JOINT_SWEEPS = {"theta": [0.5, 1.0, 1.5], "omega": [0.8, 1.0, 1.2],
+                "omega_repeated": [0.8, 0.8, 1.2]}
+
+
+def joint_scenario(tmp_path, sweep: str = "theta") -> Path:
+    """A three-point custom_joint sweep with joint dimension 8, over the
+    parameter that names ``sweep`` in ``JOINT_SWEEPS``."""
+    parameter, values = sweep.split("_")[0], JOINT_SWEEPS[sweep]
     scenario = tmp_path / "joint.yaml"
     scenario.write_text(f"""\
 schema: {SCHEMA_VERSION}
@@ -192,20 +197,23 @@ def test_custom_joint_point_work_is_batched(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, parameter, per_scenario", [
     ("compare", "theta", (1, 1, 1)), ("compare", "omega", (3, 3, 4)),
-    ("run", "theta", (0, 1, 1))])
+    ("run", "theta", (0, 1, 1)), ("compare", "omega_repeated", (2, 2, 3)),
+    ("run", "omega_repeated", (0, 2, 3))])
 def test_theta_independent_work_is_done_once_per_omega(
         tmp_path, monkeypatch, command, parameter, per_scenario):
     # build_AB, the joint eigendecomposition and the joint model see only
-    # omega: a theta sweep does each once, an omega sweep once per point
-    # (and one model more, for the base point load_scenario checks), and run
-    # never builds B
-    joint_eighs, models = [], []
+    # omega: a theta sweep does each once, an omega sweep once per distinct
+    # omega (and one model more, for the base point load_scenario checks),
+    # and run never builds B.  In compare each omega's B comes before its
+    # joint eigendecomposition: B, eigh, B, eigh.
+    joint_eighs, models = [], []  # per joint eigh, the build_AB calls before
     eigh = gpdist.hilbert.eigh_hermitian
     weak_coupling_model = gpdist.cli.WeakCouplingModel
 
     def counted(h):
         if len(h) == 8:  # the joint dimension, 2 x 4
-            joint_eighs.append(h)
+            joint_eighs.append(sum(span[0] == "weakcoupling.build_AB"
+                                   for span in tracer.spans))
         return eigh(h)
 
     def built(**kwargs):
@@ -224,6 +232,8 @@ def test_theta_independent_work_is_done_once_per_omega(
     calls = tracer.take_pass()
     assert (calls.get("weakcoupling.build_AB.calls", 0),
             len(joint_eighs), len(models)) == per_scenario
+    assert joint_eighs == [i + 1 if command == "compare" else 0
+                           for i in range(len(joint_eighs))]
 
 
 def test_acceptance_gate_scores_the_shipped_route():
