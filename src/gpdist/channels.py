@@ -11,8 +11,10 @@ H_S is constant, so the master equation is ``vec(rho)' = L vec(rho)`` with
 one d^2 x d^2 superoperator ``liouvillian``, and one classical RK4 step is
 the fixed matrix ``M = sum_{j<=4} (L dt)^j / j!``; ``integrate_lindblad``
 stacks its powers M^1..M^B into one (B d^2, d^2) matrix and fills a chunk
-of B nodes with one product on the chunk's start state, then symmetrizes
-and checks the nodes after the loop.  The exact propagator ``expm(L dt)``
+of B nodes with one product on the chunk's start state.  It streams: the
+chunks fill one reused buffer, which is checked and from which only the
+nodes the caller keeps are copied, so its memory is the kept nodes and a
+few buffers, whatever the grid's length.  The exact propagator ``expm(L dt)``
 is deliberately not used: it would change the numbers, and an exact step
 can never lose trace, so an unstable grid would no longer be reported as
 ``IntegrationDiverged``.
@@ -40,7 +42,7 @@ COMPLETENESS_TOL = 1e-9
 TRACE_DRIFT_TOL = 1e-6
 RK4_GROWTH_TOL = 1e-6  # bound on rho(M)^n - 1 for the RK4 step map M
 _LINDBLAD_CHUNK = 64  # RK4 steps per batched product
-_CHECK_BLOCK = 256  # nodes per symmetrize-and-check pass: 16 KiB at d = 2
+_CHECK_BLOCK = 256  # nodes per trace check, the buffer: 16 KiB at d = 2
 
 
 @dataclass(frozen=True)
@@ -194,19 +196,23 @@ def _rk4_map(l: np.ndarray, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray:
-    """Classical RK4 on the grid, applied as one linear step map.
+def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid,
+                       every: int = 1) -> np.ndarray:
+    """Classical RK4 on the n-step grid, applied as one linear step map.
 
-    The step map M is built once, and its powers M^1..M^B are stacked into
-    one ``(B d^2, d^2)`` matrix, so that each chunk of up to
-    ``_LINDBLAD_CHUNK`` nodes is one matrix-vector product on the chunk's
-    start state; only that start is symmetrized inside the loop, in a
-    copy.  After the loop every node is symmetrized to Hermitian, once,
-    ``_CHECK_BLOCK`` nodes at a time, and a trace drift beyond
-    ``TRACE_DRIFT_TOL`` (or a non-finite trace, as after overflow) raises
-    ``IntegrationDiverged`` naming the first drifting node.  No node
-    enters the computation of an earlier one, so the error is the one a
-    grid ending at that node raises.  ``grid.times`` is built only then.
+    Returns the kept nodes, 0, every, 2 every, ... below n and node n, as
+    one ``(ceil(n / every) + 1, d, d)`` stack; ``every=1`` keeps them all.
+    Memory does not grow with n: the step map M is built once, and its
+    powers M^1..M^B are stacked into one ``(B d^2, d^2)`` matrix, so that
+    each chunk of up to ``_LINDBLAD_CHUNK`` nodes is one matrix-vector
+    product on the chunk's start state, the last node of the chunk before.
+    The chunks fill one reused buffer of ``_CHECK_BLOCK`` nodes, each chunk
+    symmetrized to Hermitian in place as it is filled.  On each full buffer
+    a trace drift beyond ``TRACE_DRIFT_TOL`` (or a non-finite trace, as
+    after overflow) raises ``IntegrationDiverged`` naming the first
+    drifting node; then its kept nodes are copied out.  No node enters the
+    computation of an earlier one, so the error is the one a grid ending
+    at that node raises.
 
     An RK4 instability in the coherences never moves the trace, so a grid
     that passes the trace check still raises ``IntegrationDiverged`` when
@@ -214,12 +220,14 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray
     rho(M)^n - 1 > ``RK4_GROWTH_TOL``, whatever ``rho0``; the power is taken
     as ``n log rho(M)``, which cannot overflow.
     """
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
     rho0 = np.asarray(rho0, dtype=complex)
     tr0 = np.trace(rho0).real
     n = grid.n_steps
-    out = np.empty((n + 1, *rho0.shape), dtype=complex)
+    out = np.empty((-(-n // every) + 1, *rho0.shape), dtype=complex)
     out[0] = rho0
-    flat = out.reshape(n + 1, -1)
+    buf = np.empty((min(_CHECK_BLOCK, n), *rho0.shape), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         step = _rk4_map(liouvillian(model), grid.dt)
         powers = np.empty((min(_LINDBLAD_CHUNK, n), *step.shape),
@@ -227,24 +235,34 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid) -> np.ndarray
         powers[0] = step
         for j in range(1, len(powers)):
             powers[j] = step @ powers[j - 1]
-        start = flat[0]
-        for k in range(0, n, len(powers)):
-            b = min(len(powers), n - k)
-            np.matmul(powers[:b].reshape(-1, len(step)), start,
-                      out=flat[k + 1:k + 1 + b].reshape(-1))
-            last = out[k + b]  # the next start, symmetrized in a copy
-            start = ((last + last.conj().T) * 0.5).reshape(-1)
-        del powers  # before the check's temporaries
-        for k in range(1, n + 1, _CHECK_BLOCK):
-            block = out[k:k + _CHECK_BLOCK]
-            block += block.conj().swapaxes(1, 2)
-            block *= 0.5
+        # a ufunc on a transposed view would buffer a copy of it
+        adj = np.empty((len(powers), *rho0.shape), dtype=complex)
+        start = rho0.reshape(-1)
+        for k in range(0, n, len(buf)):  # the buffer holds nodes k+1..k+b
+            b = min(len(buf), n - k)
+            for c in range(0, b, len(powers)):  # chunks tile the buffer
+                chunk = buf[c:min(b, c + len(powers))]
+                conj = adj[:len(chunk)]
+                np.matmul(powers[:len(chunk)].reshape(-1, len(step)), start,
+                          out=chunk.reshape(-1))
+                np.copyto(conj, chunk.swapaxes(1, 2))
+                np.conjugate(conj, out=conj)
+                chunk += conj
+                chunk *= 0.5
+                start = chunk[-1].reshape(-1)
+            block = buf[:b]
             drift = np.abs(np.trace(block, axis1=1, axis2=2).real - tr0)
             ok = drift <= TRACE_DRIFT_TOL  # a NaN drift fails too
             if not ok.all():
                 j = int(np.argmax(~ok))
-                raise IntegrationDiverged(f"trace drifted by {drift[j]:.3e} "
-                                          f"at t={grid.times[k + j]:.6g}")
+                raise IntegrationDiverged(
+                    f"trace drifted by {drift[j]:.3e} "
+                    f"at t={grid.node_times(k + 1 + j):.6g}")
+            first = -(k + 1) % every  # the block's first multiple of every
+            kept = block[first::every]
+            i = (k + 1 + first) // every
+            out[i:i + len(kept)] = kept
+        out[-1] = block[-1]  # node n, whether or not every divides n
         # a non-finite step map makes every node NaN, which fails above
         radius = np.abs(np.linalg.eigvals(step)).max()
         growth = n * np.log(radius)

@@ -23,9 +23,10 @@ Numbers are finite, omega > 0, theta in [0, pi], the other scalars >= 0.
 ``decomposition_check`` (custom_joint only) adds redecomposition shifts.
 ``custom_lindblad`` writes ``evolution.csv``, takes no sweep and needs
 ``outputs: []``.  ``compare`` writes ``comparison.csv``.  ``grid.n_steps``
-sets the time grid of ``custom_lindblad`` only: the GP columns of
-``custom_joint``, ``phase_damping`` and ``spontaneous_emission`` come from
-closed forms in t, and no grid enters them.  For ``custom_joint`` and
+sets the time grid of ``custom_lindblad`` only, at most
+``MAX_LINDBLAD_STEPS`` steps: the GP columns of ``custom_joint``,
+``phase_damping`` and ``spontaneous_emission`` come from closed forms in
+t, and no grid enters them.  For ``custom_joint`` and
 ``phase_damping``, ``gp_error_estimate_rad`` is the largest quadrature
 error estimate over a point's atoms.
 
@@ -37,22 +38,23 @@ the unknown field; a key repeated in one mapping and nesting deeper than
 ``YAML_MAX_DEPTH`` are YAML parse errors naming their line.  Angles are in
 radians.  Exit codes: 0 success, 2 config error or unusable ``--out``
 (found before any point runs), 3 numerical failure (naming the failing
-point).  A ``custom_joint`` point memoises the work psi_S does not enter
-(its model and spectrum; for ``compare`` also B's reservoir averages) on
-exactly its inputs, omega and the final time.
+point); each warning a point raises is one stderr line that names the
+point, ``warning: <point>: <message>``.  A ``custom_joint`` point memoises
+the work psi_S does not enter (its model and spectrum; for ``compare`` also
+B's reservoir averages) on exactly its inputs, omega and the final time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import reprlib
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -83,6 +85,11 @@ _quote = reprlib.Repr().repr
 # libyaml composes nodes recursively on the C stack and segfaults near 25,000
 # nested collections; a scenario nests about 7 deep
 YAML_MAX_DEPTH = 5000
+# the most RK4 steps a custom_lindblad grid takes.  The integrator's memory
+# no longer grows with the grid, but its time does: 2**32 steps take some
+# 15 minutes on one Xeon core.  Version 0.14.0 needed a 275 GB node stack
+# for 2**32 steps, so no grid that it could run is refused.
+MAX_LINDBLAD_STEPS = 2**32
 
 
 class _ScenarioLoader(yaml.CSafeLoader if yaml.__with_libyaml__
@@ -127,7 +134,10 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return str(x)
+    x = str(x)  # csv's QUOTE_MINIMAL: quoted if it holds , " \r or \n
+    if any(c in x for c in ',"\r\n'):
+        return '"' + x.replace('"', '""') + '"'
+    return x
 
 
 def _fields(obj, where: str, spec: dict) -> dict:
@@ -438,6 +448,9 @@ def load_scenario(path: str) -> Scenario:
     if type(n_steps) is not int or n_steps < 1:
         raise ConfigError(f"grid.n_steps: expected a positive integer, "
                           f"got {_quote(n_steps)}")
+    if model.distribution is None and n_steps > MAX_LINDBLAD_STEPS:
+        raise ConfigError(f"grid.n_steps: {name} integrates at most "
+                          f"{MAX_LINDBLAD_STEPS} steps, got {n_steps}")
     outputs = tuple(_list(raw["outputs"], "outputs"))
     for i, kind in enumerate(outputs):
         if kind not in OUTPUT_KINDS:
@@ -478,19 +491,26 @@ def load_scenario(path: str) -> Scenario:
 
 def _each_point(scn: Scenario, work) -> list:
     """``work(p)`` on every point in order; a numerical failure names its
-    point.
+    point, and so does each warning the point raises, printed on stderr as
+    one line ``warning: <point>: <message>``.
 
     ValueError, ArithmeticError and MemoryError raised on computed data
-    (overflowing weights, a grid too large to allocate) count as well."""
+    (overflowing weights, an array too large to allocate) count as well."""
     results = []
+    key = scn.sweep_parameter
     for p in scn.points:
-        try:
-            results.append(work(p))
-        except (GpdistError, ValueError, ArithmeticError, MemoryError) as exc:
-            key = scn.sweep_parameter
-            where = (f"sweep point {key} = {getattr(p, key)!r}" if key
-                     else "the single configured point")
-            raise GpdistError(f"{where}: {type(exc).__name__}: {exc}") from exc
+        where = (f"sweep point {key} = {getattr(p, key)!r}" if key
+                 else "the single configured point")
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                results.append(work(p))
+            except (GpdistError, ValueError, ArithmeticError,
+                    MemoryError) as exc:
+                raise GpdistError(
+                    f"{where}: {type(exc).__name__}: {exc}") from exc
+            finally:
+                for w in caught:
+                    print(f"warning: {where}: {w.message}", file=sys.stderr)
     return results
 
 
@@ -539,9 +559,9 @@ def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
     psi = psi_initial(p.theta)
     grid = TimeGrid(0.0, p.period, n_steps)
     # every (n_steps // 256)-th node and the last, t = T, which it can miss
-    nodes = np.append(np.arange(0, n_steps, max(1, n_steps // 256)), n_steps)
-    times = grid.times[nodes]
-    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)[nodes]
+    every = max(1, n_steps // 256)
+    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid, every)
+    times = grid.node_times(np.append(np.arange(0, n_steps, every), n_steps))
     columns = {
         "time_inverse_omega": times,
         "trace_dimensionless": np.trace(rhos, axis1=1, axis2=2).real,
@@ -563,11 +583,14 @@ def _write_rows(rows: list[dict], path: Path, fmt: str):
             json.dump(rows, fh, indent=2, default=float)
         return
     header = list(dict.fromkeys(key for row in rows for key in row))
+
+    def line(cells):  # csv's excel dialect, which quotes a lone empty cell
+        return (",".join(map(_fmt, cells)) or '""') + "\r\n"
+
     with open(path.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(line(header))
         for row in rows:
-            writer.writerow([_fmt(row.get(k, "")) for k in header])
+            fh.write(line([row.get(k, "") for k in header]))
 
 
 def run_scenario(scn: Scenario, out_dir: Path, fmt: str,
@@ -601,7 +624,9 @@ def compare_scenario(scn: Scenario, out_dir: Path, fmt: str) -> list[dict]:
     return rows
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built on the first call rather than at import."""
     parser = argparse.ArgumentParser(
         prog="gpdist",
         description="Geometric-phase distributions for open quantum systems",
@@ -616,6 +641,11 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed < 0:  # numpy seeds only non-negative integers
         parser.error(f"argument --seed: must be >= 0, got {args.seed}")

@@ -76,6 +76,17 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
 
+    def node_times(self, nodes) -> np.ndarray:
+        """``times[nodes]`` for node numbers in [0, n_steps], without the
+        whole grid: ``k dt + t_start``, and ``t_end`` at node ``n_steps``,
+        rounded as ``np.linspace`` rounds them."""
+        k = np.asarray(nodes, dtype=float)
+        span = float(self.t_end) - float(self.t_start)
+        dt = span / self.n_steps
+        # an underflowed step: linspace scales k / n_steps instead
+        t = (k * dt if dt else k / self.n_steps * span) + self.t_start
+        return np.where(k == self.n_steps, self.t_end, t)
+
 
 @dataclass
 class Schedule:

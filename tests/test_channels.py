@@ -1,6 +1,7 @@
 """Open-system dynamics: Lindblad integration, Kraus maps and conditional
 trajectories."""
 
+import functools
 import tracemalloc
 import warnings
 
@@ -108,6 +109,21 @@ def first_drifting_node(model, rho0, n):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if prefix_error(model, rho0, mid) else (mid, hi)
     return hi
+
+
+@functools.cache
+def overflow_oracle(n):
+    """A jump operator that overflows the step map, and the message of the
+    first node whose stepwise RK4 trace drifts."""
+    huge = LindbladModel(hs=h_system(1.0), jump_ops=[1e80 * SIGMA_MINUS])
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    grid = TimeGrid(0.0, 2.0 * np.pi, n)
+    with np.errstate(all="ignore"):
+        rhos = rk4_oracle(huge, rho0, grid)
+        drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+    j = 1 + int(np.argmax(~(drift[1:] <= TRACE_DRIFT_TOL)))
+    return huge, rho0, grid, (f"trace drifted by {drift[j]:.3e} "
+                              f"at t={grid.times[j]:.6g}")
 
 
 # where in the chunks of _LINDBLAD_CHUNK = 64 nodes and the checks' blocks
@@ -329,18 +345,39 @@ class TestIntegrateLindblad:
 
     @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
     def test_overflow_error_matches_stepwise_oracle(self, n):
-        huge = LindbladModel(hs=h_system(1.0),
-                             jump_ops=[1e80 * SIGMA_MINUS])
-        rho0 = np.diag([0.0, 1.0]).astype(complex)
-        grid = TimeGrid(0.0, 2.0 * np.pi, n)
-        with np.errstate(all="ignore"):
-            rhos = rk4_oracle(huge, rho0, grid)
-            drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
-        j = 1 + int(np.argmax(~(drift[1:] <= TRACE_DRIFT_TOL)))
+        huge, rho0, grid, message = overflow_oracle(n)
         with pytest.raises(IntegrationDiverged) as exc:
             integrate_lindblad(huge, rho0, grid)
-        assert str(exc.value) == (f"trace drifted by {drift[j]:.3e} "
-                                  f"at t={grid.times[j]:.6g}")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("every", [3, 64, 5000])
+    @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
+    def test_overflow_error_is_the_same_under_a_stride(self, n, every):
+        # the drifting node need not be kept: the check runs on every node
+        huge, rho0, grid, message = overflow_oracle(n)
+        with pytest.raises(IntegrationDiverged) as exc:
+            integrate_lindblad(huge, rho0, grid, every)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 255, 256, 257, 1000, 16384])
+    def test_kept_nodes_are_the_full_stacks(self, n):
+        # chunks of 64 and buffers of 256 nodes: n and every fall on, just
+        # before and just after their edges
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[
+            0.6 * random_complex(2, np.random.default_rng(5))])
+        psi = psi_initial(0.9)
+        rho0, grid = np.outer(psi, psi.conj()), TimeGrid(0.0, n * DRIFT_DT, n)
+        full = integrate_lindblad(model, rho0, grid)
+        assert full.shape == (n + 1, 2, 2)
+        for every in (1, 3, 64, 256, max(1, n // 256)):
+            kept = np.append(np.arange(0, n, every), n)
+            assert np.array_equal(
+                integrate_lindblad(model, rho0, grid, every), full[kept])
+
+    def test_stride_must_be_positive(self):
+        model = LindbladModel(hs=h_system(1.0))
+        with pytest.raises(ValueError, match="every must be >= 1"):
+            integrate_lindblad(model, np.eye(2) / 2, TimeGrid(0.0, 1.0, 4), 0)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 16384])
     def test_every_node_is_exactly_hermitian(self, n):
@@ -378,6 +415,22 @@ class TestIntegrateLindblad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= out.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("n", [16384, 2**18])
+    def test_strided_peak_is_the_kept_nodes(self, n):
+        # 257 nodes are kept at both sizes: memory does not grow with n
+        model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05))
+        psi = psi_initial(1.1)
+        rho0, grid = np.outer(psi, psi.conj()), TimeGrid(0.0, 2.0 * np.pi, n)
+        integrate_lindblad(model, rho0, grid, n // 256)
+        tracemalloc.start()
+        try:
+            out = integrate_lindblad(model, rho0, grid, n // 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 257
         assert peak <= out.nbytes + 64 * 1024
 
     def test_thermal_se_matches_stepwise_rk4(self):

@@ -20,11 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 import gpdist
 from gpdist.cli import (
+    MAX_LINDBLAD_STEPS,
     MODELS,
     SCHEMA_VERSION,
     YAML_LOADER,
     YAML_MAX_DEPTH,
     _evolution_rows,
+    _parser,
     _write_rows,
     compare_scenario,
     load_scenario,
@@ -36,6 +38,7 @@ from gpdist.distribution import decomposition_check
 from gpdist.errors import ConfigError, InvalidOperand
 from gpdist.hilbert import TimeGrid
 from gpdist.models import h_system, psi_initial
+from gpdist.weakcoupling import IM_DZ_WARN
 
 
 def write_config(tmp_path, payload, name="scenario.yaml"):
@@ -373,6 +376,21 @@ class TestRunCustomLindblad:
         assert str(exc.value) == f"{key} is {value}"
         assert key != "trace_dimensionless"
 
+    def test_run_peak_does_not_grow_with_the_grid(self, tmp_path):
+        # 257 rows at both sizes; the stack of 2**18 nodes would be 16 MiB
+        peaks = []
+        for n in (16384, 2**18):
+            scn = load_scenario(write_config(tmp_path, lindblad_config(
+                grid={"n_steps": n})))
+            run_scenario(scn, tmp_path, "csv", seed=0)  # first-call allocations
+            tracemalloc.start()
+            try:
+                assert len(run_scenario(scn, tmp_path, "csv", seed=0)) == 257
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 16 * 1024
+
     def test_rows_hold_no_second_stack(self, tmp_path):
         n = 16384
         cfg = lindblad_config(grid={"n_steps": n})
@@ -427,6 +445,49 @@ def test_writer_bytes(tmp_path, fmt):
     else:
         expected = json.dumps(WRITER_ROWS, indent=2, default=float)
     assert (tmp_path / f"table.{fmt}").read_bytes() == expected.encode()
+
+
+def csv_bytes(rows) -> bytes:
+    """The table as csv.writer writes it, cells as reference_cell forms
+    them."""
+    header = list(dict.fromkeys(k for row in rows for k in row))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([reference_cell(row.get(k, "")) for k in header])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("cell", [
+    "a\rb", "a\nb", "\r\n", 'say "hi"', '"', '""', "a,b", ",", " ", "",
+    "  two  spaces  ", "'", "tab\there", "plain"])
+def test_writer_quotes_as_csv_does(tmp_path, cell):
+    # the cell also names a column, so the header is quoted the same way
+    rows = [{"x": 0.5, f"key {cell}": cell, "n": 2}, {"x": -1e-300}]
+    _write_rows(rows, tmp_path / "table", "csv")
+    assert (tmp_path / "table.csv").read_bytes() == csv_bytes(rows)
+
+
+def test_writer_quotes_a_lone_empty_cell(tmp_path):
+    # one column and a row without it: csv writes "" for the empty record
+    rows = [{"x": 1.0}, {}, {"x": 2}]
+    _write_rows(rows, tmp_path / "table", "csv")
+    assert (tmp_path / "table.csv").read_bytes() == csv_bytes(rows)
+    assert csv_bytes(rows) == b'x\r\n1\r\n""\r\n2\r\n'
+
+
+def test_one_row_table_peaks_below_16_kib(tmp_path):
+    # csv.writer's record buffer alone was 128 KiB, whatever the row
+    rows = [{"x": 0.1, "n": 3, "name": "a"}]
+    _write_rows(rows, tmp_path / "first", "csv")  # first-call allocations
+    tracemalloc.start()
+    try:
+        _write_rows(rows, tmp_path / "table", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 class TestCompare:
@@ -557,16 +618,78 @@ class TestMain:
                 assert err.startswith(f"output error: {out}: ")
                 assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_unallocatable_grid_exits_three(self, tmp_path, capsys):
-        # 10**15 steps ask for more than the address space: numpy refuses
-        # the allocation at once
+    def test_grid_past_max_lindblad_steps_exits_two(self, tmp_path, capsys):
+        # the integrator's memory no longer grows with the grid, so 10**15
+        # steps would not fail to allocate but run for years: load refuses
+        # them before any numerics
         path = write_config(tmp_path, lindblad_config(
             grid={"n_steps": 10**15}))
-        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure at the single configured "
-                              "point: MemoryError: Unable to allocate")
-        assert "Traceback" not in err
+        assert err == (f"config error: grid.n_steps: custom_lindblad "
+                       f"integrates at most {2**32} steps, got {10**15}\n")
+        assert not (tmp_path / "out").exists()
+        assert MAX_LINDBLAD_STEPS == 2**32
+        for n, ok in ((2**32, True), (2**32 + 1, False)):
+            path = write_config(tmp_path, lindblad_config(
+                grid={"n_steps": n}))
+            if ok:
+                assert load_scenario(path).n_steps == n
+            else:
+                with pytest.raises(ConfigError, match=r"^grid\.n_steps: "):
+                    load_scenario(path)
+
+    def test_parser_is_built_once_and_each_call_parses_its_own(
+            self, tmp_path, capsys):
+        path = write_config(tmp_path, se_config())
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", path, "--out", str(a), "--format", "json",
+                     "--seed", "3"]) == 0
+        assert main(["compare", path, "--out", str(b)]) == 0
+        assert os.listdir(a) == ["moments.json"]
+        assert os.listdir(b) == ["comparison.csv"]
+        assert capsys.readouterr().out == (f"run: wrote 1 rows to {a}\n"
+                                           f"compare: wrote 1 rows to {b}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "--seed", "-1", "--out", str(b)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: must be >= 0, got -1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (
+            f"gpdist {gpdist.__version__} (config schema {SCHEMA_VERSION})\n")
+        assert _parser() is _parser()
+        # built on the first call, not at import
+        code = ("import gpdist.cli as cli; "
+                "print(cli._parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  [str(Path(gpdist.__file__).parents[1])]
+                                  + sys.path)})
+        assert done.stdout == "0\n"
+
+    def test_im_delta_z_warning_is_one_line_naming_the_point(self, tmp_path,
+                                                             capsys):
+        thetas = [0.5, 1.0, 2.0]
+        cfg = joint_config([[0, 1], [1, 0]], sweep={"parameter": "theta",
+                                                    "values": thetas})
+        cfg["params"]["couplings"][0]["g"] = 0.6
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", path, "--out", str(tmp_path)]) == 0
+        assert caught == []  # printed by the CLI, not left to Python
+        ims = [float(r["im_delta_z_dimensionless"])
+               for r in read_csv(tmp_path / "comparison.csv")]
+        expected = [f"warning: sweep point theta = {t!r}: Im<DeltaZ> = "
+                    f"{im:.3g} exceeds the perturbative guard ({IM_DZ_WARN}); "
+                    "the expansion may be unreliable"
+                    for t, im in zip(thetas, ims) if abs(im) > IM_DZ_WARN]
+        assert len(expected) == 2
+        assert capsys.readouterr().err.splitlines() == expected
 
     def test_unstable_lindblad_grid_exits_three(self, tmp_path, capsys):
         # dephasing 5 sigma_z on 64 steps: the coherences overflow while the

@@ -39,6 +39,17 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("t_start, t_end", [
+        (0.0, 2.0 * np.pi), (-0.3, 17.0), (0, 5), (1e-300, 2e-300),
+        (0.0, 5e-324)])  # the last step underflows to 0
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 1000, 16384, 2**20])
+    def test_node_times_are_linspace_bits(self, t_start, t_end, n):
+        grid = TimeGrid(t_start, t_end, n)
+        nodes = np.unique(np.r_[0:min(n, 300), n - 1:n + 1,
+                                np.arange(0, n, max(1, n // 256))])
+        assert np.array_equal(grid.node_times(nodes), grid.times[nodes])
+        assert grid.node_times(n) == t_end
+
 
 class TestIsHermitian:
     @pytest.mark.parametrize("m, expected", [
