@@ -64,12 +64,11 @@ import yaml
 from . import __version__
 from .channels import (LindbladModel, ReservoirSpec, SystemEnsemble,
                        integrate_lindblad, spectral_conditional_trajectories)
-from .distribution import (build_distribution, decomposition_check,
-                           moments as dist_moments)
+from .distribution import build_distribution, decomposition_check, moments
 from .errors import ConfigError, GpdistError, InvalidOperand, InvalidState
 from .hilbert import TimeGrid, eigh_hermitian
 from .models import (PhaseDampingParams, TwoLevelAtomParams, closed_system_gp,
-                     h_system, pd_first_order_references, pd_trajectories,
+                     h_system, pd_distribution, pd_first_order_references,
                      psi_initial, se_distribution, se_mean_gp_zero_temperature,
                      se_perturbative_gp)
 from .phase import QUADRATURE_TOL, angle_to_positive_branch
@@ -132,8 +131,6 @@ def _fmt(x) -> str:
         return format(x, ".17g")  # numpy formats its floats as float(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     x = str(x)  # csv's QUOTE_MINIMAL: quoted if it holds , " \r or \n
     if any(c in x for c in ',"\r\n'):
         return '"' + x.replace('"', '""') + '"'
@@ -312,7 +309,7 @@ def _se_compare(p: TwoLevelAtomParams, exact) -> dict:
 def _pd_compare(p: PhaseDampingParams, exact) -> dict:
     dist, rep = exact()
     ref_z, ref_h, ref_w = pd_first_order_references(p)
-    exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
+    exact_z = rep.first_z / abs(rep.first_z)
     dz, expected = abs(exact_z - ref_z), 100.0 * (p.alpha / p.omega)**2
     return {
         "alpha_over_omega_dimensionless": p.alpha / p.omega,
@@ -337,8 +334,8 @@ def _joint_compare(p: CustomPoint, exact) -> dict:
     dz = delta_z_from_b(*p.averages(p.omega, p.period), p.model.hs,
                         psi_initial(p.theta))
     dist, rep = exact()
-    pert = perturbative_moments(dz, closed_system_gp(p.theta), n=1)
-    exact_z = rep.z_moments[0] / abs(rep.z_moments[0])
+    pert = perturbative_moments(dz, closed_system_gp(p.theta))
+    exact_z = rep.first_z / abs(rep.first_z)
     return {
         "theta_rad": p.theta,
         "exact_mean_gp_z_principal_rad": rep.mean_gp_z,
@@ -377,7 +374,7 @@ MODELS = {
     "phase_damping": Model(
         defaults={"omega": 1.0, "alpha": 0.0, "theta": np.pi / 2.0},
         point=PhaseDampingParams, outputs=("moments", "atoms"),
-        distribution=lambda p: build_distribution(*pd_trajectories(p)),
+        distribution=pd_distribution,
         references=_pd_references, compare=_pd_compare),
     "custom_joint": Model(
         defaults={"omega": 1.0, "theta": np.pi / 2.0,
@@ -492,7 +489,8 @@ def load_scenario(path: str) -> Scenario:
 def _each_point(scn: Scenario, work) -> list:
     """``work(p)`` on every point in order; a numerical failure names its
     point, and so does each warning the point raises, printed on stderr as
-    one line ``warning: <point>: <message>``.
+    one line ``warning: <point>: <message>`` whatever the warning filters
+    (``-W error`` and ``-W ignore`` included).
 
     ValueError, ArithmeticError and MemoryError raised on computed data
     (overflowing weights, an array too large to allocate) count as well."""
@@ -502,6 +500,7 @@ def _each_point(scn: Scenario, work) -> list:
         where = (f"sweep point {key} = {getattr(p, key)!r}" if key
                  else "the single configured point")
         with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 results.append(work(p))
             except (GpdistError, ValueError, ArithmeticError,
@@ -524,7 +523,7 @@ def _finite(row: dict) -> dict:
 
 def _exact(model: Model, p):
     dist = model.distribution(p)
-    return dist, dist_moments(dist, n_max=1)
+    return dist, moments(dist)
 
 
 def _run_row(model: Model, p, scn: Scenario, seed: int):
@@ -532,7 +531,7 @@ def _run_row(model: Model, p, scn: Scenario, seed: int):
     and the point's atoms."""
     dist, rep = _exact(model, p)
     row = {SCALARS[k][2]: getattr(p, k) for k in model.defaults if k in SCALARS}
-    for measure, first in (("z", rep.z_moments[0]), ("h", rep.mean_gp_h)):
+    for measure, first in (("z", rep.first_z), ("h", rep.mean_gp_h)):
         principal = float(np.angle(first))
         row[f"mean_gp_{measure}_principal_rad"] = principal
         row[f"mean_gp_{measure}_positive_branch_rad"] = (

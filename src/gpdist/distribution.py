@@ -1,4 +1,4 @@
-"""Atomic geometric-phase distributions and their moments.
+"""Atomic geometric-phase distributions and their first moments.
 
 One set of atoms, the complex values Z[psi_{r,s}] weighted by the initial
 probabilities p_r * q_s, carries both candidate distributions:
@@ -58,8 +58,7 @@ class MomentReport:
     mean_gp_z: float          # arg <z>_Z, radians, principal branch
     mean_gp_h: complex        # <e^{is}>_H (phase AND modulus are meaningful)
     spread_w: float           # |<e^{is}>|^{-2} - 1, dimensionless
-    z_moments: np.ndarray     # <z^n> for n = 1..n_max
-    h_moments: np.ndarray     # <e^{ins}> for n = 1..n_max
+    first_z: complex          # <z>_Z
 
 
 def build_distribution(weights: np.ndarray,
@@ -78,28 +77,23 @@ def build_distribution(weights: np.ndarray,
         float(defined.max()) if len(defined) else None))
 
 
-def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:
-    """First ``n_max`` moments of both measures plus mean GP and spread.
+def moments(dist: PhaseDistribution) -> MomentReport:
+    """First moments of both measures, with the mean GP and the spread.
 
     P_H takes each atom at its phase u = z / |z|, normalised once more so
     that |u| rounds to 1; a zero atom has no phase and raises UndefinedGP,
     and so does a first Z-moment below ``FIRST_MOMENT_EPS``.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    ns = np.arange(1, n_max + 1)
-    z_moms = np.array([np.sum(dist.weights * dist.values**n) for n in ns])
+    first_z = np.sum(dist.weights * dist.values)
     mod = np.abs(dist.values)
     if np.any(mod < 1e-300):
         raise UndefinedGP("zero atom cannot be projected onto the circle")
     u = dist.values / mod
     u /= np.abs(u)
-    h_moms = np.array([np.sum(dist.weights * u**n) for n in ns])
+    first_h = np.sum(dist.weights * u)
 
-    first_z = z_moms[0]
     if abs(first_z) < FIRST_MOMENT_EPS:
         raise UndefinedGP("first Z-moment vanishes; mean GP undefined")
-    first_h = h_moms[0]
     coherence = first_h.real**2 + first_h.imag**2
     spread = 1.0 / coherence - 1.0
     if abs(spread) < SPREAD_NOISE_FLOOR:
@@ -108,8 +102,7 @@ def moments(dist: PhaseDistribution, n_max: int = 2) -> MomentReport:
         mean_gp_z=float(np.angle(first_z)),
         mean_gp_h=complex(first_h),
         spread_w=spread,
-        z_moments=z_moms,
-        h_moments=h_moms,
+        first_z=first_z,
     )
 
 

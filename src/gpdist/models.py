@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, LindbladModel, ReservoirSpec
-from .distribution import (PhaseDistribution, build_distribution,
-                           moments as dist_moments)
+from .distribution import (MomentReport, PhaseDistribution,
+                           build_distribution, moments)
 from .hilbert import SIGMA_Z
 from .phase import ClosedFormPath
 from .weakcoupling import WeakCouplingModel
@@ -284,20 +284,13 @@ def pd_trajectories(
                                    sqrt_singular_start=True)
 
 
-@dataclass(frozen=True)
-class PhaseDampingMoments:
-    """Exact two-atom first moments plus the first-order reference values."""
-
-    mean_gp_z: complex        # <z>_Z / |<z>_Z|, exact
-    mean_gp_h: complex        # <e^{is}>_H, exact
-    spread_w: float           # exact
-    ref_mean_gp_z: complex    # e^{i b0} (1 + (2 i pi^2 a/3w) cos sin^2)
-    ref_mean_gp_h: complex    # e^{i b0} (1 + (2 pi^2 a/w) sin^2 (i cos - 4/9 sin^2))
-    ref_spread_w: float       # 16 pi^2 sin^4(theta) a / (9 w)
-    error_estimate: float     # largest |beta_n - beta_2n| of the atoms, rad
+def pd_distribution(p: PhaseDampingParams) -> PhaseDistribution:
+    """P_Z at one period: one atom per Kraus branch, from one family."""
+    return build_distribution(*pd_trajectories(p))
 
 
 def pd_first_order_references(p: PhaseDampingParams) -> tuple[complex, complex, float]:
+    """First-order forms of (<z>_Z / |<z>_Z|, <e^{is}>_H, W) at one period."""
     b0 = closed_system_gp(p.theta)
     x = p.alpha / p.omega
     s2 = np.sin(p.theta) ** 2
@@ -309,21 +302,10 @@ def pd_first_order_references(p: PhaseDampingParams) -> tuple[complex, complex, 
     return complex(ref_z), complex(ref_h), float(ref_w)
 
 
-def pd_moments(p: PhaseDampingParams) -> PhaseDampingMoments:
-    """Exact two-atom moments at one period, next to the first-order forms."""
-    dist = build_distribution(*pd_trajectories(p))
-    rep = dist_moments(dist, n_max=1)
-    first_z = rep.z_moments[0]
-    ref_z, ref_h, ref_w = pd_first_order_references(p)
-    return PhaseDampingMoments(
-        mean_gp_z=complex(first_z / abs(first_z)),
-        mean_gp_h=rep.mean_gp_h,
-        spread_w=rep.spread_w,
-        ref_mean_gp_z=ref_z,
-        ref_mean_gp_h=ref_h,
-        ref_spread_w=ref_w,
-        error_estimate=dist.error_estimate,
-    )
+def pd_moments(p: PhaseDampingParams) -> MomentReport:
+    """Exact two-atom first moments at one period; the first-order forms
+    they are checked against are ``pd_first_order_references``."""
+    return moments(pd_distribution(p))
 
 
 def pd_weak_coupling_model(p: PhaseDampingParams) -> WeakCouplingModel:

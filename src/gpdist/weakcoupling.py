@@ -11,9 +11,9 @@ and ``H_I~ = U_0^dag H_I U_0`` with ``U_0 = e^{-i H_0 t}``,
 ``<r|R_mu|r> = 0`` for every populated reservoir eigenstate, the first-order
 terms drop out of the phase functional and the correction to Z is governed by
 the operator B alone, through the functional ``delta_z_from_b`` below.  The
-perturbative moments of both phase distributions then coincide:
+perturbative first moments of both phase distributions then coincide:
 
-    <e^{ins}>_H = <z^n>_Z / |<z>_Z|^n = e^{in beta0} (1 + i n Im<DeltaZ>).
+    <e^{is}>_H = <z>_Z / |<z>_Z| = e^{i beta0} (1 + i Im<DeltaZ>).
 
 H_S, H_R and H_I are constant matrices, so H_I~ is explicit in the
 eigenbasis of H_0 = W diag(E) W^dag, where W = kron(V_S, V_R) holds the
@@ -85,7 +85,7 @@ class WeakCouplingModel:
 
     def __post_init__(self):
         self.hs = _as_square(self.hs)
-        self.hr = np.asarray(self.hr, dtype=complex)
+        self.hr = _as_square(self.hr)
         self.couplings = [
             (np.asarray(r, dtype=complex), np.asarray(s, dtype=complex))
             for r, s in self.couplings
@@ -96,6 +96,13 @@ class WeakCouplingModel:
             raise DimensionError("H_R dimension != reservoir dimension")
         if not is_hermitian(self.hr):
             raise InvalidOperand("H_R is not Hermitian")
+        for i, (r_op, s_op) in enumerate(self.couplings):
+            for name, op, dim in (("R", r_op, self.dim_r),
+                                  ("S", s_op, self.dim_s)):
+                if op.shape != (dim, dim):
+                    raise DimensionError(
+                        f"coupling {i}: {name} has shape {op.shape}, "
+                        f"expected {(dim, dim)}")
         h_int = self.h_interaction()
         if not np.all(np.isfinite(h_int)):
             raise InvalidOperand("H_I has non-finite entries")
@@ -248,8 +255,8 @@ def reservoir_averages(ops: PerturbationOperators, model: WeakCouplingModel
     return b_fin, b_int, ops.u_fin
 
 
-def perturbative_moments(dz: complex, beta0: float, n: int = 1) -> complex:
-    """Moment prediction ``e^{in beta0} (1 + i n Im<DeltaZ>)``.
+def perturbative_moments(dz: complex, beta0: float) -> complex:
+    """First-moment prediction ``e^{i beta0} (1 + i Im<DeltaZ>)``.
 
     Shared by both distribution measures at second order; warns outside the
     perturbative regime.
@@ -261,4 +268,4 @@ def perturbative_moments(dz: complex, beta0: float, n: int = 1) -> complex:
             f"({IM_DZ_WARN}); the expansion may be unreliable",
             stacklevel=2,
         )
-    return complex(np.exp(1j * n * beta0) * (1.0 + 1j * n * im))
+    return complex(np.exp(1j * beta0) * (1.0 + 1j * im))

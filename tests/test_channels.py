@@ -557,7 +557,7 @@ class TestConditionalTrajectories:
         res, sys, spectrum, t_end = _joint_setup(g)
         weights, family = spectral_conditional_trajectories(
             spectrum, res, sys, t_end)
-        rep = moments(build_distribution(weights, family), n_max=1)
+        rep = moments(build_distribution(weights, family))
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
             couplings=[(g * SIGMA_X, SIGMA_X)], res=res)

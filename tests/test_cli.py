@@ -37,7 +37,8 @@ from gpdist.channels import ReservoirSpec, integrate_lindblad
 from gpdist.distribution import decomposition_check
 from gpdist.errors import ConfigError, InvalidOperand
 from gpdist.hilbert import TimeGrid
-from gpdist.models import h_system, psi_initial
+from gpdist.models import (PhaseDampingParams, h_system, pd_distribution,
+                           pd_first_order_references, pd_moments, psi_initial)
 from gpdist.weakcoupling import IM_DZ_WARN
 
 
@@ -522,6 +523,28 @@ class TestCompare:
         assert float(rec["exact_spread_w_dimensionless"]) > 0.0
         assert "order_violation" in rec
 
+    def test_pd_cells_are_the_acceptance_values(self, tmp_path):
+        # at criterion 5's points the compare table carries, bit for bit,
+        # the library values that criteria 5 and 6 score
+        thetas = [np.pi / 4, np.pi / 2]
+        cfg = {"schema": SCHEMA_VERSION, "model": "phase_damping",
+               "params": {"omega": 1.0, "alpha": 1e-3},
+               "sweep": {"parameter": "theta", "values": thetas}}
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", path, "--out", str(tmp_path)]) == 0
+        table = read_csv(tmp_path / "comparison.csv")
+        assert [float(rec["theta_rad"]) for rec in table] == thetas
+        for theta, rec in zip(thetas, table):
+            p = PhaseDampingParams(omega=1.0, alpha=1e-3, theta=theta)
+            m = pd_moments(p)
+            assert float(rec["exact_mean_gp_h_principal_rad"]) == float(
+                np.angle(m.mean_gp_h))
+            assert float(rec["exact_spread_w_dimensionless"]) == m.spread_w
+            assert float(rec["ref_spread_w_dimensionless"]) == \
+                pd_first_order_references(p)[2]
+            assert float(rec["gp_error_estimate_rad"]) == \
+                pd_distribution(p).error_estimate
+
     @pytest.mark.parametrize("model, rate", [
         ("spontaneous_emission", "gamma0"), ("phase_damping", "alpha")])
     def test_zero_rate_is_no_order_violation(self, tmp_path, model, rate):
@@ -671,15 +694,18 @@ class TestMain:
                                   + sys.path)})
         assert done.stdout == "0\n"
 
-    def test_im_delta_z_warning_is_one_line_naming_the_point(self, tmp_path,
-                                                             capsys):
+    @staticmethod
+    def breach_guard(tmp_path, capsys, action):
+        """``compare`` on a g = 0.6 theta sweep, two of whose points breach
+        the Im<DeltaZ> guard, under the warning filter ``action``; returns
+        the stderr lines and the two expected ones."""
         thetas = [0.5, 1.0, 2.0]
         cfg = joint_config([[0, 1], [1, 0]], sweep={"parameter": "theta",
                                                     "values": thetas})
         cfg["params"]["couplings"][0]["g"] = 0.6
         path = write_config(tmp_path, cfg)
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            warnings.simplefilter(action)
             assert main(["compare", path, "--out", str(tmp_path)]) == 0
         assert caught == []  # printed by the CLI, not left to Python
         ims = [float(r["im_delta_z_dimensionless"])
@@ -689,7 +715,20 @@ class TestMain:
                     "the expansion may be unreliable"
                     for t, im in zip(thetas, ims) if abs(im) > IM_DZ_WARN]
         assert len(expected) == 2
-        assert capsys.readouterr().err.splitlines() == expected
+        return capsys.readouterr().err.splitlines(), expected
+
+    def test_im_delta_z_warning_is_one_line_naming_the_point(self, tmp_path,
+                                                             capsys):
+        err, expected = self.breach_guard(tmp_path, capsys, "always")
+        assert err == expected
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_im_delta_z_warning_whatever_the_filter(self, tmp_path, capsys,
+                                                    action):
+        # the CLI records the warning itself, so a filter that raises or
+        # drops warnings changes neither the exit code nor the line
+        err, expected = self.breach_guard(tmp_path, capsys, action)
+        assert err == expected
 
     def test_unstable_lindblad_grid_exits_three(self, tmp_path, capsys):
         # dephasing 5 sigma_z on 64 steps: the coherences overflow while the

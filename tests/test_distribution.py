@@ -47,8 +47,7 @@ class TestPhaseDistribution:
     def test_to_h_projection(self):
         # P_H reads each atom at its phase z / |z|
         d = PhaseDistribution(weights=[0.4, 0.6], values=[2.0j, -0.5])
-        h = moments(d, n_max=2).h_moments
-        assert np.allclose(h, [0.4 * 1.0j - 0.6, -0.4 + 0.6])
+        assert moments(d).mean_gp_h == pytest.approx(0.4 * 1.0j - 0.6)
 
     def test_to_h_zero_atom_rejected(self):
         d = PhaseDistribution(weights=[0.5, 0.5], values=[0.0, 1.0])
@@ -64,16 +63,15 @@ class TestPhaseDistribution:
         w /= w.sum()
         u = z / np.abs(z)
         u = u / np.abs(u)
-        rep = moments(PhaseDistribution(weights=w, values=z), n_max=3)
-        assert np.array_equal(rep.h_moments,
-                              [np.sum(w * u**n) for n in np.arange(1, 4)])
+        rep = moments(PhaseDistribution(weights=w, values=z))
+        assert rep.mean_gp_h == np.sum(w * u)
 
 
 class TestBuildDistribution:
     def test_single_trajectory_sharp(self):
         psi = np.array([0.6, 0.8], dtype=complex)
         dist = build_distribution(np.array([1.0]), constant_path(psi))
-        rep = moments(dist, n_max=1)
+        rep = moments(dist)
         assert len(dist.values) == 1
         assert rep.spread_w == 0.0  # sharp distribution, exactly
 
@@ -110,30 +108,24 @@ class TestMoments:
     def test_single_unit_atom(self):
         phi = 0.8
         d = PhaseDistribution(weights=[1.0], values=[np.exp(1j * phi)])
-        rep = moments(d, n_max=3)
+        rep = moments(d)
         assert rep.mean_gp_z == pytest.approx(phi)
-        assert np.angle(rep.mean_gp_h) == pytest.approx(phi)
+        assert rep.first_z == np.exp(1j * phi)
+        assert rep.mean_gp_h == pytest.approx(np.exp(1j * phi))
         assert rep.spread_w == 0.0
-        assert np.allclose(rep.h_moments,
-                           [np.exp(1j * n * phi) for n in (1, 2, 3)])
 
     def test_symmetric_pair(self):
         phi = 0.6
         d = PhaseDistribution(weights=[0.5, 0.5],
                               values=[np.exp(1j * phi), np.exp(-1j * phi)])
-        rep = moments(d, n_max=1)
+        rep = moments(d)
         assert rep.mean_gp_h == pytest.approx(np.cos(phi))
         assert rep.spread_w == pytest.approx(1.0 / np.cos(phi) ** 2 - 1.0)
 
     def test_vanishing_first_moment(self):
         d = PhaseDistribution(weights=[0.5, 0.5], values=[1.0, -1.0])
         with pytest.raises(UndefinedGP):
-            moments(d, n_max=1)
-
-    def test_n_max_validation(self):
-        d = PhaseDistribution(weights=[1.0], values=[1.0])
-        with pytest.raises(ValueError):
-            moments(d, n_max=0)
+            moments(d)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-3.1, 3.1)),
@@ -144,11 +136,11 @@ class TestMoments:
         vals = np.exp(1j * np.array([a for _, a in raw]))
         d = PhaseDistribution(weights=ws, values=vals)
         try:
-            rep = moments(d, n_max=2)
+            rep = moments(d)
         except UndefinedGP:
             return
         assert rep.spread_w >= 0.0
-        assert abs(rep.h_moments[0]) <= 1.0 + 1e-12
+        assert abs(rep.mean_gp_h) <= 1.0 + 1e-12
 
 
 def density(spec):

@@ -14,6 +14,7 @@ from gpdist.models import (
     TwoLevelAtomParams,
     _se_no_jump_diagonals,
     closed_system_gp,
+    pd_distribution,
     pd_first_order_references,
     pd_kraus_channel,
     pd_lindblad_model,
@@ -194,7 +195,7 @@ class TestSeExactValues:
     def test_weak_coupling_agreement(self):
         p = TwoLevelAtomParams(omega=1.0, gamma0=1e-3, theta=np.pi / 3)
         pz = se_distribution(p)
-        rep = moments(pz, n_max=1)
+        rep = moments(pz)
         exact = angle_to_positive_branch(rep.mean_gp_z)
         assert abs(exact - se_perturbative_gp(p)) < 100.0 * (1e-3) ** 2
 
@@ -239,7 +240,7 @@ class TestSeDistributions:
             p = TwoLevelAtomParams(omega=1.0, gamma0=rate, n_thermal=n,
                                    theta=np.pi / 2)
             pz = se_distribution(p)
-            gps.append(angle_to_positive_branch(moments(pz, 1).mean_gp_z))
+            gps.append(angle_to_positive_branch(moments(pz).mean_gp_z))
         assert abs(gps[1] - gps[0]) <= 100.0 * rate**2
 
 
@@ -275,11 +276,12 @@ class TestPdKrausChannel:
 
 class TestPdMoments:
     def test_pole_trivial(self):
-        m = pd_moments(PhaseDampingParams(omega=1.0, alpha=0.01, theta=0.0))
-        assert m.mean_gp_z == pytest.approx(1.0, abs=1e-5)
+        p = PhaseDampingParams(omega=1.0, alpha=0.01, theta=0.0)
+        m = pd_moments(p)
+        assert m.first_z / abs(m.first_z) == pytest.approx(1.0, abs=1e-5)
         assert m.mean_gp_h == pytest.approx(1.0, abs=1e-5)
         assert m.spread_w < 1e-10
-        assert m.ref_spread_w == 0.0
+        assert pd_first_order_references(p)[2] == 0.0
 
     def test_reference_formulas_at_equator(self):
         # printed first-order forms: z-correction vanishes at cos(theta) = 0,
@@ -298,7 +300,7 @@ class TestPdMoments:
         p = PhaseDampingParams(omega=1.0, alpha=al, theta=frac * np.pi)
         m = pd_moments(p)
         z_ref, h_ref, w_ref = PD_EXACT_ORACLE[key]
-        assert abs(m.mean_gp_z - z_ref) < 5e-6
+        assert abs(m.first_z / abs(m.first_z) - z_ref) < 5e-6
         assert abs(m.mean_gp_h - h_ref) < 5e-6
         assert m.spread_w == pytest.approx(w_ref, abs=5e-6)
 
@@ -306,9 +308,10 @@ class TestPdMoments:
         # e^{i<beta>}: the printed phase correction is accurate to O(alpha)
         p = PhaseDampingParams(omega=1.0, alpha=1e-3, theta=np.pi / 4)
         m = pd_moments(p)
-        corr_exact = np.angle(m.mean_gp_z / np.exp(
+        corr_exact = np.angle(m.first_z / abs(m.first_z) / np.exp(
             1j * closed_system_gp(p.theta)))
-        corr_ref = np.angle(m.ref_mean_gp_z) - closed_system_gp(p.theta)
+        corr_ref = (np.angle(pd_first_order_references(p)[0])
+                    - closed_system_gp(p.theta))
         assert corr_exact == pytest.approx(corr_ref, rel=0.05)
 
     def test_exact_spread_exceeds_first_order_reference(self):
@@ -316,7 +319,8 @@ class TestPdMoments:
         # first-order reference; pin the true ratio so regressions surface
         p = PhaseDampingParams(omega=1.0, alpha=1e-4, theta=np.pi / 2)
         m = pd_moments(p)
-        assert m.spread_w / m.ref_spread_w == pytest.approx(np.pi, rel=0.02)
+        ref_w = pd_first_order_references(p)[2]
+        assert m.spread_w / ref_w == pytest.approx(np.pi, rel=0.02)
 
     @pytest.mark.parametrize("theta", [np.pi / 4, np.pi / 2])
     def test_spread_matches_branch_phase_difference(self, theta):
@@ -335,10 +339,9 @@ class TestPdMoments:
 
         d = -p.omega * np.sin(theta) ** 2 * quad(
             integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
-        m = pd_moments(p)
-        assert m.spread_w == pytest.approx(np.tan(d / 2.0) ** 2,
-                                           rel=1e-12, abs=1e-14)
-        assert m.error_estimate <= 1e-13
+        assert pd_moments(p).spread_w == pytest.approx(
+            np.tan(d / 2.0) ** 2, rel=1e-12, abs=1e-14)
+        assert pd_distribution(p).error_estimate <= 1e-13
 
     @pytest.mark.parametrize("theta", [np.pi / 4, np.pi / 2])
     def test_spread_ratio_tends_to_pi_linearly(self, theta):
@@ -350,8 +353,9 @@ class TestPdMoments:
         slope = (1.2 * (4.0 * c2 - 1.0) * np.pi**2
                  + 32.0 / 27.0 * s4 * np.pi**4)
         for x in (1e-4, 1e-5):
-            m = pd_moments(PhaseDampingParams(omega=1.0, alpha=x, theta=theta))
-            measured = (m.spread_w / m.ref_spread_w - np.pi) / x
+            p = PhaseDampingParams(omega=1.0, alpha=x, theta=theta)
+            ratio = pd_moments(p).spread_w / pd_first_order_references(p)[2]
+            measured = (ratio - np.pi) / x
             assert measured == pytest.approx(slope, abs=50.0 * slope * x)
 
     def test_two_trajectories(self):
