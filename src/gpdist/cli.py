@@ -73,7 +73,7 @@ from .models import (PhaseDampingParams, TwoLevelAtomParams, closed_system_gp,
                      se_perturbative_gp)
 from .phase import QUADRATURE_TOL, angle_to_positive_branch
 from .weakcoupling import (WeakCouplingModel, build_AB, delta_z_from_b,
-                           perturbative_moments, reservoir_averages)
+                           perturbative_moments)
 
 SCHEMA_VERSION = 1
 OUTPUT_KINDS = ("moments", "atoms", "decomposition_check")
@@ -210,7 +210,7 @@ def _matrix(obj, where: str, dim: int) -> np.ndarray:
 class CustomPoint:
     """A point of a model given by its operators rather than closed forms:
     ``build(omega)``, its model from operators parsed once, and for
-    ``custom_joint`` ``spectrum(omega)`` of the joint H and B's reservoir
+    ``custom_joint`` ``spectrum(omega)`` of the joint H and ``build_AB``'s
     ``averages(omega, t)``, each memoised on its last arguments."""
 
     omega: float
@@ -253,8 +253,7 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
         raise ConfigError(f"params.couplings: {exc}") from exc
     return CustomPoint(omega, theta, build, spectrum=lru_cache(1)(
         lambda w: eigh_hermitian(build(w).h0() + build(w).h_interaction())),
-        averages=lru_cache(1)(lambda w, t: reservoir_averages(
-            build_AB(build(w), t), build(w))))
+        averages=lru_cache(1)(lambda w, t: build_AB(build(w), t)))
 
 
 def _lindblad_point(omega, theta, jump_ops) -> CustomPoint:

@@ -274,14 +274,13 @@ def pd_trajectories(
     the real amplitudes, whose r(t) goes like sqrt(t) at t = 0."""
     psi0 = psi_initial(p.theta)
     rates = np.array([-0.5j, 0.5j]) * p.omega
-    weights = pd_kraus_channel(p).weights
 
     def states(t):
         psi = _pd_diagonals(p, t) * psi0
         return psi, rates * psi
 
-    return weights, ClosedFormPath(states=states, t_end=p.period,
-                                   sqrt_singular_start=True)
+    return np.array([0.5, 0.5]), ClosedFormPath(
+        states=states, t_end=p.period, sqrt_singular_start=True)
 
 
 def pd_distribution(p: PhaseDampingParams) -> PhaseDistribution:

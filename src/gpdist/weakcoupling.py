@@ -38,10 +38,11 @@ integrates to ``QUADRATURE_TOL`` from a few dozen nodes
 (``phase.converged_gauss_legendre``).  No time grid and no matrix
 exponential enter this layer.  The correction functional is real-linear in
 B and the reservoir weights are real, so it is applied once, to the
-averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``
-(``reservoir_averages``), which psi_S does not enter: a sweep over psi_S
-at fixed H_S, H_R, H_I and t computes them once and applies
-``delta_z_from_b`` per state.
+averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``.
+``build_AB`` contracts each weighted block of nodes with rho_R, so the
+quadrature converges on these d_S x d_S averages.  psi_S does not enter
+them: a sweep over psi_S at fixed H_S, H_R, H_I and t computes them once
+and applies ``delta_z_from_b`` per state.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ReservoirSpec
+from .channels import ENERGY_DEGENERACY_TOL, ReservoirSpec
 from .errors import (
     DimensionError,
     InvalidOperand,
+    InvalidState,
     RCondViolated,
     UndefinedGP,
 )
@@ -96,6 +98,17 @@ class WeakCouplingModel:
             raise DimensionError("H_R dimension != reservoir dimension")
         if not is_hermitian(self.hr):
             raise InvalidOperand("H_R is not Hermitian")
+        # the coupling condition at t = 0 holds at all t only for stationary
+        # states, and blocks() reads the degeneracies off these energies
+        states, energies = self.res.states, self.res.energies
+        defect = np.linalg.norm(states @ self.hr.T - energies[:, None] * states,
+                                axis=1)
+        bad = np.flatnonzero(
+            defect > ENERGY_DEGENERACY_TOL * max(1.0, np.abs(self.hr).max()))
+        if bad.size:
+            raise InvalidState(
+                f"reservoir state {bad[0]} is not an eigenvector of H_R with "
+                f"energy {energies[bad[0]]:.6g}")
         for i, (r_op, s_op) in enumerate(self.couplings):
             for name, op, dim in (("R", r_op, self.dim_r),
                                   ("S", s_op, self.dim_s)):
@@ -148,15 +161,6 @@ class WeakCouplingModel:
             )
 
 
-@dataclass
-class PerturbationOperators:
-    """The second-order operators at one time t, on the joint space."""
-
-    u_fin: np.ndarray  # (ds, ds) system propagator U_S(t)
-    b: np.ndarray      # (d, d) B(t)
-    b_int: np.ndarray  # (d, d) integral_0^t B(t') dt'
-
-
 def _rotations(energies: np.ndarray, s: np.ndarray):
     """e^{i omega s / 2} and the real 2 sin(omega s / 2) / omega, which is s
     where omega is 0 or too small to invert, as (k, d, d) arrays for k
@@ -174,45 +178,55 @@ def _rotations(energies: np.ndarray, s: np.ndarray):
     return half[:, :, None] @ half.conj()[:, None, :], phi
 
 
-def _b_and_integral(g: np.ndarray, energies: np.ndarray, t: float,
-                    n: int) -> np.ndarray:
-    """n-node Gauss-Legendre values of B(t) and integral_0^t B in the H_0
-    eigenbasis, stacked; the nodes go in blocks of
-    ``QUADRATURE_START_NODES`` so the (k, d, d) temporaries stay small."""
+def _b_and_integral(g: np.ndarray, energies: np.ndarray,
+                    rho_tilde: np.ndarray, t: float, n: int) -> np.ndarray:
+    """n-node Gauss-Legendre values of the reservoir averages of B(t) and
+    of integral_0^t B, stacked, in the eigenbasis of H_S; ``rho_tilde`` is
+    rho_R in the eigenbasis of H_R.  The nodes go in blocks of
+    ``QUADRATURE_START_NODES`` so the (k, d, d) temporaries stay small, and
+    each block's weighted sum is contracted with ``rho_tilde`` at once."""
     x, w = _gauss_legendre(n)
     s = 0.5 * t * (x + 1.0)
     # B = -integral of the integrand; integral B weights it by (t - s)
     weights = -0.5 * t * np.stack([w, w * (t - s)])
-    out = np.zeros((2, g.size), dtype=complex)
+    ds, dr = len(g) // len(rho_tilde), len(rho_tilde)
+    out = np.zeros((2, ds, ds), dtype=complex)
     for k in range(0, n, QUADRATURE_START_NODES):
         blk = slice(k, k + QUADRATURE_START_NODES)
         rot, phi = _rotations(energies, s[blk])
         a_tilde = g * rot
         rot *= a_tilde     # H_I~(s) = g o rot^2
         a_tilde *= phi     # A~(s) = g o rot o phi
-        out += weights[:, blk] @ (rot @ a_tilde).reshape(len(phi), -1)
-    return out.reshape((2,) + g.shape)
+        out += np.einsum("kajbl,lj->kab", (
+            weights[:, blk] @ (rot @ a_tilde).reshape(len(phi), -1)
+        ).reshape(2, ds, dr, ds, dr), rho_tilde)
+    return out
 
 
-def build_AB(model: WeakCouplingModel, t: float) -> PerturbationOperators:
-    """U_S, B and the time integral of B at ``t``, by Gauss-Legendre
-    quadrature in the H_0 eigenbasis.
+def build_AB(model: WeakCouplingModel, t: float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reservoir averages tr_R[(1 x rho_R) B] of B(t) and of
+    integral_0^t B, and U_S(t): the arguments of ``delta_z_from_b`` that
+    psi_S does not enter, by Gauss-Legendre quadrature in the H_0
+    eigenbasis.
 
-    Raises QuadratureNotConverged when the quadrature does not settle by
-    ``QUADRATURE_MAX_NODES`` nodes.
+    Raises RCondViolated, before any quadrature, when the coupling
+    condition fails, and QuadratureNotConverged when the averages do not
+    settle by ``QUADRATURE_MAX_NODES`` nodes.
     """
+    model.require_rcond()
     lam_s, v_s = eigh_hermitian(model.hs)
     lam_r, v_r = eigh_hermitian(model.hr)
     w = np.kron(v_s, v_r)
     energies = (lam_s[:, None] + lam_r[None, :]).ravel()
     g = w.conj().T @ model.h_interaction() @ w
+    c = model.res.states @ v_r.conj()   # rows V_R^dag r_i
+    rho_tilde = (c.T * model.res.probs) @ c.conj()
     values, _ = converged_gauss_legendre(  # a family of one member
-        lambda n: _b_and_integral(g, energies, t, n)[None],
+        lambda n: _b_and_integral(g, energies, rho_tilde, t, n)[None],
         "B and its time integral")
-    b, b_int = values[0]
-    return PerturbationOperators(
-        u_fin=(v_s * np.exp(-1j * t * lam_s)) @ v_s.conj().T,
-        b=w @ b @ w.conj().T, b_int=w @ b_int @ w.conj().T)
+    b, b_int = v_s @ values[0] @ v_s.conj().T
+    return b, b_int, (v_s * np.exp(-1j * t * lam_s)) @ v_s.conj().T
 
 
 def delta_z_from_b(b_fin: np.ndarray, b_int: np.ndarray, u_fin: np.ndarray,
@@ -240,19 +254,6 @@ def delta_z_from_b(b_fin: np.ndarray, b_int: np.ndarray, u_fin: np.ndarray,
     return complex(np.vdot(psi, u_fin @ b_fin @ psi) / u_avg
                    - 0.5 * np.vdot(psi, (b_fin - b_fin.conj().T) @ psi)
                    + 2j * np.real(np.vdot(dhs_psi, b_int @ psi)))
-
-
-def reservoir_averages(ops: PerturbationOperators, model: WeakCouplingModel
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reservoir averages tr_R[(1 x rho_R) B] of B and of its integral,
-    and U_S: the arguments of ``delta_z_from_b`` that do not depend on
-    psi_S.  Requires the coupling condition to hold."""
-    model.require_rcond()
-    res, ds, dr = model.res, model.dim_s, model.dim_r
-    rho_r = (res.states.T * res.probs) @ res.states.conj()
-    b_fin, b_int = (np.einsum("aibj,ji->ab", op.reshape(ds, dr, ds, dr), rho_r)
-                    for op in (ops.b, ops.b_int))
-    return b_fin, b_int, ops.u_fin
 
 
 def perturbative_moments(dz: complex, beta0: float) -> complex:

@@ -551,7 +551,7 @@ class TestConditionalTrajectories:
         # second-order formula within O(g^2) of the leading O(g^2) correction
         from gpdist.distribution import build_distribution, moments
         from gpdist.weakcoupling import (WeakCouplingModel, build_AB,
-                                         delta_z_from_b, reservoir_averages)
+                                         delta_z_from_b)
 
         g = 0.05
         res, sys, spectrum, t_end = _joint_setup(g)
@@ -561,8 +561,7 @@ class TestConditionalTrajectories:
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
             couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
-        ops = build_AB(model, t_end)
-        dz = delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+        dz = delta_z_from_b(*build_AB(model, t_end), model.hs,
                             psi_initial(np.pi / 3))
         beta0 = 2.0 * np.pi * np.sin(np.pi / 6.0) ** 2
         exact_corr = rep.mean_gp_z - beta0

@@ -21,6 +21,7 @@ import gpdist.cli
 import gpdist.distribution
 import gpdist.errors
 import gpdist.hilbert
+import gpdist.weakcoupling
 from gpdist.cli import SCHEMA_VERSION
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -145,6 +146,8 @@ def test_traced_names_resolve():
         fn = tracing.lookup(name)
         assert callable(fn), name
         assert fn.__module__.startswith("gpdist."), name
+    # the tracer rebinds build_AB where the CLI calls it
+    assert gpdist.cli.build_AB is gpdist.weakcoupling.build_AB
 
 
 JOINT_SWEEPS = {"theta": [0.5, 1.0, 1.5], "omega": [0.8, 1.0, 1.2],

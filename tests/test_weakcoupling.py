@@ -1,16 +1,16 @@
 """Second-order perturbation theory: B, the Lindblad structure of B, the
 phase-correction functional, and the coupling-condition guard."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gpdist.weakcoupling
 from gpdist.channels import ReservoirSpec
 from gpdist.errors import (
     DimensionError,
     InvalidOperand,
+    InvalidState,
     QuadratureNotConverged,
     RCondViolated,
     UndefinedGP,
@@ -30,7 +30,6 @@ from gpdist.weakcoupling import (
     build_AB,
     delta_z_from_b,
     perturbative_moments,
-    reservoir_averages,
 )
 
 PROJ_G = np.diag([1.0, 0.0]).astype(complex)
@@ -82,6 +81,24 @@ class TestModelValidation:
                                          (np.eye(r_dim), np.eye(s_dim))],
                               res=vacuum_qubit_res())
 
+    def test_non_stationary_reservoir_state(self):
+        # <r|R|r> = 0 at t = 0 for these real states, yet the rotated
+        # mixture is not stationary, so the first order survives at t > 0
+        c, s = np.cos(0.3), np.sin(0.3)
+        res = ReservoirSpec(probs=[0.7, 0.3],
+                            states=np.array([[c, s], [-s, c]], dtype=complex),
+                            energies=[0.0, 1.7])
+        with pytest.raises(InvalidState, match="reservoir state 0 "):
+            WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 1.7]),
+                              couplings=[(SIGMA_Y, SIGMA_X)], res=res)
+
+    def test_energies_other_than_those_of_h_r(self):
+        res = ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2, dtype=complex),
+                            energies=[0.0, 0.0])
+        with pytest.raises(InvalidState, match="reservoir state 1 "):
+            WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 2.0]),
+                              couplings=[(SIGMA_X, SIGMA_X)], res=res)
+
     def test_non_hermitian_system_hamiltonian(self):
         # the interaction picture is built from a Hermitian H_S
         with pytest.raises(InvalidOperand):
@@ -114,32 +131,36 @@ class TestModelValidation:
 class TestBuildAB:
     def test_zero_interaction(self):
         model = zero_hamiltonian_model(0.0 * SIGMA_X, SIGMA_X)
-        ops = build_AB(model, 1.0)
-        assert np.linalg.norm(ops.b) < 1e-14
+        b, b_int, _ = build_AB(model, 1.0)
+        assert np.linalg.norm(b) < 1e-14
+        assert np.linalg.norm(b_int) < 1e-14
 
     def test_constant_integrand(self):
         # zero Hamiltonians: H~ = h constant, B = -h^2 t^2 / 2
         g = 0.3
         model = zero_hamiltonian_model(g * SIGMA_X, SIGMA_X)
-        ops = build_AB(model, 2.0)
+        b = build_AB(model, 2.0)[0]
         h = -g * np.kron(SIGMA_X, SIGMA_X)
-        assert np.linalg.norm(ops.b - (-0.5 * h @ h * 4.0)) < 1e-10
-        at_zero = build_AB(model, 0.0)
-        assert np.linalg.norm(at_zero.b) < 1e-15
+        assert np.linalg.norm(b - _average(model, -0.5 * h @ h * 4.0)) < 1e-10
+        at_zero = build_AB(model, 0.0)[0]
+        assert np.linalg.norm(at_zero) < 1e-15
 
     def test_matches_contour_dyson_coefficients(self):
         # B is the g^2 coefficient of U_0^dag U(g), and int B the
         # Gauss-Legendre quadrature of B(t'); non-diagonal H_S, non-diagonal
-        # H_R with a degenerate pair, two coupling terms
+        # H_R with a degenerate pair, so that rho_R is not diagonal in the
+        # eigenbasis build_AB picks, two coupling terms
         model = _degenerate_reservoir_model()
         t = 1.7
-        ops = build_AB(model, t)
-        assert np.linalg.norm(ops.b - _dyson_b(model, t)) <= 1e-12
+        b, b_int, u_fin = build_AB(model, t)
+        assert np.linalg.norm(b - _average(model, _dyson_b(model, t))) <= 1e-12
         x, w = np.polynomial.legendre.leggauss(20)
         b_int_ref = 0.5 * t * sum(
             wk * _dyson_b(model, 0.5 * t * (xk + 1.0))
             for xk, wk in zip(x, w))
-        assert np.linalg.norm(ops.b_int - b_int_ref) <= 1e-12
+        assert np.linalg.norm(b_int - _average(model, b_int_ref)) <= 1e-12
+        assert np.linalg.norm(
+            u_fin - scipy.linalg.expm(-1j * t * model.hs)) <= 1e-13
 
     @pytest.mark.parametrize("t", [1.7, 2.0 * np.pi])
     def test_matches_van_loan_block_exponential(self, t):
@@ -147,9 +168,8 @@ class TestBuildAB:
         # 1e-9 take phi's small-omega form: (e^{i omega t} - 1) / (i omega)
         # would lose eps / omega there
         model = _degenerate_reservoir_model([0.0, 0.8, 0.8, 1.7, 1.7 + 1e-9])
-        ops = build_AB(model, t)
-        for got, ref in zip((ops.b, ops.b_int), _van_loan_blocks(model, t)):
-            assert np.linalg.norm(got - ref) <= 1e-13
+        for got, ref in zip(build_AB(model, t), _van_loan_blocks(model, t)):
+            assert np.linalg.norm(got - _average(model, ref)) <= 1e-13
 
     def test_node_cap_raises(self):
         # omega_max t ~ 6e4: Gauss-Legendre is still moving at 4096 nodes
@@ -160,6 +180,22 @@ class TestBuildAB:
             couplings=[(SIGMA_X, SIGMA_X)], res=res)
         with pytest.raises(QuadratureNotConverged, match="4096"):
             build_AB(model, 2.0 * np.pi)
+
+    def test_coupling_condition_is_checked_before_any_node(self, monkeypatch):
+        nodes = []
+        monkeypatch.setattr(gpdist.weakcoupling, "_b_and_integral",
+                            lambda *args: nodes.append(args))
+        pd = pd_weak_coupling_model(PhaseDampingParams(omega=1.0, alpha=0.01))
+        with pytest.raises(RCondViolated):
+            build_AB(pd, 2.0 * np.pi)
+        assert nodes == []
+
+
+def _average(model, op):
+    """tr_R[(1 x rho_R) op] of a joint operator (system slow index)."""
+    res, ds, dr = model.res, model.dim_s, model.dim_r
+    rho_r = (res.states.T * res.probs) @ res.states.conj()
+    return np.einsum("aibj,ji->ab", op.reshape(ds, dr, ds, dr), rho_r)
 
 
 def _van_loan_blocks(model, t):
@@ -186,7 +222,7 @@ def _van_loan_blocks(model, t):
 
 def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
     """Non-diagonal H_S, and a non-diagonal H_R with a degenerate pair
-    coupled through two terms, one with <r|R|r> = 0."""
+    coupled through two terms, both with <r|R|r> = 0."""
     n = len(energies)
     rng = np.random.default_rng(21)
     q, _ = np.linalg.qr(rng.normal(size=(n, n))
@@ -196,9 +232,11 @@ def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
                         states=q.T, energies=energies)
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     r_op = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(n))) @ q.conj().T
+    w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    r_op2 = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(n))) @ q.conj().T
     return WeakCouplingModel(
         hs=0.6 * SIGMA_X + 0.3 * SIGMA_Z, hr=hr,
-        couplings=[(0.2 * r_op, SIGMA_X), (0.1 * hr, SIGMA_Y)], res=res)
+        couplings=[(0.2 * r_op, SIGMA_X), (0.1 * r_op2, SIGMA_Y)], res=res)
 
 
 def _dyson_b(model, t, n_points=16, radius=0.2):
@@ -236,8 +274,7 @@ class TestLindbladIdentification:
 class TestDeltaZ:
     def test_zero_interaction(self):
         model = zero_hamiltonian_model(0.0 * SIGMA_X, SIGMA_X)
-        ops = build_AB(model, 1.0)
-        assert abs(delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+        assert abs(delta_z_from_b(*build_AB(model, 1.0), model.hs,
                                   np.array([1.0, 0.0], dtype=complex))
                    ) < 1e-13
 
@@ -276,24 +313,20 @@ class TestDeltaZ:
 
     def test_rcond_guard(self):
         pd = pd_weak_coupling_model(PhaseDampingParams(omega=1.0, alpha=0.01))
-        ops = build_AB(pd, 2.0 * np.pi)
         with pytest.raises(RCondViolated):
-            delta_z_from_b(*reservoir_averages(ops, pd), pd.hs,
-                           psi_initial(np.pi / 2))
+            build_AB(pd, 2.0 * np.pi)
         se = se_weak_coupling_model(TwoLevelAtomParams(omega=1.0, gamma0=0.0),
                                     dim_bath=3, g=0.1)
-        ops = build_AB(se, 2.0 * np.pi)
-        delta_z_from_b(*reservoir_averages(ops, se), se.hs,
+        delta_z_from_b(*build_AB(se, 2.0 * np.pi), se.hs,
                        psi_initial(np.pi / 2))  # must not raise
 
     def test_vanishing_system_expectation(self):
         model = zero_hamiltonian_model(0.1 * SIGMA_X, SIGMA_X)
-        ops = build_AB(model, 1.0)
+        b, b_int, _ = build_AB(model, 1.0)
         # replace the system propagator so <psi|U_S|psi> = 0
         with pytest.raises(UndefinedGP):
-            delta_z_from_b(*reservoir_averages(
-                dataclasses.replace(ops, u_fin=SIGMA_X), model), model.hs,
-                np.array([1.0, 0.0], dtype=complex))
+            delta_z_from_b(b, b_int, SIGMA_X, model.hs,
+                           np.array([1.0, 0.0], dtype=complex))
 
     def test_reservoir_redecomposition_invariance(self):
         # Tr(rho_R B) is basis independent inside degenerate blocks
@@ -304,20 +337,20 @@ class TestDeltaZ:
         model = WeakCouplingModel(
             hs=h_system(1.0), hr=np.eye(2, dtype=complex),
             couplings=[(0.2 * SIGMA_X, SIGMA_X)], res=res)
-        ops = build_AB(model, 2.0 * np.pi)
-        base = delta_z_from_b(*reservoir_averages(ops, model), model.hs,
+        b, b_int, u_fin = build_AB(model, 2.0 * np.pi)
+        base = delta_z_from_b(b, b_int, u_fin, model.hs,
                               psi_initial(np.pi / 3))
         rng = np.random.default_rng(6)
         v, _ = np.linalg.qr(rng.normal(size=(2, 2))
                             + 1j * rng.normal(size=(2, 2)))
         alt_res = redecompose(res, {0: v})
-        # the redecomposed states break <r|R|r> = 0, so the guard in
-        # reservoir_averages would refuse them: average the blocks directly
+        # the redecomposed states break <r|R|r> = 0, so build_AB's guard
+        # would refuse them: average the blocks of the full B directly
         alt = delta_z_from_b(
             *(sum(p * blk for p, blk in zip(alt_res.probs,
                                             _full_b_blocks(op, alt_res)))
-              for op in (ops.b, ops.b_int)),
-            ops.u_fin, model.hs, psi_initial(np.pi / 3))
+              for op in _van_loan_blocks(model, 2.0 * np.pi)),
+            u_fin, model.hs, psi_initial(np.pi / 3))
         assert abs(alt - base) < 1e-9
 
 
@@ -336,14 +369,15 @@ class TestBlockRoute:
         model = WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 2.0]),
                                   couplings=[(0.2 * SIGMA_X, SIGMA_X)],
                                   res=res)
-        ops = build_AB(model, 2.0 * np.pi)
+        b, b_int = _van_loan_blocks(model, 2.0 * np.pi)
+        averages = build_AB(model, 2.0 * np.pi)
+        u_fin = averages[2]
         per_state = sum(
-            p * delta_z_from_b(blk, blk_int, ops.u_fin, model.hs,
+            p * delta_z_from_b(blk, blk_int, u_fin, model.hs,
                                psi_initial(np.pi / 3))
-            for p, blk, blk_int in zip(res.probs, _full_b_blocks(ops.b, res),
-                                       _full_b_blocks(ops.b_int, res)))
-        assert abs(delta_z_from_b(*reservoir_averages(ops, model), model.hs,
-                                  psi_initial(np.pi / 3))
+            for p, blk, blk_int in zip(res.probs, _full_b_blocks(b, res),
+                                       _full_b_blocks(b_int, res)))
+        assert abs(delta_z_from_b(*averages, model.hs, psi_initial(np.pi / 3))
                    - per_state) <= 1e-14
 
 
