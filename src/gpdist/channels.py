@@ -49,10 +49,12 @@ _CHECK_BLOCK = 256  # nodes per trace check, the buffer: 16 KiB at d = 2
 class ReservoirSpec:
     """Mixture ``rho_R(0) = sum_r p_r |r><r|`` of reservoir eigenstates.
 
-    ``energies`` drive the degeneracy-block structure; ``orthonormal=False``
-    marks alternative in-block decompositions whose pure states need not be
-    mutually orthogonal (the probabilities and block densities still are
-    well defined).
+    ``energies`` drive the degeneracy-block structure.  When the states are
+    a complete orthonormal basis, the energies also define the reservoir
+    Hamiltonian H_R = sum_r E_r |r><r| (``WeakCouplingModel.hr``).
+    ``orthonormal=False`` marks alternative in-block decompositions whose
+    pure states need not be mutually orthogonal (the probabilities and
+    block densities still are well defined).
     """
 
     probs: np.ndarray

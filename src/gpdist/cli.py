@@ -245,7 +245,7 @@ def _joint_point(omega, theta, reservoir_energies, reservoir_probs,
         res = ReservoirSpec(probs=probs, states=np.eye(dim_r, dtype=complex),
                             energies=energies)
         build = lru_cache(1)(lambda w: WeakCouplingModel(
-            hs=h_system(w), hr=np.diag(energies), couplings=terms, res=res))
+            hs=h_system(w), couplings=terms, res=res))
         build(omega)  # a bad operator is a config error, found at load
     except InvalidState as exc:
         raise ConfigError(f"params.reservoir_probs: {exc}") from exc

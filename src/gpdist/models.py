@@ -226,8 +226,7 @@ def se_weak_coupling_model(
     res = ReservoirSpec(probs=probs, states=np.eye(dim_bath, dtype=complex),
                         energies=p.omega * np.arange(dim_bath))
     return WeakCouplingModel(
-        hs=h_system(p.omega), hr=np.diag(p.omega * np.arange(dim_bath)),
-        couplings=[(g * r_op, s_op)], res=res)
+        hs=h_system(p.omega), couplings=[(g * r_op, s_op)], res=res)
 
 
 # ---------------------------------------------------------------------------
@@ -322,5 +321,4 @@ def pd_weak_coupling_model(p: PhaseDampingParams) -> WeakCouplingModel:
                         energies=bath_omega * ns)
     r_op = g * np.diag(ns).astype(complex)
     return WeakCouplingModel(
-        hs=h_system(p.omega), hr=np.diag(bath_omega * ns).astype(complex),
-        couplings=[(r_op, SIGMA_Z)], res=res)
+        hs=h_system(p.omega), couplings=[(r_op, SIGMA_Z)], res=res)

@@ -15,10 +15,11 @@ perturbative first moments of both phase distributions then coincide:
 
     <e^{is}>_H = <z>_Z / |<z>_Z| = e^{i beta0} (1 + i Im<DeltaZ>).
 
-H_S, H_R and H_I are constant matrices, so H_I~ is explicit in the
-eigenbasis of H_0 = W diag(E) W^dag, where W = kron(V_S, V_R) holds the
-eigenvectors of H_S and H_R and E_m = lambda_S + lambda_R.  With
-g = W^dag H_I W and omega_mn = E_m - E_n,
+H_S, H_R and H_I are constant matrices, and H_R = sum_r E_r |r><r| is given
+by the reservoir's states and energies, so H_I~ is explicit in the
+eigenbasis of H_0 = W diag(E) W^dag, where W = kron(V_S, R) holds the
+eigenvectors of H_S and the reservoir states |r> (the columns of R) and
+E_m = lambda_S + E_r.  With g = W^dag H_I W and omega_mn = E_m - E_n,
 
     H_I~(s)_mn = e^{i omega_mn s} g_mn,
     A~(s) = integral_0^s H_I~ = g o phi(omega, s),
@@ -39,10 +40,10 @@ integrates to ``QUADRATURE_TOL`` from a few dozen nodes
 exponential enter this layer.  The correction functional is real-linear in
 B and the reservoir weights are real, so it is applied once, to the
 averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``.
-``build_AB`` contracts each weighted block of nodes with rho_R, so the
-quadrature converges on these d_S x d_S averages.  psi_S does not enter
-them: a sweep over psi_S at fixed H_S, H_R, H_I and t computes them once
-and applies ``delta_z_from_b`` per state.
+``build_AB`` contracts each weighted block of nodes with the weights p_r
+of rho_R, so the quadrature converges on these d_S x d_S averages.  psi_S
+does not enter them: a sweep over psi_S at fixed H_S, H_R, H_I and t
+computes them once and applies ``delta_z_from_b`` per state.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ENERGY_DEGENERACY_TOL, ReservoirSpec
+from .channels import ReservoirSpec
 from .errors import (
     DimensionError,
     InvalidOperand,
@@ -78,37 +79,26 @@ class WeakCouplingModel:
     ``hs`` is the Hermitian H_S matrix.  ``couplings`` is a list of
     ``(r_op, s_op)`` pairs acting on the reservoir and system factors; the
     joint coupling is ``-sum kron(s_op, r_op)`` (system slow index).
+    ``res`` states the reservoir once: its states must be an orthonormal
+    basis, and H_R (``hr``) is sum_r E_r |r><r| of them and their energies,
+    so rho_R is stationary by construction.
     """
 
     hs: np.ndarray
-    hr: np.ndarray
     couplings: list[tuple[np.ndarray, np.ndarray]]
     res: ReservoirSpec
 
     def __post_init__(self):
         self.hs = _as_square(self.hs)
-        self.hr = _as_square(self.hr)
         self.couplings = [
             (np.asarray(r, dtype=complex), np.asarray(s, dtype=complex))
             for r, s in self.couplings
         ]
         if not is_hermitian(self.hs):
             raise InvalidOperand("H_S is not Hermitian")
-        if self.hr.shape[0] != self.res.dim:
-            raise DimensionError("H_R dimension != reservoir dimension")
-        if not is_hermitian(self.hr):
-            raise InvalidOperand("H_R is not Hermitian")
-        # the coupling condition at t = 0 holds at all t only for stationary
-        # states, and blocks() reads the degeneracies off these energies
-        states, energies = self.res.states, self.res.energies
-        defect = np.linalg.norm(states @ self.hr.T - energies[:, None] * states,
-                                axis=1)
-        bad = np.flatnonzero(
-            defect > ENERGY_DEGENERACY_TOL * max(1.0, np.abs(self.hr).max()))
-        if bad.size:
-            raise InvalidState(
-                f"reservoir state {bad[0]} is not an eigenvector of H_R with "
-                f"energy {energies[bad[0]]:.6g}")
+        if not self.res.orthonormal or len(self.res.states) != self.res.dim:
+            raise InvalidState("reservoir states are not an orthonormal "
+                               "basis, so they cannot define H_R")
         for i, (r_op, s_op) in enumerate(self.couplings):
             for name, op, dim in (("R", r_op, self.dim_r),
                                   ("S", s_op, self.dim_s)):
@@ -128,7 +118,12 @@ class WeakCouplingModel:
 
     @property
     def dim_r(self) -> int:
-        return self.hr.shape[0]
+        return self.res.dim
+
+    @property
+    def hr(self) -> np.ndarray:
+        """H_R = sum_r E_r |r><r| of the reservoir's states and energies."""
+        return (self.res.states.T * self.res.energies) @ self.res.states.conj()
 
     def h0(self) -> np.ndarray:
         """H_S x 1 + 1 x H_R, built per call: a model keeps no d x d array."""
@@ -144,13 +139,9 @@ class WeakCouplingModel:
 
     def rcond_defect(self) -> float:
         """Largest |<r|R_mu|r>| over populated states and coupling terms."""
-        worst = 0.0
-        for p, r in zip(self.res.probs, self.res.states):
-            if p == 0.0:
-                continue
-            for r_op, _ in self.couplings:
-                worst = max(worst, abs(np.vdot(r, r_op @ r)))
-        return worst
+        r = self.res.states[self.res.probs > 0]
+        return max((np.abs(np.einsum("ri,ij,rj->r", r.conj(), r_op, r)).max()
+                    for r_op, _ in self.couplings), default=0.0)
 
     def require_rcond(self):
         defect = self.rcond_defect()
@@ -179,17 +170,18 @@ def _rotations(energies: np.ndarray, s: np.ndarray):
 
 
 def _b_and_integral(g: np.ndarray, energies: np.ndarray,
-                    rho_tilde: np.ndarray, t: float, n: int) -> np.ndarray:
+                    probs: np.ndarray, t: float, n: int) -> np.ndarray:
     """n-node Gauss-Legendre values of the reservoir averages of B(t) and
-    of integral_0^t B, stacked, in the eigenbasis of H_S; ``rho_tilde`` is
-    rho_R in the eigenbasis of H_R.  The nodes go in blocks of
-    ``QUADRATURE_START_NODES`` so the (k, d, d) temporaries stay small, and
-    each block's weighted sum is contracted with ``rho_tilde`` at once."""
+    of integral_0^t B, stacked, in the eigenbasis of H_S; ``probs`` are the
+    weights p_r of the reservoir states, the basis of g's reservoir factor.
+    The nodes go in blocks of ``QUADRATURE_START_NODES`` so the (k, d, d)
+    temporaries stay small, and each block's weighted sum is contracted
+    with ``probs`` at once."""
     x, w = _gauss_legendre(n)
     s = 0.5 * t * (x + 1.0)
     # B = -integral of the integrand; integral B weights it by (t - s)
     weights = -0.5 * t * np.stack([w, w * (t - s)])
-    ds, dr = len(g) // len(rho_tilde), len(rho_tilde)
+    ds, dr = len(g) // len(probs), len(probs)
     out = np.zeros((2, ds, ds), dtype=complex)
     for k in range(0, n, QUADRATURE_START_NODES):
         blk = slice(k, k + QUADRATURE_START_NODES)
@@ -197,9 +189,9 @@ def _b_and_integral(g: np.ndarray, energies: np.ndarray,
         a_tilde = g * rot
         rot *= a_tilde     # H_I~(s) = g o rot^2
         a_tilde *= phi     # A~(s) = g o rot o phi
-        out += np.einsum("kajbl,lj->kab", (
+        out += np.einsum("kajbj,j->kab", (
             weights[:, blk] @ (rot @ a_tilde).reshape(len(phi), -1)
-        ).reshape(2, ds, dr, ds, dr), rho_tilde)
+        ).reshape(2, ds, dr, ds, dr), probs)
     return out
 
 
@@ -215,15 +207,13 @@ def build_AB(model: WeakCouplingModel, t: float
     settle by ``QUADRATURE_MAX_NODES`` nodes.
     """
     model.require_rcond()
+    res = model.res
     lam_s, v_s = eigh_hermitian(model.hs)
-    lam_r, v_r = eigh_hermitian(model.hr)
-    w = np.kron(v_s, v_r)
-    energies = (lam_s[:, None] + lam_r[None, :]).ravel()
+    w = np.kron(v_s, res.states.T)
+    energies = (lam_s[:, None] + res.energies[None, :]).ravel()
     g = w.conj().T @ model.h_interaction() @ w
-    c = model.res.states @ v_r.conj()   # rows V_R^dag r_i
-    rho_tilde = (c.T * model.res.probs) @ c.conj()
     values, _ = converged_gauss_legendre(  # a family of one member
-        lambda n: _b_and_integral(g, energies, rho_tilde, t, n)[None],
+        lambda n: _b_and_integral(g, energies, res.probs, t, n)[None],
         "B and its time integral")
     b, b_int = v_s @ values[0] @ v_s.conj().T
     return b, b_int, (v_s * np.exp(-1j * t * lam_s)) @ v_s.conj().T

@@ -104,8 +104,7 @@ def joint_qubit_model(g, bath_omega=2.0, probs=(0.7, 0.3)):
     res = ReservoirSpec(probs=list(probs), states=np.eye(2, dtype=complex),
                         energies=[0.0, bath_omega])
     return WeakCouplingModel(
-        hs=h_system(OMEGA), hr=np.diag([0.0, bath_omega]),
-        couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
+        hs=h_system(OMEGA), couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
 
 
 def test_criterion_01_closed_system_gp(capsys):
@@ -275,7 +274,7 @@ def test_criterion_09_decomposition_freedom(capsys):
     rng0 = np.random.default_rng(7)
     w = rng0.normal(size=(4, 4)) + 1j * rng0.normal(size=(4, 4))
     w = 0.5 * (w + w.conj().T)
-    model = WeakCouplingModel(hs=h_system(OMEGA), hr=np.diag(energies),
+    model = WeakCouplingModel(hs=h_system(OMEGA),
                               couplings=[(g * w, SIGMA_X)], res=res)
     _, u_fin = joint_family(model, psi_initial(np.pi / 3))
     shift_z, shift_h = decomposition_check(res, psi_initial(np.pi / 3), u_fin,

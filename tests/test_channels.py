@@ -559,8 +559,7 @@ class TestConditionalTrajectories:
             spectrum, res, sys, t_end)
         rep = moments(build_distribution(weights, family))
         model = WeakCouplingModel(
-            hs=h_system(1.0), hr=np.diag([0.0, 2.0]).astype(complex),
-            couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
+            hs=h_system(1.0), couplings=[(g * SIGMA_X, SIGMA_X)], res=res)
         dz = delta_z_from_b(*build_AB(model, t_end), model.hs,
                             psi_initial(np.pi / 3))
         beta0 = 2.0 * np.pi * np.sin(np.pi / 6.0) ** 2

@@ -15,7 +15,7 @@ from gpdist.errors import (
     RCondViolated,
     UndefinedGP,
 )
-from gpdist.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, TimeGrid
+from gpdist.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, TimeGrid, eigh_hermitian
 from gpdist.models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
@@ -52,58 +52,56 @@ def vacuum_qubit_res(energy=2.0):
 def zero_hamiltonian_model(r_op, s_op, probs=(1.0, 0.0)):
     res = ReservoirSpec(probs=list(probs), states=np.eye(2, dtype=complex),
                         energies=[0.0, 0.0])
-    return WeakCouplingModel(
-        hs=np.zeros((2, 2)),
-        hr=np.zeros((2, 2), dtype=complex),
-        couplings=[(r_op, s_op)], res=res)
+    return WeakCouplingModel(hs=np.zeros((2, 2)), couplings=[(r_op, s_op)],
+                             res=res)
 
 
 class TestModelValidation:
     def test_dimension_mismatch(self):
-        res = vacuum_qubit_res()
-        with pytest.raises(DimensionError):
-            WeakCouplingModel(hs=h_system(1.0),
-                              hr=np.zeros((3, 3), dtype=complex),
-                              couplings=[], res=res)
+        # one state in d_R = 2 leaves H_R undefined on the other direction
+        res = ReservoirSpec(probs=[1.0], states=[[1.0, 0.0]], energies=[0.0])
+        with pytest.raises(InvalidState, match="orthonormal basis"):
+            WeakCouplingModel(hs=h_system(1.0), couplings=[], res=res)
 
-    def test_non_square_reservoir_hamiltonian(self):
-        with pytest.raises(DimensionError, match="square"):
-            WeakCouplingModel(hs=h_system(1.0),
-                              hr=np.zeros((2, 3), dtype=complex),
-                              couplings=[], res=vacuum_qubit_res())
+    def test_h_r_is_read_off_the_reservoir(self):
+        # sum_r E_r |r><r|, with no field that could state it a second time
+        model = _degenerate_reservoir_model()
+        res = model.res
+        ref = sum(e * np.outer(r, r.conj())
+                  for e, r in zip(res.energies, res.states))
+        assert np.linalg.norm(model.hr - ref) < 1e-14
+        with pytest.raises(AttributeError):
+            model.hr = ref
+        with pytest.raises(TypeError):
+            WeakCouplingModel(hs=model.hs, hr=ref, couplings=[], res=res)
 
     @pytest.mark.parametrize("term, r_dim, s_dim", [("R", 3, 2), ("S", 2, 3)])
     def test_coupling_of_wrong_size(self, term, r_dim, s_dim):
         # named by its term, not left to numpy's broadcasting error
         with pytest.raises(DimensionError, match=f"coupling 1: {term} has"):
-            WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 2.0]),
+            WeakCouplingModel(hs=h_system(1.0),
                               couplings=[(SIGMA_X, SIGMA_X),
                                          (np.eye(r_dim), np.eye(s_dim))],
                               res=vacuum_qubit_res())
 
     def test_non_stationary_reservoir_state(self):
-        # <r|R|r> = 0 at t = 0 for these real states, yet the rotated
-        # mixture is not stationary, so the first order survives at t > 0
-        c, s = np.cos(0.3), np.sin(0.3)
-        res = ReservoirSpec(probs=[0.7, 0.3],
-                            states=np.array([[c, s], [-s, c]], dtype=complex),
-                            energies=[0.0, 1.7])
-        with pytest.raises(InvalidState, match="reservoir state 0 "):
-            WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 1.7]),
-                              couplings=[(SIGMA_Y, SIGMA_X)], res=res)
+        # a redecomposed spec need not be orthogonal, so its states do not
+        # define an H_R of which the mixture is a stationary state
+        from gpdist.distribution import redecompose
 
-    def test_energies_other_than_those_of_h_r(self):
-        res = ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2, dtype=complex),
-                            energies=[0.0, 0.0])
-        with pytest.raises(InvalidState, match="reservoir state 1 "):
-            WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 2.0]),
-                              couplings=[(SIGMA_X, SIGMA_X)], res=res)
+        res = ReservoirSpec(probs=[0.6, 0.4], states=np.eye(2, dtype=complex),
+                            energies=[1.0, 1.0])
+        c, s = np.cos(0.3), np.sin(0.3)
+        alt = redecompose(res, {0: np.array([[c, s], [-s, c]])})
+        assert not alt.orthonormal
+        with pytest.raises(InvalidState, match="orthonormal basis"):
+            WeakCouplingModel(hs=h_system(1.0),
+                              couplings=[(SIGMA_X, SIGMA_X)], res=alt)
 
     def test_non_hermitian_system_hamiltonian(self):
         # the interaction picture is built from a Hermitian H_S
         with pytest.raises(InvalidOperand):
             WeakCouplingModel(hs=-0.5 * SIGMA_Z + 0.3j * SIGMA_X,
-                              hr=np.diag([0.0, 2.0]),
                               couplings=[(0.2 * SIGMA_X, SIGMA_X)],
                               res=vacuum_qubit_res())
 
@@ -120,6 +118,21 @@ class TestModelValidation:
         assert diag.rcond_defect() == pytest.approx(1.0)
         with pytest.raises(RCondViolated):
             diag.require_rcond()
+        # two terms, three states in a complex basis: the first term's only
+        # nonzero <r|R|r> sits on the unpopulated state, the second's worst
+        # populated one is |-0.7|
+        q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 6))
+                            .view(complex))
+        off = np.array([[0.0, 0.4, 0.2j], [0.4, 0.0, 1.0], [-0.2j, 1.0, 0.0]])
+        res = ReservoirSpec(probs=[0.5, 0.5, 0.0], states=q.T,
+                            energies=[0.0, 1.0, 2.0])
+        model = WeakCouplingModel(
+            hs=np.zeros((2, 2)), res=res,
+            couplings=[(q @ (off + np.diag([0.0, 0.0, 5.0])) @ q.conj().T,
+                        SIGMA_X),
+                       (q @ (off + np.diag([0.3, -0.7, 9.0])) @ q.conj().T,
+                        SIGMA_Z)])
+        assert model.rcond_defect() == pytest.approx(0.7, rel=1e-14)
 
     def test_unpopulated_states_ignored(self):
         # <r|R|r> != 0 only on a zero-probability state is acceptable
@@ -171,13 +184,27 @@ class TestBuildAB:
         for got, ref in zip(build_AB(model, t), _van_loan_blocks(model, t)):
             assert np.linalg.norm(got - _average(model, ref)) <= 1e-13
 
+    def test_one_eigendecomposition(self, monkeypatch):
+        # the reservoir basis is res.states: only H_S is diagonalised
+        calls = []
+
+        def counting_eigh(h):
+            calls.append(h)
+            return eigh_hermitian(h)
+
+        monkeypatch.setattr(gpdist.weakcoupling, "eigh_hermitian",
+                            counting_eigh)
+        model = _degenerate_reservoir_model()
+        build_AB(model, 1.7)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], model.hs)
+
     def test_node_cap_raises(self):
         # omega_max t ~ 6e4: Gauss-Legendre is still moving at 4096 nodes
         res = ReservoirSpec(probs=[1.0, 0.0], states=np.eye(2, dtype=complex),
                             energies=[0.0, 1e4])
         model = WeakCouplingModel(
-            hs=h_system(1.0), hr=np.diag([0.0, 1e4]).astype(complex),
-            couplings=[(SIGMA_X, SIGMA_X)], res=res)
+            hs=h_system(1.0), couplings=[(SIGMA_X, SIGMA_X)], res=res)
         with pytest.raises(QuadratureNotConverged, match="4096"):
             build_AB(model, 2.0 * np.pi)
 
@@ -227,7 +254,6 @@ def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
     rng = np.random.default_rng(21)
     q, _ = np.linalg.qr(rng.normal(size=(n, n))
                         + 1j * rng.normal(size=(n, n)))
-    hr = q @ np.diag(energies) @ q.conj().T
     res = ReservoirSpec(probs=[0.4, 0.3, 0.2, 0.1] + [0.0] * (n - 4),
                         states=q.T, energies=energies)
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -235,7 +261,7 @@ def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     r_op2 = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(n))) @ q.conj().T
     return WeakCouplingModel(
-        hs=0.6 * SIGMA_X + 0.3 * SIGMA_Z, hr=hr,
+        hs=0.6 * SIGMA_X + 0.3 * SIGMA_Z,
         couplings=[(0.2 * r_op, SIGMA_X), (0.1 * r_op2, SIGMA_Y)], res=res)
 
 
@@ -335,8 +361,7 @@ class TestDeltaZ:
         res = ReservoirSpec(probs=[0.6, 0.4], states=np.eye(2, dtype=complex),
                             energies=[1.0, 1.0])
         model = WeakCouplingModel(
-            hs=h_system(1.0), hr=np.eye(2, dtype=complex),
-            couplings=[(0.2 * SIGMA_X, SIGMA_X)], res=res)
+            hs=h_system(1.0), couplings=[(0.2 * SIGMA_X, SIGMA_X)], res=res)
         b, b_int, u_fin = build_AB(model, 2.0 * np.pi)
         base = delta_z_from_b(b, b_int, u_fin, model.hs,
                               psi_initial(np.pi / 3))
@@ -366,7 +391,7 @@ class TestBlockRoute:
         # the functional is real-linear in B and the weights are real
         res = ReservoirSpec(probs=[0.7, 0.3], states=np.eye(2, dtype=complex),
                             energies=[0.0, 2.0])
-        model = WeakCouplingModel(hs=h_system(1.0), hr=np.diag([0.0, 2.0]),
+        model = WeakCouplingModel(hs=h_system(1.0),
                                   couplings=[(0.2 * SIGMA_X, SIGMA_X)],
                                   res=res)
         b, b_int = _van_loan_blocks(model, 2.0 * np.pi)
