@@ -14,9 +14,10 @@ stacks its powers M^1..M^B into one (B d^2, d^2) matrix and fills a chunk
 of B nodes with one product on the chunk's start state.  It streams: the
 chunks fill one reused buffer, which is checked and from which only the
 nodes the caller keeps are copied, so its memory is the kept nodes and a
-few buffers, whatever the grid's length.  The exact propagator ``expm(L dt)``
-is deliberately not used: it would change the numbers, and an exact step
-can never lose trace, so an unstable grid would no longer be reported as
+few buffers, whatever the grid's length, n steps of its own over [0, t_end]
+whose kept times it returns.  The exact propagator ``expm(L dt)`` is
+deliberately not used: it would change the numbers, and an exact step can
+never lose trace, so an unstable grid would no longer be reported as
 ``IntegrationDiverged``.
 """
 
@@ -34,7 +35,7 @@ from .errors import (
     InvalidOperand,
     InvalidState,
 )
-from .hilbert import TimeGrid, _as_square
+from .hilbert import _as_square, is_hermitian
 from .phase import ClosedFormPath
 
 ENERGY_DEGENERACY_TOL = 1e-9
@@ -150,7 +151,7 @@ def _completeness_defect(weights: np.ndarray, ks: np.ndarray) -> float:
 
 @dataclass
 class LindbladModel:
-    """Master-equation data: the H_S matrix and the jump operators."""
+    """Master-equation data: a Hermitian H_S and the jump operators."""
 
     hs: np.ndarray
     jump_ops: list[np.ndarray] = field(default_factory=list)
@@ -159,6 +160,8 @@ class LindbladModel:
         self.hs = _as_square(self.hs)
         self.jump_ops = [np.asarray(l, dtype=complex) for l in self.jump_ops]
         dim = len(self.hs)
+        if not is_hermitian(self.hs):
+            raise InvalidOperand("H_S is not Hermitian")
         for i, l in enumerate(self.jump_ops):
             if l.shape != (dim, dim):
                 raise DimensionError(
@@ -198,12 +201,23 @@ def _rk4_map(l: np.ndarray, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid,
-                       every: int = 1) -> np.ndarray:
-    """Classical RK4 on the n-step grid, applied as one linear step map.
+def _node_times(t_end: float, n_steps: int, nodes) -> np.ndarray:
+    """``np.linspace(0, t_end, n_steps + 1)[nodes]``, without the grid."""
+    k = np.asarray(nodes, dtype=float)
+    dt = t_end / n_steps
+    # an underflowed step: linspace scales k / n_steps instead
+    t = k * dt if dt else k / n_steps * t_end
+    return np.where(k == n_steps, t_end, t)
 
-    Returns the kept nodes, 0, every, 2 every, ... below n and node n, as
-    one ``(ceil(n / every) + 1, d, d)`` stack; ``every=1`` keeps them all.
+
+def integrate_lindblad(model: LindbladModel, rho0, t_end: float, n_steps: int,
+                       every: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 on n = ``n_steps`` uniform steps of [0, t_end], applied
+    as one linear step map.
+
+    Returns the kept nodes, 0, every, 2 every, ... below n and node n: their
+    times, bit for bit those of ``np.linspace(0, t_end, n + 1)``, and one
+    ``(ceil(n / every) + 1, d, d)`` stack of states; ``every=1`` keeps all.
     Memory does not grow with n: the step map M is built once, and its
     powers M^1..M^B are stacked into one ``(B d^2, d^2)`` matrix, so that
     each chunk of up to ``_LINDBLAD_CHUNK`` nodes is one matrix-vector
@@ -222,16 +236,21 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid,
     rho(M)^n - 1 > ``RK4_GROWTH_TOL``, whatever ``rho0``; the power is taken
     as ``n log rho(M)``, which cannot overflow.
     """
+    if not (np.isfinite(t_end) and t_end > 0 and n_steps >= 1):
+        raise ValueError(f"need a finite t_end > 0 and n_steps >= 1, got "
+                         f"{t_end} and {n_steps}")
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
     rho0 = np.asarray(rho0, dtype=complex)
     tr0 = np.trace(rho0).real
-    n = grid.n_steps
-    out = np.empty((-(-n // every) + 1, *rho0.shape), dtype=complex)
+    n, dt = n_steps, t_end / n_steps
+    # first, so that no temporary of the times peaks beside the stack
+    times = _node_times(t_end, n, np.append(np.arange(0, n, every), n))
+    out = np.empty((len(times), *rho0.shape), dtype=complex)
     out[0] = rho0
     buf = np.empty((min(_CHECK_BLOCK, n), *rho0.shape), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _rk4_map(liouvillian(model), grid.dt)
+        step = _rk4_map(liouvillian(model), dt)
         powers = np.empty((min(_LINDBLAD_CHUNK, n), *step.shape),
                           dtype=complex)
         powers[0] = step
@@ -259,7 +278,7 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid,
                 j = int(np.argmax(~ok))
                 raise IntegrationDiverged(
                     f"trace drifted by {drift[j]:.3e} "
-                    f"at t={grid.node_times(k + 1 + j):.6g}")
+                    f"at t={_node_times(t_end, n, k + 1 + j):.6g}")
             first = -(k + 1) % every  # the block's first multiple of every
             kept = block[first::every]
             i = (k + 1 + first) // every
@@ -271,8 +290,8 @@ def integrate_lindblad(model: LindbladModel, rho0, grid: TimeGrid,
         if growth > np.log1p(RK4_GROWTH_TOL):
             raise IntegrationDiverged(
                 f"RK4 step map has spectral radius {radius:.6g}: {n} steps "
-                f"of dt={grid.dt:.6g} amplify by exp({growth:.3e})")
-    return out
+                f"of dt={dt:.6g} amplify by exp({growth:.3e})")
+    return times, out
 
 
 def apply_kraus(channel: KrausChannel, rho0, t: float) -> np.ndarray:

@@ -66,7 +66,7 @@ from .channels import (LindbladModel, ReservoirSpec, SystemEnsemble,
                        integrate_lindblad, spectral_conditional_trajectories)
 from .distribution import build_distribution, decomposition_check, moments
 from .errors import ConfigError, GpdistError, InvalidOperand, InvalidState
-from .hilbert import TimeGrid, eigh_hermitian
+from .hilbert import eigh_hermitian
 from .models import (PhaseDampingParams, TwoLevelAtomParams, closed_system_gp,
                      h_system, pd_distribution, pd_first_order_references,
                      psi_initial, se_distribution, se_mean_gp_zero_temperature,
@@ -396,14 +396,31 @@ class Scenario:
     outputs: tuple
 
 
+def _nesting_bound(text: str) -> int:
+    """A bound on how deep the collections of ``text`` nest: the count of
+    ``[{:?`` plus the longest run of `` -?:`` and BOMs that starts a line.
+    Of the collections open at one point, each flow collection and mapping
+    owns a ``[{:?`` (its bracket, or its first key or value indicator).
+    The m block sequences among them nest, so their ``-`` entries stand at
+    increasing columns, the innermost at m - 1 or beyond; libyaml reads a
+    ``-`` as an entry only at a line's start (after any BOM) or after a
+    ``-``, ``?`` or explicit ``:``, with spaces between, so its line opens
+    with a run of m or more.  ``splitlines`` breaks wherever libyaml does."""
+    return (sum(map(text.count, "[{:?"))
+            + max((len(line) - len(line.lstrip("\ufeff -?:"))
+                   for line in text.splitlines()), default=0))
+
+
 def _check_depth(stream: io.StringIO) -> None:
     """Raise a YAMLError where collections nest deeper than YAML_MAX_DEPTH.
 
     Every collection opens with one of ``[{-:?``, so their count bounds the
-    depth, and only a text with more of them than the bound takes an event
-    pass through the parser, which keeps no recursion.
+    depth; a text over it takes the line scan of ``_nesting_bound``, and
+    one over both an event pass through the parser, which keeps no recursion.
     """
-    if sum(map(stream.getvalue().count, "[{-:?")) <= YAML_MAX_DEPTH:
+    text = stream.getvalue()
+    if (sum(map(text.count, "[{-:?")) <= YAML_MAX_DEPTH
+            or _nesting_bound(text) <= YAML_MAX_DEPTH):
         return
     depth = 0
     for event in yaml.parse(stream, Loader=YAML_LOADER):
@@ -462,7 +479,7 @@ def load_scenario(path: str) -> Scenario:
     for key in params:
         if key in SCALARS:
             params[key] = _scalar(key, params[key], f"params.{key}")
-    parameter, overrides = None, []
+    parameter, overrides = None, [{}]
     if raw["sweep"] is not None:
         if model.distribution is None:
             raise ConfigError(f"sweep: {name} integrates a single point and "
@@ -479,10 +496,10 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError("sweep.values: must be sorted")
         overrides = [{parameter: _scalar(parameter, v, f"sweep.values[{i}]")}
                      for i, v in enumerate(values)]
-    point = model.point(**params)  # operators parsed and checked once
+    points = [model.point(**params | overrides[0])]  # operators checked once
+    points += [replace(points[0], **o) for o in overrides[1:]]
     return Scenario(model=name, n_steps=n_steps, sweep_parameter=parameter,
-                    points=tuple(replace(point, **o) for o in overrides)
-                    or (point,), outputs=outputs)
+                    points=tuple(points), outputs=outputs)
 
 
 def _each_point(scn: Scenario, work) -> list:
@@ -555,11 +572,9 @@ def _run_row(model: Model, p, scn: Scenario, seed: int):
 
 def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
     psi = psi_initial(p.theta)
-    grid = TimeGrid(0.0, p.period, n_steps)
     # every (n_steps // 256)-th node and the last, t = T, which it can miss
-    every = max(1, n_steps // 256)
-    rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid, every)
-    times = grid.node_times(np.append(np.arange(0, n_steps, every), n_steps))
+    times, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
+                                     p.period, n_steps, max(1, n_steps // 256))
     columns = {
         "time_inverse_omega": times,
         "trace_dimensionless": np.trace(rhos, axis1=1, axis2=2).real,

@@ -1,9 +1,8 @@
 """Dense complex linear algebra on small Hilbert spaces.
 
-Hermiticity checks, the eigendecomposition of a constant Hermitian
+Hermiticity checks and the eigendecomposition of a constant Hermitian
 operator (``eigh_hermitian``), from which every propagator in this package
-is formed as ``U(t) = V e^{-i lambda t} V^dag``, and the uniform time grid of
-the Lindblad integrator.
+is formed as ``U(t) = V e^{-i lambda t} V^dag``.
 
 Tensor-product index convention: the SYSTEM index is the slow (outer) index,
 i.e. a joint operator is ``np.kron(op_system, op_reservoir)`` and a joint
@@ -51,41 +50,6 @@ def is_hermitian(m: np.ndarray) -> bool:
         m = m / big
     scale = max(1.0, np.linalg.norm(m))
     return bool(np.linalg.norm(m - m.conj().T) <= HERMITICITY_TOL * scale)
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid with ``n_steps`` intervals (``n_steps + 1`` nodes)."""
-
-    t_start: float
-    t_end: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)
-                and self.t_end > self.t_start):
-            raise ValueError("t_start and t_end must be finite, t_end > t_start")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-
-    @property
-    def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
-
-    def node_times(self, nodes) -> np.ndarray:
-        """``times[nodes]`` for node numbers in [0, n_steps], without the
-        whole grid: ``k dt + t_start``, and ``t_end`` at node ``n_steps``,
-        rounded as ``np.linspace`` rounds them."""
-        k = np.asarray(nodes, dtype=float)
-        span = float(self.t_end) - float(self.t_start)
-        dt = span / self.n_steps
-        # an underflowed step: linspace scales k / n_steps instead
-        t = (k * dt if dt else k / self.n_steps * span) + self.t_start
-        return np.where(k == self.n_steps, self.t_end, t)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from gpdist.channels import (
     SystemEnsemble,
     apply_kraus,
     integrate_lindblad,
+    _node_times,
     liouvillian,
     spectral_conditional_trajectories,
 )
@@ -28,7 +29,7 @@ from gpdist.errors import (
     InvalidOperand,
     InvalidState,
 )
-from gpdist.hilbert import SIGMA_X, SIGMA_Z, TimeGrid, eigh_hermitian
+from gpdist.hilbert import SIGMA_X, SIGMA_Z, eigh_hermitian
 from gpdist.models import (
     TwoLevelAtomParams,
     h_system,
@@ -71,12 +72,12 @@ def liouvillian_rhs(rho, model):
     return (liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
 
 
-def rk4_oracle(model, rho0, grid):
-    """Step-by-step classical RK4 over ``textbook_rhs``, symmetrized after
-    every step."""
-    rho, dt = np.asarray(rho0, dtype=complex), grid.dt
+def rk4_oracle(model, rho0, t_end, n):
+    """Step-by-step classical RK4 over ``textbook_rhs`` on n steps of
+    [0, t_end], symmetrized after every step."""
+    rho, dt = np.asarray(rho0, dtype=complex), t_end / n
     out = [rho]
-    for _ in range(grid.n_steps):
+    for _ in range(n):
         k1 = textbook_rhs(rho, model)
         k2 = textbook_rhs(rho + 0.5 * dt * k1, model)
         k3 = textbook_rhs(rho + 0.5 * dt * k2, model)
@@ -96,7 +97,7 @@ def prefix_error(model, rho0, m):
     computes nodes 0..m with the same bits as any longer one, and no node
     after m, so its check of node m is not deferred past it."""
     try:
-        integrate_lindblad(model, rho0, TimeGrid(0.0, m * DRIFT_DT, m))
+        integrate_lindblad(model, rho0, m * DRIFT_DT, m)
     except IntegrationDiverged as exc:
         return str(exc)
     return None
@@ -117,13 +118,12 @@ def overflow_oracle(n):
     first node whose stepwise RK4 trace drifts."""
     huge = LindbladModel(hs=h_system(1.0), jump_ops=[1e80 * SIGMA_MINUS])
     rho0 = np.diag([0.0, 1.0]).astype(complex)
-    grid = TimeGrid(0.0, 2.0 * np.pi, n)
     with np.errstate(all="ignore"):
-        rhos = rk4_oracle(huge, rho0, grid)
+        rhos = rk4_oracle(huge, rho0, 2.0 * np.pi, n)
         drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
     j = 1 + int(np.argmax(~(drift[1:] <= TRACE_DRIFT_TOL)))
-    return huge, rho0, grid, (f"trace drifted by {drift[j]:.3e} "
-                              f"at t={grid.times[j]:.6g}")
+    t = np.linspace(0.0, 2.0 * np.pi, n + 1)[j]
+    return huge, rho0, f"trace drifted by {drift[j]:.3e} at t={t:.6g}"
 
 
 # where in the chunks of _LINDBLAD_CHUNK = 64 nodes and the checks' blocks
@@ -208,6 +208,11 @@ class TestLindbladModel:
             LindbladModel(hs=np.array([[0.0, np.nan], [np.nan, 0.0]]),
                           jump_ops=[0.1 * SIGMA_Z])
 
+    def test_hs_not_hermitian_rejected(self):
+        # integrated, this H_S ends a period at purity 1.24 with trace 1
+        with pytest.raises(InvalidOperand, match="H_S is not Hermitian"):
+            LindbladModel(hs=[[0.5, 0.3], [0.0, -0.5]])
+
 
 class TestLiouvillian:
     @pytest.mark.parametrize("dim", [2, 3])
@@ -231,9 +236,8 @@ class TestIntegrateLindblad:
         model = LindbladModel(hs=h)
         psi = psi_initial(np.pi / 3)
         rho0 = np.outer(psi, psi.conj())
-        grid = TimeGrid(0.0, 2.0 * np.pi, 2048)
-        rhos = integrate_lindblad(model, rho0, grid)
-        u = scipy.linalg.expm(-1j * h * grid.t_end)
+        _, rhos = integrate_lindblad(model, rho0, 2.0 * np.pi, 2048)
+        u = scipy.linalg.expm(-1j * h * (2.0 * np.pi))
         ref = u @ rho0 @ u.conj().T
         assert np.linalg.norm(rhos[-1] - ref) < 1e-8
 
@@ -241,9 +245,8 @@ class TestIntegrateLindblad:
         # scalar ODE oracle in this convention: rho_ee(t) = e^{-2 g0 t}
         g0 = 0.3
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=g0))
-        grid = TimeGrid(0.0, 2.0, 1024)
-        rhos = integrate_lindblad(model, np.diag([0.0, 1.0]).astype(complex),
-                                  grid)
+        _, rhos = integrate_lindblad(
+            model, np.diag([0.0, 1.0]).astype(complex), 2.0, 1024)
         assert rhos[-1][1, 1].real == pytest.approx(np.exp(-2.0 * g0 * 2.0),
                                                     abs=1e-9)
 
@@ -252,8 +255,8 @@ class TestIntegrateLindblad:
         al = 0.4
         model = pd_lindblad_model(PhaseDampingParams(omega=1.0, alpha=al))
         psi = psi_initial(np.pi / 2)
-        grid = TimeGrid(0.0, 2.0, 1024)
-        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()), grid)
+        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()), 2.0,
+                                     1024)
         assert abs(rhos[-1][0, 1]) == pytest.approx(
             0.5 * np.exp(-al * 2.0), abs=1e-9)
 
@@ -261,8 +264,8 @@ class TestIntegrateLindblad:
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.2,
                                                      n_thermal=1.0))
         psi = psi_initial(np.pi / 3)
-        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                  TimeGrid(0.0, 2.0 * np.pi, 512))
+        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                     2.0 * np.pi, 512)
         traces = np.array([np.trace(r).real for r in rhos])
         assert np.max(np.abs(traces - 1.0)) < 1e-9
 
@@ -274,7 +277,7 @@ class TestIntegrateLindblad:
         )
         with pytest.raises(IntegrationDiverged):
             integrate_lindblad(stiff, np.diag([0.0, 1.0]).astype(complex),
-                               TimeGrid(0.0, 2.0 * np.pi, 16))
+                               2.0 * np.pi, 16)
 
     def test_overflow_is_divergence_without_warnings(self):
         # the step map overflows to inf/nan; the trace check must catch a
@@ -287,7 +290,7 @@ class TestIntegrateLindblad:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationDiverged):
                 integrate_lindblad(huge, np.diag([0.0, 1.0]).astype(complex),
-                                   TimeGrid(0.0, 2.0 * np.pi, 4096))
+                                   2.0 * np.pi, 4096)
 
     @pytest.mark.parametrize("rate, n, place", [
         (30.0, 16, "mid-chunk"),
@@ -306,7 +309,7 @@ class TestIntegrateLindblad:
         stiff = LindbladModel(hs=h_system(1.0), jump_ops=[rate * SIGMA_MINUS])
         rho0 = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(IntegrationDiverged) as exc:
-            integrate_lindblad(stiff, rho0, TimeGrid(0.0, n * DRIFT_DT, n))
+            integrate_lindblad(stiff, rho0, n * DRIFT_DT, n)
         # every prefix grid amplifies too: the trace check runs first, and
         # the references below are the trace check alone
         monkeypatch.setattr(channels, "RK4_GROWTH_TOL", np.inf)
@@ -314,8 +317,7 @@ class TestIntegrateLindblad:
         assert PLACES[place](j, n)
         assert str(exc.value) == prefix_error(stiff, rho0, j)
         assert str(exc.value).endswith(f" at t={j * DRIFT_DT:.6g}")
-        rhos = integrate_lindblad(stiff, rho0,
-                                  TimeGrid(0.0, (j - 1) * DRIFT_DT, j - 1))
+        _, rhos = integrate_lindblad(stiff, rho0, (j - 1) * DRIFT_DT, j - 1)
         drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
         assert np.all(drift <= TRACE_DRIFT_TOL)
 
@@ -330,7 +332,7 @@ class TestIntegrateLindblad:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationDiverged) as exc:
                 integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                   TimeGrid(0.0, 2.0 * np.pi, 64))
+                                   2.0 * np.pi, 64)
         assert str(exc.value).startswith(
             f"RK4 step map has spectral radius {radius}: 64 steps")
 
@@ -338,25 +340,25 @@ class TestIntegrateLindblad:
         # c = 2.6 keeps every mode inside the stability region: rho(M) = 1
         model = LindbladModel(hs=h_system(1.0), jump_ops=[2.6 * SIGMA_Z])
         psi = psi_initial(np.pi / 2)
-        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                  TimeGrid(0.0, 2.0 * np.pi, 64))
+        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                     2.0 * np.pi, 64)
         assert np.all(np.linalg.eigvalsh(rhos) >= -1e-12)
         assert np.all(np.abs(rhos[:, 0, 1]) <= 0.5)
 
     @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
     def test_overflow_error_matches_stepwise_oracle(self, n):
-        huge, rho0, grid, message = overflow_oracle(n)
+        huge, rho0, message = overflow_oracle(n)
         with pytest.raises(IntegrationDiverged) as exc:
-            integrate_lindblad(huge, rho0, grid)
+            integrate_lindblad(huge, rho0, 2.0 * np.pi, n)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("every", [3, 64, 5000])
     @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
     def test_overflow_error_is_the_same_under_a_stride(self, n, every):
         # the drifting node need not be kept: the check runs on every node
-        huge, rho0, grid, message = overflow_oracle(n)
+        huge, rho0, message = overflow_oracle(n)
         with pytest.raises(IntegrationDiverged) as exc:
-            integrate_lindblad(huge, rho0, grid, every)
+            integrate_lindblad(huge, rho0, 2.0 * np.pi, n, every)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 255, 256, 257, 1000, 16384])
@@ -366,18 +368,29 @@ class TestIntegrateLindblad:
         model = LindbladModel(hs=h_system(1.0), jump_ops=[
             0.6 * random_complex(2, np.random.default_rng(5))])
         psi = psi_initial(0.9)
-        rho0, grid = np.outer(psi, psi.conj()), TimeGrid(0.0, n * DRIFT_DT, n)
-        full = integrate_lindblad(model, rho0, grid)
+        rho0 = np.outer(psi, psi.conj())
+        times, full = integrate_lindblad(model, rho0, n * DRIFT_DT, n)
         assert full.shape == (n + 1, 2, 2)
+        assert np.array_equal(times, np.linspace(0.0, n * DRIFT_DT, n + 1))
         for every in (1, 3, 64, 256, max(1, n // 256)):
             kept = np.append(np.arange(0, n, every), n)
-            assert np.array_equal(
-                integrate_lindblad(model, rho0, grid, every), full[kept])
+            got_times, got = integrate_lindblad(model, rho0, n * DRIFT_DT, n,
+                                                every)
+            assert np.array_equal(got_times, times[kept])
+            assert np.array_equal(got, full[kept])
 
     def test_stride_must_be_positive(self):
         model = LindbladModel(hs=h_system(1.0))
         with pytest.raises(ValueError, match="every must be >= 1"):
-            integrate_lindblad(model, np.eye(2) / 2, TimeGrid(0.0, 1.0, 4), 0)
+            integrate_lindblad(model, np.eye(2) / 2, 1.0, 4, 0)
+
+    def test_grid_validation(self):
+        model = LindbladModel(hs=h_system(1.0))
+        for t_end, n_steps in ((0.0, 4), (-1.0, 4), (np.inf, 4), (np.nan, 4),
+                               (1.0, 0)):
+            with pytest.raises(ValueError, match="need a finite t_end > 0 "
+                                                 "and n_steps >= 1"):
+                integrate_lindblad(model, np.eye(2) / 2, t_end, n_steps)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 16384])
     def test_every_node_is_exactly_hermitian(self, n):
@@ -386,8 +399,8 @@ class TestIntegrateLindblad:
         model = LindbladModel(hs=h_system(1.0), jump_ops=[
             0.6 * random_complex(2, np.random.default_rng(3))])
         psi = psi_initial(1.1)
-        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                  TimeGrid(0.0, n * DRIFT_DT, n))
+        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                     n * DRIFT_DT, n)
         assert len(rhos) == n + 1
         assert np.all(rhos == rhos.conj().swapaxes(1, 2))
 
@@ -397,50 +410,49 @@ class TestIntegrateLindblad:
         model = LindbladModel(hs=h_system(1.0), jump_ops=[
             0.6 * random_complex(2, np.random.default_rng(4))])
         psi = psi_initial(0.7)
-        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                  TimeGrid(0.0, 200 * DRIFT_DT, 200))
-        rest = integrate_lindblad(model, rhos[64],
-                                  TimeGrid(64 * DRIFT_DT, 200 * DRIFT_DT, 136))
+        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                     200 * DRIFT_DT, 200)
+        _, rest = integrate_lindblad(model, rhos[64], 136 * DRIFT_DT, 136)
         assert np.array_equal(rest, rhos[64:])
 
     def test_peak_memory_is_the_returned_stack(self):
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05))
         psi = psi_initial(1.1)
-        rho0, grid = np.outer(psi, psi.conj()), TimeGrid(0.0, 2.0 * np.pi,
-                                                          16384)
-        integrate_lindblad(model, rho0, grid)  # first-call allocations
+        rho0 = np.outer(psi, psi.conj())
+        integrate_lindblad(model, rho0, 2.0 * np.pi, 16384)  # first-call
         tracemalloc.start()
         try:
-            out = integrate_lindblad(model, rho0, grid)
+            times, out = integrate_lindblad(model, rho0, 2.0 * np.pi, 16384)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 64 * 1024
+        assert peak <= out.nbytes + times.nbytes + 64 * 1024
 
     @pytest.mark.parametrize("n", [16384, 2**18])
     def test_strided_peak_is_the_kept_nodes(self, n):
         # 257 nodes are kept at both sizes: memory does not grow with n
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05))
         psi = psi_initial(1.1)
-        rho0, grid = np.outer(psi, psi.conj()), TimeGrid(0.0, 2.0 * np.pi, n)
-        integrate_lindblad(model, rho0, grid, n // 256)
+        rho0 = np.outer(psi, psi.conj())
+        integrate_lindblad(model, rho0, 2.0 * np.pi, n, n // 256)
         tracemalloc.start()
         try:
-            out = integrate_lindblad(model, rho0, grid, n // 256)
+            times, out = integrate_lindblad(model, rho0, 2.0 * np.pi, n,
+                                            n // 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(out) == 257
-        assert peak <= out.nbytes + 64 * 1024
+        assert len(times) == len(out) == 257
+        assert peak <= out.nbytes + times.nbytes + 64 * 1024
 
     def test_thermal_se_matches_stepwise_rk4(self):
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05,
                                                      n_thermal=0.4))
         psi = psi_initial(1.1)
         rho0 = np.outer(psi, psi.conj())
-        grid = TimeGrid(0.0, 2.0 * np.pi, 4096)
-        rhos = integrate_lindblad(model, rho0, grid)
-        assert np.max(np.abs(rhos - rk4_oracle(model, rho0, grid))) < 1e-12
+        _, rhos = integrate_lindblad(model, rho0, 2.0 * np.pi, 4096)
+        assert np.max(np.abs(
+            rhos - rk4_oracle(model, rho0, 2.0 * np.pi, 4096))) < 1e-12
 
     def test_fourth_order_convergence(self):
         # jump operator sqrt(gamma)|g><e|:
@@ -451,12 +463,28 @@ class TestIntegrateLindblad:
         psi = psi_initial(theta)
         errs = []
         for n in (16, 32, 64, 128, 256):
-            grid = TimeGrid(0.0, 2.0 * np.pi, n)
-            rhos = integrate_lindblad(model, np.outer(psi, psi.conj()), grid)
-            exact = np.cos(theta / 2.0) ** 2 * np.exp(-2.0 * gamma * grid.times)
+            times, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                             2.0 * np.pi, n)
+            exact = np.cos(theta / 2.0) ** 2 * np.exp(-2.0 * gamma * times)
             errs.append(np.abs(rhos[:, 1, 1].real - exact).max())
         ratios = [errs[i] / errs[i + 1] for i in range(4)]
         assert all(12.0 < r < 20.0 for r in ratios)  # halving dt: ~16x
+
+class TestNodeTimes:
+    def test_spacing(self):
+        assert np.array_equal(_node_times(1.0, 4, np.arange(5)),
+                              [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("t_end", [
+        2.0 * np.pi, 17.0, 5, 2e-300, 5e-324])  # the last step underflows
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 1000, 16384, 2**20])
+    def test_node_times_are_linspace_bits(self, t_end, n):
+        times = np.linspace(0.0, t_end, n + 1)
+        nodes = np.unique(np.r_[0:min(n, 300), n - 1:n + 1,
+                                np.arange(0, n, max(1, n // 256))])
+        assert np.array_equal(_node_times(t_end, n, nodes), times[nodes])
+        assert _node_times(t_end, n, n) == t_end
+
 
 class TestApplyKraus:
     def test_single_unitary_element(self):
@@ -524,7 +552,7 @@ class TestConditionalTrajectories:
         res, sys, spectrum, t_end = _joint_setup(0.0)
         weights, family = spectral_conditional_trajectories(
             spectrum, res, sys, t_end)
-        times = TimeGrid(0.0, t_end, 256).times
+        times = np.linspace(0.0, t_end, 257)
         psi, _ = family.states(times)
         assert len(psi) == 2
         # every trajectory is e^{-i E_r t} U_S(t)|psi_s>; strip the reservoir
@@ -605,12 +633,12 @@ class TestConditionalTrajectories:
                             energies=[0.0, 0.7, 1.9], orthonormal=True)
         sys = SystemEnsemble(probs=[0.8, 0.2],
                              states=[psi_initial(1.1), psi_initial(0.4)])
-        grid = TimeGrid(0.0, 2.0 * np.pi, 4096)
-        us = np.array([scipy.linalg.expm(-1j * h * t) for t in grid.times])
+        times = np.linspace(0.0, 2.0 * np.pi, 4097)
+        us = np.array([scipy.linalg.expm(-1j * h * t) for t in times])
         weights, family = spectral_conditional_trajectories(
-            eigh_hermitian(h), res, sys, grid.t_end)
+            eigh_hermitian(h), res, sys, times[-1])
         assert list(weights) == [p * q for p in res.probs for q in sys.probs]
-        psi, dpsi = family.states(grid.times)
+        psi, dpsi = family.states(times)
         # psi is <r|U(t)|psi_s r> and dpsi is <r|(-i h) U(t)|psi_s r>, with
         # psi_s fastest
         pairs = [(r, s) for r in res.states for s in sys.states]
@@ -627,7 +655,7 @@ class TestPositivity:
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.1,
                                                      n_thermal=0.5))
         psi = psi_initial(np.pi / 3)
-        rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                  TimeGrid(0.0, 2.0 * np.pi, 1024))
+        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                     2.0 * np.pi, 1024)
         for rho in rhos[::64]:
             assert np.linalg.eigvalsh(rho).min() > -1e-9

@@ -26,6 +26,7 @@ from gpdist.cli import (
     YAML_LOADER,
     YAML_MAX_DEPTH,
     _evolution_rows,
+    _nesting_bound,
     _parser,
     _write_rows,
     compare_scenario,
@@ -36,7 +37,6 @@ from gpdist.cli import (
 from gpdist.channels import ReservoirSpec, integrate_lindblad
 from gpdist.distribution import decomposition_check
 from gpdist.errors import ConfigError, InvalidOperand
-from gpdist.hilbert import TimeGrid
 from gpdist.models import (PhaseDampingParams, h_system, pd_distribution,
                            pd_first_order_references, pd_moments, psi_initial)
 from gpdist.weakcoupling import IM_DZ_WARN
@@ -144,17 +144,27 @@ class TestLoadScenario:
         assert got["c"] == float("inf") and got["d"] == 16
         assert got["e"] == 1000
 
-    def test_large_shallow_file_loads(self, tmp_path):
-        # more collection-opening characters than YAML_MAX_DEPTH, so the
-        # depth is measured, but nested only a few levels deep
+    def test_large_shallow_file_loads(self, tmp_path, monkeypatch):
+        # a d_R = 64 coupling of complex cells in block style, nested 7
+        # deep: more collection-opening characters than YAML_MAX_DEPTH, but
+        # the line bound clears it without an event pass
         dim = 64
-        r = np.full((dim, dim), -0.5) + 0.5 * np.eye(dim)
-        cfg = joint_config(r.tolist())
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        r = 0.05 * (a + a.conj().T) * (1.0 - np.eye(dim))
+        cfg = joint_config([[[z.real, z.imag] for z in row]
+                            for row in r.tolist()])
         cfg["params"].update(reservoir_energies=[float(e) for e in range(dim)],
                              reservoir_probs=[1.0 / dim] * dim)
         path = write_config(tmp_path, cfg)
         text = Path(path).read_text()
         assert sum(map(text.count, "[{-:?")) > YAML_MAX_DEPTH
+        assert _nesting_bound(text) <= YAML_MAX_DEPTH
+
+        def no_event_pass(*args, **kwargs):
+            raise AssertionError("yaml.parse called")
+
+        monkeypatch.setattr(yaml, "parse", no_event_pass)
         scn = load_scenario(path)
         assert scn.points[0].theta == np.pi / 3
 
@@ -329,10 +339,11 @@ class TestRunCustomLindblad:
         rows = run_scenario(scn, tmp_path, "csv", seed=0)
         p = scn.points[0]
         psi = psi_initial(p.theta)
-        grid = TimeGrid(0.0, p.period, 4096)
-        rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
+        _, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
+                                     p.period, 4096)
+        times = np.linspace(0.0, p.period, 4097)
         expected = [evolution_cells(t, rho)
-                    for t, rho in zip(grid.times[::16], rhos[::16])]
+                    for t, rho in zip(times[::16], rhos[::16])]
         assert len(rows) == 257 and rows == expected
         assert read_csv(tmp_path / "evolution.csv") == [
             {k: format(v, ".17g") for k, v in row.items()} for row in expected]
@@ -346,11 +357,12 @@ class TestRunCustomLindblad:
         rows = run_scenario(scn, tmp_path, "csv", seed=0)
         p = scn.points[0]
         psi = psi_initial(p.theta)
-        grid = TimeGrid(0.0, p.period, n_steps)
-        rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
+        _, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
+                                     p.period, n_steps)
+        times = np.linspace(0.0, p.period, n_steps + 1)
         strided = list(range(0, n_steps + 1, max(1, n_steps // 256)))
         nodes = strided + [n_steps] * (strided[-1] != n_steps)
-        assert rows == [evolution_cells(grid.times[i], rhos[i]) for i in nodes]
+        assert rows == [evolution_cells(times[i], rhos[i]) for i in nodes]
         assert rows[-1]["time_inverse_omega"] == p.period
         assert len(rows) == len(strided) + (n_steps == 1000)
 
@@ -361,15 +373,15 @@ class TestRunCustomLindblad:
         scn = load_scenario(write_config(tmp_path, lindblad_config()))
         p = scn.points[0]
         psi = psi_initial(p.theta)
-        grid = TimeGrid(0.0, p.period, 64)
-        rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()), grid)
+        times, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
+                                         p.period, 64)
         rhos[3, 0, 1] = np.inf
         rhos[5, 0, 0] = np.nan
         monkeypatch.setattr("gpdist.cli.integrate_lindblad",
-                            lambda *args: rhos)
+                            lambda *args: (times, rhos))
         with np.errstate(invalid="ignore"):
             key, value = next(
-                (k, v) for t, rho in zip(grid.times, rhos)
+                (k, v) for t, rho in zip(times, rhos)
                 for k, v in evolution_cells(t, rho).items()
                 if not np.isfinite(v))
             with pytest.raises(InvalidOperand) as exc:
@@ -948,6 +960,10 @@ MALFORMED = {
     "lindblad_sweep": (
         lindblad_config(sweep={"parameter": "theta", "values": [0.1, 0.2]}),
         "sweep"),
+    "r_non_hermitian_omega_sweep": (
+        joint_config([[0.0, 1.0], [0.0, 0.0]],
+                     sweep={"parameter": "omega", "values": [0.9, 1.1]}),
+        "params.couplings"),
 }
 
 
@@ -1018,14 +1034,18 @@ def test_deeply_nested_value_with_python_loader(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["[" * 50000 + "1" + "]" * 50000,
-                                   "- " * 50000 + "1"],
-                         ids=["flow", "block"])
-def test_nesting_past_the_libyaml_stack_exits_2(tmp_path, value):
+@pytest.mark.parametrize("value, brk", [
+    ("[" * 50000 + "1" + "]" * 50000, "\n"), ("- " * 50000 + "1", "\n"),
+    ("? a\n    : " + "- " * 50000 + "1", "\n"),
+    ("- " * 50000 + "1", "\u2028")],
+    ids=["flow", "block", "explicit_value", "line_separators"])
+def test_nesting_past_the_libyaml_stack_exits_2(tmp_path, value, brk):
     # libyaml's composer would overflow the C stack and kill the process,
-    # so the run goes in a subprocess
+    # so the run goes in a subprocess.  A compact sequence after an
+    # explicit value's ":" and lines that only U+2028 breaks must both
+    # reach the line bound
     path = write_deep(tmp_path, f"model: phase_damping\nparams:\n  omega:\n"
-                                f"    {value}")
+                                f"    {value}".replace("\n", brk))
     proc = subprocess.run(
         [sys.executable, "-m", "gpdist.cli", "run", path, "--out",
          str(tmp_path / "out")], capture_output=True, text=True,
@@ -1034,6 +1054,56 @@ def test_nesting_past_the_libyaml_stack_exits_2(tmp_path, value):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def event_depth(text: str) -> int:
+    """How deep libyaml's events nest the collections of ``text``, up to
+    its first parse error."""
+    depth = deepest = 0
+    try:
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                deepest = max(deepest, depth)
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except yaml.YAMLError:
+        pass
+    return deepest
+
+
+@pytest.mark.parametrize("text", [
+    "- - - - x", "? - - - x", "? a\n: - - - - x", "[a: [b: [c: d]]]",
+    "a:\n- b:\n  - c:\n    - d", "\ufeff- - - x", "-\r -\r  -\r   - x",
+    "-\u2028 -\u2028  - x", "{a: [b, {c: [d]}]}"])
+def test_nesting_bound_on_compact_forms(text):
+    assert _nesting_bound(text) >= event_depth(text) >= 3
+
+
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.just("k" * 130),  # 130: an explicit "? " key
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=3) | st.just("k" * 130), inner, max_size=3),
+    max_leaves=12)
+YAML_PIECES = st.lists(st.sampled_from(
+    ["- ", "? ", ": ", "-", " ", "  ", "\n", "\r", "[", "]", "{", "}", ",",
+     "a", "\t", "#", "&x ", "\ufeff", "\u2028"]), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dumped=st.tuples(YAML_VALUES, st.sampled_from([True, False, None]),
+                        st.integers(2, 9),
+                        st.sampled_from(["\n", "\r", "\r\n", "\u2028"])),
+       pieces=YAML_PIECES)
+def test_nesting_bound_holds(dumped, pieces):
+    # block, flow and mixed dumps at any indent and line break, and texts
+    # of indicators, valid or not: the events before an error count too
+    value, flow, indent, brk = dumped
+    text = yaml.safe_dump(value, default_flow_style=flow,
+                          indent=indent).replace("\n", brk)
+    for t in (text, pieces):
+        assert _nesting_bound(t) >= event_depth(t)
 
 
 # A key given twice in one mapping, which PyYAML would resolve to the last

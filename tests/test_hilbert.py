@@ -1,6 +1,5 @@
-"""Dense linear algebra substrate: Hermiticity, grids, the benchmark's
-schedule, and the reference partial inner product of the system-slow
-convention."""
+"""Dense linear algebra substrate: Hermiticity, the benchmark's schedule,
+and the reference partial inner product of the system-slow convention."""
 
 import warnings
 
@@ -13,7 +12,6 @@ from gpdist.hilbert import (
     SIGMA_Y,
     SIGMA_Z,
     Schedule,
-    TimeGrid,
     eigh_hermitian,
     is_hermitian,
 )
@@ -25,30 +23,6 @@ def random_unitary(dim, rng=RNG):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim))
                         + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestTimeGrid:
-    def test_spacing(self):
-        grid = TimeGrid(0.0, 1.0, 4)
-        assert grid.dt == 0.25
-        assert np.allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 0.0, 4)
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 0)
-
-    @pytest.mark.parametrize("t_start, t_end", [
-        (0.0, 2.0 * np.pi), (-0.3, 17.0), (0, 5), (1e-300, 2e-300),
-        (0.0, 5e-324)])  # the last step underflows to 0
-    @pytest.mark.parametrize("n", [1, 2, 3, 255, 1000, 16384, 2**20])
-    def test_node_times_are_linspace_bits(self, t_start, t_end, n):
-        grid = TimeGrid(t_start, t_end, n)
-        nodes = np.unique(np.r_[0:min(n, 300), n - 1:n + 1,
-                                np.arange(0, n, max(1, n // 256))])
-        assert np.array_equal(grid.node_times(nodes), grid.times[nodes])
-        assert grid.node_times(n) == t_end
 
 
 class TestIsHermitian:

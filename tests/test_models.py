@@ -8,7 +8,6 @@ import pytest
 from gpdist.channels import apply_kraus, integrate_lindblad
 from gpdist.distribution import moments
 from gpdist.errors import RCondViolated
-from gpdist.hilbert import TimeGrid
 from gpdist.models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
@@ -125,11 +124,11 @@ class TestSeKrausChannel:
                                theta=np.pi / 3)
         psi = psi_initial(p.theta)
         rho0 = np.outer(psi, psi.conj())
-        grid = TimeGrid(0.0, 1.0 / p.gamma0, 2048)  # gamma0 * t up to 1
-        rhos = integrate_lindblad(se_lindblad_model(p), rho0, grid)
+        times, rhos = integrate_lindblad(  # gamma0 * t up to 1
+            se_lindblad_model(p), rho0, 1.0 / p.gamma0, 2048)
         ch = se_kraus_channel(p)
         for k in (512, 1024, 2048):
-            got = apply_kraus(ch, rho0, grid.times[k])
+            got = apply_kraus(ch, rho0, times[k])
             assert np.linalg.norm(got - rhos[k]) < 1e-6
 
 
@@ -266,11 +265,11 @@ class TestPdKrausChannel:
         p = PhaseDampingParams(omega=1.0, alpha=0.05, theta=np.pi / 3)
         psi = psi_initial(p.theta)
         rho0 = np.outer(psi, psi.conj())
-        grid = TimeGrid(0.0, p.period, 2048)
-        rhos = integrate_lindblad(pd_lindblad_model(p), rho0, grid)
+        times, rhos = integrate_lindblad(pd_lindblad_model(p), rho0,
+                                         p.period, 2048)
         ch = pd_kraus_channel(p)
         for k in (512, 1024, 2048):
-            assert np.linalg.norm(apply_kraus(ch, rho0, grid.times[k])
+            assert np.linalg.norm(apply_kraus(ch, rho0, times[k])
                                   - rhos[k]) < 1e-6
 
 
@@ -404,22 +403,22 @@ class TestGridBroadcastBuilders:
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.3])
     def test_pd_trajectories_match_per_node_kraus(self, alpha):
         p = PhaseDampingParams(omega=1.01, alpha=alpha, theta=1.1)
-        grid = TimeGrid(0.0, p.period, 1024)
+        times = np.linspace(0.0, p.period, 1025)
         psi = psi_initial(p.theta)
         weights, path = pd_trajectories(p)
         channel = pd_kraus_channel(p)
         assert_bit_identical(weights, channel.weights)
-        assert_bit_identical(path.states(grid.times)[0], np.array(
-            [channel.operators(t) @ psi for t in grid.times]).swapaxes(0, 1))
+        assert_bit_identical(path.states(times)[0], np.array(
+            [channel.operators(t) @ psi for t in times]).swapaxes(0, 1))
 
     @pytest.mark.parametrize("gamma0, n_thermal", [(0.0, 0.0), (0.05, 0.0),
                                                    (0.1, 0.7)])
     def test_se_no_jump_trajectory_matches_per_node_k0(self, gamma0, n_thermal):
         p = TwoLevelAtomParams(omega=0.97, gamma0=gamma0, n_thermal=n_thermal,
                                theta=1.1)
-        grid = TimeGrid(0.0, p.period, 1024)
+        times = np.linspace(0.0, p.period, 1025)
         channel = se_kraus_channel(p)
         psi = psi_initial(p.theta)
-        assert_bit_identical(se_no_jump_path(p).states(grid.times)[0][0],
+        assert_bit_identical(se_no_jump_path(p).states(times)[0][0],
                              np.array([channel.operators(t)[0] @ psi
-                                       for t in grid.times]))
+                                       for t in times]))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpdist.channels import (ReservoirSpec, SystemEnsemble,
+from gpdist.channels import (LindbladModel, ReservoirSpec, SystemEnsemble,
+                             integrate_lindblad,
                              spectral_conditional_trajectories)
 from gpdist.distribution import PhaseDistribution, build_distribution, moments
 from gpdist.errors import (DegenerateTrajectory, DimensionError,
                            InvalidOperand, InvalidState,
                            QuadratureNotConverged, UndefinedGP)
-from gpdist.hilbert import SIGMA_X, SIGMA_Z, TimeGrid, eigh_hermitian
+from gpdist.hilbert import SIGMA_X, SIGMA_Z, eigh_hermitian
 from gpdist.models import (PhaseDampingParams, TwoLevelAtomParams,
                            pd_trajectories)
 from gpdist.phase import (
@@ -68,7 +69,8 @@ NAN = float("nan")
     (lambda: PhaseDistribution(weights=[0.5, 0.5],
                                values=[1.0, complex(0.0, float("inf"))]),
      ValueError),
-    (lambda: TimeGrid(0.0, NAN, 4), ValueError),
+    (lambda: integrate_lindblad(LindbladModel(hs=SIGMA_Z), np.eye(2) / 2,
+                                NAN, 4), ValueError),
     (lambda: ClosedFormPath(states=lambda t: (t, t), t_end=NAN), ValueError),
     (lambda: PhaseDistribution(weights=[1.0], values=[1.0],
                                error_estimate=NAN), ValueError),

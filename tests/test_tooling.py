@@ -3,7 +3,8 @@ only its version, so a module import loads only that module's dependencies;
 no scipy in the package, so a cold ``import gpdist.cli`` and a ``compare``
 run leave it unloaded; the traced names of the benchmark harness, an
 acceptance gate on the route the CLI ships, ``Schedule`` kept inside
-``hilbert`` and errors that are raised, not returned."""
+``hilbert``, errors that are raised, not returned, and the CLI parity
+tool."""
 
 import ast
 import builtins
@@ -25,6 +26,7 @@ import gpdist.weakcoupling
 from gpdist.cli import SCHEMA_VERSION
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PARITY = Path(__file__).resolve().parents[1] / "tools" / "cli_parity.py"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # names of the sampled route, deleted or not run by any CLI path
 SAMPLED = {"Trajectory", "z_functional", "gauge_transform",
@@ -199,16 +201,16 @@ def test_custom_joint_point_work_is_batched(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command, parameter, per_scenario", [
-    ("compare", "theta", (1, 1, 1)), ("compare", "omega", (3, 3, 4)),
-    ("run", "theta", (0, 1, 1)), ("compare", "omega_repeated", (2, 2, 3)),
-    ("run", "omega_repeated", (0, 2, 3))])
+    ("compare", "theta", (1, 1, 1)), ("compare", "omega", (3, 3, 3)),
+    ("run", "theta", (0, 1, 1)), ("compare", "omega_repeated", (2, 2, 2)),
+    ("run", "omega_repeated", (0, 2, 2))])
 def test_theta_independent_work_is_done_once_per_omega(
         tmp_path, monkeypatch, command, parameter, per_scenario):
     # build_AB, the joint eigendecomposition and the joint model see only
     # omega: a theta sweep does each once, an omega sweep once per distinct
-    # omega (and one model more, for the base point load_scenario checks),
-    # and run never builds B.  In compare each omega's B comes before its
-    # joint eigendecomposition: B, eigh, B, eigh.
+    # omega (load_scenario checks the model of the first point, which that
+    # point then uses), and run never builds B.  In compare each omega's B
+    # comes before its joint eigendecomposition: B, eigh, B, eigh.
     joint_eighs, models = [], []  # per joint eigh, the build_AB calls before
     eigh = gpdist.hilbert.eigh_hermitian
     weak_coupling_model = gpdist.cli.WeakCouplingModel
@@ -278,3 +280,19 @@ def test_no_function_returns_an_exception():
                 func = node.value.func
                 name = getattr(func, "id", getattr(func, "attr", None))
                 assert name not in errors, f"{path.name}:{node.lineno}"
+
+
+def test_cli_parity_finds_no_difference_between_a_tree_and_itself(tmp_path):
+    scenario = tmp_path / "pd.yaml"
+    scenario.write_text(f"""\
+schema: {SCHEMA_VERSION}
+model: phase_damping
+params: {{omega: 1.0, alpha: 0.01, theta: 1.0}}
+outputs: [moments, atoms]
+""")
+    root = str(PARITY.parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(PARITY), root, root, str(scenario), "--seeds",
+         "--commands", "run"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "2 runs per tree, 0 differences\n"

@@ -15,7 +15,7 @@ from gpdist.errors import (
     RCondViolated,
     UndefinedGP,
 )
-from gpdist.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, TimeGrid, eigh_hermitian
+from gpdist.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, eigh_hermitian
 from gpdist.models import (
     PhaseDampingParams,
     TwoLevelAtomParams,
@@ -36,12 +36,13 @@ PROJ_G = np.diag([1.0, 0.0]).astype(complex)
 PROJ_E = np.diag([0.0, 1.0]).astype(complex)
 
 
-def se_effective_b_blocks(p, grid):
+def se_effective_b_blocks(p, n):
     """Reservoir-averaged <B(t)>_R = -gamma0 (|e><e| + n) t of spontaneous
-    emission on the grid; the n-dependence is proportional to the identity,
-    which is why thermal fluctuations cancel in the mean GP."""
+    emission on the n-step grid of one period; the n-dependence is
+    proportional to the identity, which is why thermal fluctuations cancel
+    in the mean GP."""
     b0 = -p.gamma0 * (PROJ_E + p.n_thermal * np.eye(2))
-    return grid.times[:, None, None] * b0
+    return np.linspace(0.0, p.period, n + 1)[:, None, None] * b0
 
 
 def vacuum_qubit_res(energy=2.0):
@@ -309,13 +310,12 @@ class TestDeltaZ:
         # effective <r|B|r> blocks reproduce Im<DeltaZ> = pi^2 (g0/w) sin^2
         p = TwoLevelAtomParams(omega=1.0, gamma0=1e-3, n_thermal=n_thermal,
                                theta=np.pi / 3)
-        grid = TimeGrid(0.0, p.period, 4096)
-        blk = se_effective_b_blocks(p, grid)
-        t = grid.t_end
+        blk = se_effective_b_blocks(p, 4096)
+        t = p.period
         u_fin = np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
         psi = psi_initial(p.theta)
         hs = -0.5 * SIGMA_Z
-        dz = delta_z_from_b(blk[-1], np.trapezoid(blk, dx=grid.dt, axis=0),
+        dz = delta_z_from_b(blk[-1], np.trapezoid(blk, dx=t / 4096, axis=0),
                             u_fin, hs, psi)
         ref = np.pi**2 * p.gamma0 * np.sin(p.theta) ** 2
         assert np.imag(dz) == pytest.approx(ref, abs=1e-8)
@@ -325,14 +325,13 @@ class TestDeltaZ:
         for n in (0.0, 1.0, 5.0):
             p = TwoLevelAtomParams(omega=1.0, gamma0=1e-3, n_thermal=n,
                                    theta=np.pi / 3)
-            grid = TimeGrid(0.0, p.period, 1024)
-            blk = se_effective_b_blocks(p, grid)
-            t = grid.t_end
+            blk = se_effective_b_blocks(p, 1024)
+            t = p.period
             u_fin = np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
             psi = psi_initial(p.theta)
             hs = -0.5 * SIGMA_Z
             vals.append(np.imag(delta_z_from_b(
-                blk[-1], np.trapezoid(blk, dx=grid.dt, axis=0), u_fin, hs,
+                blk[-1], np.trapezoid(blk, dx=t / 1024, axis=0), u_fin, hs,
                 psi)))
         assert abs(vals[1] - vals[0]) < 1e-12
         assert abs(vals[2] - vals[0]) < 1e-12
