@@ -18,10 +18,11 @@ Parameters and defaults (``-`` marks a required one)::
                           reservoir_probs -, couplings - (list of {g: 1.0, r, s})
     custom_lindblad       omega 1.0, theta pi/2, jump_ops - (list of 2x2)
 
-Numbers are finite, omega > 0, theta in [0, pi], the other scalars >= 0.
-``run`` writes ``moments.csv``; ``atoms`` adds ``atoms.csv`` and
-``decomposition_check`` (custom_joint only) adds redecomposition shifts.
-``custom_lindblad`` writes ``evolution.csv``, takes no sweep and needs
+Numbers are finite, omega > 0 with 2*pi/omega finite, theta in [0, pi],
+the other scalars >= 0.  ``run`` writes ``moments.csv``; ``atoms`` adds
+``atoms.csv``, ``decomposition_check`` (custom_joint only) redecomposition
+shifts.  ``custom_lindblad`` writes ``evolution.csv``, which
+``run_scenario`` returns as an array, takes no sweep and needs
 ``outputs: []``.  ``compare`` writes ``comparison.csv``.  ``grid.n_steps``
 sets the time grid of ``custom_lindblad`` only, at most
 ``MAX_LINDBLAD_STEPS`` steps: the GP columns of ``custom_joint``,
@@ -118,7 +119,8 @@ TOP_LEVEL = {"schema": REQUIRED, "model": REQUIRED, "params": {}, "grid": {},
 
 # Scalar parameters: domain, its wording, and the run-table column.
 SCALARS = {
-    "omega": (lambda x: x > 0.0, "> 0", "omega_rad_per_time"),
+    "omega": (lambda x: x > 0.0 and math.isfinite(2.0 * math.pi / x),
+              "> 0 with 2*pi/omega finite", "omega_rad_per_time"),
     "gamma0": (lambda x: x >= 0.0, ">= 0", "gamma0_rad_per_time"),
     "n_thermal": (lambda x: x >= 0.0, ">= 0", "n_thermal_dimensionless"),
     "alpha": (lambda x: x >= 0.0, ">= 0", "alpha_rad_per_time"),
@@ -128,10 +130,10 @@ SCALARS = {
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):  # first: nearly every cell
-        return format(x, ".17g")  # numpy formats its floats as float(x)
+        return "%.17g" % x  # format(float(x), ".17g"), in less time
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    x = str(x)  # csv's QUOTE_MINIMAL: quoted if it holds , " \r or \n
+    x = "" if x is None else str(x)  # QUOTE_MINIMAL: quoted if it holds ,"\r\n
     if any(c in x for c in ',"\r\n'):
         return '"' + x.replace('"', '""') + '"'
     return x
@@ -570,7 +572,8 @@ def _run_row(model: Model, p, scn: Scenario, seed: int):
     return _finite(row), atoms
 
 
-def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
+def _evolution_rows(p: CustomPoint, n_steps: int) -> tuple[tuple, np.ndarray]:
+    """evolution.csv's column names and its (k, 6) table of kept nodes."""
     psi = psi_initial(p.theta)
     # every (n_steps // 256)-th node and the last, t = T, which it can miss
     times, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
@@ -584,36 +587,45 @@ def _evolution_rows(p: CustomPoint, n_steps: int) -> list[dict]:
         "coherence_abs_dimensionless": np.hypot(rhos[:, 0, 1].real,
                                                 rhos[:, 0, 1].imag),
     }
-    table = np.stack(list(columns.values()), axis=1)
-    rows = [dict(zip(columns, row)) for row in table.tolist()]
-    # a non-finite cell is named by the first row that holds one
-    return rows if np.isfinite(table).all() else list(map(_finite, rows))
+    names, table = tuple(columns), np.stack(list(columns.values()), axis=1)
+    for i, j in np.argwhere(~np.isfinite(table))[:1]:  # first in row order
+        raise InvalidOperand(f"{names[j]} is {table[i, j]}")
+    return names, table
 
 
-def _write_rows(rows: list[dict], path: Path, fmt: str):
-    if fmt == "json":
-        with open(path.with_suffix(".json"), "w") as fh:
-            json.dump(rows, fh, indent=2, default=float)
-        return
-    header = list(dict.fromkeys(key for row in rows for key in row))
+def _write_rows(rows, path: Path, fmt: str, header=None):
+    """Write a table one row at a time: dicts aligned on the union of their
+    keys or, under ``header``, cell sequences (None for a missing cell)."""
+    if header is None:
+        header = list(dict.fromkeys(key for row in rows for key in row))
+        rows = ([row.get(k) for k in header] for row in rows)
 
     def line(cells):  # csv's excel dialect, which quotes a lone empty cell
         return (",".join(map(_fmt, cells)) or '""') + "\r\n"
 
-    with open(path.with_suffix(".csv"), "w", newline="") as fh:
-        fh.write(line(header))
-        for row in rows:
-            fh.write(line([row.get(k, "") for k in header]))
+    with open(path.with_suffix(f".{fmt}"), "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(line(header))
+            fh.writelines(map(line, rows))
+            return
+        sep = "["  # each row laid out as json.dump(indent=2) lays out [row]
+        for cells in rows:
+            obj = {k: v for k, v in zip(header, cells) if v is not None}
+            fh.write(sep + json.dumps([obj], indent=2, default=float)[1:-2])
+            sep = ","
+        fh.write("[]" if sep == "[" else "\n]")
 
 
 def run_scenario(scn: Scenario, out_dir: Path, fmt: str,
-                 seed: int) -> list[dict]:
+                 seed: int) -> list[dict] | np.ndarray:
     model = MODELS[scn.model]
     out_dir.mkdir(parents=True, exist_ok=True)  # before any numerics
     if model.distribution is None:
-        (rows,) = _each_point(scn, lambda p: _evolution_rows(p, scn.n_steps))
-        _write_rows(rows, out_dir / "evolution", fmt)
-        return rows
+        names, table = _each_point(
+            scn, lambda p: _evolution_rows(p, scn.n_steps))[0]
+        _write_rows(map(np.ndarray.tolist, table), out_dir / "evolution",
+                    fmt, names)
+        return table
     results = _each_point(scn, lambda p: _run_row(model, p, scn, seed))
     rows = [row for row, _ in results]
     _write_rows(rows, out_dir / "moments", fmt)

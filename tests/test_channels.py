@@ -634,7 +634,7 @@ class TestConditionalTrajectories:
         sys = SystemEnsemble(probs=[0.8, 0.2],
                              states=[psi_initial(1.1), psi_initial(0.4)])
         times = np.linspace(0.0, 2.0 * np.pi, 4097)
-        us = np.array([scipy.linalg.expm(-1j * h * t) for t in times])
+        us = scipy.linalg.expm(-1j * h[None] * times[:, None, None])
         weights, family = spectral_conditional_trajectories(
             eigh_hermitian(h), res, sys, times[-1])
         assert list(weights) == [p * q for p in res.probs for q in sys.probs]

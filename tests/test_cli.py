@@ -336,15 +336,9 @@ class TestRunCustomLindblad:
             "jump_ops": [[[[z.real, z.imag] for z in row] for row in jump]
                          for jump in jumps.tolist()]})
         scn = load_scenario(write_config(tmp_path, cfg))
-        rows = run_scenario(scn, tmp_path, "csv", seed=0)
-        p = scn.points[0]
-        psi = psi_initial(p.theta)
-        _, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
-                                     p.period, 4096)
-        times = np.linspace(0.0, p.period, 4097)
-        expected = [evolution_cells(t, rho)
-                    for t, rho in zip(times[::16], rhos[::16])]
-        assert len(rows) == 257 and rows == expected
+        table = run_scenario(scn, tmp_path, "csv", seed=0)
+        expected = evolution_reference(scn.points[0], 4096)
+        assert table.shape == (257, 6) and same_bits(table, expected)
         assert read_csv(tmp_path / "evolution.csv") == [
             {k: format(v, ".17g") for k, v in row.items()} for row in expected]
 
@@ -354,17 +348,26 @@ class TestRunCustomLindblad:
         # divides n_steps; the last node is added, and no other row moves
         cfg = lindblad_config(grid={"n_steps": n_steps})
         scn = load_scenario(write_config(tmp_path, cfg))
-        rows = run_scenario(scn, tmp_path, "csv", seed=0)
+        table = run_scenario(scn, tmp_path, "csv", seed=0)
         p = scn.points[0]
-        psi = psi_initial(p.theta)
-        _, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
-                                     p.period, n_steps)
-        times = np.linspace(0.0, p.period, n_steps + 1)
-        strided = list(range(0, n_steps + 1, max(1, n_steps // 256)))
-        nodes = strided + [n_steps] * (strided[-1] != n_steps)
-        assert rows == [evolution_cells(times[i], rhos[i]) for i in nodes]
-        assert rows[-1]["time_inverse_omega"] == p.period
-        assert len(rows) == len(strided) + (n_steps == 1000)
+        assert same_bits(table, evolution_reference(p, n_steps))
+        assert table[-1, 0] == p.period
+        strided = range(0, n_steps + 1, max(1, n_steps // 256))
+        assert len(table) == len(strided) + (n_steps == 1000)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_steps", [300, 1000, 4096])
+    def test_written_bytes_match_per_row_reference(self, tmp_path, n_steps,
+                                                   fmt):
+        # the table is written from the array; the bytes are those of the
+        # per-row dicts written by csv.writer and json.dumps
+        cfg = lindblad_config(grid={"n_steps": n_steps})
+        scn = load_scenario(write_config(tmp_path, cfg))
+        run_scenario(scn, tmp_path, fmt, seed=0)
+        rows = evolution_reference(scn.points[0], n_steps)
+        expected = (csv_bytes(rows) if fmt == "csv" else
+                    json.dumps(rows, indent=2, default=float).encode())
+        assert (tmp_path / f"evolution.{fmt}").read_bytes() == expected
 
     def test_first_non_finite_cell_in_row_order_is_named(self, tmp_path,
                                                          monkeypatch):
@@ -417,6 +420,20 @@ class TestRunCustomLindblad:
             tracemalloc.stop()
         stack = (n + 1) * 4 * np.dtype(complex).itemsize
         assert peak <= stack + 64 * 1024
+
+    def test_run_holds_no_row_objects(self, tmp_path):
+        # a 257-row run peaked at 69 KB, against 176 KB when the table was
+        # expanded into one dict of Python floats per row
+        scn = load_scenario(write_config(tmp_path, lindblad_config(
+            grid={"n_steps": 4096})))
+        run_scenario(scn, tmp_path, "csv", seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            assert len(run_scenario(scn, tmp_path, "csv", seed=0)) == 257
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 112 * 1024
 
 
 def reference_cell(x) -> str:
@@ -911,6 +928,24 @@ def evolution_cells(t, rho) -> dict:
     }
 
 
+def evolution_reference(p, n_steps) -> list[dict]:
+    """evolution.csv's rows by the per-row formulas on the full node stack:
+    every (n_steps // 256)-th node, and node n_steps."""
+    psi = psi_initial(p.theta)
+    _, rhos = integrate_lindblad(p.model, np.outer(psi, psi.conj()),
+                                 p.period, n_steps)
+    times = np.linspace(0.0, p.period, n_steps + 1)
+    nodes = list(range(0, n_steps, max(1, n_steps // 256))) + [n_steps]
+    return [evolution_cells(times[i], rhos[i]) for i in nodes]
+
+
+def same_bits(table, rows) -> bool:
+    """The array holds exactly the rows' cells, bit for bit."""
+    expected = np.array([list(row.values()) for row in rows])
+    return (table.shape == expected.shape
+            and table.tobytes() == expected.tobytes())
+
+
 def with_params(cfg, **params):
     cfg["params"] = {**cfg["params"], **params}
     return cfg
@@ -926,6 +961,19 @@ MALFORMED = {
     "omega_nan": (with_params(se_config(), omega=float("nan")),
                   "params.omega"),
     "omega_zero": (with_params(se_config(), omega=0), "params.omega"),
+    # 2 pi / omega overflows: no model can reach the end of the period
+    "omega_period_overflows_se": (
+        with_params(se_config(), omega=1e-320, gamma0=0.0), "params.omega"),
+    "omega_period_overflows_pd": (
+        with_params(dict(PD), omega=1e-320), "params.omega"),
+    "omega_period_overflows_joint": (
+        with_params(joint_config([[0, 1], [1, 0]]), omega=1e-320),
+        "params.omega"),
+    "omega_period_overflows_lindblad": (
+        with_params(lindblad_config(), omega=1e-320), "params.omega"),
+    "omega_sweep_period_overflows": (
+        {**PD, "sweep": {"parameter": "omega", "values": [1e-320, 1.0]}},
+        "sweep.values[0]"),
     "alpha_negative": ({**PD, "params": {"alpha": -0.1}}, "params.alpha"),
     "theta_past_pi": (se_config(sweep={"parameter": "theta",
                                        "values": [1.0, 4.0]}),

@@ -283,16 +283,19 @@ def test_no_function_returns_an_exception():
 
 
 def test_cli_parity_finds_no_difference_between_a_tree_and_itself(tmp_path):
-    scenario = tmp_path / "pd.yaml"
-    scenario.write_text(f"""\
-schema: {SCHEMA_VERSION}
-model: phase_damping
-params: {{omega: 1.0, alpha: 0.01, theta: 1.0}}
-outputs: [moments, atoms]
-""")
+    # a dict table and the evolution table, whose stride 3 misses t = T
+    scenarios = {"pd.yaml": "model: phase_damping\n"
+                            "params: {omega: 1.0, alpha: 0.01, theta: 1.0}\n"
+                            "outputs: [moments, atoms]\n",
+                 "lindblad.yaml": "model: custom_lindblad\n"
+                                  "params: {jump_ops: [[[0, 0.1], [0, 0]]]}\n"
+                                  "grid: {n_steps: 1000}\noutputs: []\n"}
+    for name, text in scenarios.items():
+        (tmp_path / name).write_text(f"schema: {SCHEMA_VERSION}\n{text}")
     root = str(PARITY.parents[1])
     proc = subprocess.run(
-        [sys.executable, str(PARITY), root, root, str(scenario), "--seeds",
+        [sys.executable, str(PARITY), root, root,
+         *(str(tmp_path / name) for name in scenarios), "--seeds",
          "--commands", "run"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "2 runs per tree, 0 differences\n"
+    assert proc.stdout == "4 runs per tree, 0 differences\n"
