@@ -8,4 +8,4 @@ Import each name from its module, e.g. ``from gpdist.models import
 se_distribution``; the package itself binds only ``__version__``.
 """
 
-__version__ = "0.20.0"
+__version__ = "0.20.1"

@@ -331,7 +331,7 @@ def _pd_compare(p: PhaseDampingParams, exact) -> dict:
 
 def _joint_compare(p: CustomPoint, exact) -> dict:
     """Exact conditional-trajectory moments against <DeltaZ>; B before the
-    spectrum, so that build_AB's temporaries never peak beside it."""
+    spectrum, so build_AB's (16, d, d) work array never peaks beside it."""
     dz = delta_z_from_b(*p.averages(p.omega, p.period), p.model.hs,
                         psi_initial(p.theta))
     dist, rep = exact()
@@ -608,10 +608,13 @@ def _write_rows(rows, path: Path, fmt: str, header=None):
             fh.write(line(header))
             fh.writelines(map(line, rows))
             return
-        sep = "["  # each row laid out as json.dump(indent=2) lays out [row]
+        # each row laid out as json.dump(indent=2) lays out [row], from keys
+        # and cells the C encoder writes (no indent: no cyclic garbage)
+        encode, sep = json.JSONEncoder(default=float).encode, "["
         for cells in rows:
-            obj = {k: v for k, v in zip(header, cells) if v is not None}
-            fh.write(sep + json.dumps([obj], indent=2, default=float)[1:-2])
+            items = ",".join(f"\n    {encode(k)}: {encode(v)}"
+                             for k, v in zip(header, cells) if v is not None)
+            fh.write(sep + (f"\n  {{{items}\n  }}" if items else "\n  {}"))
             sep = ","
         fh.write("[]" if sep == "[" else "\n]")
 

@@ -40,10 +40,10 @@ integrates to ``QUADRATURE_TOL`` from a few dozen nodes
 exponential enter this layer.  The correction functional is real-linear in
 B and the reservoir weights are real, so it is applied once, to the
 averages ``tr_R[(1 x rho_R) B]`` and ``tr_R[(1 x rho_R) integral B]``.
-``build_AB`` contracts each weighted block of nodes with the weights p_r
-of rho_R, so the quadrature converges on these d_S x d_S averages.  psi_S
-does not enter them: a sweep over psi_S at fixed H_S, H_R, H_I and t
-computes them once and applies ``delta_z_from_b`` per state.
+``build_AB`` forms only the reservoir-diagonal entries of H_I~ A~, weighted
+by the p_r of rho_R, so the quadrature converges on these d_S x d_S
+averages.  psi_S does not enter them: a sweep over psi_S at fixed H_S,
+H_R, H_I and t computes them once and applies ``delta_z_from_b`` per state.
 """
 
 from __future__ import annotations
@@ -152,46 +152,43 @@ class WeakCouplingModel:
             )
 
 
-def _rotations(energies: np.ndarray, s: np.ndarray):
-    """e^{i omega s / 2} and the real 2 sin(omega s / 2) / omega, which is s
-    where omega is 0 or too small to invert, as (k, d, d) arrays for k
-    times s."""
-    half = np.exp(0.5j * np.outer(s, energies))
-    omega = energies[:, None] - energies[None, :]
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 2.0 / omega
-    flat = ~np.isfinite(inv)
-    inv[flat] = 0.0
-    phi = np.multiply.outer(s, 0.5 * omega)
-    np.sin(phi, out=phi)
-    phi *= inv
-    phi[:, flat] = s[:, None]
-    return half[:, :, None] @ half.conj()[:, None, :], phi
-
-
 def _b_and_integral(g: np.ndarray, energies: np.ndarray,
                     probs: np.ndarray, t: float, n: int) -> np.ndarray:
     """n-node Gauss-Legendre values of the reservoir averages of B(t) and
     of integral_0^t B, stacked, in the eigenbasis of H_S; ``probs`` are the
     weights p_r of the reservoir states, the basis of g's reservoir factor.
-    The nodes go in blocks of ``QUADRATURE_START_NODES`` so the (k, d, d)
-    temporaries stay small, and each block's weighted sum is contracted
-    with ``probs`` at once."""
+    With h_m = e^{i E_m s / 2} and phi the real 2 sin(omega s / 2) / omega
+    (s where omega is 0 or too small to invert), (H_I~ A~)_mn = h_m^2
+    conj(h_n) sum_c g_mc conj(h_c) g_cn phi_cn.  Blocks of k nodes build
+    g_cn phi_cn conj(h_c) in place in one reused (k, d, d) array and sum
+    only the reservoir-diagonal entries m = (a, r), n = (b, r) of g @ it."""
     x, w = _gauss_legendre(n)
     s = 0.5 * t * (x + 1.0)
     # B = -integral of the integrand; integral B weights it by (t - s)
     weights = -0.5 * t * np.stack([w, w * (t - s)])
     ds, dr = len(g) // len(probs), len(probs)
+    omega = energies[:, None] - energies[None, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 2.0 / omega
+    flat = ~np.isfinite(inv)
+    inv[flat] = 0.0
     out = np.zeros((2, ds, ds), dtype=complex)
+    work = np.empty((QUADRATURE_START_NODES,) + g.shape, dtype=complex)
     for k in range(0, n, QUADRATURE_START_NODES):
         blk = slice(k, k + QUADRATURE_START_NODES)
-        rot, phi = _rotations(energies, s[blk])
-        a_tilde = g * rot
-        rot *= a_tilde     # H_I~(s) = g o rot^2
-        a_tilde *= phi     # A~(s) = g o rot o phi
-        out += np.einsum("kajbj,j->kab", (
-            weights[:, blk] @ (rot @ a_tilde).reshape(len(phi), -1)
-        ).reshape(2, ds, dr, ds, dr), probs)
+        h = np.exp(0.5j * np.outer(s[blk], energies))
+        m = work[:len(h)]
+        phi = m.real
+        np.sin(np.multiply.outer(s[blk], 0.5 * omega, out=phi), out=phi)
+        phi *= inv
+        phi[:, flat] = s[blk, None]
+        m.imag = 0.0
+        m *= g
+        m *= h.conj()[:, :, None]
+        y = np.einsum("ajc,kcbj->kabj", g.reshape(ds, dr, -1),
+                      m.reshape(len(h), -1, ds, dr))
+        y *= (h * h).reshape(-1, ds, 1, dr) * h.conj().reshape(-1, 1, ds, dr)
+        out += np.einsum("ik,kabj,j->iab", weights[:, blk], y, probs)
     return out
 
 

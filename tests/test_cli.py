@@ -1,6 +1,7 @@
 """Scenario loading, the run/compare pipelines, and process exit codes."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -475,6 +476,21 @@ def test_writer_bytes(tmp_path, fmt):
     else:
         expected = json.dumps(WRITER_ROWS, indent=2, default=float)
     assert (tmp_path / f"table.{fmt}").read_bytes() == expected.encode()
+
+
+def test_json_rows_leave_no_cyclic_garbage(tmp_path):
+    # json.dumps(indent=...) runs the pure-Python encoder, whose nested
+    # closures leave cycles for the collector on every call
+    rows = [dict(WRITER_ROWS[0], x=0.1 * i) for i in range(100)]
+    _write_rows(rows, tmp_path / "table", "json")  # first-call
+    gc.collect()
+    gc.disable()
+    try:
+        _write_rows(rows, tmp_path / "table", "json")
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def csv_bytes(rows) -> bytes:

@@ -1,6 +1,8 @@
 """Second-order perturbation theory: B, the Lindblad structure of B, the
 phase-correction functional, and the coupling-condition guard."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -185,6 +187,26 @@ class TestBuildAB:
         for got, ref in zip(build_AB(model, t), _van_loan_blocks(model, t)):
             assert np.linalg.norm(got - _average(model, ref)) <= 1e-13
 
+    @pytest.mark.parametrize("t", [1.7, 2.0 * np.pi])
+    def test_matches_van_loan_at_joint_dimension_32(self, t):
+        model = _ladder_model()
+        for got, ref in zip(build_AB(model, t), _van_loan_blocks(model, t)):
+            assert np.linalg.norm(got - _average(model, ref)) <= 1e-13
+
+    def test_peak_memory_is_two_node_blocks(self):
+        # a block of 16 nodes holds one complex (16, d, d) array; a numpy
+        # ufunc's broadcast buffer may sit beside it, never a second block
+        model = _ladder_model()
+        d = model.dim_s * model.dim_r
+        build_AB(model, 2.0 * np.pi)  # first-call
+        tracemalloc.start()
+        try:
+            build_AB(model, 2.0 * np.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * d * d * 16 + 64 * 1024
+
     def test_one_eigendecomposition(self, monkeypatch):
         # the reservoir basis is res.states: only H_S is diagonalised
         calls = []
@@ -264,6 +286,26 @@ def _degenerate_reservoir_model(energies=(0.0, 0.8, 0.8, 1.7)):
     return WeakCouplingModel(
         hs=0.6 * SIGMA_X + 0.3 * SIGMA_Z,
         couplings=[(0.2 * r_op, SIGMA_X), (0.1 * r_op2, SIGMA_Y)], res=res)
+
+
+def _ladder_model():
+    """d_S = 2 and d_R = 16, the joint dimension of the benchmark's compare
+    workload: a thermal ladder with a doubled middle rung and a top pair
+    split by 1e-9, on non-identity orthonormal reservoir states, coupled
+    through sigma_x by an R with <r|R|r> = 0.  H_S is not diagonal, so g
+    couples the degenerate and the split pairs."""
+    rng, dim_r = np.random.default_rng(35), 16
+    energies = np.linspace(0.0, 1.5, dim_r - 1)
+    energies = np.sort(np.append(energies, energies[(dim_r - 1) // 2]))
+    energies[-1] = energies[-2] + 1e-9
+    probs = np.exp(-energies) / np.exp(-energies).sum()
+    q, _ = np.linalg.qr(rng.normal(size=(dim_r, dim_r))
+                        + 1j * rng.normal(size=(dim_r, dim_r)))
+    w = rng.normal(size=(dim_r, dim_r)) + 1j * rng.normal(size=(dim_r, dim_r))
+    r_op = q @ (0.5 * (w + w.conj().T) * (1 - np.eye(dim_r))) @ q.conj().T
+    res = ReservoirSpec(probs=list(probs), states=q.T, energies=energies)
+    return WeakCouplingModel(hs=0.6 * SIGMA_X + 0.3 * SIGMA_Z,
+                             couplings=[(0.05 * r_op, SIGMA_X)], res=res)
 
 
 def _dyson_b(model, t, n_points=16, radius=0.2):
