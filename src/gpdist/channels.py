@@ -8,17 +8,12 @@ reads ``-(L^dag L rho + rho L^dag L - 2 L rho L^dag)`` with NO factor 1/2;
 all rates in this package are interpreted in that convention.
 
 H_S is constant, so the master equation is ``vec(rho)' = L vec(rho)`` with
-one d^2 x d^2 superoperator ``liouvillian``, and one classical RK4 step is
-the fixed matrix ``M = sum_{j<=4} (L dt)^j / j!``; ``integrate_lindblad``
-stacks its powers M^1..M^B into one (B d^2, d^2) matrix and fills a chunk
-of B nodes with one product on the chunk's start state.  It streams: the
-chunks fill one reused buffer, which is checked and from which only the
-nodes the caller keeps are copied, so its memory is the kept nodes and a
-few buffers, whatever the grid's length, n steps of its own over [0, t_end]
-whose kept times it returns.  The exact propagator ``expm(L dt)`` is
-deliberately not used: it would change the numbers, and an exact step can
-never lose trace, so an unstable grid would no longer be reported as
-``IntegrationDiverged``.
+one d^2 x d^2 superoperator ``liouvillian``, and its solution at time t is
+exactly ``e^{L t} vec(rho0)``.  ``integrate_lindblad`` exponentiates L
+once for its stride between kept nodes, stacks the powers E^1..E^B of that
+map into one (B d^2, d^2) matrix and fills a chunk of B kept nodes with one
+product on the chunk's own start state e^{L t} rho0.  Its time and memory
+are those of the kept nodes, whatever the grid's length.
 """
 
 from __future__ import annotations
@@ -41,9 +36,7 @@ from .phase import ClosedFormPath
 ENERGY_DEGENERACY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
 TRACE_DRIFT_TOL = 1e-6
-RK4_GROWTH_TOL = 1e-6  # bound on rho(M)^n - 1 for the RK4 step map M
-_LINDBLAD_CHUNK = 64  # RK4 steps per batched product
-_CHECK_BLOCK = 256  # nodes per trace check, the buffer: 16 KiB at d = 2
+_LINDBLAD_CHUNK = 64  # kept nodes per batched product
 
 
 @dataclass(frozen=True)
@@ -191,14 +184,21 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return out.reshape(d * d, d * d)
 
 
-def _rk4_map(l: np.ndarray, dt: float) -> np.ndarray:
-    """Classical RK4 step of ``v' = L v`` as one matrix."""
-    eye = np.eye(len(l))
-    k1 = l
-    k2 = l @ (eye + 0.5 * dt * k1)
-    k3 = l @ (eye + 0.5 * dt * k2)
-    k4 = l @ (eye + dt * k3)
-    return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``e^a`` by scaling and squaring around a degree-18 Taylor sum: with
+    ``||a / 2^s||_1 < 1`` the terms past degree 18 add about 1/19! = 8e-18
+    in norm."""
+    norm = np.abs(a).sum(axis=0).max()
+    # a non-finite norm leaves a unscaled, and e^a comes out non-finite
+    s = max(0, int(np.frexp(norm)[1])) if np.isfinite(norm) else 0
+    a = a * 0.5**s  # exact: 0.5**s is a power of two
+    eye = np.eye(len(a))
+    out = eye
+    for j in range(18, 0, -1):  # Horner: 1 + a (1 + a/2 (1 + a/3 (...)))
+        out = eye + (a @ out) / j
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def _node_times(t_end: float, n_steps: int, nodes) -> np.ndarray:
@@ -212,29 +212,22 @@ def _node_times(t_end: float, n_steps: int, nodes) -> np.ndarray:
 
 def integrate_lindblad(model: LindbladModel, rho0, t_end: float, n_steps: int,
                        every: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 on n = ``n_steps`` uniform steps of [0, t_end], applied
-    as one linear step map.
+    """The master equation's exact solution ``e^{L t} rho0`` at the kept
+    nodes of n = ``n_steps`` uniform steps of [0, t_end].
 
     Returns the kept nodes, 0, every, 2 every, ... below n and node n: their
     times, bit for bit those of ``np.linspace(0, t_end, n + 1)``, and one
     ``(ceil(n / every) + 1, d, d)`` stack of states; ``every=1`` keeps all.
-    Memory does not grow with n: the step map M is built once, and its
-    powers M^1..M^B are stacked into one ``(B d^2, d^2)`` matrix, so that
-    each chunk of up to ``_LINDBLAD_CHUNK`` nodes is one matrix-vector
-    product on the chunk's start state, the last node of the chunk before.
-    The chunks fill one reused buffer of ``_CHECK_BLOCK`` nodes, each chunk
-    symmetrized to Hermitian in place as it is filled.  On each full buffer
-    a trace drift beyond ``TRACE_DRIFT_TOL`` (or a non-finite trace, as
-    after overflow) raises ``IntegrationDiverged`` naming the first
-    drifting node; then its kept nodes are copied out.  No node enters the
-    computation of an earlier one, so the error is the one a grid ending
-    at that node raises.
-
-    An RK4 instability in the coherences never moves the trace, so a grid
-    that passes the trace check still raises ``IntegrationDiverged`` when
-    the spectral radius rho(M) of the step map amplifies over the n steps,
-    rho(M)^n - 1 > ``RK4_GROWTH_TOL``, whatever ``rho0``; the power is taken
-    as ``n log rho(M)``, which cannot overflow.
+    The stride map E = e^{L every dt} is built once, and its powers
+    E^1..E^B are stacked into one ``(B d^2, d^2)`` matrix, so that each
+    chunk of up to ``_LINDBLAD_CHUNK`` kept nodes is one matrix-vector
+    product on the chunk's own start state ``e^{L t} rho0``, t the time of
+    the node before the chunk.  Node n, which the stride misses unless it
+    divides n, is ``e^{L t_end} rho0`` on its own.  Each chunk is
+    symmetrized to Hermitian in place; a trace drift beyond
+    ``TRACE_DRIFT_TOL`` (or a non-finite trace, as when the generator
+    overflows) raises ``IntegrationDiverged`` naming the first drifting
+    node.
     """
     if not (np.isfinite(t_end) and t_end > 0 and n_steps >= 1):
         raise ValueError(f"need a finite t_end > 0 and n_steps >= 1, got "
@@ -243,54 +236,47 @@ def integrate_lindblad(model: LindbladModel, rho0, t_end: float, n_steps: int,
         raise ValueError(f"every must be >= 1, got {every}")
     rho0 = np.asarray(rho0, dtype=complex)
     tr0 = np.trace(rho0).real
-    n, dt = n_steps, t_end / n_steps
+    n = n_steps
     # first, so that no temporary of the times peaks beside the stack
     times = _node_times(t_end, n, np.append(np.arange(0, n, every), n))
     out = np.empty((len(times), *rho0.shape), dtype=complex)
     out[0] = rho0
-    buf = np.empty((min(_CHECK_BLOCK, n), *rho0.shape), dtype=complex)
+    end = len(out) - (n % every != 0)  # the nodes that powers of E reach
+
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _rk4_map(liouvillian(model), dt)
-        powers = np.empty((min(_LINDBLAD_CHUNK, n), *step.shape),
+        l = liouvillian(model)
+        step = _expm(l * (every * (t_end / n)))
+        powers = np.empty((min(_LINDBLAD_CHUNK, len(out) - 1), *l.shape),
                           dtype=complex)
         powers[0] = step
         for j in range(1, len(powers)):
             powers[j] = step @ powers[j - 1]
-        # a ufunc on a transposed view would buffer a copy of it
         adj = np.empty((len(powers), *rho0.shape), dtype=complex)
-        start = rho0.reshape(-1)
-        for k in range(0, n, len(buf)):  # the buffer holds nodes k+1..k+b
-            b = min(len(buf), n - k)
-            for c in range(0, b, len(powers)):  # chunks tile the buffer
-                chunk = buf[c:min(b, c + len(powers))]
-                conj = adj[:len(chunk)]
-                np.matmul(powers[:len(chunk)].reshape(-1, len(step)), start,
-                          out=chunk.reshape(-1))
-                np.copyto(conj, chunk.swapaxes(1, 2))
-                np.conjugate(conj, out=conj)
-                chunk += conj
-                chunk *= 0.5
-                start = chunk[-1].reshape(-1)
-            block = buf[:b]
-            drift = np.abs(np.trace(block, axis1=1, axis2=2).real - tr0)
+
+        def fill(k, maps, t):
+            """Nodes k, k+1, ... as ``maps e^{L t} rho0``, symmetrized and
+            checked."""
+            chunk, conj = out[k:k + len(maps)], adj[:len(maps)]
+            start = _expm(l * t) @ rho0.reshape(-1)
+            np.matmul(maps.reshape(-1, len(l)), start, out=chunk.reshape(-1))
+            # a ufunc on a transposed view would buffer a copy of it
+            np.copyto(conj, chunk.swapaxes(1, 2))
+            np.conjugate(conj, out=conj)
+            chunk += conj
+            chunk *= 0.5
+            drift = np.abs(np.trace(chunk, axis1=1, axis2=2).real - tr0)
             ok = drift <= TRACE_DRIFT_TOL  # a NaN drift fails too
             if not ok.all():
                 j = int(np.argmax(~ok))
-                raise IntegrationDiverged(
-                    f"trace drifted by {drift[j]:.3e} "
-                    f"at t={_node_times(t_end, n, k + 1 + j):.6g}")
-            first = -(k + 1) % every  # the block's first multiple of every
-            kept = block[first::every]
-            i = (k + 1 + first) // every
-            out[i:i + len(kept)] = kept
-        out[-1] = block[-1]  # node n, whether or not every divides n
-        # a non-finite step map makes every node NaN, which fails above
-        radius = np.abs(np.linalg.eigvals(step)).max()
-        growth = n * np.log(radius)
-        if growth > np.log1p(RK4_GROWTH_TOL):
-            raise IntegrationDiverged(
-                f"RK4 step map has spectral radius {radius:.6g}: {n} steps "
-                f"of dt={dt:.6g} amplify by exp({growth:.3e})")
+                raise IntegrationDiverged(f"trace drifted by {drift[j]:.3e} "
+                                          f"at t={times[k + j]:.6g}")
+
+        # each chunk starts from its own e^{L t} rho0, so that E's rounding
+        # compounds over one chunk's powers, not over the whole grid
+        for k in range(1, end, len(powers)):
+            fill(k, powers[:end - k], times[k - 1])
+        if end < len(out):
+            fill(end, np.eye(len(l))[None], t_end)
     return times, out
 
 

@@ -24,10 +24,9 @@ the other scalars >= 0.  ``run`` writes ``moments.csv``; ``atoms`` adds
 shifts.  ``custom_lindblad`` writes ``evolution.csv``, which
 ``run_scenario`` returns as an array, takes no sweep and needs
 ``outputs: []``.  ``compare`` writes ``comparison.csv``.  ``grid.n_steps``
-sets the time grid of ``custom_lindblad`` only, at most
-``MAX_LINDBLAD_STEPS`` steps: the GP columns of ``custom_joint``,
-``phase_damping`` and ``spontaneous_emission`` come from closed forms in
-t, and no grid enters them.  For ``custom_joint`` and
+sets the time grid of ``custom_lindblad`` only: the GP columns of
+``custom_joint``, ``phase_damping`` and ``spontaneous_emission`` come from
+closed forms in t, and no grid enters them.  For ``custom_joint`` and
 ``phase_damping``, ``gp_error_estimate_rad`` is the largest quadrature
 error estimate over a point's atoms.
 
@@ -85,11 +84,6 @@ _quote = reprlib.Repr().repr
 # libyaml composes nodes recursively on the C stack and segfaults near 25,000
 # nested collections; a scenario nests about 7 deep
 YAML_MAX_DEPTH = 5000
-# the most RK4 steps a custom_lindblad grid takes.  The integrator's memory
-# no longer grows with the grid, but its time does: 2**32 steps take some
-# 15 minutes on one Xeon core.  Version 0.14.0 needed a 275 GB node stack
-# for 2**32 steps, so no grid that it could run is refused.
-MAX_LINDBLAD_STEPS = 2**32
 
 
 class _ScenarioLoader(yaml.CSafeLoader if yaml.__with_libyaml__
@@ -463,9 +457,6 @@ def load_scenario(path: str) -> Scenario:
     if type(n_steps) is not int or n_steps < 1:
         raise ConfigError(f"grid.n_steps: expected a positive integer, "
                           f"got {_quote(n_steps)}")
-    if model.distribution is None and n_steps > MAX_LINDBLAD_STEPS:
-        raise ConfigError(f"grid.n_steps: {name} integrates at most "
-                          f"{MAX_LINDBLAD_STEPS} steps, got {n_steps}")
     outputs = tuple(_list(raw["outputs"], "outputs"))
     for i, kind in enumerate(outputs):
         if kind not in OUTPUT_KINDS:

@@ -31,8 +31,8 @@ class UndefinedGP(GpdistError):
 
 
 class IntegrationDiverged(GpdistError):
-    """Master-equation integration lost trace beyond tolerance, or its RK4
-    step map amplifies over the grid."""
+    """A master-equation state lost trace beyond tolerance or is not
+    finite, as when the Lindblad generator overflows."""
 
 
 class InvalidChannel(GpdistError):

@@ -1,7 +1,6 @@
 """Open-system dynamics: Lindblad integration, Kraus maps and conditional
 trajectories."""
 
-import functools
 import tracemalloc
 import warnings
 
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gpdist import channels
 from gpdist.channels import (
     TRACE_DRIFT_TOL,
     KrausChannel,
@@ -18,6 +16,7 @@ from gpdist.channels import (
     SystemEnsemble,
     apply_kraus,
     integrate_lindblad,
+    _expm,
     _node_times,
     liouvillian,
     spectral_conditional_trajectories,
@@ -66,73 +65,36 @@ def textbook_rhs(rho, model):
 
 
 def liouvillian_rhs(rho, model):
-    """The right-hand side ``integrate_lindblad`` steps: ``liouvillian``
+    """The generator ``integrate_lindblad`` exponentiates: ``liouvillian``
     applied to the row-major vec(rho)."""
     rho = np.asarray(rho, dtype=complex)
     return (liouvillian(model) @ rho.reshape(-1)).reshape(rho.shape)
 
 
-def rk4_oracle(model, rho0, t_end, n):
-    """Step-by-step classical RK4 over ``textbook_rhs`` on n steps of
-    [0, t_end], symmetrized after every step."""
-    rho, dt = np.asarray(rho0, dtype=complex), t_end / n
-    out = [rho]
-    for _ in range(n):
-        k1 = textbook_rhs(rho, model)
-        k2 = textbook_rhs(rho + 0.5 * dt * k1, model)
-        k3 = textbook_rhs(rho + 0.5 * dt * k2, model)
-        k4 = textbook_rhs(rho + dt * k3, model)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        out.append(rho)
-    return np.array(out)
-
-
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-DRIFT_DT = 1.0 / 64  # a power of two: every grid below has the same dt bits
 
 
-def prefix_error(model, rho0, m):
-    """The error of the grid that ends at node m, or None.  That grid
-    computes nodes 0..m with the same bits as any longer one, and no node
-    after m, so its check of node m is not deferred past it."""
-    try:
-        integrate_lindblad(model, rho0, m * DRIFT_DT, m)
-    except IntegrationDiverged as exc:
-        return str(exc)
-    return None
+def exact_stack(model, rho0, times):
+    """``e^{L t} rho0`` at each of ``times``, by scipy's ``expm``."""
+    maps = scipy.linalg.expm(liouvillian(model) * times[:, None, None])
+    return (maps @ rho0.reshape(-1)).reshape(-1, *rho0.shape)
 
 
-def first_drifting_node(model, rho0, n):
-    """The least m <= n whose grid ending at node m raises, by bisection."""
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if prefix_error(model, rho0, mid) else (mid, hi)
-    return hi
-
-
-@functools.cache
 def overflow_oracle(n):
-    """A jump operator that overflows the step map, and the message of the
-    first node whose stepwise RK4 trace drifts."""
-    huge = LindbladModel(hs=h_system(1.0), jump_ops=[1e80 * SIGMA_MINUS])
+    """A jump operator that overflows the generator, and the message of the
+    first node whose trace drifts when scipy's ``expm(L dt)`` steps the
+    state node by node over n steps of [0, 2 pi]."""
+    huge = LindbladModel(hs=h_system(1.0), jump_ops=[1e155 * SIGMA_MINUS])
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     with np.errstate(all="ignore"):
-        rhos = rk4_oracle(huge, rho0, 2.0 * np.pi, n)
-        drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+        step = scipy.linalg.expm(liouvillian(huge) * (2.0 * np.pi / n))
+        rhos = [rho0.reshape(-1)]
+        for _ in range(n):
+            rhos.append(step @ rhos[-1])
+        drift = np.abs(np.array(rhos)[:, [0, 3]].sum(axis=1).real - 1.0)
     j = 1 + int(np.argmax(~(drift[1:] <= TRACE_DRIFT_TOL)))
     t = np.linspace(0.0, 2.0 * np.pi, n + 1)[j]
     return huge, rho0, f"trace drifted by {drift[j]:.3e} at t={t:.6g}"
-
-
-# where in the chunks of _LINDBLAD_CHUNK = 64 nodes and the checks' blocks
-# of 256 a case puts its first drifting node j of n
-PLACES = {
-    "mid-chunk": lambda j, n: j % 64 not in (0, 1),
-    "partial last chunk": lambda j, n: n % 64 and j > n - n % 64,
-    "past the first check block": lambda j, n: j > 256,
-}
 
 
 class TestReservoirSpec:
@@ -201,7 +163,7 @@ class TestLindbladModel:
             LindbladModel(hs=h_system(1.0), jump_ops=[bad])
 
     def test_hs_not_square_or_non_finite_rejected(self):
-        # the RK4 step map is built once, from the H_S matrix
+        # the generator is built once, from the H_S matrix
         with pytest.raises(DimensionError):
             LindbladModel(hs=np.ones((2, 3)), jump_ops=[0.1 * SIGMA_Z])
         with pytest.raises(InvalidOperand):
@@ -270,80 +232,25 @@ class TestIntegrateLindblad:
         assert np.max(np.abs(traces - 1.0)) < 1e-9
 
     def test_divergence_detected(self):
-        # stiff rate: ||L||^2 dt >> 1 destabilizes RK4 until trace drifts
-        stiff = LindbladModel(
-            hs=h_system(1.0),
-            jump_ops=[30.0 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
-        )
-        with pytest.raises(IntegrationDiverged):
-            integrate_lindblad(stiff, np.diag([0.0, 1.0]).astype(complex),
-                               2.0 * np.pi, 16)
+        # rate^2 overflows the generator: every node is NaN, and the check
+        # names the first kept one, node n alone where the stride passes n
+        huge = LindbladModel(hs=h_system(1.0), jump_ops=[1e155 * SIGMA_MINUS])
+        for every in (1, 3, 16, 5000):
+            with pytest.raises(IntegrationDiverged) as exc:
+                integrate_lindblad(huge, np.diag([0.0, 1.0]).astype(complex),
+                                   2.0 * np.pi, 16, every)
+            t = 2.0 * np.pi * min(every, 16) / 16
+            assert str(exc.value) == f"trace drifted by nan at t={t:.6g}"
 
     def test_overflow_is_divergence_without_warnings(self):
-        # the step map overflows to inf/nan; the trace check must catch a
+        # the generator overflows to inf/nan; the trace check must catch a
         # NaN trace instead of returning NaN rows
-        huge = LindbladModel(
-            hs=h_system(1.0),
-            jump_ops=[1e80 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
-        )
+        huge = LindbladModel(hs=h_system(1.0), jump_ops=[1e155 * SIGMA_MINUS])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationDiverged):
                 integrate_lindblad(huge, np.diag([0.0, 1.0]).astype(complex),
                                    2.0 * np.pi, 4096)
-
-    @pytest.mark.parametrize("rate, n, place", [
-        (30.0, 16, "mid-chunk"),
-        (10.58, 100, "mid-chunk"),
-        (9.8, 100, "partial last chunk"),
-        (9.5, 1000, "past the first check block"),
-        (9.45, 4096, "past the first check block"),
-    ])
-    def test_deferred_check_names_first_drifting_node(self, rate, n, place,
-                                                      monkeypatch):
-        # rate^2 dt just past RK4's stability limit: the trace drifts at a
-        # node that rounding sets, the later the closer the rate is to the
-        # limit.  A stepwise oracle rounds otherwise and drifts elsewhere
-        # (node 24 against 37 at rate 10.58), so the reference is the grid
-        # that ends at the node
-        stiff = LindbladModel(hs=h_system(1.0), jump_ops=[rate * SIGMA_MINUS])
-        rho0 = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(IntegrationDiverged) as exc:
-            integrate_lindblad(stiff, rho0, n * DRIFT_DT, n)
-        # every prefix grid amplifies too: the trace check runs first, and
-        # the references below are the trace check alone
-        monkeypatch.setattr(channels, "RK4_GROWTH_TOL", np.inf)
-        j = first_drifting_node(stiff, rho0, n)
-        assert PLACES[place](j, n)
-        assert str(exc.value) == prefix_error(stiff, rho0, j)
-        assert str(exc.value).endswith(f" at t={j * DRIFT_DT:.6g}")
-        _, rhos = integrate_lindblad(stiff, rho0, (j - 1) * DRIFT_DT, j - 1)
-        drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
-        assert np.all(drift <= TRACE_DRIFT_TOL)
-
-    @pytest.mark.parametrize("c, radius", [
-        (2.7, "1.12453"), (3.0, "2.85922"), (5.0, "268.798")])
-    def test_unstable_coherences_detected(self, c, radius):
-        # dephasing c sigma_z at dt = 2 pi / 64 puts the coherences' mode
-        # outside RK4's stability region; the trace never moves
-        model = LindbladModel(hs=h_system(1.0), jump_ops=[c * SIGMA_Z])
-        psi = psi_initial(np.pi / 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IntegrationDiverged) as exc:
-                integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                   2.0 * np.pi, 64)
-        assert str(exc.value).startswith(
-            f"RK4 step map has spectral radius {radius}: 64 steps")
-
-    def test_stable_dephasing_stays_a_density_matrix(self):
-        # c = 2.6 keeps every mode inside the stability region: rho(M) = 1
-        model = LindbladModel(hs=h_system(1.0), jump_ops=[2.6 * SIGMA_Z])
-        psi = psi_initial(np.pi / 2)
-        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                     2.0 * np.pi, 64)
-        assert np.all(np.linalg.eigvalsh(rhos) >= -1e-12)
-        assert np.all(np.abs(rhos[:, 0, 1]) <= 0.5)
 
     @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
     def test_overflow_error_matches_stepwise_oracle(self, n):
@@ -352,32 +259,63 @@ class TestIntegrateLindblad:
             integrate_lindblad(huge, rho0, 2.0 * np.pi, n)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("every", [3, 64, 5000])
-    @pytest.mark.parametrize("n", [16, 100, 1000, 4096])
-    def test_overflow_error_is_the_same_under_a_stride(self, n, every):
-        # the drifting node need not be kept: the check runs on every node
-        huge, rho0, message = overflow_oracle(n)
-        with pytest.raises(IntegrationDiverged) as exc:
-            integrate_lindblad(huge, rho0, 2.0 * np.pi, n, every)
-        assert str(exc.value) == message
+    @pytest.mark.parametrize("rate", [30.0, 1e80])
+    def test_stiff_decay_is_the_closed_form(self, rate):
+        # grids on which a fixed-step method diverges:
+        # rho_ee = e^{-2 rate^2 t}
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[rate * SIGMA_MINUS])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, rhos = integrate_lindblad(
+                model, np.diag([0.0, 1.0]).astype(complex), 2.0 * np.pi, 16)
+        pop_e = np.exp(-2.0 * rate**2 * times)
+        expected = np.zeros_like(rhos)
+        expected[:, 0, 0], expected[:, 1, 1] = 1.0 - pop_e, pop_e
+        assert np.max(np.abs(rhos - expected)) < 1e-15
+
+    @pytest.mark.parametrize("c", [2.7, 3.0, 5.0])
+    def test_strong_dephasing_is_the_closed_form(self, c):
+        # dephasing c sigma_z on 64 steps of 2 pi / 64, outside classical
+        # RK4's stability region for c > 2.6: |rho_01| = e^{-4 c^2 t} / 2
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[c * SIGMA_Z])
+        psi = psi_initial(np.pi / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                             2.0 * np.pi, 64)
+        np.testing.assert_allclose(np.abs(rhos[:, 0, 1]),
+                                   0.5 * np.exp(-4.0 * c**2 * times),
+                                   rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(rhos[:, [0, 1], [0, 1]] - 0.5)) < 1e-15
+
+    def test_stable_dephasing_stays_a_density_matrix(self):
+        model = LindbladModel(hs=h_system(1.0), jump_ops=[2.6 * SIGMA_Z])
+        psi = psi_initial(np.pi / 2)
+        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
+                                     2.0 * np.pi, 64)
+        assert np.all(np.linalg.eigvalsh(rhos) >= -1e-12)
+        assert np.all(np.abs(rhos[:, 0, 1]) <= 0.5)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 255, 256, 257, 1000, 16384])
     def test_kept_nodes_are_the_full_stacks(self, n):
-        # chunks of 64 and buffers of 256 nodes: n and every fall on, just
-        # before and just after their edges
-        model = LindbladModel(hs=h_system(1.0), jump_ops=[
-            0.6 * random_complex(2, np.random.default_rng(5))])
+        # chunks of 64 kept nodes: n and every fall on, just before and
+        # just after their edges, and node n comes alone where every does
+        # not divide n.  Each kept node is e^{L t_k} rho0 of the full grid
         psi = psi_initial(0.9)
         rho0 = np.outer(psi, psi.conj())
-        times, full = integrate_lindblad(model, rho0, n * DRIFT_DT, n)
-        assert full.shape == (n + 1, 2, 2)
-        assert np.array_equal(times, np.linspace(0.0, n * DRIFT_DT, n + 1))
-        for every in (1, 3, 64, 256, max(1, n // 256)):
-            kept = np.append(np.arange(0, n, every), n)
-            got_times, got = integrate_lindblad(model, rho0, n * DRIFT_DT, n,
-                                                every)
-            assert np.array_equal(got_times, times[kept])
-            assert np.array_equal(got, full[kept])
+        times = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        for model in (
+                LindbladModel(hs=h_system(1.0), jump_ops=[
+                    0.6 * random_complex(2, np.random.default_rng(5))]),
+                se_lindblad_model(TwoLevelAtomParams(
+                    omega=1.0, gamma0=0.05, n_thermal=0.4))):
+            full = exact_stack(model, rho0, times)
+            for every in (1, 3, 64, 256, max(1, n // 256)):
+                kept = np.append(np.arange(0, n, every), n)
+                got_times, got = integrate_lindblad(model, rho0, 2.0 * np.pi,
+                                                    n, every)
+                assert np.array_equal(got_times, times[kept])
+                assert np.max(np.abs(got - full[kept])) < 1e-14
 
     def test_stride_must_be_positive(self):
         model = LindbladModel(hs=h_system(1.0))
@@ -400,20 +338,9 @@ class TestIntegrateLindblad:
             0.6 * random_complex(2, np.random.default_rng(3))])
         psi = psi_initial(1.1)
         _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                     n * DRIFT_DT, n)
+                                     n / 64, n)
         assert len(rhos) == n + 1
         assert np.all(rhos == rhos.conj().swapaxes(1, 2))
-
-    def test_restart_at_a_chunk_start_continues_bit_for_bit(self):
-        # node 64 starts the second chunk; integrating from it as returned
-        # gives the same nodes, so the chunk started from that very state
-        model = LindbladModel(hs=h_system(1.0), jump_ops=[
-            0.6 * random_complex(2, np.random.default_rng(4))])
-        psi = psi_initial(0.7)
-        _, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
-                                     200 * DRIFT_DT, 200)
-        _, rest = integrate_lindblad(model, rhos[64], 136 * DRIFT_DT, 136)
-        assert np.array_equal(rest, rhos[64:])
 
     def test_peak_memory_is_the_returned_stack(self):
         model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05))
@@ -445,30 +372,50 @@ class TestIntegrateLindblad:
         assert len(times) == len(out) == 257
         assert peak <= out.nbytes + times.nbytes + 64 * 1024
 
-    def test_thermal_se_matches_stepwise_rk4(self):
-        model = se_lindblad_model(TwoLevelAtomParams(omega=1.0, gamma0=0.05,
-                                                     n_thermal=0.4))
-        psi = psi_initial(1.1)
-        rho0 = np.outer(psi, psi.conj())
-        _, rhos = integrate_lindblad(model, rho0, 2.0 * np.pi, 4096)
-        assert np.max(np.abs(
-            rhos - rk4_oracle(model, rho0, 2.0 * np.pi, 4096))) < 1e-12
-
-    def test_fourth_order_convergence(self):
+    def test_exact_on_every_grid(self):
         # jump operator sqrt(gamma)|g><e|:
-        # rho_ee(t) = cos^2(theta/2) e^{-2 gamma t}
+        # rho_ee(t) = cos^2(theta/2) e^{-2 gamma t}, whatever the step
         gamma, theta = 0.3, 1.1
         model = LindbladModel(hs=h_system(1.0), jump_ops=[
-            np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])])
+            np.sqrt(gamma) * SIGMA_MINUS])
         psi = psi_initial(theta)
-        errs = []
-        for n in (16, 32, 64, 128, 256):
+        for n in (1, 16, 32, 64, 128, 256):
             times, rhos = integrate_lindblad(model, np.outer(psi, psi.conj()),
                                              2.0 * np.pi, n)
             exact = np.cos(theta / 2.0) ** 2 * np.exp(-2.0 * gamma * times)
-            errs.append(np.abs(rhos[:, 1, 1].real - exact).max())
-        ratios = [errs[i] / errs[i + 1] for i in range(4)]
-        assert all(12.0 < r < 20.0 for r in ratios)  # halving dt: ~16x
+            assert np.abs(rhos[:, 1, 1].real - exact).max() < 1e-15
+
+
+class TestExpm:
+    @staticmethod
+    def generators():
+        rng = np.random.default_rng(9)
+        jumps = [0.6 * random_complex(2, rng) for _ in range(2)]
+        return {
+            "se_thermal": liouvillian(se_lindblad_model(TwoLevelAtomParams(
+                omega=1.0, gamma0=0.05, n_thermal=0.4))),
+            "pd": liouvillian(pd_lindblad_model(PhaseDampingParams(
+                omega=1.0, alpha=0.4))),
+            "random_jumps": liouvillian(LindbladModel(hs=h_system(1.0),
+                                                      jump_ops=jumps)),
+        }
+
+    @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0,
+                                      1e3])
+    @pytest.mark.parametrize("name", ["se_thermal", "pd", "random_jumps"])
+    def test_matches_scipy(self, name, norm):
+        l = self.generators()[name]
+        a = l * (norm / np.abs(l).sum(axis=0).max())
+        # the squarings carry rounding that grows with ||a||, in scipy's
+        # result too: at ||a|| = 1e3 it is 1.3e-14 off the exact
+        # exponential of the thermal SE generator (50-digit mpmath)
+        tol = 1e-14 * max(1.0, norm / 100.0)
+        assert np.max(np.abs(_expm(a) - scipy.linalg.expm(a))) < tol
+
+    def test_zero_is_the_identity(self):
+        assert np.array_equal(_expm(np.zeros((4, 4), dtype=complex)),
+                              np.eye(4))
+
 
 class TestNodeTimes:
     def test_spacing(self):

@@ -129,7 +129,7 @@ class TestSeKrausChannel:
         ch = se_kraus_channel(p)
         for k in (512, 1024, 2048):
             got = apply_kraus(ch, rho0, times[k])
-            assert np.linalg.norm(got - rhos[k]) < 1e-6
+            assert np.linalg.norm(got - rhos[k]) < 1e-12
 
 
 class TestSeExactValues:
@@ -270,7 +270,7 @@ class TestPdKrausChannel:
         ch = pd_kraus_channel(p)
         for k in (512, 1024, 2048):
             assert np.linalg.norm(apply_kraus(ch, rho0, times[k])
-                                  - rhos[k]) < 1e-6
+                                  - rhos[k]) < 1e-12
 
 
 class TestPdMoments:
